@@ -1,0 +1,410 @@
+"""Exhaustive sweeps over small labeled graphs.
+
+Enumerates every graph of a configured kind up to a vertex bound,
+classifies each one (memoized through canonical forms, so isomorphic
+graphs are computed once), re-verifies the produced evidence, and
+tabulates verdict counts per (vertex count, edge count) cell.  Records
+are written one JSON line per isomorphism class, keyed by canonical
+form, and an existing record file is resumed rather than recomputed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import string
+import time
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
+
+from .coherence_engine import (
+    Classifier,
+    EngineConfig,
+    verdict_to_jsonable,
+    verdict_from_jsonable,
+    verify_proof,
+    verify_witness,
+    COHERENT,
+    INCOHERENT,
+    UNKNOWN,
+)
+from .group_model import InternalInvariantError
+from .labeled_graph import (
+    LabeledGraph,
+    Z,
+    Z2,
+    canonical_form,
+    detect_flavor,
+)
+
+_FLAVOR_GROUPS = {"racg": Z2, "raag": Z, "coxeter": Z2}
+
+
+@dataclass(frozen=True)
+class CensusConfig:
+    """What to sweep.
+
+    ``flavor``: racg and raag fix every label to 2; coxeter keeps all-Z2
+    vertices and ranges each edge over ``edge_labels``.  ``dedup``
+    counts isomorphism classes once instead of every labeled graph.
+    ``verify`` recheck every proof and witness (including resumed
+    records, whose graphs are rebuilt from their canonical keys).
+    """
+
+    flavor: str = "racg"
+    min_vertices: int = 1
+    max_vertices: int = 5
+    max_edges: Optional[int] = None
+    edge_labels: tuple[int, ...] = (2,)
+    dedup: bool = False
+    verify: bool = True
+
+    def __post_init__(self) -> None:
+        if self.flavor not in _FLAVOR_GROUPS:
+            raise ValueError(f"unknown census flavor {self.flavor!r}")
+        if self.min_vertices < 1 or self.max_vertices < self.min_vertices:
+            raise ValueError("vertex bounds must satisfy 1 <= min <= max")
+        if self.flavor != "coxeter" and tuple(self.edge_labels) != (2,):
+            raise ValueError("edge labels other than 2 need the coxeter flavor")
+        if any(m < 2 for m in self.edge_labels):
+            raise ValueError("edge labels must be >= 2")
+        object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+
+
+def _vertex_ids(n: int) -> list[str]:
+    letters = string.ascii_lowercase
+    if n <= len(letters):
+        return list(letters[:n])
+    return [f"v{i}" for i in range(n)]
+
+
+def enumerate_graphs(config: CensusConfig) -> Iterator[LabeledGraph]:
+    """Every graph in the sweep, in a fixed deterministic order:
+    vertex count ascending, then edge subsets by bitmask, then label
+    assignments lexicographically."""
+    group = _FLAVOR_GROUPS[config.flavor]
+    for n in range(config.min_vertices, config.max_vertices + 1):
+        ids = _vertex_ids(n)
+        vertex_items = [(v, group) for v in ids]
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            if config.max_edges is not None and len(chosen) > config.max_edges:
+                continue
+            if config.flavor == "coxeter" and config.edge_labels != (2,):
+                for labels in itertools.product(
+                    config.edge_labels, repeat=len(chosen)
+                ):
+                    yield LabeledGraph.build(
+                        vertex_items,
+                        [
+                            (ids[i], ids[j], m)
+                            for (i, j), m in zip(chosen, labels)
+                        ],
+                    )
+            else:
+                yield LabeledGraph.build(
+                    vertex_items, [(ids[i], ids[j], 2) for i, j in chosen]
+                )
+
+
+def graph_from_key(key: str) -> LabeledGraph:
+    """Rebuild the canonical representative encoded by a canonical key
+    (vertices are named "0", "1", ...)."""
+    from .labeled_graph import AbelianGroupLabel
+
+    head, *rest = key.split(";")
+    n = int(head)
+    if len(rest) != n + 1:
+        raise ValueError(f"malformed key {key!r}")
+    vertex_items = []
+    for i, part in enumerate(rest[:n]):
+        rank_s, torsion_s = part.split("|")
+        torsion = tuple(int(x) for x in torsion_s.split(",") if x)
+        vertex_items.append((str(i), AbelianGroupLabel(rank=int(rank_s), torsion=torsion)))
+    edge_items = []
+    if rest[n]:
+        for token in rest[n].split(","):
+            pos, m = token.rsplit(":", 1)
+            i, j = pos.split("-")
+            edge_items.append((i, j, int(m)))
+    return LabeledGraph.build(vertex_items, edge_items)
+
+
+@dataclass
+class CensusReport:
+    """Aggregated sweep results.
+
+    ``cells`` maps (vertex count, edge count) to verdict counts; counts
+    are per labeled graph unless the census deduplicates.  ``elapsed``
+    is wall time and deliberately excluded from the JSON form so equal
+    sweeps serialize identically.
+    """
+
+    flavor: str
+    min_vertices: int
+    max_vertices: int
+    max_edges: Optional[int]
+    edge_labels: tuple[int, ...]
+    dedup: bool
+    cells: dict = field(default_factory=dict)
+    total: int = 0
+    class_count: int = 0
+    incoherent: tuple = ()
+    unknown: tuple = ()
+    records_path: Optional[str] = None
+    elapsed: float = 0.0
+
+    def smallest_incoherent(self) -> Optional[tuple[int, int]]:
+        hits = sorted((n, e) for n, e, _ in self.incoherent)
+        return hits[0] if hits else None
+
+    def table(self) -> str:
+        lines = [
+            f"{'n':>3} {'e':>3} {'total':>8} {'coherent':>9} "
+            f"{'incoherent':>11} {'unknown':>8}"
+        ]
+        for (n, e) in sorted(self.cells):
+            counts = self.cells[(n, e)]
+            total = sum(counts.values())
+            lines.append(
+                f"{n:>3} {e:>3} {total:>8} {counts.get(COHERENT, 0):>9} "
+                f"{counts.get(INCOHERENT, 0):>11} {counts.get(UNKNOWN, 0):>8}"
+            )
+        return "\n".join(lines)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "flavor": self.flavor,
+            "min_vertices": self.min_vertices,
+            "max_vertices": self.max_vertices,
+            "max_edges": self.max_edges,
+            "edge_labels": list(self.edge_labels),
+            "dedup": self.dedup,
+            "total": self.total,
+            "class_count": self.class_count,
+            "cells": [
+                {
+                    "n": n,
+                    "e": e,
+                    "counts": {k: v for k, v in sorted(self.cells[(n, e)].items())},
+                }
+                for (n, e) in sorted(self.cells)
+            ],
+            "incoherent": [
+                {"n": n, "e": e, "key": key} for n, e, key in self.incoherent
+            ],
+            "unknown": [
+                {"n": n, "e": e, "key": key, "codes": list(codes)}
+                for n, e, key, codes in self.unknown
+            ],
+            "smallest_incoherent": (
+                list(self.smallest_incoherent())
+                if self.smallest_incoherent()
+                else None
+            ),
+        }
+
+
+def _root_rule(verdict_obj: dict) -> Optional[str]:
+    if verdict_obj["status"] == COHERENT:
+        return verdict_obj["proof"]["rule"]
+    if verdict_obj["status"] == INCOHERENT:
+        return verdict_obj["witness"]["kind"]
+    return None
+
+
+def _verify_record(key: str, verdict_obj: dict, cap: int) -> None:
+    G = graph_from_key(key)
+    verdict = verdict_from_jsonable(verdict_obj)
+    if verdict.status == COHERENT:
+        outcome = verify_proof(G, verdict.proof, cap=cap)
+        if not outcome:
+            raise InternalInvariantError(
+                f"proof for {key} fails verification at "
+                f"{'/'.join(outcome.path)}: {outcome.reason}"
+            )
+    elif verdict.status == INCOHERENT:
+        outcome = verify_witness(G, verdict.witness)
+        if not outcome:
+            raise InternalInvariantError(
+                f"witness for {key} fails verification: {outcome.reason}"
+            )
+
+
+def _load_records(path: str) -> dict[str, dict]:
+    records: dict[str, dict] = {}
+    if not os.path.exists(path):
+        return records
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                records[rec["key"]] = rec
+            except (json.JSONDecodeError, KeyError) as e:
+                raise ValueError(
+                    f"corrupt census record at {path}:{line_no}: {e}"
+                ) from None
+    return records
+
+
+def _classify_canonical(classifier: Classifier, CG: LabeledGraph) -> dict:
+    return verdict_to_jsonable(classifier.classify(CG))
+
+
+_worker_classifier: Optional[Classifier] = None
+
+
+def _worker_init(engine_config: EngineConfig) -> None:
+    global _worker_classifier
+    _worker_classifier = Classifier(engine_config)
+
+
+def _worker_classify(job: tuple[str, LabeledGraph]) -> tuple[str, dict]:
+    key, CG = job
+    return key, _classify_canonical(_worker_classifier, CG)
+
+
+def run_census(
+    config: CensusConfig,
+    out_path: Optional[str] = None,
+    engine_config: Optional[EngineConfig] = None,
+    workers: int = 1,
+) -> CensusReport:
+    """Run the sweep and return the report.
+
+    With ``out_path`` set, one JSON record per isomorphism class is
+    appended as computed; re-running with the same path skips keys that
+    already have records (their stored verdicts are still counted and,
+    when configured, re-verified).  ``workers`` > 1 classifies unseen
+    classes in a process pool; output is identical to the serial run.
+    """
+    engine_config = engine_config or EngineConfig()
+    cap = engine_config.max_search_vertices
+    if config.max_vertices > cap:
+        raise ValueError(
+            f"census up to {config.max_vertices} vertices exceeds the "
+            f"engine cap of {cap}"
+        )
+    started = time.monotonic()
+    records = _load_records(out_path) if out_path else {}
+    report = CensusReport(
+        flavor=config.flavor,
+        min_vertices=config.min_vertices,
+        max_vertices=config.max_vertices,
+        max_edges=config.max_edges,
+        edge_labels=config.edge_labels,
+        dedup=config.dedup,
+        records_path=out_path,
+    )
+    cells: dict[tuple[int, int], Counter] = {}
+    incoherent: list[tuple[int, int, str]] = []
+    unknown: list[tuple[int, int, str, tuple[str, ...]]] = []
+    counted_keys: set[str] = set()
+    verified_keys: set[str] = set()
+    out_fh = open(out_path, "a", encoding="utf-8") if out_path else None
+
+    def record_for(G: LabeledGraph, key: str, verdict_obj: Optional[dict]) -> dict:
+        rec = records.get(key)
+        if rec is None:
+            rec = {
+                "key": key,
+                "n": G.n,
+                "e": G.m,
+                "flavor": list(detect_flavor(G).tags()),
+                "status": verdict_obj["status"],
+                "rule": _root_rule(verdict_obj),
+                "notes": [note["code"] for note in verdict_obj["notes"]],
+                "verdict": verdict_obj,
+            }
+            records[key] = rec
+            if out_fh:
+                out_fh.write(json.dumps(rec) + "\n")
+                out_fh.flush()
+        return rec
+
+    def tally(rec: dict) -> None:
+        n, e, status = rec["n"], rec["e"], rec["status"]
+        if config.dedup and rec["key"] in counted_keys:
+            return
+        first_time = rec["key"] not in counted_keys
+        counted_keys.add(rec["key"])
+        cells.setdefault((n, e), Counter())[status] += 1
+        report.total += 1
+        if first_time:
+            report.class_count += 1
+            if status == INCOHERENT:
+                incoherent.append((n, e, rec["key"]))
+            elif status == UNKNOWN:
+                unknown.append((n, e, rec["key"], tuple(rec.get("notes", ()))))
+        if config.verify and rec["key"] not in verified_keys:
+            verified_keys.add(rec["key"])
+            _verify_record(rec["key"], rec["verdict"], cap)
+
+    try:
+        if workers <= 1:
+            classifier = Classifier(engine_config)
+            for G in enumerate_graphs(config):
+                key, placement = canonical_form(G, cap=cap)
+                if key in records:
+                    tally(record_for(G, key, None))
+                    continue
+                CG = G.permuted(placement).relabeled(
+                    {v: str(i) for i, v in enumerate(placement)}
+                )
+                verdict_obj = _classify_canonical(classifier, CG)
+                tally(record_for(G, key, verdict_obj))
+        else:
+            _run_parallel(config, engine_config, records, record_for, tally, workers, cap)
+    finally:
+        if out_fh:
+            out_fh.close()
+    report.cells = {cell: dict(counter) for cell, counter in cells.items()}
+    report.incoherent = tuple(incoherent)
+    report.unknown = tuple(unknown)
+    report.elapsed = time.monotonic() - started
+    return report
+
+
+def _canonical_graph_of(G: LabeledGraph, cap: int) -> LabeledGraph:
+    _, placement = canonical_form(G, cap=cap)
+    return G.permuted(placement).relabeled(
+        {v: str(i) for i, v in enumerate(placement)}
+    )
+
+
+def _run_parallel(
+    config: CensusConfig,
+    engine_config: EngineConfig,
+    records: dict[str, dict],
+    record_for,
+    tally,
+    workers: int,
+    cap: int,
+) -> None:
+    import multiprocessing
+
+    # Pass 1: find one canonical representative per unseen class and
+    # remember every enumerated graph's key and cell.
+    pending: dict[str, LabeledGraph] = {}
+    stream: list[tuple[str, int, int]] = []
+    for G in enumerate_graphs(config):
+        key, _ = canonical_form(G, cap=cap)
+        stream.append((key, G.n, G.m))
+        if key not in records and key not in pending:
+            pending[key] = _canonical_graph_of(G, cap)
+    jobs = sorted(pending.items())
+    ctx = multiprocessing.get_context()
+    with ctx.Pool(
+        processes=workers, initializer=_worker_init, initargs=(engine_config,)
+    ) as pool:
+        for key, verdict_obj in pool.imap(_worker_classify, jobs, chunksize=16):
+            record_for(pending[key], key, verdict_obj)
+    # Pass 2: tally in enumeration order so output matches the serial run.
+    for key, n, e in stream:
+        tally(records[key])

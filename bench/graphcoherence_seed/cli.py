@@ -1,0 +1,453 @@
+"""Command line interface.
+
+Subcommands: classify, census, decompose, present, finiteness.  Exit
+codes: 0 when a result was computed (an Unknown verdict is a result),
+1 for input or usage errors, 2 when an internal self-check failed.
+Output on stdout is byte-identical across runs for the same input;
+timing goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from typing import Optional, Sequence
+
+from .census import CensusConfig, run_census
+from .coherence_engine import (
+    COHERENT,
+    INCOHERENT,
+    Classifier,
+    DISABLEABLE_RULES,
+    EngineConfig,
+    ProofNode,
+    Verdict,
+    verdict_to_jsonable,
+    verify_proof,
+    verify_witness,
+    witness_to_jsonable,
+)
+from .decomposition import dirac_split, enumerate_separator_splits
+from .group_model import (
+    SLENDER,
+    InternalInvariantError,
+    UnsupportedFlavorError,
+    emit_presentation,
+    finiteness,
+    is_slender,
+)
+from .labeled_graph import (
+    GraphValidationError,
+    LabeledGraph,
+    VertexCapError,
+    detect_flavor,
+    graph_to_jsonable,
+    is_chordal,
+    parse_graph,
+    shape_classify,
+)
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise _UsageError(message)
+
+
+def _read_graph(path: str) -> LabeledGraph:
+    if path == "-":
+        return parse_graph(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())
+
+
+def _vset(vertices: Sequence[str]) -> str:
+    return "{" + ",".join(vertices) + "}"
+
+
+def _format_proof(node: ProofNode, indent: int = 0) -> list[str]:
+    pad = "  " * indent
+    extra = ""
+    if node.rule == "amalgam":
+        extra = (
+            f" separator={_vset(node.data['separator'])}"
+            f" method={node.data.get('method', '?')}"
+        )
+    elif node.rule == "free_product":
+        extra = f" factors={len(node.children)}"
+    elif node.rule == "mccammond_wise":
+        m = node.data.get("min_edge_label")
+        extra = f" min_label={m}" if m is not None else " (no edges)"
+    lines = [f"{pad}{node.rule} {_vset(node.vertices)}{extra}"]
+    for child in node.children:
+        lines.extend(_format_proof(child, indent + 1))
+    return lines
+
+
+def _format_witness(w) -> str:
+    obj = witness_to_jsonable(w)
+    kind = obj["kind"]
+    if kind == "join_embedding":
+        return (
+            f"join_embedding {_vset(obj['side_a'])} x {_vset(obj['side_b'])} "
+            f"(certs: {obj['cert_a']['kind']} {_vset(obj['cert_a']['vertices'])}, "
+            f"{obj['cert_b']['kind']} {_vset(obj['cert_b']['vertices'])})"
+        )
+    if kind == "droms_cycle":
+        return f"droms_cycle {_vset(obj['cycle'])}"
+    if kind == "wise_gordon":
+        return f"wise_gordon {obj['violation']} {_vset(obj['vertices'])}"
+    if kind == "incoherent_factor":
+        return f"incoherent_factor {_vset(obj['vertices'])}: " + _format_witness(
+            w.inner
+        )
+    return kind
+
+
+def _order_str(order: float) -> str:
+    return "infinite" if order == math.inf else str(int(order))
+
+
+def _slender_line(G: LabeledGraph) -> str:
+    try:
+        cert = is_slender(G)
+    except UnsupportedFlavorError:
+        return "slender: not applicable"
+    if cert.verdict == SLENDER:
+        parts = []
+        if cert.abelian_factor_count:
+            parts.append(f"{cert.abelian_factor_count} abelian")
+        if cert.finite_factor_count:
+            parts.append(f"{cert.finite_factor_count} finite")
+        if cert.affine_factor_count:
+            parts.append(f"{cert.affine_factor_count} affine")
+        return f"slender: yes ({', '.join(parts)} factors; {cert.reason})"
+    if cert.verdict == "not_slender":
+        return f"slender: no ({cert.reason})"
+    return f"slender: unknown ({cert.reason})"
+
+
+def _finiteness_result(G: LabeledGraph):
+    try:
+        return finiteness(G)
+    except UnsupportedFlavorError:
+        return None
+
+
+def _cmd_classify(args) -> int:
+    G = _read_graph(args.path)
+    config = EngineConfig(
+        max_search_vertices=args.max_search_vertices,
+        disabled_rules=frozenset(args.disable or ()),
+    )
+    classifier = Classifier(config)
+    verdict = classifier.classify(G)
+    _self_check(G, verdict, config)
+    fin = _finiteness_result(G)
+    if args.format == "json":
+        out = {
+            "graph": graph_to_jsonable(G),
+            "flavor": list(detect_flavor(G).tags()),
+            "shape": shape_classify(G).tag,
+            "verdict": verdict_to_jsonable(verdict),
+            "slender": _slender_jsonable(G),
+            "finiteness": (
+                None
+                if fin is None
+                else {
+                    "finite": fin.finite,
+                    "order": None if fin.order == math.inf else int(fin.order),
+                    "mode": fin.mode,
+                }
+            ),
+        }
+        print(json.dumps(out, indent=2))
+    else:
+        print(f"verdict: {verdict.status}")
+        print(f"flavor: {', '.join(detect_flavor(G).tags())}")
+        print(f"shape: {shape_classify(G).tag}")
+        print(_slender_line(G))
+        if fin is not None:
+            print(
+                "finite: "
+                + ("yes, order " + _order_str(fin.order) if fin.finite else "no")
+            )
+        if verdict.proof is not None:
+            print("proof:")
+            for line in _format_proof(verdict.proof, 1):
+                print(line)
+        if verdict.witness is not None:
+            print(f"witness: {_format_witness(verdict.witness)}")
+        for note in verdict.notes:
+            where = f" {_vset(note.vertices)}" if note.vertices else ""
+            detail = f": {note.detail}" if note.detail else ""
+            print(f"note: {note.code}{where}{detail}")
+    return 0
+
+
+def _slender_jsonable(G: LabeledGraph) -> Optional[dict]:
+    try:
+        cert = is_slender(G)
+    except UnsupportedFlavorError:
+        return None
+    out = {"verdict": cert.verdict, "reason": cert.reason}
+    if cert.factors is not None:
+        out["factors"] = [
+            {
+                "vertices": list(f.vertices),
+                "kind": f.kind,
+                "type": f.type.name if f.type else None,
+            }
+            for f in cert.factors
+        ]
+    if cert.obstruction is not None:
+        obs = cert.obstruction
+        if hasattr(obs, "kind"):
+            out["obstruction"] = {"kind": obs.kind, "vertices": list(obs.vertices)}
+        else:
+            out["obstruction"] = {
+                "kind": "indefinite_component",
+                "vertices": list(obs.vertices),
+            }
+    return out
+
+
+def _self_check(G: LabeledGraph, verdict: Verdict, config: EngineConfig) -> None:
+    """Re-verify produced evidence before showing it."""
+    cap = config.max_search_vertices
+    if verdict.status == COHERENT:
+        outcome = verify_proof(G, verdict.proof, cap=cap)
+        if not outcome:
+            raise InternalInvariantError(
+                f"emitted proof failed verification at "
+                f"{'/'.join(outcome.path)}: {outcome.reason}"
+            )
+    elif verdict.status == INCOHERENT:
+        outcome = verify_witness(G, verdict.witness)
+        if not outcome:
+            raise InternalInvariantError(
+                f"emitted witness failed verification: {outcome.reason}"
+            )
+
+
+def _cmd_census(args) -> int:
+    labels = tuple(int(x) for x in args.labels.split(",")) if args.labels else (2,)
+    config = CensusConfig(
+        flavor=args.flavor,
+        min_vertices=args.min_vertices,
+        max_vertices=args.max_vertices,
+        max_edges=args.max_edges,
+        edge_labels=labels,
+        dedup=args.dedup,
+        verify=not args.no_verify,
+    )
+    report = run_census(
+        config,
+        out_path=args.out,
+        engine_config=EngineConfig(max_search_vertices=args.max_search_vertices),
+        workers=args.workers,
+    )
+    if args.format == "json":
+        print(json.dumps(report.to_jsonable(), indent=2))
+    else:
+        print(report.table())
+        hit = report.smallest_incoherent()
+        print(
+            "smallest incoherent cell: "
+            + (f"n={hit[0]} e={hit[1]}" if hit else "none")
+        )
+        print(f"graphs: {report.total}  classes: {report.class_count}")
+    print(f"census took {report.elapsed:.1f}s", file=sys.stderr)
+    return 0
+
+
+def _cmd_decompose(args) -> int:
+    G = _read_graph(args.path)
+    lines: list[str] = []
+    obj: dict = {"kind": None, "splits": []}
+    comps = G.components()
+    if len(comps) >= 2:
+        obj["kind"] = "free_product"
+        parts = [sorted(c, key=G.index) for c in comps]
+        obj["components"] = parts
+        lines.append(f"free product of {len(parts)} components:")
+        lines.extend(f"  {_vset(p)}" for p in parts)
+    elif G.is_complete():
+        obj["kind"] = "complete"
+        lines.append("complete graph: no separator splits")
+    elif is_chordal(G):
+        obj["kind"] = "dirac"
+        split = dirac_split(G)
+        obj["splits"] = [_split_jsonable(split)]
+        lines.append("clique separator split (chordal):")
+        lines.append(_split_line(split))
+    else:
+        obj["kind"] = "search"
+        found = []
+        for split in enumerate_separator_splits(G):
+            if is_slender(G.induced(split.separator)).verdict != SLENDER:
+                continue
+            found.append(split)
+            if len(found) == 5:
+                break
+        obj["splits"] = [_split_jsonable(s) for s in found]
+        if found:
+            lines.append(f"first {len(found)} slender separator splits:")
+            lines.extend(_split_line(s) for s in found)
+        else:
+            lines.append("no slender separator splits found")
+    if args.format == "json":
+        print(json.dumps(obj, indent=2))
+    else:
+        print("\n".join(lines))
+    return 0
+
+
+def _split_jsonable(split) -> dict:
+    return {
+        "separator": list(split.separator),
+        "left": list(split.left),
+        "right": list(split.right),
+        "method": split.method,
+    }
+
+
+def _split_line(split) -> str:
+    return (
+        f"  separator={_vset(split.separator)} left={_vset(split.left)} "
+        f"right={_vset(split.right)}"
+    )
+
+
+def _cmd_present(args) -> int:
+    G = _read_graph(args.path)
+    text = emit_presentation(G)
+    if args.format == "json":
+        print(json.dumps({"presentation": text}))
+    else:
+        print(text)
+    return 0
+
+
+def _cmd_finiteness(args) -> int:
+    G = _read_graph(args.path)
+    fin = finiteness(G)
+    if args.format == "json":
+        out = {
+            "finite": fin.finite,
+            "order": None if fin.order == math.inf else int(fin.order),
+            "mode": fin.mode,
+            "components": [
+                {"vertices": list(vs), "type": t.name} for vs, t in fin.components
+            ],
+        }
+        print(json.dumps(out, indent=2))
+    else:
+        print(
+            ("finite, order " + _order_str(fin.order)) if fin.finite else "infinite"
+        )
+        for vs, t in fin.components:
+            print(f"  component {_vset(vs)}: {t.name} ({t.kind})")
+    return 0
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="graphcoherence",
+        description=(
+            "Classify coherence, slenderness and finiteness of the group "
+            "defined by a vertex-edge-labeled graph."
+        ),
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="accepted for test-harness compatibility; commands ignore it",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, with_path=True):
+        if with_path:
+            p.add_argument("path", help="graph file (JSON or DOT subset); - for stdin")
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
+
+    p = sub.add_parser("classify", help="coherence verdict with proof or witness")
+    add_common(p)
+    p.add_argument(
+        "--max-search-vertices",
+        type=int,
+        default=12,
+        help="cap for recursive rules and canonicalization",
+    )
+    p.add_argument(
+        "--disable",
+        action="append",
+        choices=sorted(DISABLEABLE_RULES),
+        help="disable a rule (repeatable); for cross-validation",
+    )
+    p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("census", help="sweep all small graphs of a kind")
+    add_common(p, with_path=False)
+    p.add_argument("--flavor", choices=("racg", "raag", "coxeter"), default="racg")
+    p.add_argument("--min-vertices", type=int, default=1)
+    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-edges", type=int, default=None)
+    p.add_argument(
+        "--labels",
+        default=None,
+        help="comma-separated edge labels to range over (coxeter flavor)",
+    )
+    p.add_argument("--dedup", action="store_true", help="count isomorphism classes once")
+    p.add_argument("--no-verify", action="store_true", help="skip evidence re-verification")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", default=None, help="JSONL record file (resumable)")
+    p.add_argument("--max-search-vertices", type=int, default=12)
+    p.set_defaults(func=_cmd_census)
+
+    p = sub.add_parser("decompose", help="show separator splits")
+    add_common(p)
+    p.set_defaults(func=_cmd_decompose)
+
+    p = sub.add_parser("present", help="print a group presentation")
+    add_common(p)
+    p.set_defaults(func=_cmd_present)
+
+    p = sub.add_parser("finiteness", help="finiteness and diagram component types")
+    add_common(p)
+    p.set_defaults(func=_cmd_finiteness)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (GraphValidationError, UnsupportedFlavorError, VertexCapError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except InternalInvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,646 @@
+"""Group-theoretic semantics of labeled graphs.
+
+A graph with every edge labeled 2 presents the graph product of its
+vertex groups; an all-Z graph presents an Artin group; an all-Z2 graph
+presents a Coxeter group.  This module evaluates the properties of
+those groups that the classification engine consumes: finiteness,
+slenderness (every subgroup finitely generated), free subgroups of rank
+two, and explicit presentations.
+
+Coxeter conventions: the matrix entry of an edge is its label, and a
+missing edge means infinity.  The standard diagram joins two generators
+whenever their entry is 3 or more (including infinity); its connected
+components are matched against the finite and affine templates and
+cross-checked on the spot against the spectrum of the cosine matrix.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
+
+from .labeled_graph import (
+    AbelianGroupLabel,
+    Flavor,
+    LabeledGraph,
+    detect_flavor,
+    join_factors,
+)
+from .labeled_graph import _canonical_order  # shared low-level canonizer
+
+EIG_TOL = 1e-9
+
+SLENDER = "slender"
+NOT_SLENDER = "not_slender"
+UNKNOWN = "unknown"
+
+
+class UnsupportedFlavorError(ValueError):
+    """The labels of the graph define no group in this model."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A self-check that must hold by theory failed; indicates a bug."""
+
+
+# -- Coxeter matrices ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoxeterMatrix:
+    """Symmetric matrix of pairwise orders, diagonal 1, off-diagonal
+    entries in {2, 3, ...} or ``math.inf`` (for missing edges)."""
+
+    vertices: tuple[str, ...]
+    rows: tuple[tuple[float, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def m(self, u: str, v: str) -> float:
+        i = self.vertices.index(u)
+        j = self.vertices.index(v)
+        return self.rows[i][j]
+
+    def submatrix(self, indices: Sequence[int]) -> "CoxeterMatrix":
+        return CoxeterMatrix(
+            vertices=tuple(self.vertices[i] for i in indices),
+            rows=tuple(tuple(self.rows[i][j] for j in indices) for i in indices),
+        )
+
+
+def coxeter_matrix(G: LabeledGraph) -> CoxeterMatrix:
+    """Coxeter matrix of an all-Z2 graph; nonadjacent pairs get infinity."""
+    if not detect_flavor(G).coxeter:
+        raise UnsupportedFlavorError(
+            "a Coxeter matrix needs every vertex group of order two"
+        )
+    n = G.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(1)
+            else:
+                m = G._adj[i].get(j)
+                row.append(math.inf if m is None else m)
+        rows.append(tuple(row))
+    return CoxeterMatrix(vertices=G.vertices, rows=tuple(rows))
+
+
+def cosine_matrix(M: CoxeterMatrix) -> np.ndarray:
+    """The matrix with entries -cos(pi/m); infinity contributes -1 and
+    the diagonal is 1.  Positive definite exactly for finite groups,
+    positive semidefinite with one zero eigenvalue per connected
+    diagram component exactly for the affine ones."""
+    n = M.n
+    B = np.empty((n, n), dtype=float)
+    for i in range(n):
+        for j in range(n):
+            B[i, j] = -math.cos(math.pi / M.rows[i][j])
+    return B
+
+
+def _signature(B: np.ndarray, tol: float = EIG_TOL) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts within tolerance."""
+    eigs = np.linalg.eigvalsh(B)
+    neg = int(np.sum(eigs < -tol))
+    zero = int(np.sum(np.abs(eigs) <= tol))
+    return neg, zero
+
+
+# -- irreducible types --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IrreducibleType:
+    """Type of one connected standard-diagram component.
+
+    ``kind`` is finite, affine or indefinite.  ``family`` and ``index``
+    name the diagram (family "I2" uses ``bond`` for its parameter);
+    ``order`` is the group order for finite kinds.
+    """
+
+    kind: str
+    family: str = ""
+    index: int = 0
+    bond: Optional[int] = None
+    order: Optional[int] = None
+
+    @property
+    def name(self) -> str:
+        if self.kind == "indefinite":
+            return "indefinite"
+        prefix = "~" if self.kind == "affine" else ""
+        if self.family == "I2":
+            return f"I2({self.bond})"
+        return f"{prefix}{self.family}{self.index}"
+
+
+def _factorial(k: int) -> int:
+    return math.factorial(k)
+
+
+_EXCEPTIONAL_ORDERS = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("H", 3): 120,
+    ("H", 4): 14400,
+}
+
+
+def _finite_order(family: str, index: int, bond: Optional[int] = None) -> int:
+    if family == "A":
+        return _factorial(index + 1)
+    if family == "B":
+        return 2**index * _factorial(index)
+    if family == "D":
+        return 2 ** (index - 1) * _factorial(index)
+    if family == "I2":
+        return 2 * bond
+    return _EXCEPTIONAL_ORDERS[(family, index)]
+
+
+Bond = Union[int, float]
+Bonds = dict[tuple[int, int], Bond]
+
+
+def _path(bonds: Sequence[Bond]) -> Bonds:
+    return {(i, i + 1): m for i, m in enumerate(bonds)}
+
+
+def _cycle(r: int) -> Bonds:
+    bonds: Bonds = {(i, i + 1): 3 for i in range(r - 1)}
+    bonds[(0, r - 1)] = 3
+    return bonds
+
+
+def _fork_chain(r: int, end_bond: Bond) -> Bonds:
+    """Two leaves on a hub, then a chain whose final bond is
+    ``end_bond``; r vertices total (r >= 4)."""
+    bonds: Bonds = {(0, 2): 3, (1, 2): 3}
+    for i in range(2, r - 1):
+        bonds[(i, i + 1)] = 3
+    bonds[(r - 2, r - 1)] = end_bond
+    return bonds
+
+
+def _double_fork(r: int) -> Bonds:
+    """Two leaves on each of two hubs joined by a chain; r >= 6.
+    Layout: leaves 0, 1 on hub 2; interior 3 .. r-4; hub r-1 with
+    leaves r-3, r-2."""
+    bonds: Bonds = {(0, 2): 3, (1, 2): 3, (r - 3, r - 1): 3, (r - 2, r - 1): 3}
+    prev = 2
+    for i in range(3, r - 3):
+        bonds[(prev, i)] = 3
+        prev = i
+    bonds[(prev, r - 1)] = 3
+    return bonds
+
+
+def _arm_star(arms: Sequence[int]) -> Bonds:
+    bonds: Bonds = {}
+    nxt = 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds[(min(prev, nxt), max(prev, nxt))] = 3
+            prev = nxt
+            nxt += 1
+    return bonds
+
+
+def _bond_key(r: int, bonds: Bonds) -> str:
+    adj: list[dict[int, Bond]] = [dict() for _ in range(r)]
+    for (i, j), m in bonds.items():
+        adj[i][j] = m
+        adj[j][i] = m
+    order = _canonical_order(r, [""] * r, adj)
+    pos = {v: p for p, v in enumerate(order)}
+    triples = sorted(
+        (min(pos[i], pos[j]), max(pos[i], pos[j]), m) for (i, j), m in bonds.items()
+    )
+    return ",".join(f"{i}-{j}:{m}" for i, j, m in triples)
+
+
+@functools.lru_cache(maxsize=None)
+def _templates(r: int) -> tuple[tuple[IrreducibleType, str], ...]:
+    """Finite and affine diagram templates on r vertices, as
+    (type, canonical bond key) pairs.  Rank 1 and 2 are handled
+    directly and never consult this table."""
+    out: list[tuple[IrreducibleType, Bonds]] = []
+
+    def finite(family: str, index: int, bonds: Bonds) -> None:
+        out.append(
+            (
+                IrreducibleType(
+                    "finite", family, index, order=_finite_order(family, index)
+                ),
+                bonds,
+            )
+        )
+
+    def affine(family: str, index: int, bonds: Bonds) -> None:
+        out.append((IrreducibleType("affine", family, index), bonds))
+
+    if r >= 3:
+        finite("A", r, _path([3] * (r - 1)))
+        finite("B", r, _path([4] + [3] * (r - 2)))
+    if r >= 4:
+        finite("D", r, _arm_star([1, 1, r - 3]))
+    if r == 3:
+        finite("H", 3, _path([5, 3]))
+    if r == 4:
+        finite("H", 4, _path([5, 3, 3]))
+        finite("F", 4, _path([3, 4, 3]))
+    if r == 6:
+        finite("E", 6, _arm_star([1, 2, 2]))
+    if r == 7:
+        finite("E", 7, _arm_star([1, 2, 3]))
+    if r == 8:
+        finite("E", 8, _arm_star([1, 2, 4]))
+
+    if r >= 3:
+        affine("A", r - 1, _cycle(r))
+        affine("C", r - 1, _path([4] + [3] * (r - 3) + [4]))
+    if r >= 4:
+        affine("B", r - 1, _fork_chain(r, 4))
+    if r == 5:
+        affine("D", 4, _arm_star([1, 1, 1, 1]))
+        affine("F", 4, _path([3, 4, 3, 3]))
+    if r >= 6:
+        affine("D", r - 1, _double_fork(r))
+    if r == 7:
+        affine("E", 6, _arm_star([2, 2, 2]))
+    if r == 8:
+        affine("E", 7, _arm_star([1, 3, 3]))
+    if r == 9:
+        affine("E", 8, _arm_star([1, 2, 5]))
+    if r == 3:
+        affine("G", 2, _path([6, 3]))
+
+    return tuple((t, _bond_key(r, bonds)) for t, bonds in out)
+
+
+def _diagram_components(M: CoxeterMatrix) -> list[list[int]]:
+    """Connected components of the standard diagram (bonds where the
+    entry is >= 3 or infinite), ordered by smallest position."""
+    n = M.n
+    seen: set[int] = set()
+    comps = []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in range(n):
+                if y not in comp and M.rows[x][y] != 2 and x != y:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def _match_component(M: CoxeterMatrix, comp: list[int]) -> IrreducibleType:
+    r = len(comp)
+    if r == 1:
+        return IrreducibleType("finite", "A", 1, order=2)
+    if r == 2:
+        m = M.rows[comp[0]][comp[1]]
+        if m == math.inf:
+            return IrreducibleType("affine", "A", 1)
+        m = int(m)
+        if m == 3:
+            return IrreducibleType("finite", "A", 2, order=6)
+        if m == 4:
+            return IrreducibleType("finite", "B", 2, order=8)
+        return IrreducibleType("finite", "I2", 2, bond=m, order=2 * m)
+    pos = {v: k for k, v in enumerate(comp)}
+    bonds: Bonds = {}
+    for a, b in itertools.combinations(comp, 2):
+        m = M.rows[a][b]
+        if m != 2:
+            key = (pos[a], pos[b])
+            bonds[key] = math.inf if m == math.inf else int(m)
+    if any(m == math.inf for m in bonds.values()):
+        # No finite or affine diagram on 3+ vertices carries an
+        # infinite bond, so skip template matching.
+        return IrreducibleType("indefinite")
+    ckey = _bond_key(r, bonds)
+    for t, tkey in _templates(r):
+        if tkey == ckey:
+            return t
+    return IrreducibleType("indefinite")
+
+
+def classify_components(
+    M: CoxeterMatrix,
+) -> tuple[tuple[tuple[str, ...], IrreducibleType], ...]:
+    """Type of every standard-diagram component, cross-checked against
+    the cosine matrix spectrum (definite for finite, corank one for
+    affine, a negative eigenvalue otherwise)."""
+    out = []
+    for comp in _diagram_components(M):
+        t = _match_component(M, comp)
+        sub = M.submatrix(comp)
+        neg, zero = _signature(cosine_matrix(sub))
+        expected = {
+            "finite": (0, 0),
+            "affine": (0, 1),
+        }.get(t.kind)
+        if expected is not None and (neg, zero) != expected:
+            raise InternalInvariantError(
+                f"component {t.name} has spectrum signature {(neg, zero)}"
+            )
+        if t.kind == "indefinite" and neg == 0:
+            raise InternalInvariantError(
+                "unmatched diagram component is not actually indefinite"
+            )
+        out.append((tuple(M.vertices[i] for i in comp), t))
+    return tuple(out)
+
+
+# -- finiteness ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FinitenessResult:
+    finite: bool
+    order: float  # an int when finite, math.inf otherwise
+    mode: str  # coxeter | graph_product | artin
+    components: tuple[tuple[tuple[str, ...], IrreducibleType], ...] = ()
+
+
+def is_finite(G: LabeledGraph) -> FinitenessResult:
+    """Finiteness of the Coxeter group of an all-Z2 graph, with the
+    order and the per-component types."""
+    comps = classify_components(coxeter_matrix(G))
+    finite = all(t.kind == "finite" for _, t in comps)
+    if finite:
+        order: float = math.prod(t.order for _, t in comps)
+    else:
+        order = math.inf
+    return FinitenessResult(finite=finite, order=order, mode="coxeter", components=comps)
+
+
+def finiteness(G: LabeledGraph) -> FinitenessResult:
+    """Finiteness for any supported flavor.
+
+    Coxeter graphs go through the diagram classification; other graph
+    products are finite exactly when the graph is complete and every
+    vertex group is finite; Artin groups are always infinite.
+    """
+    flavor = detect_flavor(G)
+    if flavor.coxeter:
+        return is_finite(G)
+    if flavor.graph_product:
+        finite = G.is_complete() and all(not g.is_infinite for g in G.groups)
+        order = math.prod(g.order() for g in G.groups) if finite else math.inf
+        return FinitenessResult(finite=finite, order=order, mode="graph_product")
+    if flavor.artin:
+        return FinitenessResult(finite=False, order=math.inf, mode="artin")
+    raise UnsupportedFlavorError("no group semantics for these labels")
+
+
+# -- free subgroups of rank two ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class F2Certificate:
+    """Witness that the group contains a rank-two free subgroup.
+
+    ``free_pair``: two nonadjacent vertices whose group orders p, q
+    satisfy (p-1)(q-1) >= 2; the kernel of the retraction from the free
+    product onto the direct product is then free of rank at least two.
+    ``independent_triple``: three pairwise nonadjacent vertices; a free
+    product of three nontrivial groups always contains F2.
+    """
+
+    kind: str
+    vertices: tuple[str, ...]
+
+
+def contains_f2_certificate(G: LabeledGraph) -> Optional[F2Certificate]:
+    """First F2 certificate in scan order (pairs, then triples), if any."""
+    for u, v in G.nonadjacent_pairs():
+        if (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2:
+            return F2Certificate(kind="free_pair", vertices=(u, v))
+    for triple in itertools.combinations(G.vertices, 3):
+        if all(not G.has_edge(a, b) for a, b in itertools.combinations(triple, 2)):
+            return F2Certificate(kind="independent_triple", vertices=triple)
+    return None
+
+
+def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
+    try:
+        for v in cert.vertices:
+            G.index(v)
+    except Exception:
+        return False
+    if len(set(cert.vertices)) != len(cert.vertices):
+        return False
+    if any(G.has_edge(a, b) for a, b in itertools.combinations(cert.vertices, 2)):
+        return False
+    if cert.kind == "free_pair":
+        if len(cert.vertices) != 2:
+            return False
+        u, v = cert.vertices
+        return (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2
+    if cert.kind == "independent_triple":
+        return len(cert.vertices) == 3
+    return False
+
+
+# -- slenderness --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IndefiniteComponent:
+    """Diagram component of indefinite type; the reflection subgroup it
+    generates contains a free group."""
+
+    vertices: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SlenderFactor:
+    """One direct factor of a slender group: a finitely generated
+    abelian vertex group, or a finite or affine Coxeter piece."""
+
+    vertices: tuple[str, ...]
+    kind: str  # abelian | finite | affine
+    type: Optional[IrreducibleType] = None
+
+
+@dataclass(frozen=True)
+class SlenderCertificate:
+    """Outcome of the slenderness test.
+
+    Slender verdicts carry a factor partition of the vertex set whose
+    parts pairwise commute; the group is the direct product of the
+    factor subgroups, each finite, f.g. abelian, or affine.  Negative
+    verdicts carry an F2 certificate or an indefinite component.
+    """
+
+    verdict: str
+    reason: str
+    factors: Optional[tuple[SlenderFactor, ...]] = None
+    obstruction: Optional[Union[F2Certificate, IndefiniteComponent]] = None
+
+    @property
+    def finite_factor_count(self) -> int:
+        return sum(1 for f in self.factors or () if f.kind == "finite")
+
+    @property
+    def affine_factor_count(self) -> int:
+        return sum(1 for f in self.factors or () if f.kind == "affine")
+
+    @property
+    def abelian_factor_count(self) -> int:
+        return sum(1 for f in self.factors or () if f.kind == "abelian")
+
+
+def _coxeter_slender(G: LabeledGraph) -> SlenderCertificate:
+    comps = classify_components(coxeter_matrix(G))
+    for vertices, t in comps:
+        if t.kind == "indefinite":
+            return SlenderCertificate(
+                verdict=NOT_SLENDER,
+                reason="indefinite-diagram-component",
+                obstruction=IndefiniteComponent(vertices=vertices),
+            )
+    factors = tuple(
+        SlenderFactor(vertices=vertices, kind=t.kind, type=t) for vertices, t in comps
+    )
+    return SlenderCertificate(
+        verdict=SLENDER,
+        reason="diagram-components-finite-or-affine",
+        factors=factors,
+    )
+
+
+def is_slender(G: LabeledGraph) -> SlenderCertificate:
+    """Decide whether every subgroup is finitely generated.
+
+    A group that is (finite) x (f.g. abelian) x (affine reflection
+    pieces) is slender, and direct products of slender groups are
+    slender.  Coxeter graphs are decided completely through their
+    diagram components.  Other graph products first scan for an F2
+    certificate; failing that, every multi-vertex join factor is forced
+    to be all-Z2 and is decided as a Coxeter piece.  Artin graphs with a
+    label >= 3 on a complete graph stay unknown.
+    """
+    flavor = detect_flavor(G)
+    if not flavor.any:
+        raise UnsupportedFlavorError("no group semantics for these labels")
+    if flavor.coxeter:
+        return _coxeter_slender(G)
+    if flavor.graph_product:
+        cert = contains_f2_certificate(G)
+        if cert is not None:
+            return SlenderCertificate(
+                verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
+            )
+        factors: list[SlenderFactor] = []
+        for part in join_factors(G):
+            members = tuple(sorted(part, key=G.index))
+            if len(members) == 1:
+                factors.append(SlenderFactor(vertices=members, kind="abelian"))
+                continue
+            if not all(G.group(v).is_order_two for v in members):
+                raise InternalInvariantError(
+                    "multi-vertex join factor without an F2 certificate "
+                    "must have all groups of order two"
+                )
+            inner = _coxeter_slender(G.induced(members))
+            if inner.verdict != SLENDER:
+                return SlenderCertificate(
+                    verdict=NOT_SLENDER,
+                    reason=inner.reason,
+                    obstruction=inner.obstruction,
+                )
+            factors.extend(inner.factors or ())
+        return SlenderCertificate(
+            verdict=SLENDER,
+            reason="direct-product-of-slender-factors",
+            factors=tuple(factors),
+        )
+    # All-Z with some label >= 3.
+    cert = contains_f2_certificate(G)
+    if cert is not None:
+        return SlenderCertificate(
+            verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
+        )
+    return SlenderCertificate(verdict=UNKNOWN, reason="artin-label-ge-3")
+
+
+# -- presentations ------------------------------------------------------------
+
+
+def _generator_names(G: LabeledGraph) -> dict[str, list[str]]:
+    names: dict[str, list[str]] = {}
+    for v, g in zip(G.vertices, G.groups):
+        k = g.factor_count()
+        names[v] = [v] if k == 1 else [f"{v}_{i}" for i in range(1, k + 1)]
+    return names
+
+
+def emit_presentation(G: LabeledGraph) -> str:
+    """Render a finite presentation of the group as ASCII text.
+
+    Coxeter graphs use reflection relations v^2 and (u v)^m; Artin
+    graphs use braid relations (uvu... = vuv..., m letters each); other
+    graph products list torsion powers and commutators.  Generators are
+    juxtaposed when every name is a single character.
+    """
+    flavor = detect_flavor(G)
+    if not flavor.any:
+        raise UnsupportedFlavorError(
+            "presentations exist only for graph products of abelian groups, "
+            "all-Z graphs, or all-Z2 graphs"
+        )
+    names = _generator_names(G)
+    gens = [g for v in G.vertices for g in names[v]]
+    juxt = all(len(g) == 1 for g in gens)
+
+    def word(letters: Sequence[str]) -> str:
+        return "".join(letters) if juxt else " ".join(letters)
+
+    rels: list[str] = []
+    if flavor.coxeter:
+        for v in G.vertices:
+            rels.append(f"{v}^2")
+        for u, v, m in G.edge_list():
+            rels.append(f"({word([u, v])})^{m}")
+    elif flavor.artin:
+        for u, v, m in G.edge_list():
+            left = [u if i % 2 == 0 else v for i in range(m)]
+            right = [v if i % 2 == 0 else u for i in range(m)]
+            rels.append(f"{word(left)} = {word(right)}")
+    else:
+        for v, g in zip(G.vertices, G.groups):
+            vnames = names[v]
+            torsion_names = vnames[g.rank :]
+            for gen, d in zip(torsion_names, g.torsion):
+                rels.append(f"{gen}^{d}")
+            for a, b in itertools.combinations(vnames, 2):
+                rels.append(f"[{a}, {b}]")
+        for u, v, _ in G.edge_list():
+            for a in names[u]:
+                for b in names[v]:
+                    rels.append(f"[{a}, {b}]")
+    body = f" {', '.join(rels)} " if rels else " "
+    return f"< {', '.join(gens)} |{body}>"

@@ -1,0 +1,1064 @@
+"""Vertex-edge-labeled simplicial graphs and their structure theory.
+
+A graph here carries a finitely generated abelian group on every vertex
+and an integer label >= 2 on every edge.  This module owns the data
+model, the two input formats (a JSON document and a small DOT subset),
+chordality testing with self-verifying evidence, coarse shape
+classification, join-factor decomposition, and a canonical form that is
+invariant under label-preserving isomorphism.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+import re
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
+
+
+class GraphValidationError(ValueError):
+    """Raised when a graph document or construction is malformed."""
+
+
+class VertexCapError(ValueError):
+    """Raised when a canonical form is requested above the vertex cap."""
+
+
+# Frontier sizes beyond this make the pairwise equivalence test too
+# expensive; candidates are kept as-is and the hard cap below protects
+# against runaway growth.
+_DEDUPE_LIMIT = 600
+_FRONTIER_HARD_CAP = 250_000
+
+# Default ceiling for canonical forms.  Callers may raise it, but the
+# search-based classification never does.
+DEFAULT_VERTEX_CAP = 12
+
+
+@dataclass(frozen=True, order=True)
+class AbelianGroupLabel:
+    """A finitely generated abelian group in invariant factor form.
+
+    ``rank`` counts infinite cyclic factors.  ``torsion`` lists the
+    invariant factors d1 | d2 | ... | dk, each at least 2.  The trivial
+    group is not allowed as a vertex label.
+    """
+
+    rank: int = 0
+    torsion: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rank, int) or self.rank < 0:
+            raise GraphValidationError("group rank must be a nonnegative integer")
+        if self.rank == 0 and not self.torsion:
+            raise GraphValidationError("vertex groups must be nontrivial")
+        for d in self.torsion:
+            if not isinstance(d, int) or d < 2:
+                raise GraphValidationError(
+                    "torsion invariant factors must be integers >= 2"
+                )
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a != 0:
+                raise GraphValidationError(
+                    "torsion invariants must form a divisibility chain"
+                )
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.rank > 0
+
+    @property
+    def is_infinite_cyclic(self) -> bool:
+        return self.rank == 1 and not self.torsion
+
+    @property
+    def is_order_two(self) -> bool:
+        return self.rank == 0 and self.torsion == (2,)
+
+    def order(self) -> float:
+        """Group order; ``math.inf`` when the rank is positive."""
+        if self.rank > 0:
+            return math.inf
+        return math.prod(self.torsion)
+
+    def factor_count(self) -> int:
+        """Number of cyclic factors, i.e. generators in the presentation."""
+        return self.rank + len(self.torsion)
+
+    def key(self) -> str:
+        """Compact stable encoding used inside canonical keys."""
+        return f"{self.rank}|{','.join(map(str, self.torsion))}"
+
+    def __str__(self) -> str:
+        parts = []
+        if self.rank == 1:
+            parts.append("Z")
+        elif self.rank > 1:
+            parts.append(f"Z^{self.rank}")
+        parts.extend(f"Z_{d}" for d in self.torsion)
+        return " x ".join(parts)
+
+    @classmethod
+    def parse(cls, text: str) -> "AbelianGroupLabel":
+        """Parse the short forms used by the DOT subset.
+
+        Accepts ``Z``, ``Z^r``, ``Z_d`` and the bare ``Zd`` shorthand
+        (e.g. ``Z2``).  Products are only expressible in the JSON format.
+        """
+        s = text.strip()
+        if s == "Z":
+            return cls(rank=1)
+        m = re.fullmatch(r"Z\^(\d+)", s)
+        if m:
+            return cls(rank=int(m.group(1)))
+        m = re.fullmatch(r"Z_?(\d+)", s)
+        if m:
+            return cls(torsion=(int(m.group(1)),))
+        raise GraphValidationError(f"cannot parse group label {text!r}")
+
+    @classmethod
+    def from_jsonable(cls, obj: object) -> "AbelianGroupLabel":
+        if not isinstance(obj, dict):
+            raise GraphValidationError("vertex group must be an object")
+        extra = set(obj) - {"rank", "torsion"}
+        if extra:
+            raise GraphValidationError(f"unknown group fields: {sorted(extra)}")
+        rank = obj.get("rank", 0)
+        torsion = obj.get("torsion", [])
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise GraphValidationError("group rank must be an integer")
+        if not isinstance(torsion, list):
+            raise GraphValidationError("group torsion must be a list")
+        return cls(rank=rank, torsion=tuple(torsion))
+
+    def to_jsonable(self) -> dict:
+        return {"rank": self.rank, "torsion": list(self.torsion)}
+
+
+Z = AbelianGroupLabel(rank=1)
+Z2 = AbelianGroupLabel(torsion=(2,))
+
+
+def cyclic(n: int) -> AbelianGroupLabel:
+    """The cyclic group of order n (n >= 2)."""
+    return AbelianGroupLabel(torsion=(n,))
+
+
+@dataclass(frozen=True)
+class LabeledGraph:
+    """Immutable simplicial graph with group-labeled vertices and
+    integer-labeled edges.
+
+    ``vertices`` fixes the ambient vertex order used by every
+    deterministic scan.  ``edges`` stores (i, j, label) index triples
+    with i < j, sorted.  Construct through :meth:`build`; the raw
+    constructor expects already-normalized tuples.
+    """
+
+    vertices: tuple[str, ...]
+    groups: tuple[AbelianGroupLabel, ...]
+    edges: tuple[tuple[int, int, int], ...]
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _adj: tuple = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[dict[int, int]] = [dict() for _ in self.vertices]
+        for i, j, m in self.edges:
+            adj[i][j] = m
+            adj[j][i] = m
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_adj", tuple(adj))
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.groups, self.edges))
+
+    @classmethod
+    def build(
+        cls,
+        vertex_items: Iterable[tuple[str, AbelianGroupLabel]],
+        edge_items: Iterable[tuple[str, str, int]] = (),
+    ) -> "LabeledGraph":
+        """Validating constructor from (id, group) and (u, v, label) items."""
+        items = list(vertex_items)
+        if not items:
+            raise GraphValidationError("graph must have at least one vertex")
+        ids = [v for v, _ in items]
+        if len(set(ids)) != len(ids):
+            dup = next(v for v in ids if ids.count(v) > 1)
+            raise GraphValidationError(f"duplicate vertex id {dup!r}")
+        for v, g in items:
+            if not isinstance(v, str) or not v:
+                raise GraphValidationError(f"vertex id must be a nonempty string, got {v!r}")
+            if not isinstance(g, AbelianGroupLabel):
+                raise GraphValidationError(f"vertex {v!r} has no group label")
+        index = {v: i for i, v in enumerate(ids)}
+        seen: set[tuple[int, int]] = set()
+        edges: list[tuple[int, int, int]] = []
+        for u, v, m in edge_items:
+            if u not in index or v not in index:
+                missing = u if u not in index else v
+                raise GraphValidationError(f"edge endpoint {missing!r} is not a vertex")
+            if u == v:
+                raise GraphValidationError(f"self-loop at {u!r}")
+            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+                raise GraphValidationError(
+                    f"edge {u!r}--{v!r} label must be an integer >= 2, got {m!r}"
+                )
+            i, j = sorted((index[u], index[v]))
+            if (i, j) in seen:
+                raise GraphValidationError(f"duplicate edge {u!r}--{v!r}")
+            seen.add((i, j))
+            edges.append((i, j, m))
+        return cls(
+            vertices=tuple(ids),
+            groups=tuple(g for _, g in items),
+            edges=tuple(sorted(edges)),
+        )
+
+    # -- basic accessors -------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def index(self, v: str) -> int:
+        try:
+            return self._index[v]
+        except KeyError:
+            raise GraphValidationError(f"unknown vertex {v!r}") from None
+
+    def group(self, v: str) -> AbelianGroupLabel:
+        return self.groups[self.index(v)]
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return self._index.get(v, -1) in self._adj[self.index(u)]
+
+    def edge_label(self, u: str, v: str) -> Optional[int]:
+        return self._adj[self.index(u)].get(self.index(v))
+
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        i = self.index(v)
+        return tuple(self.vertices[j] for j in sorted(self._adj[i]))
+
+    def degree(self, v: str) -> int:
+        return len(self._adj[self.index(v)])
+
+    def edge_list(self) -> Iterator[tuple[str, str, int]]:
+        for i, j, m in self.edges:
+            yield self.vertices[i], self.vertices[j], m
+
+    # -- derived structure ------------------------------------------------
+
+    def induced(self, subset: Iterable[str]) -> "LabeledGraph":
+        """Induced subgraph on ``subset``, keeping the ambient vertex order."""
+        chosen = set()
+        for v in subset:
+            self.index(v)
+            chosen.add(v)
+        if not chosen:
+            raise GraphValidationError("induced subgraph needs at least one vertex")
+        keep = [i for i, v in enumerate(self.vertices) if v in chosen]
+        pos = {i: p for p, i in enumerate(keep)}
+        return LabeledGraph(
+            vertices=tuple(self.vertices[i] for i in keep),
+            groups=tuple(self.groups[i] for i in keep),
+            edges=tuple(
+                (pos[i], pos[j], m) for i, j, m in self.edges if i in pos and j in pos
+            ),
+        )
+
+    def relabeled(self, mapping: dict[str, str]) -> "LabeledGraph":
+        """Rename vertex ids, keeping order and structure."""
+        new_ids = tuple(mapping.get(v, v) for v in self.vertices)
+        if len(set(new_ids)) != len(new_ids):
+            raise GraphValidationError("relabeling collides vertex ids")
+        return LabeledGraph(vertices=new_ids, groups=self.groups, edges=self.edges)
+
+    def permuted(self, order: Sequence[str]) -> "LabeledGraph":
+        """The same graph with its ambient vertex order changed."""
+        if sorted(order) != sorted(self.vertices) or len(order) != self.n:
+            raise GraphValidationError("permutation must list every vertex once")
+        old = [self.index(v) for v in order]
+        newpos = {o: p for p, o in enumerate(old)}
+        edges = sorted(
+            (min(newpos[i], newpos[j]), max(newpos[i], newpos[j]), m)
+            for i, j, m in self.edges
+        )
+        return LabeledGraph(
+            vertices=tuple(order),
+            groups=tuple(self.groups[o] for o in old),
+            edges=tuple(edges),
+        )
+
+    def is_complete(self) -> bool:
+        return self.m == self.n * (self.n - 1) // 2
+
+    def components(self) -> tuple[frozenset[str], ...]:
+        """Connected components, ordered by smallest vertex position."""
+        seen: set[int] = set()
+        out = []
+        for start in range(self.n):
+            if start in seen:
+                continue
+            comp = {start}
+            queue = deque([start])
+            while queue:
+                x = queue.popleft()
+                for y in self._adj[x]:
+                    if y not in comp:
+                        comp.add(y)
+                        queue.append(y)
+            seen |= comp
+            out.append(frozenset(self.vertices[i] for i in comp))
+        return tuple(out)
+
+    def is_connected(self) -> bool:
+        return len(self.components()) == 1
+
+    def nonadjacent_pairs(self) -> Iterator[tuple[str, str]]:
+        for i, j in itertools.combinations(range(self.n), 2):
+            if j not in self._adj[i]:
+                yield self.vertices[i], self.vertices[j]
+
+
+# -- flavor detection ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Flavor:
+    """Which group constructions the labels of a graph support.
+
+    ``graph_product`` means every edge label is 2; ``artin`` means every
+    vertex group is infinite cyclic; ``coxeter`` means every vertex
+    group has order 2.  A right-angled Artin (Coxeter) graph is an Artin
+    (Coxeter) graph that is also a graph product.
+    """
+
+    graph_product: bool
+    artin: bool
+    coxeter: bool
+
+    @property
+    def raag(self) -> bool:
+        return self.graph_product and self.artin
+
+    @property
+    def racg(self) -> bool:
+        return self.graph_product and self.coxeter
+
+    @property
+    def any(self) -> bool:
+        return self.graph_product or self.artin or self.coxeter
+
+    def tags(self) -> tuple[str, ...]:
+        out = []
+        if self.graph_product:
+            out.append("graph_product")
+        if self.artin:
+            out.append("artin")
+        if self.coxeter:
+            out.append("coxeter")
+        return tuple(out)
+
+
+def detect_flavor(G: LabeledGraph) -> Flavor:
+    all_two = all(m == 2 for _, _, m in G.edges)
+    return Flavor(
+        graph_product=all_two,
+        artin=all(g.is_infinite_cyclic for g in G.groups),
+        coxeter=all(g.is_order_two for g in G.groups),
+    )
+
+
+# -- convenience builders ---------------------------------------------------
+
+
+def _auto_ids(n: int) -> list[str]:
+    return [f"v{i}" for i in range(n)]
+
+
+def coxeter_graph(
+    n_or_ids, edge_items: Iterable[tuple[str, str, int]] = ()
+) -> LabeledGraph:
+    """All-Z2 graph; edges may carry any labels."""
+    ids = _auto_ids(n_or_ids) if isinstance(n_or_ids, int) else list(n_or_ids)
+    return LabeledGraph.build([(v, Z2) for v in ids], edge_items)
+
+
+def artin_graph(
+    n_or_ids, edge_items: Iterable[tuple[str, str, int]] = ()
+) -> LabeledGraph:
+    """All-Z graph; edges may carry any labels."""
+    ids = _auto_ids(n_or_ids) if isinstance(n_or_ids, int) else list(n_or_ids)
+    return LabeledGraph.build([(v, Z) for v in ids], edge_items)
+
+
+def graph_product_graph(
+    vertex_items: Iterable[tuple[str, AbelianGroupLabel]],
+    edge_pairs: Iterable[tuple[str, str]] = (),
+) -> LabeledGraph:
+    """Arbitrary vertex groups; every edge labeled 2."""
+    return LabeledGraph.build(vertex_items, [(u, v, 2) for u, v in edge_pairs])
+
+
+def racg(n_or_ids, edge_pairs: Iterable[tuple[str, str]] = ()) -> LabeledGraph:
+    ids = _auto_ids(n_or_ids) if isinstance(n_or_ids, int) else list(n_or_ids)
+    return LabeledGraph.build([(v, Z2) for v in ids], [(u, v, 2) for u, v in edge_pairs])
+
+
+def raag(n_or_ids, edge_pairs: Iterable[tuple[str, str]] = ()) -> LabeledGraph:
+    ids = _auto_ids(n_or_ids) if isinstance(n_or_ids, int) else list(n_or_ids)
+    return LabeledGraph.build([(v, Z) for v in ids], [(u, v, 2) for u, v in edge_pairs])
+
+
+def cycle_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
+    return [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
+
+
+def path_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
+    return [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
+
+
+def complete_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
+    return list(itertools.combinations(ids, 2))
+
+
+# -- parsing ----------------------------------------------------------------
+
+_FLAVOR_DEFAULTS = {
+    "artin": Z,
+    "coxeter": Z2,
+    "raag": Z,
+    "racg": Z2,
+    "graph_product": None,
+}
+
+
+def parse_graph(text: str) -> LabeledGraph:
+    """Parse a JSON or DOT graph document.
+
+    The format is detected from the first nonblank character: ``{``
+    starts JSON, anything else must be the DOT subset.  Byte-order
+    marks are rejected rather than skipped.
+    """
+    if text.startswith("\ufeff"):
+        raise GraphValidationError("document starts with a byte-order mark")
+    stripped = text.lstrip()
+    if not stripped:
+        raise GraphValidationError("empty graph document")
+    if stripped[0] == "{":
+        return _parse_json(text)
+    return _parse_dot(text)
+
+
+def _parse_json(text: str) -> LabeledGraph:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GraphValidationError(f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise GraphValidationError("top-level JSON value must be an object")
+    extra = set(doc) - {"flavor", "vertices", "edges"}
+    if extra:
+        raise GraphValidationError(f"unknown top-level fields: {sorted(extra)}")
+    flavor = doc.get("flavor")
+    if flavor is not None and flavor not in _FLAVOR_DEFAULTS:
+        raise GraphValidationError(
+            f"unknown flavor {flavor!r}; expected one of {sorted(_FLAVOR_DEFAULTS)}"
+        )
+    default = _FLAVOR_DEFAULTS.get(flavor) if flavor else None
+
+    raw_vertices = doc.get("vertices")
+    if not isinstance(raw_vertices, list) or not raw_vertices:
+        raise GraphValidationError("'vertices' must be a nonempty list")
+    vertex_items = []
+    for entry in raw_vertices:
+        if not isinstance(entry, dict):
+            raise GraphValidationError("each vertex must be an object")
+        if "id" not in entry:
+            raise GraphValidationError("vertex entry missing 'id'")
+        vid = entry["id"]
+        if not isinstance(vid, str):
+            raise GraphValidationError(f"vertex id must be a string, got {vid!r}")
+        extra = set(entry) - {"id", "group"}
+        if extra:
+            raise GraphValidationError(f"unknown vertex fields: {sorted(extra)}")
+        if "group" in entry:
+            g = AbelianGroupLabel.from_jsonable(entry["group"])
+            if default is not None and g != default:
+                raise GraphValidationError(
+                    f"vertex {vid!r} group {g} conflicts with flavor {flavor!r}"
+                )
+        elif default is not None:
+            g = default
+        else:
+            raise GraphValidationError(
+                f"vertex {vid!r} has no group and no flavor supplies one"
+            )
+        vertex_items.append((vid, g))
+
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise GraphValidationError("'edges' must be a list")
+    edge_items = []
+    for entry in raw_edges:
+        if not isinstance(entry, dict):
+            raise GraphValidationError("each edge must be an object")
+        extra = set(entry) - {"u", "v", "label"}
+        if extra:
+            raise GraphValidationError(f"unknown edge fields: {sorted(extra)}")
+        if "u" not in entry or "v" not in entry:
+            raise GraphValidationError("edge entry missing 'u' or 'v'")
+        label = entry.get("label", 2)
+        edge_items.append((entry["u"], entry["v"], label))
+    G = LabeledGraph.build(vertex_items, edge_items)
+    if flavor in ("raag", "racg", "graph_product"):
+        bad = next((e for e in G.edges if e[2] != 2), None)
+        if bad is not None:
+            u, v, m = bad
+            raise GraphValidationError(
+                f"flavor {flavor!r} requires label 2 on every edge, "
+                f"got {m} on {G.vertices[u]!r}--{G.vertices[v]!r}"
+            )
+    return G
+
+
+_DOT_COMMENT = re.compile(r"//[^\n]*|#[^\n]*|/\*.*?\*/", re.DOTALL)
+_DOT_ID = r'(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_]*)'
+_DOT_ATTR = re.compile(rf"({_DOT_ID})\s*=\s*({_DOT_ID}|\d+)")
+
+
+def _dot_unquote(token: str) -> str:
+    if token.startswith('"') and token.endswith('"'):
+        return token[1:-1]
+    return token
+
+
+def _parse_dot(text: str) -> LabeledGraph:
+    body = _DOT_COMMENT.sub("", text)
+    m = re.match(rf"\s*(?:strict\s+)?graph(?:\s+{_DOT_ID})?\s*\{{", body)
+    if not m:
+        raise GraphValidationError(
+            "unrecognized document: expected JSON or 'graph ... { ... }'"
+        )
+    if not body.rstrip().endswith("}"):
+        raise GraphValidationError("DOT document does not end with '}'")
+    inner = body[m.end() : body.rstrip().rfind("}")]
+
+    flavor = None
+    vertex_items: list[tuple[str, AbelianGroupLabel]] = []
+    declared: dict[str, AbelianGroupLabel | None] = {}
+    vertex_order: list[str] = []
+    edge_items: list[tuple[str, str, int]] = []
+
+    def note_vertex(vid: str, group: AbelianGroupLabel | None) -> None:
+        if vid not in declared:
+            declared[vid] = group
+            vertex_order.append(vid)
+        elif group is not None:
+            if declared[vid] is not None and declared[vid] != group:
+                raise GraphValidationError(f"vertex {vid!r} declared with two groups")
+            declared[vid] = group
+
+    for raw in inner.split(";"):
+        stmt = raw.strip()
+        if not stmt:
+            continue
+        attrs = {}
+        am = re.search(r"\[([^\]]*)\]\s*$", stmt)
+        if am:
+            for k, v in _DOT_ATTR.findall(am.group(1)):
+                attrs[_dot_unquote(k)] = _dot_unquote(v)
+            stmt = stmt[: am.start()].strip()
+        if stmt == "graph":
+            if "flavor" in attrs:
+                flavor = attrs["flavor"]
+            continue
+        gm = re.fullmatch(rf"({_DOT_ID})\s*=\s*({_DOT_ID}|\d+)", stmt)
+        if gm:
+            name = _dot_unquote(gm.group(1))
+            if name != "flavor":
+                raise GraphValidationError(f"unknown graph attribute {name!r}")
+            flavor = _dot_unquote(gm.group(2))
+            continue
+        chain = [_dot_unquote(t.strip()) for t in stmt.split("--")]
+        if any(not t for t in chain):
+            raise GraphValidationError(f"malformed statement {raw.strip()!r}")
+        if len(chain) == 1:
+            vid = chain[0]
+            if vid in ("node", "edge"):
+                continue
+            group = AbelianGroupLabel.parse(attrs["group"]) if "group" in attrs else None
+            note_vertex(vid, group)
+        else:
+            label = 2
+            if "label" in attrs:
+                try:
+                    label = int(attrs["label"])
+                except ValueError:
+                    raise GraphValidationError(
+                        f"edge label must be an integer, got {attrs['label']!r}"
+                    ) from None
+            for vid in chain:
+                note_vertex(vid, None)
+            for u, v in zip(chain, chain[1:]):
+                edge_items.append((u, v, label))
+
+    if flavor is not None and flavor not in _FLAVOR_DEFAULTS:
+        raise GraphValidationError(f"unknown flavor {flavor!r}")
+    default = _FLAVOR_DEFAULTS.get(flavor) if flavor else None
+    for vid in vertex_order:
+        g = declared[vid]
+        if g is None:
+            if default is None:
+                raise GraphValidationError(
+                    f"vertex {vid!r} has no group attribute and no flavor supplies one"
+                )
+            g = default
+        elif default is not None and g != default:
+            raise GraphValidationError(
+                f"vertex {vid!r} group {g} conflicts with flavor {flavor!r}"
+            )
+        vertex_items.append((vid, g))
+    G = LabeledGraph.build(vertex_items, edge_items)
+    if flavor in ("raag", "racg", "graph_product"):
+        if any(m != 2 for _, _, m in G.edges):
+            raise GraphValidationError(f"flavor {flavor!r} requires label 2 on every edge")
+    return G
+
+
+def graph_to_jsonable(G: LabeledGraph) -> dict:
+    return {
+        "vertices": [
+            {"id": v, "group": g.to_jsonable()} for v, g in zip(G.vertices, G.groups)
+        ],
+        "edges": [{"u": u, "v": v, "label": m} for u, v, m in G.edge_list()],
+    }
+
+
+# -- chordality ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChordalityResult:
+    """Outcome of a chordality test, carrying checkable evidence.
+
+    Exactly one of ``peo`` (a perfect elimination ordering) and
+    ``cycle`` (an induced chordless cycle of length >= 4) is set.
+    """
+
+    chordal: bool
+    peo: Optional[tuple[str, ...]] = None
+    cycle: Optional[tuple[str, ...]] = None
+
+    def __bool__(self) -> bool:
+        return self.chordal
+
+
+def _lex_bfs_order(G: LabeledGraph) -> list[int]:
+    """Lexicographic BFS visit order over vertex indices.
+
+    Implemented by partition refinement: repeatedly take the first
+    vertex of the first bucket, then split every bucket into the
+    visited vertex's neighbors (kept in front) and the rest.
+    """
+    buckets: list[list[int]] = [list(range(G.n))]
+    order: list[int] = []
+    while buckets:
+        bucket = buckets[0]
+        v = bucket.pop(0)
+        if not bucket:
+            buckets.pop(0)
+        order.append(v)
+        nbrs = set(G._adj[v])
+        refined: list[list[int]] = []
+        for b in buckets:
+            inside = [x for x in b if x in nbrs]
+            outside = [x for x in b if x not in nbrs]
+            if inside:
+                refined.append(inside)
+            if outside:
+                refined.append(outside)
+        buckets = refined
+    return order
+
+
+def verify_peo(G: LabeledGraph, peo: Sequence[str]) -> bool:
+    """True iff ``peo`` is a perfect elimination ordering of G.
+
+    At each vertex the neighbors appearing later in the ordering must
+    form a clique.
+    """
+    if sorted(peo) != sorted(G.vertices):
+        return False
+    pos = {v: p for p, v in enumerate(peo)}
+    for v in peo:
+        later = [w for w in G.neighbors(v) if pos[w] > pos[v]]
+        for a, b in itertools.combinations(later, 2):
+            if not G.has_edge(a, b):
+                return False
+    return True
+
+
+def is_induced_chordless_cycle(G: LabeledGraph, cycle: Sequence[str]) -> bool:
+    """True iff ``cycle`` lists an induced cycle of length >= 4."""
+    k = len(cycle)
+    if k < 4 or len(set(cycle)) != k:
+        return False
+    try:
+        cycset = set(cycle)
+        for v in cycle:
+            G.index(v)
+        for idx, v in enumerate(cycle):
+            expected = {cycle[(idx - 1) % k], cycle[(idx + 1) % k]}
+            actual = {w for w in G.neighbors(v) if w in cycset}
+            if actual != expected:
+                return False
+    except GraphValidationError:
+        return False
+    return True
+
+
+def _cycle_through(G: LabeledGraph, v: str, p: str, w: str) -> Optional[tuple[str, ...]]:
+    """Chordless cycle v, p, ..., w given nonadjacent p, w in N(v).
+
+    Found by a shortest p--w path avoiding the rest of N[v]; shortest
+    paths in that subgraph have no chords among themselves, and the
+    avoidance rules out chords through v.
+    """
+    banned = set(G.neighbors(v)) | {v}
+    banned -= {p, w}
+    prev: dict[str, Optional[str]] = {p: None}
+    queue = deque([p])
+    while queue:
+        x = queue.popleft()
+        if x == w:
+            path = []
+            cur: Optional[str] = w
+            while cur is not None:
+                path.append(cur)
+                cur = prev[cur]
+            path.reverse()
+            return _normalize_cycle(G, tuple([v] + path))
+        for y in G.neighbors(x):
+            if y in banned or y in prev:
+                continue
+            prev[y] = x
+            queue.append(y)
+    return None
+
+
+def _normalize_cycle(G: LabeledGraph, cycle: tuple[str, ...]) -> tuple[str, ...]:
+    """Rotate/reflect so the smallest-position vertex comes first and its
+    smaller-position neighbor second."""
+    pos = {v: G.index(v) for v in cycle}
+    k = len(cycle)
+    start = min(range(k), key=lambda i: pos[cycle[i]])
+    fwd = cycle[start:] + cycle[:start]
+    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
+    return fwd if pos[fwd[1]] <= pos[rev[1]] else rev
+
+
+def is_chordal(G: LabeledGraph) -> ChordalityResult:
+    """Chordality with evidence: a perfect elimination ordering, or an
+    induced chordless cycle of length >= 4.
+
+    Uses lexicographic BFS; the reverse of the visit order is a perfect
+    elimination ordering exactly when the graph is chordal.
+    """
+    visit = _lex_bfs_order(G)
+    candidate = tuple(G.vertices[i] for i in reversed(visit))
+    pos = {v: p for p, v in enumerate(candidate)}
+    failure: Optional[tuple[str, str, str]] = None
+    for v in candidate:
+        later = sorted((w for w in G.neighbors(v) if pos[w] > pos[v]), key=pos.get)
+        if len(later) < 2:
+            continue
+        parent = later[0]
+        for w in later[1:]:
+            if not G.has_edge(parent, w):
+                failure = (v, parent, w)
+                break
+        if failure:
+            break
+    if failure is None:
+        return ChordalityResult(chordal=True, peo=candidate)
+    v, p, w = failure
+    cyc = _cycle_through(G, v, p, w)
+    if cyc is None:
+        # The LexBFS witness triple does not always span a cycle on its
+        # own; some triple must, since the graph is not chordal.
+        for v in G.vertices:
+            nbrs = G.neighbors(v)
+            for p, w in itertools.combinations(nbrs, 2):
+                if G.has_edge(p, w):
+                    continue
+                cyc = _cycle_through(G, v, p, w)
+                if cyc is not None:
+                    break
+            if cyc is not None:
+                break
+    if cyc is None:
+        raise AssertionError("non-chordal graph must contain a chordless cycle")
+    return ChordalityResult(chordal=False, cycle=cyc)
+
+
+# -- shape classification -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Coarse isomorphism-type tags ignoring labels.
+
+    ``tag`` is one of complete, cycle, path, tree, discrete, other.  A
+    single vertex is tagged complete.  ``length`` gives the edge count
+    of a path or the vertex count of a cycle.
+    """
+
+    tag: str
+    length: Optional[int] = None
+    is_tree: bool = False
+    is_discrete: bool = False
+    is_complete: bool = False
+
+
+def shape_classify(G: LabeledGraph) -> Shape:
+    n, m = G.n, G.m
+    discrete = m == 0
+    complete = G.is_complete()
+    if complete:
+        return Shape(
+            tag="complete",
+            is_tree=n <= 2,
+            is_discrete=discrete,
+            is_complete=True,
+        )
+    connected = G.is_connected()
+    degrees = [G.degree(v) for v in G.vertices]
+    if connected and n >= 3 and all(d == 2 for d in degrees):
+        return Shape(tag="cycle", length=n)
+    if connected and m == n - 1:
+        if all(d <= 2 for d in degrees):
+            return Shape(tag="path", length=m, is_tree=True)
+        return Shape(tag="tree", is_tree=True)
+    if discrete:
+        return Shape(tag="discrete", is_discrete=True)
+    return Shape(tag="other")
+
+
+# -- join factors -------------------------------------------------------------
+
+
+def join_factors(G: LabeledGraph) -> tuple[frozenset[str], ...]:
+    """Finest partition V = V1 | ... | Vk with every pair from different
+    parts joined by a label-2 edge.
+
+    The group then splits as the direct product of the part subgroups.
+    Parts are the connected components of the non-commuting relation
+    (nonadjacent, or adjacent with label >= 3), ordered by smallest
+    vertex position.
+    """
+    n = G.n
+    noncomm: list[set[int]] = [set() for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m = G._adj[i].get(j)
+        if m is None or m >= 3:
+            noncomm[i].add(j)
+            noncomm[j].add(i)
+    seen: set[int] = set()
+    parts = []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in noncomm[x]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        parts.append(frozenset(G.vertices[i] for i in comp))
+    return tuple(parts)
+
+
+# -- canonical form -----------------------------------------------------------
+
+
+def _initial_colors(n: int, vkeys: Sequence[str], adj: Sequence[dict[int, int]]):
+    sigs = [
+        (vkeys[i], len(adj[i]), tuple(sorted(adj[i].values()))) for i in range(n)
+    ]
+    return _rank(sigs)
+
+
+def _rank(sigs: list) -> list[int]:
+    order = {s: c for c, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]
+
+
+def _refine_colors(n: int, colors: list[int], adj: Sequence[dict[int, int]]):
+    while True:
+        sigs = [
+            (
+                colors[i],
+                tuple(sorted((m, colors[j]) for j, m in adj[i].items())),
+            )
+            for i in range(n)
+        ]
+        new = _rank(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _edge_code(adj: Sequence[dict[int, int]], u: int, v: int) -> tuple[int, ...]:
+    m = adj[u].get(v)
+    # Edges sort before non-edges so canonical orders pack neighbors first.
+    return (0, m) if m is not None else (1,)
+
+
+def _permutation_is_automorphism(
+    n: int,
+    vkeys: Sequence[str],
+    adj: Sequence[dict[int, int]],
+    sigma: Sequence[int],
+) -> bool:
+    for i in range(n):
+        if vkeys[sigma[i]] != vkeys[i]:
+            return False
+    for i in range(n):
+        img = sigma[i]
+        if len(adj[i]) != len(adj[img]):
+            return False
+        for j, m in adj[i].items():
+            if adj[img].get(sigma[j]) != m:
+                return False
+    return True
+
+
+def _equivalent_placements(
+    p: tuple[int, ...],
+    q: tuple[int, ...],
+    n: int,
+    vkeys: Sequence[str],
+    adj: Sequence[dict[int, int]],
+) -> bool:
+    """Sound but incomplete test that some automorphism maps p to q
+    position-wise.
+
+    The candidate permutation sends p[i] to q[i], pairs the leftover
+    placed vertices in sorted order, and fixes everything else; it is
+    accepted only if it checks out as a full automorphism.
+    """
+    sigma = list(range(n))
+    for a, b in zip(p, q):
+        sigma[a] = b
+    for a, b in zip(sorted(set(q) - set(p)), sorted(set(p) - set(q))):
+        sigma[a] = b
+    return _permutation_is_automorphism(n, vkeys, adj, sigma)
+
+
+def _dedupe_placements(
+    placements: list[tuple[int, ...]],
+    n: int,
+    vkeys: Sequence[str],
+    adj: Sequence[dict[int, int]],
+) -> list[tuple[int, ...]]:
+    if len(placements) <= 1 or len(placements) > _DEDUPE_LIMIT:
+        return placements
+    kept: list[tuple[int, ...]] = []
+    for p in placements:
+        if any(_equivalent_placements(p, q, n, vkeys, adj) for q in kept):
+            continue
+        kept.append(p)
+    return kept
+
+
+def _canonical_order(
+    n: int, vkeys: Sequence[str], adj: Sequence[dict[int, int]]
+) -> tuple[int, ...]:
+    """Vertex order minimizing the serialized label+adjacency matrix.
+
+    Grows placements a position at a time, keeping every placement that
+    attains the lexicographically least next row, with a sound
+    automorphism-based dedupe so symmetric graphs do not blow up.
+    """
+    colors = _refine_colors(n, _initial_colors(n, vkeys, adj), adj)
+    rows = [(colors[v], vkeys[v]) for v in range(n)]
+    best0 = min(rows)
+    frontier = [(v,) for v in range(n) if rows[v] == best0]
+    frontier = _dedupe_placements(frontier, n, vkeys, adj)
+    for _ in range(n - 1):
+        best = None
+        extensions: list[tuple[int, ...]] = []
+        for placement in frontier:
+            placed = set(placement)
+            for v in range(n):
+                if v in placed:
+                    continue
+                row = (
+                    colors[v],
+                    vkeys[v],
+                    tuple(_edge_code(adj, v, p) for p in placement),
+                )
+                if best is None or row < best:
+                    best = row
+                    extensions = [placement + (v,)]
+                elif row == best:
+                    extensions.append(placement + (v,))
+        if len(extensions) > _FRONTIER_HARD_CAP:
+            raise VertexCapError("canonical form search exceeded its frontier cap")
+        frontier = _dedupe_placements(extensions, n, vkeys, adj)
+    return frontier[0]
+
+
+def canonical_form(
+    G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[str, tuple[str, ...]]:
+    """Canonical key and the vertex placement realizing it.
+
+    The key is equal for two graphs exactly when some bijection of
+    vertices preserves both group labels and edge labels.  The
+    placement lists the input's vertex ids in canonical order.
+    """
+    if G.n > cap:
+        raise VertexCapError(f"graph has {G.n} vertices, above the cap of {cap}")
+    vkeys = [g.key() for g in G.groups]
+    order = _canonical_order(G.n, vkeys, G._adj)
+    placement = tuple(G.vertices[i] for i in order)
+    pos = {v: p for p, v in enumerate(order)}
+    edge_part = ",".join(
+        f"{i}-{j}:{m}"
+        for i, j, m in sorted(
+            (min(pos[a], pos[b]), max(pos[a], pos[b]), m) for a, b, m in G.edges
+        )
+    )
+    vertex_part = ";".join(vkeys[i] for i in order)
+    return f"{G.n};{vertex_part};{edge_part}", placement
+
+
+def canonical_key(G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP) -> str:
+    return canonical_form(G, cap)[0]
+
+
+def canonical_graph(
+    G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[LabeledGraph, tuple[str, ...]]:
+    """Canonical representative with vertices renamed "0", "1", ... in
+    canonical order, plus the placement mapping positions back to input
+    ids.
+    """
+    _, placement = canonical_form(G, cap)
+    reordered = G.permuted(placement)
+    mapping = {v: str(i) for i, v in enumerate(placement)}
+    return reordered.relabeled(mapping), placement
