@@ -14,7 +14,6 @@ from graphcoherence import (
     graph_product_graph,
     racg,
 )
-from graphcoherence.coherence_engine import witness_to_jsonable
 from graphcoherence.labeled_graph import cyclic
 
 classifier = Classifier()
@@ -26,7 +25,7 @@ def show(title, G):
     if verdict.proof is not None:
         print(f"  proof root: {verdict.proof.rule} on {verdict.proof.vertices}")
     if verdict.witness is not None:
-        print(f"  witness: {witness_to_jsonable(verdict.witness)['kind']}")
+        print(f"  witness: {verdict.witness.kind}")
     for note in verdict.notes:
         print(f"  note: {note.code}")
     print()

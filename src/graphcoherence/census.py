@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import string
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .labeled_graph import (
     Z,
     Z2,
     canonical_form,
+    canonical_relabel,
     detect_flavor,
 )
 
@@ -235,21 +237,41 @@ def _verify_record(key: str, verdict_obj: dict, cap: int) -> None:
 
 
 def _load_records(path: str) -> dict[str, dict]:
+    """Records of an existing record file, by canonical key.
+
+    A last line with no newline that does not parse is what a run
+    interrupted mid-write leaves behind: it is dropped with a note on
+    stderr and cut from the file, so that appended records start on a
+    line of their own.  Any other line that does not parse is an error.
+    """
     records: dict[str, dict] = {}
     if not os.path.exists(path):
         return records
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    # lines[-1] is what follows the last newline: empty unless cut off.
+    complete_bytes = 0
+    for line_no, line in enumerate(lines, 1):
+        if line.strip():
             try:
                 rec = json.loads(line)
                 records[rec["key"]] = rec
-            except (json.JSONDecodeError, KeyError) as e:
-                raise ValueError(
-                    f"corrupt census record at {path}:{line_no}: {e}"
-                ) from None
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as e:
+                if line_no < len(lines):
+                    raise ValueError(
+                        f"corrupt census record at {path}:{line_no}: {e}"
+                    ) from None
+                print(
+                    f"note: dropped the cut-off last record at {path}:{line_no}",
+                    file=sys.stderr,
+                )
+                with open(path, "r+b") as fh:
+                    fh.truncate(complete_bytes)
+                return records
+        complete_bytes += len(line) + 1
+    if lines[-1].strip():
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
     return records
 
 
@@ -354,9 +376,7 @@ def run_census(
                 if key in records:
                     tally(record_for(G, key, None))
                     continue
-                CG = G.permuted(placement).relabeled(
-                    {v: str(i) for i, v in enumerate(placement)}
-                )
+                CG = canonical_relabel(G, placement)
                 verdict_obj = _classify_canonical(classifier, CG)
                 tally(record_for(G, key, verdict_obj))
         else:
@@ -369,13 +389,6 @@ def run_census(
     report.unknown = tuple(unknown)
     report.elapsed = time.monotonic() - started
     return report
-
-
-def _canonical_graph_of(G: LabeledGraph, cap: int) -> LabeledGraph:
-    _, placement = canonical_form(G, cap=cap)
-    return G.permuted(placement).relabeled(
-        {v: str(i) for i, v in enumerate(placement)}
-    )
 
 
 def _run_parallel(
@@ -394,10 +407,10 @@ def _run_parallel(
     pending: dict[str, LabeledGraph] = {}
     stream: list[tuple[str, int, int]] = []
     for G in enumerate_graphs(config):
-        key, _ = canonical_form(G, cap=cap)
+        key, placement = canonical_form(G, cap=cap)
         stream.append((key, G.n, G.m))
         if key not in records and key not in pending:
-            pending[key] = _canonical_graph_of(G, cap)
+            pending[key] = canonical_relabel(G, placement)
     jobs = sorted(pending.items())
     ctx = multiprocessing.get_context()
     with ctx.Pool(

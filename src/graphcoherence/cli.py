@@ -19,16 +19,18 @@ from .census import CensusConfig, run_census
 from .coherence_engine import (
     COHERENT,
     INCOHERENT,
+    PROOF_RULES,
+    STEP_NAMES,
     Classifier,
-    DISABLEABLE_RULES,
     EngineConfig,
     ProofNode,
     Verdict,
+    to_jsonable,
     verdict_to_jsonable,
     verify_proof,
     verify_witness,
-    witness_to_jsonable,
 )
+from .coherence_engine import format_vertex_set as _vset
 from .decomposition import dirac_split, enumerate_separator_splits
 from .group_model import (
     SLENDER,
@@ -66,23 +68,9 @@ def _read_graph(path: str) -> LabeledGraph:
         return parse_graph(fh.read())
 
 
-def _vset(vertices: Sequence[str]) -> str:
-    return "{" + ",".join(vertices) + "}"
-
-
 def _format_proof(node: ProofNode, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    extra = ""
-    if node.rule == "amalgam":
-        extra = (
-            f" separator={_vset(node.data['separator'])}"
-            f" method={node.data.get('method', '?')}"
-        )
-    elif node.rule == "free_product":
-        extra = f" factors={len(node.children)}"
-    elif node.rule == "mccammond_wise":
-        m = node.data.get("min_edge_label")
-        extra = f" min_label={m}" if m is not None else " (no edges)"
+    extra = PROOF_RULES[node.rule].suffix(node)
     lines = [f"{pad}{node.rule} {_vset(node.vertices)}{extra}"]
     for child in node.children:
         lines.extend(_format_proof(child, indent + 1))
@@ -90,7 +78,7 @@ def _format_proof(node: ProofNode, indent: int = 0) -> list[str]:
 
 
 def _format_witness(w) -> str:
-    obj = witness_to_jsonable(w)
+    obj = to_jsonable(w)
     kind = obj["kind"]
     if kind == "join_embedding":
         return (
@@ -195,26 +183,7 @@ def _slender_jsonable(G: LabeledGraph) -> Optional[dict]:
         cert = is_slender(G)
     except UnsupportedFlavorError:
         return None
-    out = {"verdict": cert.verdict, "reason": cert.reason}
-    if cert.factors is not None:
-        out["factors"] = [
-            {
-                "vertices": list(f.vertices),
-                "kind": f.kind,
-                "type": f.type.name if f.type else None,
-            }
-            for f in cert.factors
-        ]
-    if cert.obstruction is not None:
-        obs = cert.obstruction
-        if hasattr(obs, "kind"):
-            out["obstruction"] = {"kind": obs.kind, "vertices": list(obs.vertices)}
-        else:
-            out["obstruction"] = {
-                "kind": "indefinite_component",
-                "vertices": list(obs.vertices),
-            }
-    return out
+    return {k: v for k, v in to_jsonable(cert).items() if v is not None}
 
 
 def _self_check(G: LabeledGraph, verdict: Verdict, config: EngineConfig) -> None:
@@ -283,7 +252,7 @@ def _cmd_decompose(args) -> int:
     elif is_chordal(G):
         obj["kind"] = "dirac"
         split = dirac_split(G)
-        obj["splits"] = [_split_jsonable(split)]
+        obj["splits"] = [to_jsonable(split)]
         lines.append("clique separator split (chordal):")
         lines.append(_split_line(split))
     else:
@@ -295,7 +264,7 @@ def _cmd_decompose(args) -> int:
             found.append(split)
             if len(found) == 5:
                 break
-        obj["splits"] = [_split_jsonable(s) for s in found]
+        obj["splits"] = to_jsonable(found)
         if found:
             lines.append(f"first {len(found)} slender separator splits:")
             lines.extend(_split_line(s) for s in found)
@@ -306,15 +275,6 @@ def _cmd_decompose(args) -> int:
     else:
         print("\n".join(lines))
     return 0
-
-
-def _split_jsonable(split) -> dict:
-    return {
-        "separator": list(split.separator),
-        "left": list(split.left),
-        "right": list(split.right),
-        "method": split.method,
-    }
 
 
 def _split_line(split) -> str:
@@ -390,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--disable",
         action="append",
-        choices=sorted(DISABLEABLE_RULES),
+        choices=STEP_NAMES,
         help="disable a rule (repeatable); for cross-validation",
     )
     p.set_defaults(func=_cmd_classify)

@@ -11,36 +11,42 @@ F2 x F2), an induced long cycle in an all-Z graph, a violation of the
 all-Z criteria, or an induced subgraph carrying one of those.
 Everything else is Unknown, with structured notes saying why.
 
-Rule order: decisive criteria for all-Z graphs first, then the
-incoherence witness scan, slenderness, the large-label criterion,
-free-product splitting, a clique-separator split for chordal graphs,
-exhaustive slender-separator search, and finally Unknown bookkeeping.
+The rule table (``STEPS`` and ``PROOF_RULES``) fixes the prover order:
+decisive criteria for all-Z graphs first, then the incoherence witness
+scan, slenderness, the large-label criterion, free-product splitting, a
+clique-separator split for chordal graphs, exhaustive slender-separator
+search, and finally Unknown bookkeeping.  It also holds the verifier
+and text suffix of every proof-node rule.
 
 Verdicts are computed on the canonical representative of the input and
 mapped back, so isomorphic inputs receive corresponding evidence, and a
-per-classifier memo makes repeated sub-classifications cheap.
+per-classifier memo makes repeated sub-classifications cheap.  One
+field walker serializes, rebuilds and renames the evidence dataclasses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+import typing
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 from .decomposition import Split, dirac_split, enumerate_separator_splits, verify_split
 from .group_model import (
-    NOT_SLENDER,
     SLENDER,
     F2Certificate,
+    IrreducibleType,
     UnsupportedFlavorError,
-    contains_f2_certificate,
     f2_certificate_valid,
+    f2_certificates,
     is_slender,
 )
 from .labeled_graph import (
     DEFAULT_VERTEX_CAP,
     LabeledGraph,
     canonical_form,
+    canonical_relabel,
     detect_flavor,
     is_chordal,
     is_induced_chordless_cycle,
@@ -52,21 +58,6 @@ COHERENT = "COHERENT"
 INCOHERENT = "INCOHERENT"
 UNKNOWN = "UNKNOWN"
 
-LEAF_RULES = ("abelian", "slender", "droms_chordal", "wise_gordon", "mccammond_wise")
-INNER_RULES = ("free_product", "amalgam")
-DISABLEABLE_RULES = frozenset(
-    {
-        "droms_chordal",
-        "wise_gordon",
-        "witness_scan",
-        "slender",
-        "mccammond_wise",
-        "free_product",
-        "dirac_split",
-        "amalgam_search",
-    }
-)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -74,16 +65,15 @@ class EngineConfig:
 
     ``max_search_vertices`` caps canonicalization, memoization and all
     recursive rules; above it only the size-independent rules run.
-    ``disabled_rules`` must be a subset of DISABLEABLE_RULES and exists
-    for cross-validating one rule against another.
+    ``disabled_rules`` names steps of STEPS to skip and exists for
+    cross-validating one rule against another.
     """
 
     max_search_vertices: int = DEFAULT_VERTEX_CAP
     disabled_rules: frozenset = frozenset()
-    separator_size_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        unknown = frozenset(self.disabled_rules) - DISABLEABLE_RULES
+        unknown = frozenset(self.disabled_rules) - frozenset(STEP_NAMES)
         if unknown:
             raise ValueError(f"unknown rule names: {sorted(unknown)}")
         object.__setattr__(self, "disabled_rules", frozenset(self.disabled_rules))
@@ -230,16 +220,9 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     """First pair of disjoint F2-certified sets joined completely by
     label-2 edges, if any; the group then contains F2 x F2, which is
     incoherent."""
-    certs: list[F2Certificate] = []
-    for u, v in G.nonadjacent_pairs():
-        if (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2:
-            certs.append(F2Certificate(kind="free_pair", vertices=(u, v)))
-    for triple in itertools.combinations(G.vertices, 3):
-        if all(not G.has_edge(a, b) for a, b in itertools.combinations(triple, 2)):
-            certs.append(F2Certificate(kind="independent_triple", vertices=triple))
+    certs = list(f2_certificates(G))
     for ca, cb in itertools.combinations(certs, 2):
-        sa, sb = set(ca.vertices), set(cb.vertices)
-        if sa & sb:
+        if set(ca.vertices) & set(cb.vertices):
             continue
         if all(
             G.edge_label(x, y) == 2 for x in ca.vertices for y in cb.vertices
@@ -280,119 +263,35 @@ class Classifier:
             )
         cap = self.config.max_search_vertices
         if G.n > cap:
-            return self._apply_rules(G, big=True)
+            return self._apply_rules(G, _raw_key(G), big=True)
         key, placement = canonical_form(G, cap=cap)
         cached = self._cache.get(key)
         if cached is None:
-            CG = G.permuted(placement).relabeled(
-                {v: str(i) for i, v in enumerate(placement)}
-            )
-            cached = self._apply_rules(CG, big=False)
+            cached = self._apply_rules(canonical_relabel(G, placement), key, big=False)
             self._cache[key] = cached
-        mapping = {str(i): v for i, v in enumerate(placement)}
-        return _remap_verdict(cached, mapping)
+        return remap(cached, {str(i): v for i, v in enumerate(placement)})
 
-    # Rule pipeline.  G is a canonical representative (ids "0", "1", ...)
-    # unless big is set, in which case recursion and memoization are off.
-    def _apply_rules(self, G: LabeledGraph, big: bool) -> Verdict:
+    # G is a canonical representative (ids "0", "1", ...) whose canonical
+    # key is ``key``, unless big is set: then ``key`` is the raw key and
+    # recursion and memoization are off.
+    def _apply_rules(self, G: LabeledGraph, key: str, big: bool) -> Verdict:
         disabled = self.config.disabled_rules
         flavor = detect_flavor(G)
         notes: list[UnknownNote] = []
-
-        # Decisive criteria for all-Z graphs.
-        if flavor.raag and "droms_chordal" not in disabled:
-            ch = is_chordal(G)
-            if ch:
-                return Verdict(
-                    COHERENT,
-                    proof=self._leaf(G, "droms_chordal", {"peo": list(ch.peo)}),
-                )
-            return Verdict(INCOHERENT, witness=DromsCycle(cycle=ch.cycle))
-        if flavor.artin and "wise_gordon" not in disabled:
-            violation = wise_gordon_check(G)
-            if violation is None:
-                peo = is_chordal(G).peo
-                return Verdict(
-                    COHERENT, proof=self._leaf(G, "wise_gordon", {"peo": list(peo)})
-                )
-            return Verdict(INCOHERENT, witness=violation)
-
-        # Incoherence witness scan.
-        if "witness_scan" not in disabled:
-            w = witness_join_incoherence(G)
-            if w is not None:
-                return Verdict(INCOHERENT, witness=w)
-
-        # Slender groups are coherent.
-        if "slender" not in disabled:
-            cert = is_slender(G)
-            if cert.verdict == SLENDER:
-                rule = (
-                    "abelian"
-                    if flavor.graph_product and G.is_complete()
-                    else "slender"
+        for step in STEPS:
+            if big and step.recursive:
+                detail = (
+                    f"{G.n} vertices exceed the search cap of "
+                    f"{self.config.max_search_vertices}; recursive rules skipped"
                 )
                 return Verdict(
-                    COHERENT, proof=self._leaf(G, rule, _slender_data(cert))
+                    UNKNOWN, notes=(UnknownNote(code="search-cap-exceeded", detail=detail),)
                 )
-
-        # Large labels everywhere (all-Z2 graphs).
-        if flavor.coxeter and "mccammond_wise" not in disabled:
-            if all(m >= G.n for _, _, m in G.edges):
-                data = {
-                    "vertex_count": G.n,
-                    "min_edge_label": min((m for _, _, m in G.edges), default=None),
-                }
-                return Verdict(COHERENT, proof=self._leaf(G, "mccammond_wise", data))
-
-        if big:
-            notes.append(
-                UnknownNote(
-                    code="search-cap-exceeded",
-                    detail=(
-                        f"{G.n} vertices exceed the search cap of "
-                        f"{self.config.max_search_vertices}; recursive rules skipped"
-                    ),
-                )
-            )
-            return Verdict(UNKNOWN, notes=tuple(notes))
-
-        # Free product over connected components.
-        if "free_product" not in disabled:
-            comps = G.components()
-            if len(comps) >= 2:
-                outcome = self._free_product(G, comps, notes)
-                if outcome is not None:
-                    return outcome
-
-        # Amalgams over slender separators.
-        connected = G.is_connected()
-        if connected and not G.is_complete():
-            if "dirac_split" not in disabled and is_chordal(G):
-                outcome = self._try_split(G, dirac_split(G))
-                if outcome is not None:
-                    return outcome
-            if "amalgam_search" not in disabled:
-                cap = self.config.separator_size_cap
-                examined = 0
-                tried = 0
-                for split in enumerate_separator_splits(G, cap):
-                    examined += 1
-                    if is_slender(G.induced(split.separator)).verdict != SLENDER:
-                        continue
-                    tried += 1
-                    outcome = self._try_split(G, split, prechecked=True)
-                    if outcome is not None:
-                        return outcome
-                notes.append(
-                    UnknownNote(
-                        code="search-exhausted",
-                        detail=(
-                            f"{examined} separator splits examined, {tried} "
-                            "slender ones recursed, none resolved both sides"
-                        ),
-                    )
-                )
+            if step.name in disabled:
+                continue
+            verdict = step.prove(self, G, key, flavor, notes)
+            if verdict is not None:
+                return verdict
 
         # Unknown bookkeeping.
         shape = shape_classify(G)
@@ -419,185 +318,10 @@ class Classifier:
             )
         return Verdict(UNKNOWN, notes=tuple(notes))
 
-    def _leaf(self, G: LabeledGraph, rule: str, data: dict) -> ProofNode:
-        return ProofNode(
-            rule=rule, vertices=G.vertices, key=self._node_key(G), data=data
-        )
-
-    def _node_key(self, G: LabeledGraph) -> str:
-        if G.n <= self.config.max_search_vertices:
-            return canonical_form(G, cap=self.config.max_search_vertices)[0]
-        return _raw_key(G)
-
-    def _free_product(
-        self, G: LabeledGraph, comps, notes: list[UnknownNote]
-    ) -> Optional[Verdict]:
-        children = []
-        for comp in comps:
-            members = tuple(sorted(comp, key=G.index))
-            sub = G.induced(members)
-            v = self.classify(sub)
-            if v.status == INCOHERENT:
-                return Verdict(
-                    INCOHERENT,
-                    witness=IncoherentFactor(vertices=members, inner=v.witness),
-                )
-            children.append((members, v))
-        unknowns = [(members, v) for members, v in children if v.status == UNKNOWN]
-        if unknowns:
-            members, v = unknowns[0]
-            notes.extend(v.notes)
-            notes.append(
-                UnknownNote(
-                    code="component-unknown",
-                    vertices=members,
-                    detail="a free factor stayed unclassified",
-                )
-            )
-            return None
-        return Verdict(
-            COHERENT,
-            proof=ProofNode(
-                rule="free_product",
-                vertices=G.vertices,
-                key=self._node_key(G),
-                data={"components": [list(m) for m, _ in children]},
-                children=tuple(v.proof for _, v in children),
-            ),
-        )
-
-    def _try_split(
-        self, G: LabeledGraph, split: Split, prechecked: bool = False
-    ) -> Optional[Verdict]:
-        if not prechecked:
-            if is_slender(G.induced(split.separator)).verdict != SLENDER:
-                return None
-        left_v = self.classify(G.induced(split.left))
-        if left_v.status == INCOHERENT:
-            return Verdict(
-                INCOHERENT,
-                witness=IncoherentFactor(vertices=split.left, inner=left_v.witness),
-            )
-        right_v = self.classify(G.induced(split.right))
-        if right_v.status == INCOHERENT:
-            return Verdict(
-                INCOHERENT,
-                witness=IncoherentFactor(vertices=split.right, inner=right_v.witness),
-            )
-        if left_v.status == COHERENT and right_v.status == COHERENT:
-            return Verdict(
-                COHERENT,
-                proof=ProofNode(
-                    rule="amalgam",
-                    vertices=G.vertices,
-                    key=self._node_key(G),
-                    data={
-                        "separator": list(split.separator),
-                        "left": list(split.left),
-                        "right": list(split.right),
-                        "method": split.method,
-                    },
-                    children=(left_v.proof, right_v.proof),
-                ),
-            )
-        return None
-
-
-def _slender_data(cert) -> dict:
-    return {
-        "certificate": {
-            "reason": cert.reason,
-            "factors": [
-                {
-                    "vertices": list(f.vertices),
-                    "kind": f.kind,
-                    "type": f.type.name if f.type else None,
-                }
-                for f in cert.factors or ()
-            ],
-        }
-    }
-
 
 def classify(G: LabeledGraph, config: Optional[EngineConfig] = None) -> Verdict:
     """One-shot classification with a fresh memo."""
     return Classifier(config).classify(G)
-
-
-# -- remapping between canonical and input ids --------------------------------
-
-_ID_LIST_KEYS = ("peo", "separator", "left", "right")
-
-
-def _remap_data(data: dict, mapping: dict[str, str]) -> dict:
-    out: dict = {}
-    for k, v in data.items():
-        if k in _ID_LIST_KEYS:
-            out[k] = [mapping[x] for x in v]
-        elif k == "components":
-            out[k] = [[mapping[x] for x in comp] for comp in v]
-        elif k == "certificate":
-            cert = dict(v)
-            cert["factors"] = [
-                {**f, "vertices": [mapping[x] for x in f["vertices"]]}
-                for f in v.get("factors", [])
-            ]
-            out[k] = cert
-        else:
-            out[k] = v
-    return out
-
-
-def _remap_proof(node: ProofNode, mapping: dict[str, str]) -> ProofNode:
-    return ProofNode(
-        rule=node.rule,
-        vertices=tuple(mapping[v] for v in node.vertices),
-        key=node.key,
-        data=_remap_data(node.data, mapping),
-        children=tuple(_remap_proof(c, mapping) for c in node.children),
-    )
-
-
-def _remap_witness(w: Witness, mapping: dict[str, str]) -> Witness:
-    if isinstance(w, JoinEmbedding):
-        return JoinEmbedding(
-            side_a=tuple(mapping[v] for v in w.side_a),
-            side_b=tuple(mapping[v] for v in w.side_b),
-            cert_a=F2Certificate(
-                kind=w.cert_a.kind, vertices=tuple(mapping[v] for v in w.cert_a.vertices)
-            ),
-            cert_b=F2Certificate(
-                kind=w.cert_b.kind, vertices=tuple(mapping[v] for v in w.cert_b.vertices)
-            ),
-        )
-    if isinstance(w, DromsCycle):
-        return DromsCycle(cycle=tuple(mapping[v] for v in w.cycle))
-    if isinstance(w, WiseGordonViolation):
-        return WiseGordonViolation(
-            violation=w.violation, vertices=tuple(mapping[v] for v in w.vertices)
-        )
-    if isinstance(w, IncoherentFactor):
-        return IncoherentFactor(
-            vertices=tuple(mapping[v] for v in w.vertices),
-            inner=_remap_witness(w.inner, mapping),
-        )
-    raise TypeError(f"unknown witness type {type(w).__name__}")
-
-
-def _remap_verdict(v: Verdict, mapping: dict[str, str]) -> Verdict:
-    return Verdict(
-        status=v.status,
-        proof=_remap_proof(v.proof, mapping) if v.proof else None,
-        witness=_remap_witness(v.witness, mapping) if v.witness else None,
-        notes=tuple(
-            UnknownNote(
-                code=n.code,
-                vertices=tuple(mapping[x] for x in n.vertices),
-                detail=n.detail,
-            )
-            for n in v.notes
-        ),
-    )
 
 
 # -- verification ---------------------------------------------------------------
@@ -611,6 +335,9 @@ class VerificationOutcome:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_OK = VerificationOutcome(ok=True)
 
 
 def _fail(path: tuple[str, ...], reason: str) -> VerificationOutcome:
@@ -648,140 +375,61 @@ def _verify_node(
     if node.key != expected_key:
         return _fail(path, "stored key does not match the induced subgraph")
     flavor = detect_flavor(sub)
-
-    if node.rule in LEAF_RULES and node.children:
+    rule = PROOF_RULES.get(node.rule)
+    if rule is None:
+        return _fail(path, f"unknown rule {node.rule!r}")
+    if rule.leaf and node.children:
         return _fail(path, f"leaf rule {node.rule} must not have children")
-
-    if node.rule == "abelian":
-        if not (flavor.graph_product and sub.is_complete()):
-            return _fail(path, "abelian leaf requires a complete label-2 graph")
-        return VerificationOutcome(ok=True)
-    if node.rule == "slender":
-        if is_slender(sub).verdict != SLENDER:
-            return _fail(path, "slender leaf on a non-slender subgraph")
-        return VerificationOutcome(ok=True)
-    if node.rule == "droms_chordal":
-        if not flavor.raag:
-            return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
-        peo = node.data.get("peo")
-        if peo is not None and not verify_peo(sub, peo):
-            return _fail(path, "stored elimination ordering does not verify")
-        if not is_chordal(sub):
-            return _fail(path, "droms_chordal leaf on a non-chordal graph")
-        return VerificationOutcome(ok=True)
-    if node.rule == "wise_gordon":
-        if not flavor.artin:
-            return _fail(path, "wise_gordon leaf requires an all-Z graph")
-        if wise_gordon_check(sub) is not None:
-            return _fail(path, "decisive conditions fail on this subgraph")
-        return VerificationOutcome(ok=True)
-    if node.rule == "mccammond_wise":
-        if not flavor.coxeter:
-            return _fail(path, "mccammond_wise leaf requires an all-Z2 graph")
-        if not all(m >= sub.n for _, _, m in sub.edges):
-            return _fail(path, "some edge label is below the vertex count")
-        return VerificationOutcome(ok=True)
-
-    if node.rule == "free_product":
-        if len(node.children) < 2:
-            return _fail(path, "free_product needs at least two factors")
-        sets = [set(c.vertices) for c in node.children]
-        union: set[str] = set()
-        for s in sets:
-            if union & s:
-                return _fail(path, "free factors overlap")
-            union |= s
-        if union != set(node.vertices):
-            return _fail(path, "free factors do not cover the node")
-        for a, b in itertools.combinations(range(len(sets)), 2):
-            for u in sets[a]:
-                for w in sub.neighbors(u):
-                    if w in sets[b]:
-                        return _fail(path, "edge between free factors")
-        for i, child in enumerate(node.children):
-            r = _verify_node(
-                sub, child, child.vertices, cap, path + (f"factor[{i}]",)
-            )
-            if not r:
-                return r
-        return VerificationOutcome(ok=True)
-
-    if node.rule == "amalgam":
-        try:
-            split = Split(
-                separator=tuple(node.data["separator"]),
-                left=tuple(node.data["left"]),
-                right=tuple(node.data["right"]),
-                method=node.data.get("method", "search"),
-            )
-        except KeyError as e:
-            return _fail(path, f"amalgam node missing field {e}")
-        if set(split.left) | set(split.right) != set(node.vertices):
-            return _fail(path, "amalgam sides do not cover the node")
-        if not split.separator:
-            return _fail(path, "amalgam separator is empty")
-        if not verify_split(sub, split):
-            return _fail(path, "split invariants fail")
-        if is_slender(sub.induced(split.separator)).verdict != SLENDER:
-            return _fail(path, "separator subgroup is not slender")
-        if len(node.children) != 2:
-            return _fail(path, "amalgam needs exactly two children")
-        lefts = set(node.children[0].vertices)
-        rights = set(node.children[1].vertices)
-        if lefts != set(split.left) or rights != set(split.right):
-            return _fail(path, "children do not match the split sides")
-        r = _verify_node(sub, node.children[0], split.left, cap, path + ("left",))
-        if not r:
-            return r
-        return _verify_node(sub, node.children[1], split.right, cap, path + ("right",))
-
-    return _fail(path, f"unknown rule {node.rule!r}")
+    return rule.verify(sub, node, flavor, cap, path)
 
 
 def verify_witness(
     G: LabeledGraph, w: Witness, _path: tuple[str, ...] = ("witness",)
 ) -> VerificationOutcome:
     """Recheck an incoherence witness against the graph from scratch."""
-    if isinstance(w, JoinEmbedding):
-        sa, sb = set(w.side_a), set(w.side_b)
-        if not sa or not sb or (sa & sb):
-            return _fail(_path, "sides must be disjoint and nonempty")
-        try:
-            if not all(
-                G.edge_label(x, y) == 2 for x in w.side_a for y in w.side_b
-            ):
-                return _fail(_path, "sides are not fully joined by label-2 edges")
-            if set(w.cert_a.vertices) - sa or set(w.cert_b.vertices) - sb:
-                return _fail(_path, "certificates leave their sides")
-            if not f2_certificate_valid(G.induced(w.side_a), w.cert_a):
-                return _fail(_path, "side A certificate fails")
-            if not f2_certificate_valid(G.induced(w.side_b), w.cert_b):
-                return _fail(_path, "side B certificate fails")
-        except Exception as e:
-            return _fail(_path, f"witness refers to unknown vertices: {e}")
-        return VerificationOutcome(ok=True)
-    if isinstance(w, DromsCycle):
-        if not detect_flavor(G).raag:
-            return _fail(_path, "cycle witness requires an all-Z label-2 graph")
-        if not is_induced_chordless_cycle(G, w.cycle):
-            return _fail(_path, "cycle is not induced and chordless")
-        return VerificationOutcome(ok=True)
-    if isinstance(w, WiseGordonViolation):
-        if not detect_flavor(G).artin:
-            return _fail(_path, "violation witness requires an all-Z graph")
-        return _verify_wise_gordon_violation(G, w, _path)
-    if isinstance(w, IncoherentFactor):
-        try:
-            sub = G.induced(w.vertices)
-        except Exception as e:
-            return _fail(_path, f"factor vertices invalid: {e}")
-        return verify_witness(sub, w.inner, _path + ("inner",))
-    return _fail(_path, f"unknown witness type {type(w).__name__}")
+    check = _WITNESS_CHECKS.get(type(w))
+    if check is None:
+        return _fail(_path, f"unknown witness type {type(w).__name__}")
+    return check(G, w, _path)
+
+
+def _verify_join_embedding(
+    G: LabeledGraph, w: JoinEmbedding, path: tuple[str, ...]
+) -> VerificationOutcome:
+    sa, sb = set(w.side_a), set(w.side_b)
+    if not sa or not sb or (sa & sb):
+        return _fail(path, "sides must be disjoint and nonempty")
+    try:
+        if not all(
+            G.edge_label(x, y) == 2 for x in w.side_a for y in w.side_b
+        ):
+            return _fail(path, "sides are not fully joined by label-2 edges")
+        if set(w.cert_a.vertices) - sa or set(w.cert_b.vertices) - sb:
+            return _fail(path, "certificates leave their sides")
+        if not f2_certificate_valid(G.induced(w.side_a), w.cert_a):
+            return _fail(path, "side A certificate fails")
+        if not f2_certificate_valid(G.induced(w.side_b), w.cert_b):
+            return _fail(path, "side B certificate fails")
+    except Exception as e:
+        return _fail(path, f"witness refers to unknown vertices: {e}")
+    return _OK
+
+
+def _verify_droms_cycle(
+    G: LabeledGraph, w: DromsCycle, path: tuple[str, ...]
+) -> VerificationOutcome:
+    if not detect_flavor(G).raag:
+        return _fail(path, "cycle witness requires an all-Z label-2 graph")
+    if not is_induced_chordless_cycle(G, w.cycle):
+        return _fail(path, "cycle is not induced and chordless")
+    return _OK
 
 
 def _verify_wise_gordon_violation(
     G: LabeledGraph, w: WiseGordonViolation, path: tuple[str, ...]
 ) -> VerificationOutcome:
+    if not detect_flavor(G).artin:
+        return _fail(path, "violation witness requires an all-Z graph")
     try:
         for v in w.vertices:
             G.index(v)
@@ -792,7 +440,7 @@ def _verify_wise_gordon_violation(
     if w.violation == "long_cycle":
         if not is_induced_chordless_cycle(G, w.vertices):
             return _fail(path, "stored cycle is not induced and chordless")
-        return VerificationOutcome(ok=True)
+        return _OK
     if w.violation == "clique_big_labels":
         if len(w.vertices) not in (3, 4):
             return _fail(path, "clique violation needs 3 or 4 vertices")
@@ -805,7 +453,7 @@ def _verify_wise_gordon_violation(
                 big += 1
         if big < 2:
             return _fail(path, "clique has fewer than two labels above 2")
-        return VerificationOutcome(ok=True)
+        return _OK
     if w.violation == "forbidden_square":
         if len(w.vertices) != 4:
             return _fail(path, "square violation needs 4 vertices")
@@ -817,104 +465,466 @@ def _verify_wise_gordon_violation(
             return _fail(path, "last two vertices must be nonadjacent")
         if not all(G.edge_label(x, y) == 2 for x in (c, d) for y in (a, b)):
             return _fail(path, "square sides must be label-2 edges")
-        return VerificationOutcome(ok=True)
+        return _OK
     return _fail(path, f"unknown violation kind {w.violation!r}")
 
 
-# -- serialization ---------------------------------------------------------------
+def _verify_incoherent_factor(
+    G: LabeledGraph, w: IncoherentFactor, path: tuple[str, ...]
+) -> VerificationOutcome:
+    try:
+        sub = G.induced(w.vertices)
+    except Exception as e:
+        return _fail(path, f"factor vertices invalid: {e}")
+    return verify_witness(sub, w.inner, path + ("inner",))
 
 
-def proof_to_jsonable(node: ProofNode) -> dict:
-    return {
-        "rule": node.rule,
-        "vertices": list(node.vertices),
-        "key": node.key,
-        "data": node.data,
-        "children": [proof_to_jsonable(c) for c in node.children],
+_WITNESS_CHECKS = {
+    JoinEmbedding: _verify_join_embedding,
+    DromsCycle: _verify_droms_cycle,
+    WiseGordonViolation: _verify_wise_gordon_violation,
+    IncoherentFactor: _verify_incoherent_factor,
+}
+
+
+# -- the rule table ----------------------------------------------------------------
+#
+# A prover gets the classifier, the graph, its key, its flavor and the
+# note list, and returns a verdict or None to pass the graph on.  Layers
+# are called through their module-level names so that wrappers installed
+# on those names see every call.
+
+
+def _prove_droms_chordal(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    if not flavor.raag:
+        return None
+    ch = is_chordal(G)
+    if ch:
+        node = ProofNode("droms_chordal", G.vertices, key, {"peo": list(ch.peo)})
+        return Verdict(COHERENT, proof=node)
+    return Verdict(INCOHERENT, witness=DromsCycle(cycle=ch.cycle))
+
+
+def _prove_wise_gordon(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    if not flavor.artin:
+        return None
+    violation = wise_gordon_check(G)
+    if violation is not None:
+        return Verdict(INCOHERENT, witness=violation)
+    node = ProofNode("wise_gordon", G.vertices, key, {"peo": list(is_chordal(G).peo)})
+    return Verdict(COHERENT, proof=node)
+
+
+def _prove_witness_scan(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    w = witness_join_incoherence(G)
+    return None if w is None else Verdict(INCOHERENT, witness=w)
+
+
+def _prove_slender(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    cert = is_slender(G)
+    if cert.verdict != SLENDER:
+        return None
+    rule = "abelian" if flavor.graph_product and G.is_complete() else "slender"
+    data = {"certificate": {"reason": cert.reason, "factors": to_jsonable(cert.factors)}}
+    return Verdict(COHERENT, proof=ProofNode(rule, G.vertices, key, data))
+
+
+def _prove_mccammond_wise(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    if not flavor.coxeter or any(m < G.n for _, _, m in G.edges):
+        return None
+    data = {
+        "vertex_count": G.n,
+        "min_edge_label": min((m for _, _, m in G.edges), default=None),
     }
+    return Verdict(COHERENT, proof=ProofNode("mccammond_wise", G.vertices, key, data))
 
 
-def proof_from_jsonable(obj: dict) -> ProofNode:
-    return ProofNode(
-        rule=obj["rule"],
-        vertices=tuple(obj["vertices"]),
-        key=obj["key"],
-        data=obj.get("data", {}),
-        children=tuple(proof_from_jsonable(c) for c in obj.get("children", [])),
+def _prove_free_product(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    comps = G.components()
+    if len(comps) < 2:
+        return None
+    children = []
+    for comp in comps:
+        members = tuple(sorted(comp, key=G.index))
+        v = clf.classify(G.induced(members))
+        if v.status == INCOHERENT:
+            return Verdict(
+                INCOHERENT,
+                witness=IncoherentFactor(vertices=members, inner=v.witness),
+            )
+        children.append((members, v))
+    unknowns = [(members, v) for members, v in children if v.status == UNKNOWN]
+    if unknowns:
+        members, v = unknowns[0]
+        notes.extend(v.notes)
+        notes.append(
+            UnknownNote(
+                code="component-unknown",
+                vertices=members,
+                detail="a free factor stayed unclassified",
+            )
+        )
+        return None
+    node = ProofNode(
+        "free_product",
+        G.vertices,
+        key,
+        {"components": [list(m) for m, _ in children]},
+        tuple(v.proof for _, v in children),
+    )
+    return Verdict(COHERENT, proof=node)
+
+
+def _prove_dirac_split(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    if G.is_complete() or not G.is_connected() or not is_chordal(G):
+        return None
+    split = dirac_split(G)
+    if is_slender(G.induced(split.separator)).verdict != SLENDER:
+        return None
+    return _amalgam(clf, G, key, split)
+
+
+def _prove_amalgam_search(clf, G, key, flavor, notes) -> Optional[Verdict]:
+    if G.is_complete() or not G.is_connected():
+        return None
+    examined = 0
+    tried = 0
+    for split in enumerate_separator_splits(G):
+        examined += 1
+        if is_slender(G.induced(split.separator)).verdict != SLENDER:
+            continue
+        tried += 1
+        outcome = _amalgam(clf, G, key, split)
+        if outcome is not None:
+            return outcome
+    notes.append(
+        UnknownNote(
+            code="search-exhausted",
+            detail=(
+                f"{examined} separator splits examined, {tried} "
+                "slender ones recursed, none resolved both sides"
+            ),
+        )
+    )
+    return None
+
+
+def _amalgam(clf, G: LabeledGraph, key: str, split: Split) -> Optional[Verdict]:
+    """Classify both sides of a split over a slender separator."""
+    left_v = clf.classify(G.induced(split.left))
+    if left_v.status == INCOHERENT:
+        return Verdict(
+            INCOHERENT,
+            witness=IncoherentFactor(vertices=split.left, inner=left_v.witness),
+        )
+    right_v = clf.classify(G.induced(split.right))
+    if right_v.status == INCOHERENT:
+        return Verdict(
+            INCOHERENT,
+            witness=IncoherentFactor(vertices=split.right, inner=right_v.witness),
+        )
+    if left_v.status == COHERENT and right_v.status == COHERENT:
+        node = ProofNode(
+            "amalgam", G.vertices, key, to_jsonable(split), (left_v.proof, right_v.proof)
+        )
+        return Verdict(COHERENT, proof=node)
+    return None
+
+
+# A verifier gets the node's induced subgraph, the node, the subgraph's
+# flavor, the canonicalization cap and the node's path.
+
+
+def _verify_abelian(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if not (flavor.graph_product and sub.is_complete()):
+        return _fail(path, "abelian leaf requires a complete label-2 graph")
+    return _OK
+
+
+def _verify_slender(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if is_slender(sub).verdict != SLENDER:
+        return _fail(path, "slender leaf on a non-slender subgraph")
+    return _OK
+
+
+def _verify_droms_chordal(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if not flavor.raag:
+        return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
+    peo = node.data.get("peo")
+    if peo is not None and not verify_peo(sub, peo):
+        return _fail(path, "stored elimination ordering does not verify")
+    if not is_chordal(sub):
+        return _fail(path, "droms_chordal leaf on a non-chordal graph")
+    return _OK
+
+
+def _verify_wise_gordon(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if not flavor.artin:
+        return _fail(path, "wise_gordon leaf requires an all-Z graph")
+    if wise_gordon_check(sub) is not None:
+        return _fail(path, "decisive conditions fail on this subgraph")
+    return _OK
+
+
+def _verify_mccammond_wise(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if not flavor.coxeter:
+        return _fail(path, "mccammond_wise leaf requires an all-Z2 graph")
+    if not all(m >= sub.n for _, _, m in sub.edges):
+        return _fail(path, "some edge label is below the vertex count")
+    return _OK
+
+
+def _verify_free_product(sub, node, flavor, cap, path) -> VerificationOutcome:
+    if len(node.children) < 2:
+        return _fail(path, "free_product needs at least two factors")
+    sets = [set(c.vertices) for c in node.children]
+    union: set[str] = set()
+    for s in sets:
+        if union & s:
+            return _fail(path, "free factors overlap")
+        union |= s
+    if union != set(node.vertices):
+        return _fail(path, "free factors do not cover the node")
+    for a, b in itertools.combinations(range(len(sets)), 2):
+        for u in sets[a]:
+            for w in sub.neighbors(u):
+                if w in sets[b]:
+                    return _fail(path, "edge between free factors")
+    for i, child in enumerate(node.children):
+        r = _verify_node(sub, child, child.vertices, cap, path + (f"factor[{i}]",))
+        if not r:
+            return r
+    return _OK
+
+
+def _verify_amalgam(sub, node, flavor, cap, path) -> VerificationOutcome:
+    try:
+        split = from_jsonable(Split, node.data)
+    except KeyError as e:
+        return _fail(path, f"amalgam node missing field {e}")
+    if set(split.left) | set(split.right) != set(node.vertices):
+        return _fail(path, "amalgam sides do not cover the node")
+    if not split.separator:
+        return _fail(path, "amalgam separator is empty")
+    if not verify_split(sub, split):
+        return _fail(path, "split invariants fail")
+    if is_slender(sub.induced(split.separator)).verdict != SLENDER:
+        return _fail(path, "separator subgroup is not slender")
+    if len(node.children) != 2:
+        return _fail(path, "amalgam needs exactly two children")
+    lefts = set(node.children[0].vertices)
+    rights = set(node.children[1].vertices)
+    if lefts != set(split.left) or rights != set(split.right):
+        return _fail(path, "children do not match the split sides")
+    r = _verify_node(sub, node.children[0], split.left, cap, path + ("left",))
+    if not r:
+        return r
+    return _verify_node(sub, node.children[1], split.right, cap, path + ("right",))
+
+
+def format_vertex_set(vertices) -> str:
+    """Vertex ids as the text renderings show them: {a,b,c}."""
+    return "{" + ",".join(vertices) + "}"
+
+
+def _amalgam_suffix(node: ProofNode) -> str:
+    return (
+        f" separator={format_vertex_set(node.data['separator'])}"
+        f" method={node.data.get('method', '?')}"
     )
 
 
-def witness_to_jsonable(w: Witness) -> dict:
-    if isinstance(w, JoinEmbedding):
-        return {
-            "kind": w.kind,
-            "side_a": list(w.side_a),
-            "side_b": list(w.side_b),
-            "cert_a": {"kind": w.cert_a.kind, "vertices": list(w.cert_a.vertices)},
-            "cert_b": {"kind": w.cert_b.kind, "vertices": list(w.cert_b.vertices)},
-        }
-    if isinstance(w, DromsCycle):
-        return {"kind": w.kind, "cycle": list(w.cycle)}
-    if isinstance(w, WiseGordonViolation):
-        return {"kind": w.kind, "violation": w.violation, "vertices": list(w.vertices)}
-    if isinstance(w, IncoherentFactor):
-        return {
-            "kind": w.kind,
-            "vertices": list(w.vertices),
-            "inner": witness_to_jsonable(w.inner),
-        }
-    raise TypeError(f"unknown witness type {type(w).__name__}")
+def _mccammond_wise_suffix(node: ProofNode) -> str:
+    m = node.data.get("min_edge_label")
+    return f" min_label={m}" if m is not None else " (no edges)"
 
 
-def witness_from_jsonable(obj: dict) -> Witness:
-    kind = obj.get("kind")
-    if kind == "join_embedding":
-        return JoinEmbedding(
-            side_a=tuple(obj["side_a"]),
-            side_b=tuple(obj["side_b"]),
-            cert_a=F2Certificate(
-                kind=obj["cert_a"]["kind"], vertices=tuple(obj["cert_a"]["vertices"])
-            ),
-            cert_b=F2Certificate(
-                kind=obj["cert_b"]["kind"], vertices=tuple(obj["cert_b"]["vertices"])
-            ),
+@dataclass(frozen=True)
+class Step:
+    """One prover step.  ``recursive`` steps classify subgraphs and are
+    skipped above the search cap."""
+
+    name: str
+    prove: Callable[..., Optional[Verdict]]
+    recursive: bool = False
+
+
+@dataclass(frozen=True)
+class ProofRule:
+    """How a proof node of one rule is verified and shown: ``leaf``
+    nodes have no children, and ``suffix`` follows the node's vertex set
+    in the text rendering."""
+
+    leaf: bool
+    verify: Callable[..., VerificationOutcome]
+    suffix: Callable[[ProofNode], str] = lambda node: ""
+
+
+STEPS = (
+    Step("droms_chordal", _prove_droms_chordal),
+    Step("wise_gordon", _prove_wise_gordon),
+    Step("witness_scan", _prove_witness_scan),
+    Step("slender", _prove_slender),
+    Step("mccammond_wise", _prove_mccammond_wise),
+    Step("free_product", _prove_free_product, recursive=True),
+    Step("dirac_split", _prove_dirac_split, recursive=True),
+    Step("amalgam_search", _prove_amalgam_search, recursive=True),
+)
+STEP_NAMES = tuple(step.name for step in STEPS)
+
+PROOF_RULES = {
+    "abelian": ProofRule(leaf=True, verify=_verify_abelian),
+    "slender": ProofRule(leaf=True, verify=_verify_slender),
+    "droms_chordal": ProofRule(leaf=True, verify=_verify_droms_chordal),
+    "wise_gordon": ProofRule(leaf=True, verify=_verify_wise_gordon),
+    "mccammond_wise": ProofRule(
+        leaf=True, verify=_verify_mccammond_wise, suffix=_mccammond_wise_suffix
+    ),
+    "free_product": ProofRule(
+        leaf=False,
+        verify=_verify_free_product,
+        suffix=lambda node: f" factors={len(node.children)}",
+    ),
+    "amalgam": ProofRule(leaf=False, verify=_verify_amalgam, suffix=_amalgam_suffix),
+}
+
+
+# -- the evidence walker -------------------------------------------------------------
+#
+# Evidence objects are frozen dataclasses holding tuples, JSON-ready
+# dicts and plain values.  What the walkers need to know about a type
+# is worked out once and cached under the exact type (or type hint), so
+# each value costs one dict lookup.
+
+# Fields and data keys whose strings are vertex ids.
+_ID_FIELDS = frozenset(
+    {"vertices", "cycle", "side_a", "side_b", "peo", "separator", "left", "right", "components"}
+)
+_PLANS: dict = {}
+
+
+def _plan(hint) -> tuple:
+    """What the walkers need to know about a type or type hint:
+    ("class", dataclass, its ``kind`` class attribute or None,
+    ((field, type hint or None for a plain type, required), ...)),
+    ("tuple", item dataclass or None), ("union", {kind class attribute:
+    dataclass}) or ("plain",)."""
+    plan = _PLANS.get(hint)
+    if plan is not None:
+        return plan
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        plan = ("tuple", item if dataclasses.is_dataclass(item) else None)
+    elif origin is Union:
+        options = [a for a in typing.get_args(hint) if a is not type(None)]
+        if len(options) == 1:
+            plan = _plan(options[0])
+        else:
+            plan = ("union", {a.kind: a for a in options if hasattr(a, "kind")})
+    elif dataclasses.is_dataclass(hint):
+        types = typing.get_type_hints(hint)
+        fields = tuple(
+            (
+                f.name,
+                None if _plan(types[f.name]) == ("plain",) else types[f.name],
+                f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING,
+            )
+            for f in dataclasses.fields(hint)
         )
-    if kind == "droms_cycle":
-        return DromsCycle(cycle=tuple(obj["cycle"]))
-    if kind == "wise_gordon":
-        return WiseGordonViolation(
-            violation=obj["violation"], vertices=tuple(obj["vertices"])
+        kind = None if "kind" in types else getattr(hint, "kind", None)
+        plan = ("class", hint, kind, fields)
+    else:
+        plan = ("plain",)
+    _PLANS[hint] = plan
+    return plan
+
+
+def to_jsonable(obj):
+    """JSON-ready form of an evidence object: a dataclass becomes a dict
+    with its ``kind`` class attribute first and then its fields in
+    declaration order, tuples become lists, and a diagram type its name.
+    Dicts are proof data, which is JSON-ready already, and are shared."""
+    t = type(obj)
+    if t is tuple or t is list:
+        return [x if type(x) is str else to_jsonable(x) for x in obj]
+    if t is IrreducibleType:
+        return obj.name
+    plan = _plan(t)
+    if plan[0] != "class":
+        return obj
+    out = {} if plan[2] is None else {"kind": plan[2]}
+    for name, _, _ in plan[3]:
+        value = getattr(obj, name)
+        out[name] = value if type(value) is str else to_jsonable(value)
+    return out
+
+
+def from_jsonable(hint, obj):
+    """Rebuild a value of type ``hint`` from its JSON form.
+
+    ``hint`` is a dataclass, ``tuple[X, ...]``, an Optional, or a Union
+    of dataclasses told apart by their ``kind``; any other type passes
+    the value through.  Missing fields take their defaults; a missing
+    required field raises KeyError.
+    """
+    if obj is None:
+        return None
+    plan = _plan(hint)
+    how = plan[0]
+    if how == "tuple":
+        item = plan[1]
+        return tuple(obj) if item is None else tuple(from_jsonable(item, x) for x in obj)
+    if how == "union":
+        kind = obj.get("kind")
+        if kind not in plan[1]:
+            raise ValueError(f"unknown witness kind {kind!r}")
+        return from_jsonable(plan[1][kind], obj)
+    if how == "class":
+        return plan[1](
+            **{
+                name: obj[name] if t is None else from_jsonable(t, obj[name])
+                for name, t, required in plan[3]
+                if required or name in obj
+            }
         )
-    if kind == "incoherent_factor":
-        return IncoherentFactor(
-            vertices=tuple(obj["vertices"]), inner=witness_from_jsonable(obj["inner"])
-        )
-    raise ValueError(f"unknown witness kind {kind!r}")
+    return obj
+
+
+def remap(obj, mapping: dict[str, str]):
+    """Copy of an evidence object with every vertex id renamed through
+    ``mapping``."""
+    t = type(obj)
+    if t is tuple or t is list:
+        return t([remap(x, mapping) for x in obj])
+    if t is dict:
+        return {
+            k: _rename(v, mapping) if k in _ID_FIELDS else remap(v, mapping)
+            for k, v in obj.items()
+        }
+    plan = _plan(t)
+    if plan[0] != "class":
+        return obj
+    values = []
+    for name, _, _ in plan[3]:
+        value = getattr(obj, name)
+        if name in _ID_FIELDS:
+            value = _rename(value, mapping)
+        elif type(value) is not str:
+            value = remap(value, mapping)
+        values.append(value)
+    return t(*values)
+
+
+def _rename(ids, mapping: dict[str, str]):
+    """A sequence of vertex ids, or of such sequences, renamed."""
+    return type(ids)([mapping[x] if type(x) is str else _rename(x, mapping) for x in ids])
 
 
 def verdict_to_jsonable(v: Verdict) -> dict:
-    return {
-        "status": v.status,
-        "proof": proof_to_jsonable(v.proof) if v.proof else None,
-        "witness": witness_to_jsonable(v.witness) if v.witness else None,
-        "notes": [
-            {"code": n.code, "vertices": list(n.vertices), "detail": n.detail}
-            for n in v.notes
-        ],
-    }
+    return to_jsonable(v)
 
 
 def verdict_from_jsonable(obj: dict) -> Verdict:
-    return Verdict(
-        status=obj["status"],
-        proof=proof_from_jsonable(obj["proof"]) if obj.get("proof") else None,
-        witness=witness_from_jsonable(obj["witness"]) if obj.get("witness") else None,
-        notes=tuple(
-            UnknownNote(
-                code=n["code"],
-                vertices=tuple(n.get("vertices", ())),
-                detail=n.get("detail", ""),
-            )
-            for n in obj.get("notes", [])
-        ),
-    )
+    return from_jsonable(Verdict, obj)

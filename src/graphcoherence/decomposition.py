@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .labeled_graph import GraphValidationError, LabeledGraph
+from .labeled_graph import GraphValidationError, InternalInvariantError, LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def dirac_split(G: LabeledGraph) -> Split:
     comp_b = next(c for c in _components_avoiding(G, closed) if b in c)
     sep = {x for x in G.neighbors(a) if any(G.has_edge(x, y) for y in comp_b)}
     if not is_clique_separator(G, sep):
-        raise AssertionError("minimal separator of a chordal graph must be a clique")
+        raise InternalInvariantError("minimal separator of a chordal graph must be a clique")
     left = set(G.vertices) - comp_b
     right = sep | comp_b
     split = Split(
@@ -123,13 +123,11 @@ def dirac_split(G: LabeledGraph) -> Split:
         method="dirac",
     )
     if not verify_split(G, split):
-        raise AssertionError("dirac construction produced an invalid split")
+        raise InternalInvariantError("dirac construction produced an invalid split")
     return split
 
 
-def enumerate_separator_splits(
-    G: LabeledGraph, max_separator_size: Optional[int] = None
-) -> Iterator[Split]:
+def enumerate_separator_splits(G: LabeledGraph) -> Iterator[Split]:
     """All separator splits of a connected non-complete graph, in a
     fixed deterministic order.
 
@@ -141,9 +139,8 @@ def enumerate_separator_splits(
     """
     if not G.is_connected() or G.is_complete():
         return
-    cap = G.n - 2 if max_separator_size is None else min(max_separator_size, G.n - 2)
     all_v = set(G.vertices)
-    for size in range(1, cap + 1):
+    for size in range(1, G.n - 1):
         for sep_combo in itertools.combinations(G.vertices, size):
             sep = set(sep_combo)
             comps = _components_avoiding(G, sep)

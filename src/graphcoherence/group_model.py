@@ -21,13 +21,14 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .labeled_graph import (
     AbelianGroupLabel,
     Flavor,
+    InternalInvariantError,
     LabeledGraph,
     detect_flavor,
     join_factors,
@@ -43,10 +44,6 @@ UNKNOWN = "unknown"
 
 class UnsupportedFlavorError(ValueError):
     """The labels of the graph define no group in this model."""
-
-
-class InternalInvariantError(RuntimeError):
-    """A self-check that must hold by theory failed; indicates a bug."""
 
 
 # -- Coxeter matrices ---------------------------------------------------------
@@ -433,15 +430,20 @@ class F2Certificate:
     vertices: tuple[str, ...]
 
 
-def contains_f2_certificate(G: LabeledGraph) -> Optional[F2Certificate]:
-    """First F2 certificate in scan order (pairs, then triples), if any."""
+def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
+    """Every F2 certificate in scan order: free pairs, then independent
+    triples, each in vertex order."""
     for u, v in G.nonadjacent_pairs():
         if (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2:
-            return F2Certificate(kind="free_pair", vertices=(u, v))
+            yield F2Certificate(kind="free_pair", vertices=(u, v))
     for triple in itertools.combinations(G.vertices, 3):
         if all(not G.has_edge(a, b) for a, b in itertools.combinations(triple, 2)):
-            return F2Certificate(kind="independent_triple", vertices=triple)
-    return None
+            yield F2Certificate(kind="independent_triple", vertices=triple)
+
+
+def contains_f2_certificate(G: LabeledGraph) -> Optional[F2Certificate]:
+    """First F2 certificate in scan order (pairs, then triples), if any."""
+    return next(f2_certificates(G), None)
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
@@ -473,6 +475,8 @@ class IndefiniteComponent:
     generates contains a free group."""
 
     vertices: tuple[str, ...]
+
+    kind = "indefinite_component"
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ class VertexCapError(ValueError):
     """Raised when a canonical form is requested above the vertex cap."""
 
 
+class InternalInvariantError(RuntimeError):
+    """A self-check that must hold by theory failed; indicates a bug."""
+
+
 # Frontier sizes beyond this make the pairwise equivalence test too
 # expensive; candidates are kept as-is and the hard cap below protects
 # against runaway growth.
@@ -807,7 +811,7 @@ def is_chordal(G: LabeledGraph) -> ChordalityResult:
             if cyc is not None:
                 break
     if cyc is None:
-        raise AssertionError("non-chordal graph must contain a chordless cycle")
+        raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
     return ChordalityResult(chordal=False, cycle=cyc)
 
 
@@ -1051,6 +1055,13 @@ def canonical_key(G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP) -> str:
     return canonical_form(G, cap)[0]
 
 
+def canonical_relabel(G: LabeledGraph, placement: Sequence[str]) -> LabeledGraph:
+    """G in the vertex order ``placement`` (as computed by
+    :func:`canonical_form`), with vertices renamed "0", "1", ... in
+    that order."""
+    return G.permuted(placement).relabeled({v: str(i) for i, v in enumerate(placement)})
+
+
 def canonical_graph(
     G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP
 ) -> tuple[LabeledGraph, tuple[str, ...]]:
@@ -1059,6 +1070,4 @@ def canonical_graph(
     ids.
     """
     _, placement = canonical_form(G, cap)
-    reordered = G.permuted(placement)
-    mapping = {v: str(i) for i, v in enumerate(placement)}
-    return reordered.relabeled(mapping), placement
+    return canonical_relabel(G, placement), placement

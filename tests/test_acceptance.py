@@ -23,8 +23,8 @@ from graphcoherence.coherence_engine import (
     Classifier,
     verdict_from_jsonable,
     verify_proof,
+    to_jsonable,
     verify_witness,
-    witness_to_jsonable,
 )
 from graphcoherence.decomposition import dirac_split, verify_split
 from graphcoherence.group_model import (
@@ -161,7 +161,7 @@ def test_criterion_03_smallest_incoherent_is_k33(racg6_full):
     G = complete_bipartite_racg()
     verdict = Classifier().classify(G)
     assert verdict.status == INCOHERENT
-    assert witness_to_jsonable(verdict.witness)["kind"] == "join_embedding"
+    assert to_jsonable(verdict.witness)["kind"] == "join_embedding"
     assert verify_witness(G, verdict.witness)
     print(
         "criterion 3: no incoherent class below 9 edges; the complete "
@@ -320,7 +320,7 @@ def test_criterion_08_racg_cycles_split_over_slender_separators(named_verdicts):
 def test_criterion_09_named_instances(named_verdicts):
     G, v = named_verdicts["gp-square-z3"]
     assert v.status == INCOHERENT
-    w = witness_to_jsonable(v.witness)
+    w = to_jsonable(v.witness)
     assert w["kind"] == "join_embedding"
     assert verify_witness(G, v.witness)
 
@@ -330,7 +330,7 @@ def test_criterion_09_named_instances(named_verdicts):
 
     G, v = named_verdicts["artin-braid-k4"]
     assert v.status == INCOHERENT
-    w = witness_to_jsonable(v.witness)
+    w = to_jsonable(v.witness)
     assert w["kind"] == "wise_gordon" and w["violation"] == "clique_big_labels"
     assert verify_witness(G, v.witness)
 

@@ -149,6 +149,29 @@ class TestCensus:
         assert out.read_text().strip().splitlines() == lines
         capsys.readouterr()
 
+    def test_resume_drops_cut_off_last_record(self, tmp_path, capsys):
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--max-vertices", "3", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        uninterrupted = capsys.readouterr().out
+        whole = out.read_bytes()
+        out.write_bytes(whole[:-40])  # inside the last record
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == uninterrupted
+        assert "cut-off last record" in captured.err
+        assert out.read_bytes() == whole
+
+    def test_resume_rejects_a_cut_earlier_record(self, tmp_path, capsys):
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--max-vertices", "3", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:40] + "\n"
+        out.write_text("".join(lines))
+        assert main(argv) == 1
+        assert "corrupt census record" in capsys.readouterr().err
+
     def test_workers_stdout_matches_serial(self, capsys):
         argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]
         assert main(argv) == 0
@@ -199,6 +222,13 @@ class TestDecompose:
     def test_prism_has_no_slender_splits(self, tmp_path, capsys):
         assert main(["decompose", graph_file(tmp_path, prism_racg())]) == 0
         assert "no slender separator splits found" in capsys.readouterr().out
+
+    def test_broken_split_invariant_exits_2(self, tmp_path, capsys, monkeypatch):
+        from graphcoherence import decomposition
+
+        monkeypatch.setattr(decomposition, "verify_split", lambda G, split: False)
+        assert main(["decompose", graph_file(tmp_path, diamond_racg())]) == 2
+        assert "internal error:" in capsys.readouterr().err
 
     def test_json_structure(self, tmp_path, capsys):
         path = graph_file(tmp_path, path_racg(4))

@@ -37,13 +37,12 @@ from graphcoherence.coherence_engine import (
     IncoherentFactor,
     JoinEmbedding,
     ProofNode,
+    Witness,
     WiseGordonViolation,
-    proof_from_jsonable,
-    proof_to_jsonable,
+    from_jsonable,
+    to_jsonable,
     verdict_from_jsonable,
     verdict_to_jsonable,
-    witness_from_jsonable,
-    witness_to_jsonable,
 )
 from helpers import (
     braid_like_artin_k4,
@@ -383,21 +382,21 @@ class TestSerialization:
 
     def test_proof_round_trip(self):
         v = classify(cycle_racg(5))
-        doc = json.loads(json.dumps(proof_to_jsonable(v.proof)))
-        assert proof_from_jsonable(doc) == v.proof
+        doc = json.loads(json.dumps(to_jsonable(v.proof)))
+        assert from_jsonable(ProofNode, doc) == v.proof
 
     def test_witness_round_trip(self):
         for G, v in self._named_verdicts():
             if v.witness is None:
                 continue
-            doc = json.loads(json.dumps(witness_to_jsonable(v.witness)))
-            assert witness_from_jsonable(doc) == v.witness
+            doc = json.loads(json.dumps(to_jsonable(v.witness)))
+            assert from_jsonable(Witness, doc) == v.witness
 
     def test_wrapped_factor_witness_round_trip(self):
         inner = classify(complete_bipartite_racg()).witness
         w = IncoherentFactor(vertices=tuple("abcdef"), inner=inner)
-        doc = json.loads(json.dumps(witness_to_jsonable(w)))
-        assert witness_from_jsonable(doc) == w
+        doc = json.loads(json.dumps(to_jsonable(w)))
+        assert from_jsonable(Witness, doc) == w
 
 
 class TestProofVerification:
@@ -582,3 +581,38 @@ class TestWitnessScanHelper:
         # three independent Z3 vertices have certs but no join
         G = graph_product_graph([(x, cyclic(3)) for x in "abc"], [])
         assert witness_join_incoherence(G) is None
+
+
+class TestRuleCrossCheck:
+    def _classes(self):
+        """One graph per isomorphism class: RACG and RAAG graphs on up to
+        5 vertices, Coxeter graphs on up to 4 with labels 2, 3, 4 and at
+        most 4 edges."""
+        configs = (
+            gc.CensusConfig(flavor="racg", max_vertices=5),
+            gc.CensusConfig(flavor="raag", max_vertices=5),
+            gc.CensusConfig(
+                flavor="coxeter", max_vertices=4, edge_labels=(2, 3, 4), max_edges=4
+            ),
+        )
+        classes = {}
+        for config in configs:
+            for G in gc.enumerate_graphs(config):
+                classes.setdefault(gc.canonical_key(G), G)
+        return list(classes.values())
+
+    def test_disabling_any_step_never_flips_a_verdict(self):
+        from graphcoherence.coherence_engine import STEP_NAMES
+
+        graphs = self._classes()
+        assert len(graphs) == 242
+        baseline = Classifier()
+        expected = [baseline.classify(G) for G in graphs]
+        for G, v in zip(graphs, expected):
+            assert_self_verifies(G, v)
+        for step in STEP_NAMES:
+            clf = Classifier(EngineConfig(disabled_rules=frozenset({step})))
+            for G, base in zip(graphs, expected):
+                v = clf.classify(G)
+                assert {v.status, base.status} != {COHERENT, INCOHERENT}, (step, G)
+                assert_self_verifies(G, v)

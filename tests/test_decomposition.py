@@ -180,11 +180,6 @@ class TestEnumerateSeparatorSplits:
         sizes = [len(s.separator) for s in enumerate_separator_splits(G)]
         assert sizes == sorted(sizes)
 
-    def test_size_cap_respected(self):
-        G = prism_racg()
-        for s in enumerate_separator_splits(G, max_separator_size=2):
-            assert len(s.separator) <= 2
-
     def test_complete_graph_yields_nothing(self):
         ids = ["a", "b", "c", "d"]
         K4 = racg(ids, [(u, v) for u, v in itertools.combinations(ids, 2)])
