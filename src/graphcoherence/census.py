@@ -275,10 +275,6 @@ def _load_records(path: str) -> dict[str, dict]:
     return records
 
 
-def _classify_canonical(classifier: Classifier, CG: LabeledGraph) -> dict:
-    return verdict_to_jsonable(classifier.classify(CG))
-
-
 _worker_classifier: Optional[Classifier] = None
 
 
@@ -289,7 +285,7 @@ def _worker_init(engine_config: EngineConfig) -> None:
 
 def _worker_classify(job: tuple[str, LabeledGraph]) -> tuple[str, dict]:
     key, CG = job
-    return key, _classify_canonical(_worker_classifier, CG)
+    return key, verdict_to_jsonable(_worker_classifier.classify_canonical(CG, key))
 
 
 def run_census(
@@ -377,7 +373,7 @@ def run_census(
                     tally(record_for(G, key, None))
                     continue
                 CG = canonical_relabel(G, placement)
-                verdict_obj = _classify_canonical(classifier, CG)
+                verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
                 tally(record_for(G, key, verdict_obj))
         else:
             _run_parallel(config, engine_config, records, record_for, tally, workers, cap)

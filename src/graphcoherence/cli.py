@@ -10,6 +10,7 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .coherence_engine import (
     verify_witness,
 )
 from .coherence_engine import format_vertex_set as _vset
-from .decomposition import dirac_split, enumerate_separator_splits
+from .decomposition import dirac_split, separator_splits, slender_separators
 from .group_model import (
     SLENDER,
     InternalInvariantError,
@@ -257,13 +258,13 @@ def _cmd_decompose(args) -> int:
         lines.append(_split_line(split))
     else:
         obj["kind"] = "search"
-        found = []
-        for split in enumerate_separator_splits(G):
-            if is_slender(G.induced(split.separator)).verdict != SLENDER:
-                continue
-            found.append(split)
-            if len(found) == 5:
-                break
+        slender_splits = (
+            split
+            for sep, comps, slender in slender_separators(G)
+            if slender
+            for split in separator_splits(G, sep, comps)
+        )
+        found = list(itertools.islice(slender_splits, 5))
         obj["splits"] = to_jsonable(found)
         if found:
             lines.append(f"first {len(found)} slender separator splits:")

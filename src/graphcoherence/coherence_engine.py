@@ -32,7 +32,13 @@ import typing
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .decomposition import Split, dirac_split, enumerate_separator_splits, verify_split
+from .decomposition import (
+    Split,
+    dirac_split,
+    separator_splits,
+    slender_separators,
+    verify_split,
+)
 from .group_model import (
     SLENDER,
     F2Certificate,
@@ -265,11 +271,19 @@ class Classifier:
         if G.n > cap:
             return self._apply_rules(G, _raw_key(G), big=True)
         key, placement = canonical_form(G, cap=cap)
+        verdict = self.classify_canonical(canonical_relabel(G, placement), key)
+        return remap(verdict, {str(i): v for i, v in enumerate(placement)})
+
+    def classify_canonical(self, CG: LabeledGraph, key: str) -> Verdict:
+        """Verdict of a canonical representative whose canonical key is
+        already known: ``CG`` is ``canonical_relabel(G, placement)`` for
+        ``(key, placement) = canonical_form(G)``, with at most
+        ``max_search_vertices`` vertices.  The verdict is in CG's ids."""
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._apply_rules(canonical_relabel(G, placement), key, big=False)
+            cached = self._apply_rules(CG, key, big=False)
             self._cache[key] = cached
-        return remap(cached, {str(i): v for i, v in enumerate(placement)})
+        return cached
 
     # G is a canonical representative (ids "0", "1", ...) whose canonical
     # key is ``key``, unless big is set: then ``key`` is the raw key and
@@ -589,14 +603,15 @@ def _prove_amalgam_search(clf, G, key, flavor, notes) -> Optional[Verdict]:
         return None
     examined = 0
     tried = 0
-    for split in enumerate_separator_splits(G):
-        examined += 1
-        if is_slender(G.induced(split.separator)).verdict != SLENDER:
+    for sep, comps, slender in slender_separators(G):
+        examined += 2 ** len(comps) - 2
+        if not slender:
             continue
-        tried += 1
-        outcome = _amalgam(clf, G, key, split)
-        if outcome is not None:
-            return outcome
+        for split in separator_splits(G, sep, comps):
+            tried += 1
+            outcome = _amalgam(clf, G, key, split)
+            if outcome is not None:
+                return outcome
     notes.append(
         UnknownNote(
             code="search-exhausted",

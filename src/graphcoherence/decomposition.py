@@ -6,15 +6,23 @@ group then decomposes as an amalgam of the two side subgroups over the
 separator subgroup, which is the shape the classification engine feeds
 on.  Chordal graphs get a direct construction whose separator is always
 a clique; everything else goes through ordered exhaustive enumeration.
+
+The enumeration works on int bitmasks over vertex positions: adjacency
+bitsets are built once per graph, one components helper finds what a
+separator leaves, and :func:`walk_separators` yields each separator once
+with its components.  :func:`slender_separators` adds each separator's
+slenderness, deciding it at most once per separator and not at all for
+a separator that contains an obstruction found earlier in the walk (a
+special subgroup of a slender group is slender).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .group_model import NOT_SLENDER, SLENDER, is_slender
 from .labeled_graph import GraphValidationError, InternalInvariantError, LabeledGraph
 
 
@@ -33,44 +41,57 @@ class Split:
     method: str = "search"
 
 
-def _sorted_by_position(G: LabeledGraph, items: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(items, key=G.index))
+def neighbor_masks(G: LabeledGraph) -> tuple[int, ...]:
+    """Adjacency bitsets: bit j of entry i is set iff vertices i and j
+    (by position) are adjacent."""
+    adj = [0] * G.n
+    for i, j, _ in G.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
 
 
-def _components_avoiding(G: LabeledGraph, banned: set[str]) -> list[set[str]]:
-    """Connected components of G minus ``banned``, ordered by smallest
-    vertex position."""
-    seen: set[str] = set(banned)
-    comps: list[set[str]] = []
-    for v in G.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for y in G.neighbors(x):
-                if y not in seen and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
+def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
+    """Bitmask of a vertex set over vertex positions."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << G.index(v)
+    return mask
+
+
+def mask_vertices(G: LabeledGraph, mask: int) -> tuple[str, ...]:
+    """The vertices of a bitmask, in ambient order."""
+    return tuple(v for i, v in enumerate(G.vertices) if mask >> i & 1)
+
+
+def mask_components(adj: tuple[int, ...], avail: int) -> tuple[int, ...]:
+    """Connected components of the subgraph induced on the bitmask
+    ``avail``, as bitmasks ordered by smallest vertex position."""
+    comps = []
+    while avail:
+        comp = frontier = avail & -avail
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & avail & ~comp
+            comp |= frontier
         comps.append(comp)
-    return comps
+        avail &= ~comp
+    return tuple(comps)
 
 
 def is_clique_separator(G: LabeledGraph, separator: Iterable[str]) -> bool:
     """True iff the set induces a complete subgraph (any labels) whose
     removal disconnects the rest of the graph."""
-    sep = set(separator)
-    for v in sep:
-        G.index(v)
-    for a, b in itertools.combinations(sorted(sep, key=G.index), 2):
-        if not G.has_edge(a, b):
-            return False
-    rest = [v for v in G.vertices if v not in sep]
-    if not rest:
+    sep = vertex_mask(G, separator)
+    adj = neighbor_masks(G)
+    if any(sep >> i & 1 and sep & ~adj[i] & ~(1 << i) for i in range(G.n)):
         return False
-    return len(_components_avoiding(G, sep)) >= 2
+    rest = ((1 << G.n) - 1) & ~sep
+    return bool(rest) and len(mask_components(adj, rest)) >= 2
 
 
 def verify_split(G: LabeledGraph, split: Split) -> bool:
@@ -109,17 +130,22 @@ def dirac_split(G: LabeledGraph) -> Split:
     if pair is None:
         raise GraphValidationError("dirac split requires a non-complete graph")
     a, b = pair
-    closed = set(G.neighbors(a)) | {a}
-    comp_b = next(c for c in _components_avoiding(G, closed) if b in c)
-    sep = {x for x in G.neighbors(a) if any(G.has_edge(x, y) for y in comp_b)}
-    if not is_clique_separator(G, sep):
+    adj = neighbor_masks(G)
+    ia, ib = G.index(a), G.index(b)
+    full = (1 << G.n) - 1
+    comps = mask_components(adj, full & ~(adj[ia] | 1 << ia))
+    comp_b = next(c for c in comps if c >> ib & 1)
+    sep = 0
+    for i in range(G.n):
+        if adj[ia] >> i & 1 and adj[i] & comp_b:
+            sep |= 1 << i
+    separator = mask_vertices(G, sep)
+    if not is_clique_separator(G, separator):
         raise InternalInvariantError("minimal separator of a chordal graph must be a clique")
-    left = set(G.vertices) - comp_b
-    right = sep | comp_b
     split = Split(
-        separator=_sorted_by_position(G, sep),
-        left=_sorted_by_position(G, left),
-        right=_sorted_by_position(G, right),
+        separator=separator,
+        left=mask_vertices(G, full & ~comp_b),
+        right=mask_vertices(G, sep | comp_b),
         method="dirac",
     )
     if not verify_split(G, split):
@@ -127,34 +153,77 @@ def dirac_split(G: LabeledGraph) -> Split:
     return split
 
 
+def walk_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every vertex separator of a connected non-complete graph, with
+    the components it leaves.
+
+    Yields ``(separator, components)`` as bitmasks over vertex
+    positions.  Separators come by size, then lexicographically by
+    vertex position; components are ordered by smallest vertex
+    position.  A set whose removal leaves one component is skipped.
+    """
+    if not G.is_connected() or G.is_complete():
+        return
+    adj = neighbor_masks(G)
+    full = (1 << G.n) - 1
+    for size in range(1, G.n - 1):
+        for combo in itertools.combinations(range(G.n), size):
+            sep = 0
+            for i in combo:
+                sep |= 1 << i
+            comps = mask_components(adj, full & ~sep)
+            if len(comps) >= 2:
+                yield sep, comps
+
+
+def separator_splits(G: LabeledGraph, sep: int, comps: tuple[int, ...]) -> Iterator[Split]:
+    """The ``2**len(comps) - 2`` splits along one separator: every way
+    of gathering its components into a nonempty proper left side, so
+    each split also appears mirrored."""
+    full = (1 << G.n) - 1
+    separator = mask_vertices(G, sep)
+    k = len(comps)
+    for choice in range(1, (1 << k) - 1):
+        left = sep
+        for idx in range(k):
+            if choice >> idx & 1:
+                left |= comps[idx]
+        yield Split(
+            separator=separator,
+            left=mask_vertices(G, left),
+            right=mask_vertices(G, (full & ~left) | sep),
+            method="search",
+        )
+
+
 def enumerate_separator_splits(G: LabeledGraph) -> Iterator[Split]:
     """All separator splits of a connected non-complete graph, in a
     fixed deterministic order.
 
-    Separators are tried by size, then lexicographically by vertex
-    position; for each one, every way of gathering its complement
-    components into a nonempty proper left side is emitted (so each
-    split also appears mirrored).  Every yielded split satisfies
-    :func:`verify_split`.
+    The separators of :func:`walk_separators` in its order, each
+    followed by its :func:`separator_splits`.  Every yielded split
+    satisfies :func:`verify_split`.
     """
-    if not G.is_connected() or G.is_complete():
-        return
-    all_v = set(G.vertices)
-    for size in range(1, G.n - 1):
-        for sep_combo in itertools.combinations(G.vertices, size):
-            sep = set(sep_combo)
-            comps = _components_avoiding(G, sep)
-            if len(comps) < 2:
-                continue
-            k = len(comps)
-            for mask in range(1, (1 << k) - 1):
-                chosen: set[str] = set(sep)
-                for idx in range(k):
-                    if mask >> idx & 1:
-                        chosen |= comps[idx]
-                yield Split(
-                    separator=_sorted_by_position(G, sep),
-                    left=_sorted_by_position(G, chosen),
-                    right=_sorted_by_position(G, (all_v - chosen) | sep),
-                    method="search",
-                )
+    for sep, comps in walk_separators(G):
+        yield from separator_splits(G, sep, comps)
+
+
+def slender_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...], bool]]:
+    """:func:`walk_separators` with a flag telling whether the
+    separator subgroup is slender.
+
+    ``is_slender`` runs at most once per separator.  Its not-slender
+    obstructions (the vertices of an F2 certificate or an indefinite
+    component) are kept, and a later separator containing one is
+    flagged False without a check: a special subgroup of a slender
+    group is slender, so no group containing a non-slender one is.
+    """
+    obstructions: list[int] = []
+    for sep, comps in walk_separators(G):
+        if any(obs & sep == obs for obs in obstructions):
+            yield sep, comps, False
+            continue
+        cert = is_slender(G.induced(mask_vertices(G, sep)))
+        if cert.verdict == NOT_SLENDER:
+            obstructions.append(vertex_mask(G, cert.obstruction.vertices))
+        yield sep, comps, cert.verdict == SLENDER
