@@ -24,14 +24,12 @@ from .coherence_engine import (
     Classifier,
     EngineConfig,
     verdict_to_jsonable,
+    check_verdict,
     verdict_from_jsonable,
-    verify_proof,
-    verify_witness,
     COHERENT,
     INCOHERENT,
     UNKNOWN,
 )
-from .group_model import InternalInvariantError
 from .labeled_graph import (
     LabeledGraph,
     Z,
@@ -218,24 +216,6 @@ def _root_rule(verdict_obj: dict) -> Optional[str]:
     return None
 
 
-def _verify_record(key: str, verdict_obj: dict, cap: int) -> None:
-    G = graph_from_key(key)
-    verdict = verdict_from_jsonable(verdict_obj)
-    if verdict.status == COHERENT:
-        outcome = verify_proof(G, verdict.proof, cap=cap)
-        if not outcome:
-            raise InternalInvariantError(
-                f"proof for {key} fails verification at "
-                f"{'/'.join(outcome.path)}: {outcome.reason}"
-            )
-    elif verdict.status == INCOHERENT:
-        outcome = verify_witness(G, verdict.witness)
-        if not outcome:
-            raise InternalInvariantError(
-                f"witness for {key} fails verification: {outcome.reason}"
-            )
-
-
 def _load_records(path: str) -> dict[str, dict]:
     """Records of an existing record file, by canonical key.
 
@@ -360,9 +340,10 @@ def run_census(
                 incoherent.append((n, e, rec["key"]))
             elif status == UNKNOWN:
                 unknown.append((n, e, rec["key"], tuple(rec.get("notes", ()))))
-        if config.verify and rec["key"] not in verified_keys:
-            verified_keys.add(rec["key"])
-            _verify_record(rec["key"], rec["verdict"], cap)
+        key = rec["key"]
+        if config.verify and key not in verified_keys:
+            verified_keys.add(key)
+            check_verdict(graph_from_key(key), verdict_from_jsonable(rec["verdict"]), cap, key)
 
     try:
         if workers <= 1:

@@ -18,18 +18,14 @@ from typing import Optional, Sequence
 
 from .census import CensusConfig, run_census
 from .coherence_engine import (
-    COHERENT,
-    INCOHERENT,
     PROOF_RULES,
     STEP_NAMES,
     Classifier,
     EngineConfig,
     ProofNode,
-    Verdict,
+    check_verdict,
     to_jsonable,
     verdict_to_jsonable,
-    verify_proof,
-    verify_witness,
 )
 from .coherence_engine import format_vertex_set as _vset
 from .decomposition import dirac_split, separator_splits, slender_separators
@@ -102,10 +98,16 @@ def _order_str(order: float) -> str:
     return "infinite" if order == math.inf else str(int(order))
 
 
-def _slender_line(G: LabeledGraph) -> str:
+def _unless_unsupported(fn, G: LabeledGraph):
+    """``fn(G)``, or None when the labels define no group for it."""
     try:
-        cert = is_slender(G)
+        return fn(G)
     except UnsupportedFlavorError:
+        return None
+
+
+def _slender_line(cert) -> str:
+    if cert is None:
         return "slender: not applicable"
     if cert.verdict == SLENDER:
         parts = []
@@ -121,11 +123,12 @@ def _slender_line(G: LabeledGraph) -> str:
     return f"slender: unknown ({cert.reason})"
 
 
-def _finiteness_result(G: LabeledGraph):
-    try:
-        return finiteness(G)
-    except UnsupportedFlavorError:
-        return None
+def _finiteness_jsonable(fin) -> dict:
+    return {
+        "finite": fin.finite,
+        "order": None if fin.order == math.inf else int(fin.order),
+        "mode": fin.mode,
+    }
 
 
 def _cmd_classify(args) -> int:
@@ -136,31 +139,28 @@ def _cmd_classify(args) -> int:
     )
     classifier = Classifier(config)
     verdict = classifier.classify(G)
-    _self_check(G, verdict, config)
-    fin = _finiteness_result(G)
+    check_verdict(G, verdict, config.max_search_vertices, "the input")
+    slender = _unless_unsupported(is_slender, G)
+    fin = _unless_unsupported(finiteness, G)
     if args.format == "json":
         out = {
             "graph": graph_to_jsonable(G),
             "flavor": list(detect_flavor(G).tags()),
             "shape": shape_classify(G).tag,
             "verdict": verdict_to_jsonable(verdict),
-            "slender": _slender_jsonable(G),
-            "finiteness": (
+            "slender": (
                 None
-                if fin is None
-                else {
-                    "finite": fin.finite,
-                    "order": None if fin.order == math.inf else int(fin.order),
-                    "mode": fin.mode,
-                }
+                if slender is None
+                else {k: v for k, v in to_jsonable(slender).items() if v is not None}
             ),
+            "finiteness": None if fin is None else _finiteness_jsonable(fin),
         }
         print(json.dumps(out, indent=2))
     else:
         print(f"verdict: {verdict.status}")
         print(f"flavor: {', '.join(detect_flavor(G).tags())}")
         print(f"shape: {shape_classify(G).tag}")
-        print(_slender_line(G))
+        print(_slender_line(slender))
         if fin is not None:
             print(
                 "finite: "
@@ -177,32 +177,6 @@ def _cmd_classify(args) -> int:
             detail = f": {note.detail}" if note.detail else ""
             print(f"note: {note.code}{where}{detail}")
     return 0
-
-
-def _slender_jsonable(G: LabeledGraph) -> Optional[dict]:
-    try:
-        cert = is_slender(G)
-    except UnsupportedFlavorError:
-        return None
-    return {k: v for k, v in to_jsonable(cert).items() if v is not None}
-
-
-def _self_check(G: LabeledGraph, verdict: Verdict, config: EngineConfig) -> None:
-    """Re-verify produced evidence before showing it."""
-    cap = config.max_search_vertices
-    if verdict.status == COHERENT:
-        outcome = verify_proof(G, verdict.proof, cap=cap)
-        if not outcome:
-            raise InternalInvariantError(
-                f"emitted proof failed verification at "
-                f"{'/'.join(outcome.path)}: {outcome.reason}"
-            )
-    elif verdict.status == INCOHERENT:
-        outcome = verify_witness(G, verdict.witness)
-        if not outcome:
-            raise InternalInvariantError(
-                f"emitted witness failed verification: {outcome.reason}"
-            )
 
 
 def _cmd_census(args) -> int:
@@ -243,10 +217,9 @@ def _cmd_decompose(args) -> int:
     comps = G.components()
     if len(comps) >= 2:
         obj["kind"] = "free_product"
-        parts = [sorted(c, key=G.index) for c in comps]
-        obj["components"] = parts
-        lines.append(f"free product of {len(parts)} components:")
-        lines.extend(f"  {_vset(p)}" for p in parts)
+        obj["components"] = comps
+        lines.append(f"free product of {len(comps)} components:")
+        lines.extend(f"  {_vset(c)}" for c in comps)
     elif G.is_complete():
         obj["kind"] = "complete"
         lines.append("complete graph: no separator splits")
@@ -300,9 +273,7 @@ def _cmd_finiteness(args) -> int:
     fin = finiteness(G)
     if args.format == "json":
         out = {
-            "finite": fin.finite,
-            "order": None if fin.order == math.inf else int(fin.order),
-            "mode": fin.mode,
+            **_finiteness_jsonable(fin),
             "components": [
                 {"vertices": list(vs), "type": t.name} for vs, t in fin.components
             ],

@@ -50,6 +50,7 @@ from .group_model import (
 )
 from .labeled_graph import (
     DEFAULT_VERTEX_CAP,
+    InternalInvariantError,
     LabeledGraph,
     canonical_form,
     canonical_relabel,
@@ -407,6 +408,26 @@ def verify_witness(
     return check(G, w, _path)
 
 
+def check_verdict(
+    G: LabeledGraph, verdict: Verdict, cap: int = DEFAULT_VERTEX_CAP, subject: str = "the graph"
+) -> None:
+    """Re-verify the proof of a COHERENT verdict or the witness of an
+    INCOHERENT one from scratch, raising :class:`InternalInvariantError`
+    if it does not check out.  ``subject`` names the graph in the
+    message."""
+    if verdict.status == COHERENT:
+        kind, outcome = "proof", verify_proof(G, verdict.proof, cap=cap)
+    elif verdict.status == INCOHERENT:
+        kind, outcome = "witness", verify_witness(G, verdict.witness)
+    else:
+        return
+    if not outcome:
+        raise InternalInvariantError(
+            f"{kind} for {subject} fails verification at "
+            f"{'/'.join(outcome.path)}: {outcome.reason}"
+        )
+
+
 def _verify_join_embedding(
     G: LabeledGraph, w: JoinEmbedding, path: tuple[str, ...]
 ) -> VerificationOutcome:
@@ -558,8 +579,7 @@ def _prove_free_product(clf, G, key, flavor, notes) -> Optional[Verdict]:
     if len(comps) < 2:
         return None
     children = []
-    for comp in comps:
-        members = tuple(sorted(comp, key=G.index))
+    for members in comps:
         v = clf.classify(G.induced(members))
         if v.status == INCOHERENT:
             return Verdict(

@@ -7,13 +7,15 @@ separator subgroup, which is the shape the classification engine feeds
 on.  Chordal graphs get a direct construction whose separator is always
 a clique; everything else goes through ordered exhaustive enumeration.
 
-The enumeration works on int bitmasks over vertex positions: adjacency
-bitsets are built once per graph, one components helper finds what a
-separator leaves, and :func:`walk_separators` yields each separator once
-with its components.  :func:`slender_separators` adds each separator's
-slenderness, deciding it at most once per separator and not at all for
-a separator that contains an obstruction found earlier in the walk (a
-special subgroup of a slender group is slender).
+The enumeration works on int bitmasks over vertex positions.  The
+adjacency bitsets belong to the graph and the one components walk to
+:mod:`.labeled_graph` (``LabeledGraph.adjacency_masks``,
+:func:`~.labeled_graph.mask_components`); this module re-exports the
+mask helpers.  :func:`walk_separators` yields each separator once with
+the components it leaves, and :func:`slender_separators` adds each
+separator's slenderness, deciding it at most once per separator and not
+at all for a separator that contains an obstruction found earlier in
+the walk (a special subgroup of a slender group is slender).
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .group_model import NOT_SLENDER, SLENDER, is_slender
-from .labeled_graph import GraphValidationError, InternalInvariantError, LabeledGraph
+from .labeled_graph import (
+    GraphValidationError,
+    InternalInvariantError,
+    LabeledGraph,
+    mask_components,
+    mask_vertices,
+    vertex_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -41,53 +50,11 @@ class Split:
     method: str = "search"
 
 
-def neighbor_masks(G: LabeledGraph) -> tuple[int, ...]:
-    """Adjacency bitsets: bit j of entry i is set iff vertices i and j
-    (by position) are adjacent."""
-    adj = [0] * G.n
-    for i, j, _ in G.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return tuple(adj)
-
-
-def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
-    """Bitmask of a vertex set over vertex positions."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << G.index(v)
-    return mask
-
-
-def mask_vertices(G: LabeledGraph, mask: int) -> tuple[str, ...]:
-    """The vertices of a bitmask, in ambient order."""
-    return tuple(v for i, v in enumerate(G.vertices) if mask >> i & 1)
-
-
-def mask_components(adj: tuple[int, ...], avail: int) -> tuple[int, ...]:
-    """Connected components of the subgraph induced on the bitmask
-    ``avail``, as bitmasks ordered by smallest vertex position."""
-    comps = []
-    while avail:
-        comp = frontier = avail & -avail
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & avail & ~comp
-            comp |= frontier
-        comps.append(comp)
-        avail &= ~comp
-    return tuple(comps)
-
-
 def is_clique_separator(G: LabeledGraph, separator: Iterable[str]) -> bool:
     """True iff the set induces a complete subgraph (any labels) whose
     removal disconnects the rest of the graph."""
     sep = vertex_mask(G, separator)
-    adj = neighbor_masks(G)
+    adj = G.adjacency_masks
     if any(sep >> i & 1 and sep & ~adj[i] & ~(1 << i) for i in range(G.n)):
         return False
     rest = ((1 << G.n) - 1) & ~sep
@@ -130,7 +97,7 @@ def dirac_split(G: LabeledGraph) -> Split:
     if pair is None:
         raise GraphValidationError("dirac split requires a non-complete graph")
     a, b = pair
-    adj = neighbor_masks(G)
+    adj = G.adjacency_masks
     ia, ib = G.index(a), G.index(b)
     full = (1 << G.n) - 1
     comps = mask_components(adj, full & ~(adj[ia] | 1 << ia))
@@ -164,7 +131,7 @@ def walk_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
     """
     if not G.is_connected() or G.is_complete():
         return
-    adj = neighbor_masks(G)
+    adj = G.adjacency_masks
     full = (1 << G.n) - 1
     for size in range(1, G.n - 1):
         for combo in itertools.combinations(range(G.n), size):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -32,6 +31,7 @@ from .labeled_graph import (
     LabeledGraph,
     detect_flavor,
     join_factors,
+    mask_components,
 )
 from .labeled_graph import _canonical_order  # shared low-level canonizer
 
@@ -293,22 +293,18 @@ def _diagram_components(M: CoxeterMatrix) -> list[list[int]]:
     """Connected components of the standard diagram (bonds where the
     entry is >= 3 or infinite), ordered by smallest position."""
     n = M.n
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in range(n):
-                if y not in comp and M.rows[x][y] != 2 and x != y:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
+    bonds = []
+    for row in M.rows:
+        # The diagonal entry 1 sets a vertex's own bit; the walk ignores it.
+        bond = 0
+        for j, m in enumerate(row):
+            if m != 2:
+                bond |= 1 << j
+        bonds.append(bond)
+    return [
+        [i for i in range(n) if comp >> i & 1]
+        for comp in mask_components(bonds, (1 << n) - 1)
+    ]
 
 
 def _match_component(M: CoxeterMatrix, comp: list[int]) -> IrreducibleType:
@@ -559,8 +555,7 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
                 verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
             )
         factors: list[SlenderFactor] = []
-        for part in join_factors(G):
-            members = tuple(sorted(part, key=G.index))
+        for members in join_factors(G):
             if len(members) == 1:
                 factors.append(SlenderFactor(vertices=members, kind="abelian"))
                 continue

@@ -6,6 +6,13 @@ model, the two input formats (a JSON document and a small DOT subset),
 chordality testing with self-verifying evidence, coarse shape
 classification, join-factor decomposition, and a canonical form that is
 invariant under label-preserving isomorphism.
+
+It is also the one graph core.  Vertex sets can be int bitmasks over
+vertex positions (:func:`vertex_mask`, :func:`mask_vertices`); every
+graph carries its adjacency bitsets (``LabeledGraph.adjacency_masks``,
+built on first use), and :func:`mask_components` is the one components
+walk, used for graph components, join factors, Coxeter-diagram
+components and the separator search alike.
 """
 
 from __future__ import annotations
@@ -167,6 +174,7 @@ class LabeledGraph:
     edges: tuple[tuple[int, int, int], ...]
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
     _adj: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _masks: Optional[tuple] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -176,9 +184,25 @@ class LabeledGraph:
             adj[j][i] = m
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_masks", None)
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.groups, self.edges))
+
+    @property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Adjacency bitsets: bit j of entry i is set iff vertices i and
+        j (by position) are adjacent.  Built on first use and kept, since
+        most graphs (census candidates, memo hits) never need them."""
+        masks = self._masks
+        if masks is None:
+            adj = [0] * self.n
+            for i, j, _ in self.edges:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            masks = tuple(adj)
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
     @classmethod
     def build(
@@ -305,27 +329,16 @@ class LabeledGraph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    def components(self) -> tuple[frozenset[str], ...]:
-        """Connected components, ordered by smallest vertex position."""
-        seen: set[int] = set()
-        out = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            seen |= comp
-            out.append(frozenset(self.vertices[i] for i in comp))
-        return tuple(out)
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Connected components, each in ambient vertex order, ordered by
+        smallest vertex position."""
+        full = (1 << self.n) - 1
+        return tuple(
+            mask_vertices(self, c) for c in mask_components(self.adjacency_masks, full)
+        )
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(mask_components(self.adjacency_masks, (1 << self.n) - 1)) == 1
 
     def nonadjacent_pairs(self) -> Iterator[tuple[str, str]]:
         for i, j in itertools.combinations(range(self.n), 2):
@@ -449,8 +462,8 @@ _FLAVOR_DEFAULTS = {
 def parse_graph(text: str) -> LabeledGraph:
     """Parse a JSON or DOT graph document.
 
-    The format is detected from the first nonblank character: ``{``
-    starts JSON, anything else must be the DOT subset.  Byte-order
+    The format is detected from the first nonblank character: ``{`` or
+    ``[`` starts JSON, anything else must be the DOT subset.  Byte-order
     marks are rejected rather than skipped.
     """
     if text.startswith("\ufeff"):
@@ -458,7 +471,7 @@ def parse_graph(text: str) -> LabeledGraph:
     stripped = text.lstrip()
     if not stripped:
         raise GraphValidationError("empty graph document")
-    if stripped[0] == "{":
+    if stripped[0] in "{[":
         return _parse_json(text)
     return _parse_dot(text)
 
@@ -474,7 +487,7 @@ def _parse_json(text: str) -> LabeledGraph:
     if extra:
         raise GraphValidationError(f"unknown top-level fields: {sorted(extra)}")
     flavor = doc.get("flavor")
-    if flavor is not None and flavor not in _FLAVOR_DEFAULTS:
+    if flavor is not None and (not isinstance(flavor, str) or flavor not in _FLAVOR_DEFAULTS):
         raise GraphValidationError(
             f"unknown flavor {flavor!r}; expected one of {sorted(_FLAVOR_DEFAULTS)}"
         )
@@ -521,6 +534,10 @@ def _parse_json(text: str) -> LabeledGraph:
             raise GraphValidationError(f"unknown edge fields: {sorted(extra)}")
         if "u" not in entry or "v" not in entry:
             raise GraphValidationError("edge entry missing 'u' or 'v'")
+        if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
+            raise GraphValidationError(
+                f"edge endpoints must be vertex ids, got {entry['u']!r} and {entry['v']!r}"
+            )
         label = entry.get("label", 2)
         edge_items.append((entry["u"], entry["v"], label))
     G = LabeledGraph.build(vertex_items, edge_items)
@@ -861,38 +878,58 @@ def shape_classify(G: LabeledGraph) -> Shape:
 # -- join factors -------------------------------------------------------------
 
 
-def join_factors(G: LabeledGraph) -> tuple[frozenset[str], ...]:
+def join_factors(G: LabeledGraph) -> tuple[tuple[str, ...], ...]:
     """Finest partition V = V1 | ... | Vk with every pair from different
     parts joined by a label-2 edge.
 
     The group then splits as the direct product of the part subgroups.
     Parts are the connected components of the non-commuting relation
-    (nonadjacent, or adjacent with label >= 3), ordered by smallest
-    vertex position.
+    (nonadjacent, or adjacent with label >= 3), each in ambient vertex
+    order, ordered by smallest vertex position.
     """
-    n = G.n
-    noncomm: list[set[int]] = [set() for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        m = G._adj[i].get(j)
-        if m is None or m >= 3:
-            noncomm[i].add(j)
-            noncomm[j].add(i)
-    seen: set[int] = set()
-    parts = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in noncomm[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        parts.append(frozenset(G.vertices[i] for i in comp))
-    return tuple(parts)
+    full = (1 << G.n) - 1
+    noncomm = [full & ~(1 << i) for i in range(G.n)]
+    for i, j, m in G.edges:
+        if m == 2:
+            noncomm[i] &= ~(1 << j)
+            noncomm[j] &= ~(1 << i)
+    return tuple(mask_vertices(G, c) for c in mask_components(noncomm, full))
+
+
+# -- vertex bitmasks ------------------------------------------------------------
+
+
+def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
+    """Bitmask of a vertex set over vertex positions."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << G.index(v)
+    return mask
+
+
+def mask_vertices(G: LabeledGraph, mask: int) -> tuple[str, ...]:
+    """The vertices of a bitmask, in ambient order."""
+    return tuple(v for i, v in enumerate(G.vertices) if mask >> i & 1)
+
+
+def mask_components(adj: Sequence[int], avail: int) -> tuple[int, ...]:
+    """Connected components of the subgraph induced on the bitmask
+    ``avail`` by the adjacency bitsets ``adj``, as bitmasks ordered by
+    smallest vertex position."""
+    comps = []
+    while avail:
+        comp = frontier = avail & -avail
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & avail & ~comp
+            comp |= frontier
+        comps.append(comp)
+        avail &= ~comp
+    return tuple(comps)
 
 
 # -- canonical form -----------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -24,6 +27,7 @@ from helpers import (
 )
 
 Z = AbelianGroupLabel(rank=1, torsion=())
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def graph_file(tmp_path, G, name="graph.json"):
@@ -318,8 +322,53 @@ class TestErrors:
         assert main(["classify", "--format", "xml", path]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "GRAPH"], ["census", "--flavor", "racg", "--max-vertices", "3"]],
+        ids=["classify", "census"],
+    )
+    def test_evidence_failing_its_recheck_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        from graphcoherence import coherence_engine
+        from graphcoherence.coherence_engine import VerificationOutcome
+
+        broken = VerificationOutcome(ok=False, path=("root",), reason="tampered")
+        monkeypatch.setattr(coherence_engine, "verify_proof", lambda G, node, cap=12: broken)
+        path = graph_file(tmp_path, cycle_racg(4))
+        assert main([path if a == "GRAPH" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: proof for ") and "tampered" in err
+
     def test_unsupported_flavor_graph(self, tmp_path, capsys):
         z3 = AbelianGroupLabel(rank=0, torsion=(3,))
         G = LabeledGraph.build([("a", z3), ("b", z3)], [("a", "b", 3)])
         assert main(["classify", graph_file(tmp_path, G)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"flavor": "racg", "vertices": [{"id": "a"}], "edges": [{"u": ["x"], "v": "a"}]}',
+             "edge endpoints must be vertex ids"),
+            ('{"flavor": "racg", "vertices": [{"id": "a"}], "edges": [{"u": {}, "v": "a"}]}',
+             "edge endpoints must be vertex ids"),
+            ('{"flavor": ["racg"], "vertices": [{"id": "a"}]}', "unknown flavor"),
+            ("[1]", "top-level JSON value must be an object"),
+        ],
+        ids=["list-endpoint", "object-endpoint", "list-flavor", "top-level-array"],
+    )
+    def test_malformed_json_exits_1_without_traceback(self, doc, message):
+        """Run as a process, so an uncaught exception would show as a
+        traceback on stderr instead of failing inside the test."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphcoherence.cli", "classify", "-"],
+            input=doc,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
