@@ -76,6 +76,9 @@ class AbelianGroupLabel:
                 raise GraphValidationError(
                     "torsion invariants must form a divisibility chain"
                 )
+        # Kept outside the fields, so eq, hash, order and repr ignore it;
+        # canonical labeling reads it once per vertex per call.
+        object.__setattr__(self, "_key", f"{self.rank}|{','.join(map(str, self.torsion))}")
 
     @property
     def is_infinite(self) -> bool:
@@ -101,7 +104,7 @@ class AbelianGroupLabel:
 
     def key(self) -> str:
         """Compact stable encoding used inside canonical keys."""
-        return f"{self.rank}|{','.join(map(str, self.torsion))}"
+        return self._key
 
     def __str__(self) -> str:
         parts = []
@@ -132,8 +135,12 @@ class AbelianGroupLabel:
 
     @classmethod
     def from_jsonable(cls, obj: object) -> "AbelianGroupLabel":
+        """An object ``{"rank": r, "torsion": [...]}`` or one of the
+        short strings :meth:`parse` accepts."""
+        if isinstance(obj, str):
+            return cls.parse(obj)
         if not isinstance(obj, dict):
-            raise GraphValidationError("vertex group must be an object")
+            raise GraphValidationError("vertex group must be a string or an object")
         extra = set(obj) - {"rank", "torsion"}
         if extra:
             raise GraphValidationError(f"unknown group fields: {sorted(extra)}")
@@ -948,119 +955,145 @@ def _rank(sigs: list) -> list[int]:
 
 
 def _refine_colors(n: int, colors: list[int], adj: Sequence[dict[int, int]]):
-    while True:
+    """Refine ranked colours until stable.  A round that splits no class
+    returns ranks equal to its input, so the loop stops on the class
+    count, and a discrete colouring needs no round."""
+    classes = len(set(colors))
+    while classes < n:
+        # m * n + colour sorts as the pair (m, colour) does.
         sigs = [
-            (
-                colors[i],
-                tuple(sorted((m, colors[j]) for j, m in adj[i].items())),
-            )
+            (colors[i], tuple(sorted([m * n + colors[j] for j, m in adj[i].items()])))
             for i in range(n)
         ]
         new = _rank(sigs)
-        if new == colors:
+        new_classes = max(new) + 1
+        if new_classes == classes:
             return colors
-        colors = new
+        colors, classes = new, new_classes
+    return colors
 
 
-def _edge_code(adj: Sequence[dict[int, int]], u: int, v: int) -> tuple[int, ...]:
-    m = adj[u].get(v)
-    # Edges sort before non-edges so canonical orders pack neighbors first.
-    return (0, m) if m is not None else (1,)
-
-
-def _permutation_is_automorphism(
-    n: int,
-    vkeys: Sequence[str],
+def _maps_onto(
+    p: tuple[int, ...],
+    q: tuple[int, ...],
+    p_only: int,
+    q_only: int,
     adj: Sequence[dict[int, int]],
-    sigma: Sequence[int],
 ) -> bool:
-    for i in range(n):
-        if vkeys[sigma[i]] != vkeys[i]:
-            return False
-    for i in range(n):
-        img = sigma[i]
-        if len(adj[i]) != len(adj[img]):
-            return False
-        for j, m in adj[i].items():
-            if adj[img].get(sigma[j]) != m:
+    """Sound but incomplete test that some automorphism maps p to q
+    position-wise; ``p_only`` and ``q_only`` are the bitmasks of the
+    vertices placed in one of them only.
+
+    The candidate permutation sends p[i] to q[i], pairs the leftover
+    placed vertices in ascending order, and fixes everything else.  It
+    is an automorphism exactly when every edge at a moved vertex maps to
+    an edge with the same label (an edge between two fixed vertices maps
+    to itself).  Group labels and degrees need no check: both are part
+    of the colour, p[i] and q[i] share a colour, and every placement
+    places vertices in colour order, so the leftovers all lie in one
+    colour class.
+    """
+    sigma = {}
+    while q_only:
+        a, b = q_only & -q_only, p_only & -p_only
+        sigma[a.bit_length() - 1] = b.bit_length() - 1
+        q_only ^= a
+        p_only ^= b
+    # Leftovers first: they are where a wrong candidate usually fails.
+    sigma.update(zip(p, q))
+    for a, b in sigma.items():
+        row = adj[b]
+        for j, m in adj[a].items():
+            if row.get(sigma.get(j, j)) != m:
                 return False
     return True
 
 
-def _equivalent_placements(
-    p: tuple[int, ...],
-    q: tuple[int, ...],
-    n: int,
-    vkeys: Sequence[str],
-    adj: Sequence[dict[int, int]],
-) -> bool:
-    """Sound but incomplete test that some automorphism maps p to q
-    position-wise.
-
-    The candidate permutation sends p[i] to q[i], pairs the leftover
-    placed vertices in sorted order, and fixes everything else; it is
-    accepted only if it checks out as a full automorphism.
-    """
-    sigma = list(range(n))
-    for a, b in zip(p, q):
-        sigma[a] = b
-    for a, b in zip(sorted(set(q) - set(p)), sorted(set(p) - set(q))):
-        sigma[a] = b
-    return _permutation_is_automorphism(n, vkeys, adj, sigma)
-
-
 def _dedupe_placements(
-    placements: list[tuple[int, ...]],
-    n: int,
-    vkeys: Sequence[str],
-    adj: Sequence[dict[int, int]],
-) -> list[tuple[int, ...]]:
-    if len(placements) <= 1 or len(placements) > _DEDUPE_LIMIT:
-        return placements
-    kept: list[tuple[int, ...]] = []
-    for p in placements:
-        if any(_equivalent_placements(p, q, n, vkeys, adj) for q in kept):
-            continue
-        kept.append(p)
+    candidates: list[tuple], n: int, adj: Sequence[dict[int, int]], masks: Sequence[int]
+) -> list[tuple]:
+    """The candidates kept, in order: each one whose placement (its
+    first item) :func:`_maps_onto` does not map onto an earlier kept
+    one's.
+
+    The candidate permutation fixes every vertex outside
+    ``U = set(p) | set(q)``, so p[i] and q[i] must have the same
+    neighbours outside U.  Each placement's adjacency bitsets are
+    stacked into one int, n bits per position, so that test is one
+    masked xor per pair, and the full check runs only when it passes.
+    """
+    if len(candidates) > _DEDUPE_LIMIT:
+        return candidates
+    full = (1 << n) - 1
+    spread = ((1 << (n * len(candidates[0][0]))) - 1) // full
+    kept = []
+    seen: list[tuple[int, int, tuple[int, ...], int]] = []
+    for cand in candidates:
+        p = cand[0]
+        placed = stacked = 0
+        for i, v in enumerate(p):
+            placed |= 1 << v
+            stacked |= masks[v] << (n * i)
+        # The unplaced vertices' bitmask, repeated once per position.
+        free = (full & ~placed) * spread
+        for q_free, q_stacked, q, q_placed in seen:
+            if not (stacked ^ q_stacked) & free & q_free and _maps_onto(
+                p, q, placed & ~q_placed, q_placed & ~placed, adj
+            ):
+                break
+        else:
+            kept.append(cand)
+            seen.append((free, stacked, p, placed))
     return kept
 
 
 def _canonical_order(
     n: int, vkeys: Sequence[str], adj: Sequence[dict[int, int]]
 ) -> tuple[int, ...]:
-    """Vertex order minimizing the serialized label+adjacency matrix.
+    """The canonical order of :func:`canonical_form`: the
+    lexicographically smallest vertex order whose row sequence is
+    lexicographically least.
 
     Grows placements a position at a time, keeping every placement that
-    attains the lexicographically least next row, with a sound
-    automorphism-based dedupe so symmetric graphs do not blow up.
+    attains the least next row, with a sound automorphism-based dedupe
+    (:func:`_dedupe_placements`) so symmetric graphs do not blow up.
+    Colour refinement orders the vertices as their vkeys do, so each row
+    is kept as one int: the colour, then one base-``base`` digit per
+    placed vertex, an edge's label sorting below the non-edge digit.
+    Placing a vertex appends one digit to every row.
     """
     colors = _refine_colors(n, _initial_colors(n, vkeys, adj), adj)
-    rows = [(colors[v], vkeys[v]) for v in range(n)]
-    best0 = min(rows)
-    frontier = [(v,) for v in range(n) if rows[v] == best0]
-    frontier = _dedupe_placements(frontier, n, vkeys, adj)
-    for _ in range(n - 1):
-        best = None
-        extensions: list[tuple[int, ...]] = []
-        for placement in frontier:
-            placed = set(placement)
-            for v in range(n):
-                if v in placed:
-                    continue
-                row = (
-                    colors[v],
-                    vkeys[v],
-                    tuple(_edge_code(adj, v, p) for p in placement),
-                )
-                if best is None or row < best:
-                    best = row
-                    extensions = [placement + (v,)]
-                elif row == best:
-                    extensions.append(placement + (v,))
-        if len(extensions) > _FRONTIER_HARD_CAP:
+    non_edge = max(map(max, map(dict.values, filter(None, adj))), default=1) + 1
+    base = non_edge + 1
+    masks: Optional[list[int]] = None
+    # Each frontier state is (placement, rows); a placed vertex's row is
+    # infinite, so it never attains the least row again.
+    frontier: list[tuple[tuple[int, ...], list]] = [((), colors)]
+    for level in range(n):
+        best = min([min(rows) for _, rows in frontier])
+        candidates = [
+            (placement + (v,), rows, v)
+            for placement, rows in frontier
+            for v, row in enumerate(rows)
+            if row == best
+        ]
+        if len(candidates) > _FRONTIER_HARD_CAP:
             raise VertexCapError("canonical form search exceeded its frontier cap")
-        frontier = _dedupe_placements(extensions, n, vkeys, adj)
-    return frontier[0]
+        if level == n - 1:
+            # Only the first full placement is used, so the last level
+            # needs no dedupe.
+            return candidates[0][0]
+        if len(candidates) > 1:
+            if masks is None:
+                masks = [sum(map((1).__lshift__, row)) for row in adj]
+            candidates = _dedupe_placements(candidates, n, adj, masks)
+        frontier = []
+        for placement, rows, v in candidates:
+            col = adj[v]
+            rows = [r * base + col.get(w, non_edge) for w, r in enumerate(rows)]
+            rows[v] = math.inf
+            frontier.append((placement, rows))
+    return ()  # the empty graph
 
 
 def canonical_form(
@@ -1071,19 +1104,30 @@ def canonical_form(
     The key is equal for two graphs exactly when some bijection of
     vertices preserves both group labels and edge labels.  The
     placement lists the input's vertex ids in canonical order.
+
+    Exactly: give each vertex v the row ``(colour(v), vkey(v), codes)``
+    at its position in a vertex order, where ``vkey`` is the group's
+    :meth:`AbelianGroupLabel.key`, ``colour`` is its colour-refinement
+    class (ranked, so it sorts as ``vkey`` does) and ``codes`` holds,
+    for each earlier position, ``(0, m)`` for an edge labelled m and
+    ``(1,)`` for a non-edge.  The canonical order is the
+    lexicographically smallest index tuple among the orders whose row
+    sequence is lexicographically least; the key is
+    ``"n;<vkeys in that order>;<edges as i-j:m by position>"`` and the
+    placement is that order's vertex ids.
     """
     if G.n > cap:
         raise VertexCapError(f"graph has {G.n} vertices, above the cap of {cap}")
     vkeys = [g.key() for g in G.groups]
     order = _canonical_order(G.n, vkeys, G._adj)
     placement = tuple(G.vertices[i] for i in order)
-    pos = {v: p for p, v in enumerate(order)}
-    edge_part = ",".join(
-        f"{i}-{j}:{m}"
-        for i, j, m in sorted(
-            (min(pos[a], pos[b]), max(pos[a], pos[b]), m) for a, b, m in G.edges
-        )
+    pos = [0] * G.n
+    for p, v in enumerate(order):
+        pos[v] = p
+    edges = sorted(
+        [(pos[a], pos[b], m) if pos[a] < pos[b] else (pos[b], pos[a], m) for a, b, m in G.edges]
     )
+    edge_part = ",".join(f"{i}-{j}:{m}" for i, j, m in edges)
     vertex_part = ";".join(vkeys[i] for i in order)
     return f"{G.n};{vertex_part};{edge_part}", placement
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -46,7 +47,48 @@ def product_pair():
     return LabeledGraph.build([("a", z3), ("b", z4)], [("a", "b", 2)])
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> dict[str, str]:
+    """The README's example input files: the DOT file shown by
+    ``$ cat square.dot`` and the first JSON block."""
+    text = README.read_text()
+    dot = re.search(r"\$ cat square\.dot\n(graph \{.*?\n\})\n", text, re.S)
+    doc = re.search(r"```json\n(.*?)```", text, re.S)
+    return {"square.dot": dot.group(1) + "\n", "example.json": doc.group(1)}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name", ["square.dot", "example.json"])
+    def test_readme_examples(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text(readme_examples()[name])
+        assert main(["classify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("verdict: COHERENT\n")
+
+    def test_json_group_short_forms(self, tmp_path, capsys):
+        doc = {
+            "vertices": [
+                {"id": "a", "group": "Z"},
+                {"id": "b", "group": "Z^2"},
+                {"id": "c", "group": "Z_3"},
+                {"id": "d", "group": "Z4"},
+                {"id": "e", "group": {"rank": 1, "torsion": [2]}},
+            ],
+            "edges": [{"u": "a", "v": "b"}, {"u": "c", "v": "d"}, {"u": "d", "v": "e"}],
+        }
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        for vertex, group in zip(doc["vertices"], ([1, []], [2, []], [0, [3]], [0, [4]])):
+            vertex["group"] = {"rank": group[0], "torsion": group[1]}
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps(doc))
+        assert main(["classify", "--format", "json", str(short)]) == 0
+        out = capsys.readouterr().out
+        assert main(["classify", "--format", "json", str(objects)]) == 0
+        assert capsys.readouterr().out == out
+
     def test_text_coherent(self, tmp_path, capsys):
         assert main(["classify", graph_file(tmp_path, cycle_racg(4))]) == 0
         out = capsys.readouterr().out
@@ -353,8 +395,19 @@ class TestErrors:
              "edge endpoints must be vertex ids"),
             ('{"flavor": ["racg"], "vertices": [{"id": "a"}]}', "unknown flavor"),
             ("[1]", "top-level JSON value must be an object"),
+            ('{"vertices": [{"id": "a", "group": "Q_2"}]}', "cannot parse group label 'Q_2'"),
+            ('{"vertices": [{"id": "a", "group": "Z_1"}]}', "torsion invariant factors must be integers >= 2"),
+            ('{"vertices": [{"id": "a", "group": 2}]}', "vertex group must be a string or an object"),
         ],
-        ids=["list-endpoint", "object-endpoint", "list-flavor", "top-level-array"],
+        ids=[
+            "list-endpoint",
+            "object-endpoint",
+            "list-flavor",
+            "top-level-array",
+            "bad-group-string",
+            "trivial-group-string",
+            "number-group",
+        ],
     )
     def test_malformed_json_exits_1_without_traceback(self, doc, message):
         """Run as a process, so an uncaught exception would show as a
