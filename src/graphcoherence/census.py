@@ -5,7 +5,9 @@ classifies each one (memoized through canonical forms, so isomorphic
 graphs are computed once), re-verifies the produced evidence, and
 tabulates verdict counts per (vertex count, edge count) cell.  Records
 are written one JSON line per isomorphism class, keyed by canonical
-form, and an existing record file is resumed rather than recomputed.
+form, after a header line naming the engine that wrote them; an
+existing record file from the same engine is resumed rather than
+recomputed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from . import __version__
 from .coherence_engine import (
     Classifier,
     EngineConfig,
@@ -216,8 +219,46 @@ def _root_rule(verdict_obj: dict) -> Optional[str]:
     return None
 
 
-def _load_records(path: str) -> dict[str, dict]:
+# Version of the canonical key format that records are keyed by; bump it
+# whenever ``canonical_form`` changes its keys.
+RECORD_KEY_FORMAT = 1
+
+
+def records_header(engine_config: EngineConfig) -> dict:
+    """The first line of a new record file: what wrote its verdicts.  A
+    file is resumed only under an equal header, so stored verdicts never
+    mix engine configurations or package versions.  The census range is
+    left out on purpose: a wider sweep reuses a narrower one's records."""
+    return {
+        "header": "graphcoherence census records",
+        "version": __version__,
+        "key_format": RECORD_KEY_FORMAT,
+        "engine": {
+            "max_search_vertices": engine_config.max_search_vertices,
+            "disabled_rules": sorted(engine_config.disabled_rules),
+        },
+    }
+
+
+def _describe_header(header: dict) -> str:
+    engine = header.get("engine")
+    if not isinstance(engine, dict):
+        engine = {}
+    rules = ", ".join(map(str, engine.get("disabled_rules") or ())) or "none"
+    return (
+        f"graphcoherence {header.get('version')} (key format "
+        f"{header.get('key_format')}, cap {engine.get('max_search_vertices')}, "
+        f"disabled steps: {rules})"
+    )
+
+
+def _load_records(path: str, header: dict) -> dict[str, dict]:
     """Records of an existing record file, by canonical key.
+
+    The first line is the file's header (see :func:`records_header`); it
+    must equal ``header``, or the file is refused with a ``ValueError``.
+    A file from before headers existed is read as it is, with a note on
+    stderr.
 
     A last line with no newline that does not parse is what a run
     interrupted mid-write leaves behind: it is dropped with a note on
@@ -235,8 +276,10 @@ def _load_records(path: str) -> dict[str, dict]:
         if line.strip():
             try:
                 rec = json.loads(line)
-                records[rec["key"]] = rec
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as e:
+                is_header = line_no == 1 and isinstance(rec, dict) and "header" in rec
+                if not is_header:
+                    records[rec["key"]] = rec
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as e:
                 if line_no < len(lines):
                     raise ValueError(
                         f"corrupt census record at {path}:{line_no}: {e}"
@@ -248,6 +291,18 @@ def _load_records(path: str) -> dict[str, dict]:
                 with open(path, "r+b") as fh:
                     fh.truncate(complete_bytes)
                 return records
+            if is_header and rec != header:
+                raise ValueError(
+                    f"record file {path} was written by {_describe_header(rec)}, "
+                    f"not by this run's {_describe_header(header)}; "
+                    "use another --out file"
+                )
+            if line_no == 1 and not is_header:
+                print(
+                    f"note: {path} has no header line; its records are reused "
+                    "without checking which engine wrote them",
+                    file=sys.stderr,
+                )
         complete_bytes += len(line) + 1
     if lines[-1].strip():
         with open(path, "ab") as fh:
@@ -277,10 +332,13 @@ def run_census(
     """Run the sweep and return the report.
 
     With ``out_path`` set, one JSON record per isomorphism class is
-    appended as computed; re-running with the same path skips keys that
-    already have records (their stored verdicts are still counted and,
-    when configured, re-verified).  ``workers`` > 1 classifies unseen
-    classes in a process pool; output is identical to the serial run.
+    appended as computed, after a header line in a new file; re-running
+    with the same path skips keys that already have records (their
+    stored verdicts are still counted and, when configured,
+    re-verified).  A file whose header names another engine
+    configuration or package version is refused with a ``ValueError``.
+    ``workers`` > 1 classifies unseen classes in a process pool; output
+    is identical to the serial run.
     """
     engine_config = engine_config or EngineConfig()
     cap = engine_config.max_search_vertices
@@ -290,7 +348,8 @@ def run_census(
             f"engine cap of {cap}"
         )
     started = time.monotonic()
-    records = _load_records(out_path) if out_path else {}
+    header = records_header(engine_config)
+    records = _load_records(out_path, header) if out_path else {}
     report = CensusReport(
         flavor=config.flavor,
         min_vertices=config.min_vertices,
@@ -306,6 +365,9 @@ def run_census(
     counted_keys: set[str] = set()
     verified_keys: set[str] = set()
     out_fh = open(out_path, "a", encoding="utf-8") if out_path else None
+    if out_fh and out_fh.tell() == 0:
+        out_fh.write(json.dumps(header) + "\n")
+        out_fh.flush()
 
     def record_for(G: LabeledGraph, key: str, verdict_obj: Optional[dict]) -> dict:
         rec = records.get(key)

@@ -226,17 +226,44 @@ def wise_gordon_check(G: LabeledGraph) -> Optional[WiseGordonViolation]:
 def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     """First pair of disjoint F2-certified sets joined completely by
     label-2 edges, if any; the group then contains F2 x F2, which is
-    incoherent."""
+    incoherent.
+
+    Pairs (A, B) of ``f2_certificates(G)`` are scanned in the order of
+    ``itertools.combinations``: A in scan order, B over the later
+    certificates.  With ``two[i]`` the bitset of label-2 neighbours of
+    vertex i and ``joined(A)`` the AND of ``two`` over A's vertices, B
+    pairs with A iff ``mask(B) & ~joined(A) == 0``; that also makes the
+    two disjoint, since ``two[i]`` never holds i.  Every certificate
+    has at least two vertices, so an A whose ``joined`` has fewer than
+    two bits is skipped outright.
+    """
     certs = list(f2_certificates(G))
-    for ca, cb in itertools.combinations(certs, 2):
-        if set(ca.vertices) & set(cb.vertices):
+    two = [0] * G.n
+    for i, j, m in G.edges:
+        if m == 2:
+            two[i] |= 1 << j
+            two[j] |= 1 << i
+    masks = []
+    joined = []
+    for cert in certs:
+        mask = 0
+        common = -1
+        for v in cert.vertices:
+            i = G.index(v)
+            mask |= 1 << i
+            common &= two[i]
+        masks.append(mask)
+        joined.append(common)
+    for a, ca in enumerate(certs):
+        common = joined[a]
+        if common.bit_count() < 2:
             continue
-        if all(
-            G.edge_label(x, y) == 2 for x in ca.vertices for y in cb.vertices
-        ):
-            return JoinEmbedding(
-                side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
-            )
+        for b in range(a + 1, len(certs)):
+            if masks[b] & ~common == 0:
+                cb = certs[b]
+                return JoinEmbedding(
+                    side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
+                )
     return None
 
 

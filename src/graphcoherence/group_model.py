@@ -428,13 +428,32 @@ class F2Certificate:
 
 def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
     """Every F2 certificate in scan order: free pairs, then independent
-    triples, each in vertex order."""
+    triples, each in the lexicographic order of their vertex positions
+    (the order of ``itertools.combinations``).
+
+    Triples are walked on the adjacency bitsets: for each nonadjacent
+    pair i < j, the third vertices k > j are the bits of
+    ``~(adj[i] | adj[j]) >> (j + 1)``, lowest first.
+    """
     for u, v in G.nonadjacent_pairs():
         if (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2:
             yield F2Certificate(kind="free_pair", vertices=(u, v))
-    for triple in itertools.combinations(G.vertices, 3):
-        if all(not G.has_edge(a, b) for a, b in itertools.combinations(triple, 2)):
-            yield F2Certificate(kind="independent_triple", vertices=triple)
+    adj = G.adjacency_masks
+    vs = G.vertices
+    n = G.n
+    full = (1 << n) - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i] >> j & 1:
+                continue
+            rest = (full & ~(adj[i] | adj[j])) >> (j + 1)
+            while rest:
+                low = rest & -rest
+                k = j + low.bit_length()
+                yield F2Certificate(
+                    kind="independent_triple", vertices=(vs[i], vs[j], vs[k])
+                )
+                rest ^= low
 
 
 def contains_f2_certificate(G: LabeledGraph) -> Optional[F2Certificate]:

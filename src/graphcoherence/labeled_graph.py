@@ -182,6 +182,7 @@ class LabeledGraph:
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
     _adj: tuple = field(init=False, repr=False, compare=False, hash=False)
     _masks: Optional[tuple] = field(init=False, repr=False, compare=False, hash=False)
+    _flavor: Optional["Flavor"] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -192,6 +193,7 @@ class LabeledGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_flavor", None)
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.groups, self.edges))
@@ -394,12 +396,17 @@ class Flavor:
 
 
 def detect_flavor(G: LabeledGraph) -> Flavor:
-    all_two = all(m == 2 for _, _, m in G.edges)
-    return Flavor(
-        graph_product=all_two,
-        artin=all(g.is_infinite_cyclic for g in G.groups),
-        coxeter=all(g.is_order_two for g in G.groups),
-    )
+    """The flavor of ``G``, computed on first use and kept on the graph
+    like its adjacency bitsets."""
+    flavor = G._flavor
+    if flavor is None:
+        flavor = Flavor(
+            graph_product=all(m == 2 for _, _, m in G.edges),
+            artin=all(g.is_infinite_cyclic for g in G.groups),
+            coxeter=all(g.is_order_two for g in G.groups),
+        )
+        object.__setattr__(G, "_flavor", flavor)
+    return flavor
 
 
 # -- convenience builders ---------------------------------------------------

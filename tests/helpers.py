@@ -1,8 +1,9 @@
 """Shared oracles and graph builders for the test suite.
 
 Everything here is deliberately independent of the package internals:
-brute-force chordality, brute-force isomorphism, concrete permutation
-models for reflection group orders, and random graph generators.
+brute-force chordality, brute-force isomorphism, brute-force F2
+evidence, concrete permutation models for reflection group orders, and
+random graph generators.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 
 from graphcoherence import (
     AbelianGroupLabel,
+    F2Certificate,
     LabeledGraph,
     Z,
     Z2,
@@ -24,6 +26,7 @@ from graphcoherence import (
     raag,
     racg,
 )
+from graphcoherence.coherence_engine import JoinEmbedding
 
 # ---------------------------------------------------------------------------
 # brute-force chordality: scan every vertex subset of size >= 4 and check
@@ -102,6 +105,36 @@ def brute_force_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
         if good:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# brute-force F2 evidence: the certificate scan over every vertex pair and
+# triple, and the pairwise join-witness scan with set intersection and
+# edge_label, as the package computed them before its bitset scans.
+
+
+def brute_force_f2_certificates(G: LabeledGraph) -> list[F2Certificate]:
+    certs = []
+    for u, v in itertools.combinations(G.vertices, 2):
+        if not G.has_edge(u, v) and (
+            (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2
+        ):
+            certs.append(F2Certificate(kind="free_pair", vertices=(u, v)))
+    for triple in itertools.combinations(G.vertices, 3):
+        if all(not G.has_edge(a, b) for a, b in itertools.combinations(triple, 2)):
+            certs.append(F2Certificate(kind="independent_triple", vertices=triple))
+    return certs
+
+
+def brute_force_join_witness(G: LabeledGraph) -> JoinEmbedding | None:
+    for ca, cb in itertools.combinations(brute_force_f2_certificates(G), 2):
+        if set(ca.vertices) & set(cb.vertices):
+            continue
+        if all(G.edge_label(x, y) == 2 for x in ca.vertices for y in cb.vertices):
+            return JoinEmbedding(
+                side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------

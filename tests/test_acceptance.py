@@ -175,6 +175,7 @@ def test_criterion_04_raag_verdicts_match_chordality(raag6, record_dir):
     checked = chordal_classes = 0
     amalgam_only = Classifier(NO_IFF)
     with open(record_dir / "raag6.jsonl", encoding="utf-8") as fh:
+        assert "header" in json.loads(next(fh))
         for line in fh:
             rec = json.loads(line)
             G = graph_from_key(rec["key"])
@@ -349,6 +350,7 @@ def test_criterion_10_soundness_sweep(record_dir, racg5, racg6_full, raag6, name
     proofs = witnesses = 0
     for stem in ("racg5", "racg6", "raag6"):
         with open(record_dir / f"{stem}.jsonl", encoding="utf-8") as fh:
+            assert "header" in json.loads(next(fh))
             for line in fh:
                 rec = json.loads(line)
                 G = graph_from_key(rec["key"])

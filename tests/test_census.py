@@ -14,8 +14,8 @@ from graphcoherence import (
     canonical_key,
     run_census,
 )
-from graphcoherence.census import enumerate_graphs, graph_from_key
-from graphcoherence.coherence_engine import COHERENT, INCOHERENT
+from graphcoherence.census import enumerate_graphs, graph_from_key, records_header
+from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES
 from helpers import brute_force_is_chordal, prism_racg
 
 
@@ -151,8 +151,9 @@ class TestRecordsAndResume:
         config = CensusConfig(flavor="racg", max_vertices=4)
         first = run_census(config, out_path=str(out))
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == first.class_count
-        rec = json.loads(lines[0])
+        assert json.loads(lines[0]) == records_header(EngineConfig())
+        assert len(lines) == 1 + first.class_count
+        rec = json.loads(lines[1])
         assert set(rec) >= {"key", "n", "e", "status", "rule", "verdict"}
 
         second = run_census(config, out_path=str(out))
@@ -167,7 +168,7 @@ class TestRecordsAndResume:
             CensusConfig(flavor="racg", max_vertices=4), out_path=str(out)
         )
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == report.class_count > small_lines
+        assert len(lines) - 1 == report.class_count > small_lines - 1
 
     def test_corrupt_record_rejected(self, tmp_path):
         out = tmp_path / "census.jsonl"
@@ -175,19 +176,54 @@ class TestRecordsAndResume:
         with pytest.raises(ValueError, match="record"):
             run_census(CensusConfig(flavor="racg", max_vertices=3), out_path=str(out))
 
+    def test_non_object_first_line_rejected(self, tmp_path):
+        out = tmp_path / "census.jsonl"
+        out.write_text("[1]\n")
+        with pytest.raises(ValueError, match="corrupt census record"):
+            run_census(CensusConfig(flavor="racg", max_vertices=3), out_path=str(out))
+
     def test_tampered_record_caught_by_verification(self, tmp_path):
         out = tmp_path / "census.jsonl"
         config = CensusConfig(flavor="racg", max_vertices=4)
         run_census(config, out_path=str(out))
-        records = [json.loads(line) for line in out.read_text().splitlines()]
+        header, *records = [json.loads(line) for line in out.read_text().splitlines()]
         # graft the edge-free verdict onto the complete-graph class
         donor = next(r for r in records if (r["n"], r["e"]) == (4, 0))
         victim = next(r for r in records if (r["n"], r["e"]) == (4, 6))
         victim["verdict"] = donor["verdict"]
         victim["status"] = donor["status"]
-        out.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
         with pytest.raises(InternalInvariantError):
             run_census(config, out_path=str(out))
+
+    @pytest.mark.parametrize(
+        "writer",
+        [
+            EngineConfig(disabled_rules=frozenset(STEP_NAMES)),
+            EngineConfig(disabled_rules=frozenset({"witness_scan"})),
+            EngineConfig(max_search_vertices=8),
+        ],
+        ids=["all-steps-off", "one-step-off", "other-cap"],
+    )
+    def test_resume_under_another_engine_refused(self, tmp_path, writer):
+        out = tmp_path / "census.jsonl"
+        config = CensusConfig(flavor="racg", max_vertices=4)
+        run_census(config, out_path=str(out), engine_config=writer)
+        written = out.read_bytes()
+        with pytest.raises(ValueError, match="written by .*use another --out file"):
+            run_census(config, out_path=str(out))
+        assert out.read_bytes() == written
+
+    def test_resume_under_another_version_refused(self, tmp_path):
+        out = tmp_path / "census.jsonl"
+        config = CensusConfig(flavor="racg", max_vertices=3)
+        run_census(config, out_path=str(out))
+        header, rest = out.read_text().split("\n", 1)
+        for field, value in (("version", "0.0.1"), ("key_format", 0)):
+            changed = dict(json.loads(header), **{field: value})
+            out.write_text(json.dumps(changed) + "\n" + rest)
+            with pytest.raises(ValueError, match="written by"):
+                run_census(config, out_path=str(out))
 
     def test_workers_match_serial(self):
         config = CensusConfig(flavor="racg", max_vertices=4)
@@ -201,7 +237,7 @@ class TestRecordsAndResume:
         parallel = run_census(config, out_path=str(out), workers=2)
         serial = run_census(config)
         assert parallel.to_jsonable() == serial.to_jsonable()
-        assert len(out.read_text().strip().splitlines()) == parallel.class_count
+        assert len(out.read_text().strip().splitlines()) == 1 + parallel.class_count
 
 
 class TestCapInteraction:

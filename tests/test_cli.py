@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
+from graphcoherence import CensusConfig, EngineConfig, run_census
 from graphcoherence.cli import main
+from graphcoherence.coherence_engine import STEP_NAMES
 from graphcoherence.labeled_graph import (
     AbelianGroupLabel,
     LabeledGraph,
@@ -190,7 +192,7 @@ class TestCensus:
         ]
         assert main(argv) == 0
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == 18
+        assert len(lines) == 1 + 18  # the header, then one record per class
         assert main(argv) == 0
         assert out.read_text().strip().splitlines() == lines
         capsys.readouterr()
@@ -217,6 +219,36 @@ class TestCensus:
         out.write_text("".join(lines))
         assert main(argv) == 1
         assert "corrupt census record" in capsys.readouterr().err
+
+    def test_resume_written_by_another_engine_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rec.jsonl"
+        run_census(
+            CensusConfig(flavor="racg", max_vertices=4),
+            out_path=str(out),
+            engine_config=EngineConfig(disabled_rules=frozenset(STEP_NAMES)),
+        )
+        written = out.read_bytes()
+        argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: record file") and "\n" not in err
+        assert "disabled steps: none" in err
+        assert out.read_bytes() == written
+
+    def test_resume_of_a_header_less_file(self, tmp_path, capsys):
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--max-vertices", "4", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        records = out.read_text().split("\n", 1)[1]
+        out.write_text(records)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fresh
+        assert "no header line" in captured.err
+        assert out.read_text() == records
 
     def test_workers_stdout_matches_serial(self, capsys):
         argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]

@@ -1,0 +1,109 @@
+"""The F2 evidence layer against brute force.
+
+``f2_certificates`` walks independent triples on adjacency bitsets and
+``witness_join_incoherence`` pairs certificates through label-2
+bitsets; both must return exactly what the plain scans in
+``helpers.py`` return: the same certificates in the same order, and the
+same first join witness.  Graphs come from every flavor, often built as
+a label-2 join of two random graphs with a few cross edges removed or
+relabeled, so that witnesses and near misses are both common.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphcoherence import (
+    LabeledGraph,
+    Z,
+    Z2,
+    contains_f2_certificate,
+    cyclic,
+    verify_witness,
+    witness_join_incoherence,
+)
+from graphcoherence.group_model import f2_certificates
+from helpers import brute_force_f2_certificates, brute_force_join_witness
+
+# (vertex groups, edge labels) per flavor; the graph-product groups mix
+# orders 2, 3, 4 and infinity, so some nonadjacent pairs are free pairs
+# and others (two order-2 vertices) are not.
+FAMILIES = {
+    "racg": ((Z2,), (2,)),
+    "raag": ((Z,), (2,)),
+    "coxeter": ((Z2,), (2, 3, 4, 5)),
+    "artin": ((Z,), (2, 3, 4)),
+    "graph_product": ((Z, Z2, cyclic(3), cyclic(4)), (2,)),
+}
+# Vertex ids not in ambient order, so confusing ids with positions shows.
+IDS = ("h", "c", "q", "a", "x", "m", "b", "z", "e")
+
+
+@st.composite
+def evidence_graphs(draw, max_n: int = 9):
+    groups, labels = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    # The rest comes from a drawn seed: drawing sizes directly keeps
+    # most examples at one or two vertices.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, max_n)
+    ids = rng.sample(IDS, n)
+    density = rng.choice((0.0, 0.2, 0.4, 0.7))
+    # Split off a second side joined to the first by label-2 edges, then
+    # break a few of the cross edges: drop them or give them label > 2.
+    cut = rng.randint(0, n - 1) if rng.random() < 0.6 else 0
+    side = {v: k < cut for k, v in enumerate(rng.sample(ids, n))}
+    broken = rng.randint(0, 2)
+    edges = []
+    for u, v in itertools.combinations(ids, 2):
+        if side[u] != side[v]:
+            edges.append((u, v, 2))
+        elif rng.random() < density:
+            edges.append((u, v, rng.choice(labels)))
+    for _ in range(broken):
+        cross = [e for e in edges if side[e[0]] != side[e[1]]]
+        if not cross:
+            break
+        edges.remove(e := rng.choice(cross))
+        if max(labels) > 2 and rng.random() < 0.5:
+            edges.append((e[0], e[1], rng.choice([m for m in labels if m > 2])))
+    return LabeledGraph.build([(v, rng.choice(groups)) for v in ids], edges)
+
+
+@settings(max_examples=600)
+@given(evidence_graphs())
+def test_f2_evidence_matches_brute_force(G):
+    certs = brute_force_f2_certificates(G)
+    assert list(f2_certificates(G)) == certs
+    assert contains_f2_certificate(G) == (certs[0] if certs else None)
+    witness = witness_join_incoherence(G)
+    assert witness == brute_force_join_witness(G)
+    if witness is not None:
+        assert verify_witness(G, witness)
+
+
+def test_join_witness_on_bipartite_joins():
+    """K(3,3): the sides are independent triples joined by label-2
+    edges.  On Z2 vertices one label-3 cross edge leaves no witness.  On
+    Z vertices every nonadjacent pair is a free pair; with a-d labeled 3
+    the first witness pairs (a, b), whose common label-2 neighbours are
+    exactly e and f, with the free pair (e, f)."""
+    left, right = ["a", "b", "c"], ["d", "e", "f"]
+
+    def k33(group, heavy):
+        return LabeledGraph.build(
+            [(v, group) for v in left + right],
+            [(u, v, 3 if (u, v) in heavy else 2) for u in left for v in right],
+        )
+
+    w = witness_join_incoherence(k33(Z2, ()))
+    assert (w.side_a, w.side_b) == (("a", "b", "c"), ("d", "e", "f"))
+    assert witness_join_incoherence(k33(Z2, {("a", "d")})) is None
+    G = k33(Z, {("a", "d")})
+    w = witness_join_incoherence(G)
+    assert (w.side_a, w.side_b) == (("a", "b"), ("e", "f"))
+    assert w == brute_force_join_witness(G)
+    assert verify_witness(G, w)
