@@ -1,10 +1,11 @@
 """Exhaustive sweeps over small labeled graphs.
 
-Enumerates every graph of a configured kind up to a vertex bound,
-classifies each one (memoized through canonical forms, so isomorphic
-graphs are computed once), re-verifies the produced evidence, and
-tabulates verdict counts per (vertex count, edge count) cell.  Records
-are written one JSON line per isomorphism class, keyed by canonical
+Enumerates every graph of a configured kind up to a vertex bound and
+canonicalizes each one, classifies each new isomorphism class once
+(optionally in worker processes), re-verifies the produced evidence,
+and tallies every graph, in enumeration order, by verdict per (vertex
+count, edge count) cell.  Records are written one JSON line per
+isomorphism class, in order of first appearance and keyed by canonical
 form, after a header line naming the engine that wrote them; an
 existing record file from the same engine is resumed rather than
 recomputed.
@@ -19,7 +20,9 @@ import string
 import sys
 import time
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional
 
 from . import __version__
@@ -73,6 +76,10 @@ class CensusConfig:
             raise ValueError("edge labels other than 2 need the coxeter flavor")
         if any(m < 2 for m in self.edge_labels):
             raise ValueError("edge labels must be >= 2")
+        if len(set(self.edge_labels)) != len(self.edge_labels):
+            raise ValueError("edge labels must be distinct")
+        if self.max_edges is not None and self.max_edges < 0:
+            raise ValueError("max_edges must be >= 0")
         object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
 
 
@@ -91,25 +98,14 @@ def enumerate_graphs(config: CensusConfig) -> Iterator[LabeledGraph]:
     for n in range(config.min_vertices, config.max_vertices + 1):
         ids = _vertex_ids(n)
         vertex_items = [(v, group) for v in ids]
-        pairs = list(itertools.combinations(range(n), 2))
+        pairs = list(itertools.combinations(ids, 2))
         for mask in range(1 << len(pairs)):
             chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
             if config.max_edges is not None and len(chosen) > config.max_edges:
                 continue
-            if config.flavor == "coxeter" and config.edge_labels != (2,):
-                for labels in itertools.product(
-                    config.edge_labels, repeat=len(chosen)
-                ):
-                    yield LabeledGraph.build(
-                        vertex_items,
-                        [
-                            (ids[i], ids[j], m)
-                            for (i, j), m in zip(chosen, labels)
-                        ],
-                    )
-            else:
+            for labels in itertools.product(config.edge_labels, repeat=len(chosen)):
                 yield LabeledGraph.build(
-                    vertex_items, [(ids[i], ids[j], 2) for i, j in chosen]
+                    vertex_items, [(u, v, m) for (u, v), m in zip(chosen, labels)]
                 )
 
 
@@ -161,8 +157,7 @@ class CensusReport:
     elapsed: float = 0.0
 
     def smallest_incoherent(self) -> Optional[tuple[int, int]]:
-        hits = sorted((n, e) for n, e, _ in self.incoherent)
-        return hits[0] if hits else None
+        return min(((n, e) for n, e, _ in self.incoherent), default=None)
 
     def table(self) -> str:
         lines = [
@@ -203,11 +198,7 @@ class CensusReport:
                 {"n": n, "e": e, "key": key, "codes": list(codes)}
                 for n, e, key, codes in self.unknown
             ],
-            "smallest_incoherent": (
-                list(self.smallest_incoherent())
-                if self.smallest_incoherent()
-                else None
-            ),
+            "smallest_incoherent": list(hit) if (hit := self.smallest_incoherent()) else None,
         }
 
 
@@ -263,7 +254,9 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
     A last line with no newline that does not parse is what a run
     interrupted mid-write leaves behind: it is dropped with a note on
     stderr and cut from the file, so that appended records start on a
-    line of their own.  Any other line that does not parse is an error.
+    line of their own.  Any other line that does not parse, and any
+    record without a string key, a status and a verdict that parses, or
+    whose status is not its verdict's, is an error naming ``path:line``.
     """
     records: dict[str, dict] = {}
     if not os.path.exists(path):
@@ -276,14 +269,9 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
         if line.strip():
             try:
                 rec = json.loads(line)
-                is_header = line_no == 1 and isinstance(rec, dict) and "header" in rec
-                if not is_header:
-                    records[rec["key"]] = rec
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as e:
+            except ValueError as e:
                 if line_no < len(lines):
-                    raise ValueError(
-                        f"corrupt census record at {path}:{line_no}: {e}"
-                    ) from None
+                    raise ValueError(f"corrupt census record at {path}:{line_no}: {e}") from None
                 print(
                     f"note: dropped the cut-off last record at {path}:{line_no}",
                     file=sys.stderr,
@@ -291,18 +279,26 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
                 with open(path, "r+b") as fh:
                     fh.truncate(complete_bytes)
                 return records
-            if is_header and rec != header:
-                raise ValueError(
-                    f"record file {path} was written by {_describe_header(rec)}, "
-                    f"not by this run's {_describe_header(header)}; "
-                    "use another --out file"
-                )
-            if line_no == 1 and not is_header:
-                print(
-                    f"note: {path} has no header line; its records are reused "
-                    "without checking which engine wrote them",
-                    file=sys.stderr,
-                )
+            if line_no == 1 and isinstance(rec, dict) and "header" in rec:
+                if rec != header:
+                    raise ValueError(
+                        f"record file {path} was written by {_describe_header(rec)}, "
+                        f"not by this run's {_describe_header(header)}; "
+                        "use another --out file"
+                    )
+            else:
+                try:
+                    records[_checked_key(rec)] = rec
+                except (AttributeError, KeyError, TypeError, ValueError) as e:
+                    raise ValueError(
+                        f"corrupt census record at {path}:{line_no}: {type(e).__name__}: {e}"
+                    ) from None
+                if line_no == 1:
+                    print(
+                        f"note: {path} has no header line; its records are reused "
+                        "without checking which engine wrote them",
+                        file=sys.stderr,
+                    )
         complete_bytes += len(line) + 1
     if lines[-1].strip():
         with open(path, "ab") as fh:
@@ -310,6 +306,53 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
     return records
 
 
+def _checked_key(rec: dict) -> str:
+    """The key of a stored record, once its verdict parses and has the
+    record's status: the census counts and re-verifies the verdict."""
+    verdict = verdict_from_jsonable(rec["verdict"])
+    if verdict.status != rec["status"]:
+        raise ValueError(f"status {rec['status']!r} is not its verdict's {verdict.status!r}")
+    if type(rec["key"]) is not str:
+        raise TypeError("the key is not a string")
+    return rec["key"]
+
+
+def _sightings(
+    config: CensusConfig, cap: int, seen: set[str]
+) -> Iterator[tuple[int, int, str, Optional[LabeledGraph]]]:
+    """``(n, e, key, CG)`` for each enumerated graph: its cell, its
+    canonical key and, at the first sighting of a key not yet in
+    ``seen`` (which this adds it to), its canonical representative;
+    ``CG`` is None for every later sighting."""
+    for G in enumerate_graphs(config):
+        key, placement = canonical_form(G, cap=cap)
+        if key in seen:
+            yield G.n, G.m, key, None
+        else:
+            seen.add(key)
+            yield G.n, G.m, key, canonical_relabel(G, placement)
+
+
+def _record_job(classifier: Classifier, sighting: tuple) -> tuple:
+    """A sighting with its canonical representative replaced by the new
+    class's record: the verdict and what the census table shows of it."""
+    n, e, key, CG = sighting
+    if CG is None:
+        return sighting
+    verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
+    return n, e, key, {
+        "key": key,
+        "n": n,
+        "e": e,
+        "flavor": list(detect_flavor(CG).tags()),
+        "status": verdict_obj["status"],
+        "rule": _root_rule(verdict_obj),
+        "notes": [note["code"] for note in verdict_obj["notes"]],
+        "verdict": verdict_obj,
+    }
+
+
+# Each pool worker's classifier, so that its memo outlives one chunk.
 _worker_classifier: Optional[Classifier] = None
 
 
@@ -318,9 +361,8 @@ def _worker_init(engine_config: EngineConfig) -> None:
     _worker_classifier = Classifier(engine_config)
 
 
-def _worker_classify(job: tuple[str, LabeledGraph]) -> tuple[str, dict]:
-    key, CG = job
-    return key, verdict_to_jsonable(_worker_classifier.classify_canonical(CG, key))
+def _worker_job(sighting: tuple) -> tuple:
+    return _record_job(_worker_classifier, sighting)
 
 
 def run_census(
@@ -331,14 +373,16 @@ def run_census(
 ) -> CensusReport:
     """Run the sweep and return the report.
 
-    With ``out_path`` set, one JSON record per isomorphism class is
-    appended as computed, after a header line in a new file; re-running
-    with the same path skips keys that already have records (their
-    stored verdicts are still counted and, when configured,
-    re-verified).  A file whose header names another engine
+    One pass canonicalizes every enumerated graph in the calling
+    process, classifies each new isomorphism class once, and tallies
+    every graph in enumeration order.  With ``out_path`` set, each new
+    class's record is appended as it is tallied, after a header line in
+    a new file; re-running with the same path skips keys that already
+    have records (their stored verdicts are still counted and, when
+    configured, re-verified).  A file whose header names another engine
     configuration or package version is refused with a ``ValueError``.
-    ``workers`` > 1 classifies unseen classes in a process pool; output
-    is identical to the serial run.
+    ``workers`` > 1 classifies the new classes in that many processes;
+    stdout and record file are identical to the serial run's.
     """
     engine_config = engine_config or EngineConfig()
     cap = engine_config.max_search_vertices
@@ -347,6 +391,8 @@ def run_census(
             f"census up to {config.max_vertices} vertices exceeds the "
             f"engine cap of {cap}"
         )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     started = time.monotonic()
     header = records_header(engine_config)
     records = _load_records(out_path, header) if out_path else {}
@@ -363,100 +409,48 @@ def run_census(
     incoherent: list[tuple[int, int, str]] = []
     unknown: list[tuple[int, int, str, tuple[str, ...]]] = []
     counted_keys: set[str] = set()
-    verified_keys: set[str] = set()
-    out_fh = open(out_path, "a", encoding="utf-8") if out_path else None
-    if out_fh and out_fh.tell() == 0:
-        out_fh.write(json.dumps(header) + "\n")
-        out_fh.flush()
-
-    def record_for(G: LabeledGraph, key: str, verdict_obj: Optional[dict]) -> dict:
-        rec = records.get(key)
-        if rec is None:
-            rec = {
-                "key": key,
-                "n": G.n,
-                "e": G.m,
-                "flavor": list(detect_flavor(G).tags()),
-                "status": verdict_obj["status"],
-                "rule": _root_rule(verdict_obj),
-                "notes": [note["code"] for note in verdict_obj["notes"]],
-                "verdict": verdict_obj,
-            }
-            records[key] = rec
-            if out_fh:
-                out_fh.write(json.dumps(rec) + "\n")
-                out_fh.flush()
-        return rec
-
-    def tally(rec: dict) -> None:
-        n, e, status = rec["n"], rec["e"], rec["status"]
-        if config.dedup and rec["key"] in counted_keys:
-            return
-        first_time = rec["key"] not in counted_keys
-        counted_keys.add(rec["key"])
-        cells.setdefault((n, e), Counter())[status] += 1
-        report.total += 1
-        if first_time:
-            report.class_count += 1
-            if status == INCOHERENT:
-                incoherent.append((n, e, rec["key"]))
-            elif status == UNKNOWN:
-                unknown.append((n, e, rec["key"], tuple(rec.get("notes", ()))))
-        key = rec["key"]
-        if config.verify and key not in verified_keys:
-            verified_keys.add(key)
-            check_verdict(graph_from_key(key), verdict_from_jsonable(rec["verdict"]), cap, key)
-
-    try:
-        if workers <= 1:
-            classifier = Classifier(engine_config)
-            for G in enumerate_graphs(config):
-                key, placement = canonical_form(G, cap=cap)
-                if key in records:
-                    tally(record_for(G, key, None))
-                    continue
-                CG = canonical_relabel(G, placement)
-                verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
-                tally(record_for(G, key, verdict_obj))
+    with ExitStack() as stack:
+        out_fh = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
+        if out_fh and out_fh.tell() == 0:
+            out_fh.write(json.dumps(header) + "\n")
+            out_fh.flush()
+        sightings = _sightings(config, cap, set(records))
+        if workers == 1:
+            results = map(partial(_record_job, Classifier(engine_config)), sightings)
         else:
-            _run_parallel(config, engine_config, records, record_for, tally, workers, cap)
-    finally:
-        if out_fh:
-            out_fh.close()
+            import multiprocessing
+
+            pool = stack.enter_context(
+                multiprocessing.Pool(workers, initializer=_worker_init, initargs=(engine_config,))
+            )
+            # Large chunks keep the per-graph traffic to the pool cheap.
+            results = pool.imap(_worker_job, sightings, chunksize=512)
+        for n, e, key, rec in results:
+            if rec is not None:
+                records[key] = rec
+                if out_fh:
+                    out_fh.write(json.dumps(rec) + "\n")
+                    out_fh.flush()
+            # The tally reads the stored verdict, the one re-verified below.
+            first_time = key not in counted_keys
+            if config.dedup and not first_time:
+                continue
+            verdict_obj = records[key]["verdict"]
+            status = verdict_obj["status"]
+            cells.setdefault((n, e), Counter())[status] += 1
+            report.total += 1
+            if first_time:
+                counted_keys.add(key)
+                report.class_count += 1
+                if status == INCOHERENT:
+                    incoherent.append((n, e, key))
+                elif status == UNKNOWN:
+                    codes = tuple(note["code"] for note in verdict_obj["notes"])
+                    unknown.append((n, e, key, codes))
+                if config.verify:
+                    check_verdict(graph_from_key(key), verdict_from_jsonable(verdict_obj), cap, key)
     report.cells = {cell: dict(counter) for cell, counter in cells.items()}
     report.incoherent = tuple(incoherent)
     report.unknown = tuple(unknown)
     report.elapsed = time.monotonic() - started
     return report
-
-
-def _run_parallel(
-    config: CensusConfig,
-    engine_config: EngineConfig,
-    records: dict[str, dict],
-    record_for,
-    tally,
-    workers: int,
-    cap: int,
-) -> None:
-    import multiprocessing
-
-    # Pass 1: find one canonical representative per unseen class and
-    # remember every enumerated graph's key and cell.
-    pending: dict[str, LabeledGraph] = {}
-    stream: list[tuple[str, int, int]] = []
-    for G in enumerate_graphs(config):
-        key, placement = canonical_form(G, cap=cap)
-        stream.append((key, G.n, G.m))
-        if key not in records and key not in pending:
-            pending[key] = canonical_relabel(G, placement)
-    jobs = sorted(pending.items())
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=workers, initializer=_worker_init, initargs=(engine_config,)
-    ) as pool:
-        for key, verdict_obj in pool.imap(_worker_classify, jobs, chunksize=16):
-            record_for(pending[key], key, verdict_obj)
-    # Pass 2: tally in enumeration order so output matches the serial run.
-    for key, n, e in stream:
-        tally(records[key])

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcoherence import (
     CensusConfig,
@@ -38,6 +41,21 @@ class TestConfig:
     def test_label_lower_bound(self):
         with pytest.raises(ValueError):
             CensusConfig(flavor="coxeter", edge_labels=(1, 2))
+
+    def test_repeated_label_rejected(self):
+        # would enumerate every labeled graph with an edge twice
+        with pytest.raises(ValueError, match="distinct"):
+            CensusConfig(flavor="coxeter", edge_labels=(3, 3))
+
+    def test_negative_max_edges_rejected(self):
+        with pytest.raises(ValueError, match="max_edges"):
+            CensusConfig(max_edges=-1)
+        CensusConfig(max_edges=0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_census(CensusConfig(max_vertices=2), workers=workers)
 
 
 class TestEnumeration:
@@ -238,6 +256,102 @@ class TestRecordsAndResume:
         serial = run_census(config)
         assert parallel.to_jsonable() == serial.to_jsonable()
         assert len(out.read_text().strip().splitlines()) == 1 + parallel.class_count
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CensusConfig(flavor="racg", max_vertices=5),
+            CensusConfig(flavor="coxeter", max_vertices=3, edge_labels=(2, 3, 4)),
+        ],
+        ids=["racg-5", "coxeter-3"],
+    )
+    def test_workers_write_the_serial_record_file(self, tmp_path, config):
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        run_census(config, out_path=str(serial))
+        run_census(config, out_path=str(parallel), workers=2)
+        assert parallel.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CensusConfig(flavor="raag", max_vertices=4),
+            CensusConfig(flavor="coxeter", max_vertices=3, edge_labels=(2, 3, 4, 5)),
+        ],
+        ids=["raag-4-incoherent", "coxeter-3-unknown"],
+    )
+    def test_resume_counts_the_verdict_not_the_stored_summary(self, tmp_path, config):
+        out = tmp_path / "census.jsonl"
+        fresh = run_census(config, out_path=str(out))
+        assert fresh.incoherent or fresh.unknown
+        header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+        for rec in records:
+            rec.update(n=rec["n"] + 1, e=rec["e"] + 2, notes=["edited"], rule="edited")
+        out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+        resumed = run_census(config, out_path=str(out))
+        assert json.dumps(resumed.to_jsonable()) == json.dumps(fresh.to_jsonable())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda rec: rec.update(
+                    verdict={
+                        "status": "UNKNOWN",
+                        "proof": None,
+                        "witness": None,
+                        "notes": [{"code": "x", "vertices": [], "detail": ""}],
+                    }
+                ),
+                "status 'COHERENT' is not its verdict's 'UNKNOWN'",
+            ),
+            (lambda rec: rec.pop("status"), "KeyError: 'status'"),
+            (lambda rec: rec.pop("key"), "KeyError: 'key'"),
+            (lambda rec: rec.pop("verdict"), "KeyError: 'verdict'"),
+            (lambda rec: rec.update(key=7), "key is not a string"),
+            (lambda rec: rec["verdict"].pop("proof"), "carry exactly a proof tree"),
+        ],
+        ids=["unverified-status", "no-status", "no-key", "no-verdict", "int-key", "no-proof"],
+    )
+    def test_record_that_its_verdict_does_not_back_rejected(self, tmp_path, edit, message):
+        out = tmp_path / "census.jsonl"
+        config = CensusConfig(flavor="racg", max_vertices=2)
+        run_census(config, out_path=str(out))
+        lines = out.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec) + "\n"
+        out.write_text("".join(lines))
+        written = out.read_bytes()
+        with pytest.raises(ValueError, match=f"corrupt census record at .*:3: .*{message}"):
+            run_census(config, out_path=str(out))
+        assert out.read_bytes() == written
+
+
+_CUT_CONFIG = CensusConfig(flavor="racg", max_vertices=4)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The JSON report and record file of an uninterrupted census."""
+    out = tmp_path_factory.mktemp("uninterrupted") / "census.jsonl"
+    report = run_census(_CUT_CONFIG, out_path=str(out))
+    return json.dumps(report.to_jsonable(), indent=2), out.read_bytes()
+
+
+@settings(max_examples=16)
+@given(data=st.data(), workers=st.sampled_from([1, 2]))
+def test_resume_after_a_cut_at_any_byte(uninterrupted, data, workers):
+    report_json, whole = uninterrupted
+    header_end = whole.index(b"\n") + 1
+    cut = data.draw(st.one_of(st.integers(0, header_end), st.integers(0, len(whole))))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "census.jsonl")
+        with open(out, "wb") as fh:
+            fh.write(whole[:cut])
+        report = run_census(_CUT_CONFIG, out_path=out, workers=workers)
+        assert json.dumps(report.to_jsonable(), indent=2) == report_json
+        with open(out, "rb") as fh:
+            assert fh.read() == whole
 
 
 class TestCapInteraction:

@@ -250,6 +250,44 @@ class TestCensus:
         assert "no header line" in captured.err
         assert out.read_text() == records
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda rec: rec.update(
+                    verdict={
+                        "status": "UNKNOWN",
+                        "proof": None,
+                        "witness": None,
+                        "notes": [{"code": "x", "vertices": [], "detail": ""}],
+                    }
+                ),
+                "is not its verdict's 'UNKNOWN'",
+            ),
+            (lambda rec: rec.pop("status"), "KeyError: 'status'"),
+        ],
+        ids=["unverified-status", "no-status"],
+    )
+    def test_resume_of_a_record_its_verdict_does_not_back_exits_1(
+        self, tmp_path, capsys, edit, message
+    ):
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--flavor", "racg", "--max-vertices", "2", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        header, *records = out.read_text().splitlines()
+        rec = json.loads(records[-1])
+        edit(rec)
+        out.write_text("\n".join([header, *records[:-1], json.dumps(rec)]) + "\n")
+        written = out.read_bytes()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith(f"error: corrupt census record at {out}:{1 + len(records)}: ")
+        assert message in err and "\n" not in err
+        assert out.read_bytes() == written
+
     def test_workers_stdout_matches_serial(self, capsys):
         argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]
         assert main(argv) == 0
@@ -442,18 +480,38 @@ class TestErrors:
         ],
     )
     def test_malformed_json_exits_1_without_traceback(self, doc, message):
-        """Run as a process, so an uncaught exception would show as a
-        traceback on stderr instead of failing inside the test."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphcoherence.cli", "classify", "-"],
-            input=doc,
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
+        _assert_exits_1_without_traceback(["classify", "-"], doc, message)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--flavor", "coxeter", "--labels", "3,3"], "edge labels must be distinct"),
+            (["--max-edges", "-1"], "max_edges must be >= 0"),
+            (["--workers", "0"], "workers must be >= 1, not 0"),
+            (["--workers", "-3"], "workers must be >= 1, not -3"),
+        ],
+        ids=["repeated-label", "negative-max-edges", "zero-workers", "negative-workers"],
+    )
+    def test_bad_census_option_exits_1_without_traceback(self, options, message):
+        _assert_exits_1_without_traceback(
+            ["census", "--max-vertices", "2", *options], "", message
         )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+
+
+def _assert_exits_1_without_traceback(argv, stdin, message):
+    """Run the CLI as a process, so an uncaught exception would show as a
+    traceback on stderr instead of failing inside the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphcoherence.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
