@@ -4,8 +4,9 @@ Recognizing finite and affine reflection groups
 
 Every graph with order-2 vertex groups defines a reflection group.
 Splitting its defining graph on commuting (label-2) edges gives diagram
-components; each component is finite, affine, or indefinite, read off
-the spectrum of its cosine matrix and matched to the classical tables.
+components (the join factors of the graph); each is finite, affine or
+indefinite, read off the spectrum of its cosine matrix and matched to
+the classical tables.
 
 Convention: a missing edge imposes no relation at all.  So to realize a
 classical diagram as a graph, every unbonded pair of diagram nodes gets
@@ -16,7 +17,7 @@ import itertools
 import math
 
 from graphcoherence import coxeter_graph, racg
-from graphcoherence.group_model import classify_components, coxeter_matrix, finiteness
+from graphcoherence.group_model import classify_components, finiteness
 from graphcoherence.labeled_graph import cycle_edges
 
 
@@ -34,7 +35,7 @@ def describe(title, G):
     fin = finiteness(G)
     order = "infinite" if fin.order == math.inf else str(int(fin.order))
     print(f"{title}: order {order}")
-    for vertices, t in classify_components(coxeter_matrix(G)):
+    for vertices, t in classify_components(G):
         print(f"  component {vertices}: {t.name} ({t.kind})")
     print()
 

@@ -13,6 +13,7 @@ recomputed.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
@@ -243,6 +244,19 @@ def _describe_header(header: dict) -> str:
     )
 
 
+def _locked_records(path: str):
+    """The record file opened for appending, under an exclusive lock that
+    closing it releases; a file another census holds is refused with a
+    ``ValueError`` before anything reads or writes it."""
+    fh = open(path, "a", encoding="utf-8")
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        fh.close()
+        raise ValueError(f"record file {path} is in use by another census") from None
+    return fh
+
+
 def _load_records(path: str, header: dict) -> dict[str, dict]:
     """Records of an existing record file, by canonical key.
 
@@ -259,8 +273,6 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
     whose status is not its verdict's, is an error naming ``path:line``.
     """
     records: dict[str, dict] = {}
-    if not os.path.exists(path):
-        return records
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     # lines[-1] is what follows the last newline: empty unless cut off.
@@ -380,7 +392,9 @@ def run_census(
     a new file; re-running with the same path skips keys that already
     have records (their stored verdicts are still counted and, when
     configured, re-verified).  A file whose header names another engine
-    configuration or package version is refused with a ``ValueError``.
+    configuration or package version is refused with a ``ValueError``,
+    and so is a file that another census holds: the run keeps an
+    exclusive lock on it from before reading it to its end.
     ``workers`` > 1 classifies the new classes in that many processes;
     stdout and record file are identical to the serial run's.
     """
@@ -395,7 +409,6 @@ def run_census(
         raise ValueError(f"workers must be >= 1, not {workers}")
     started = time.monotonic()
     header = records_header(engine_config)
-    records = _load_records(out_path, header) if out_path else {}
     report = CensusReport(
         flavor=config.flavor,
         min_vertices=config.min_vertices,
@@ -410,8 +423,10 @@ def run_census(
     unknown: list[tuple[int, int, str, tuple[str, ...]]] = []
     counted_keys: set[str] = set()
     with ExitStack() as stack:
-        out_fh = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
-        if out_fh and out_fh.tell() == 0:
+        out_fh = stack.enter_context(_locked_records(out_path)) if out_path else None
+        records = _load_records(out_path, header) if out_path else {}
+        # Loading may cut a cut-off header line away, down to 0 bytes.
+        if out_fh and os.fstat(out_fh.fileno()).st_size == 0:
             out_fh.write(json.dumps(header) + "\n")
             out_fh.flush()
         sightings = _sightings(config, cap, set(records))

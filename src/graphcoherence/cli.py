@@ -179,14 +179,22 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _label_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _cmd_census(args) -> int:
-    labels = tuple(int(x) for x in args.labels.split(",")) if args.labels else (2,)
     config = CensusConfig(
         flavor=args.flavor,
         min_vertices=args.min_vertices,
         max_vertices=args.max_vertices,
         max_edges=args.max_edges,
-        edge_labels=labels,
+        edge_labels=args.labels,
         dedup=args.dedup,
         verify=not args.no_verify,
     )
@@ -335,7 +343,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-edges", type=int, default=None)
     p.add_argument(
         "--labels",
-        default=None,
+        type=_label_list,
+        default=(2,),
         help="comma-separated edge labels to range over (coxeter flavor)",
     )
     p.add_argument("--dedup", action="store_true", help="count isomorphism classes once")

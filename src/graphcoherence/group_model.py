@@ -9,9 +9,12 @@ two, and explicit presentations.
 
 Coxeter conventions: the matrix entry of an edge is its label, and a
 missing edge means infinity.  The standard diagram joins two generators
-whenever their entry is 3 or more (including infinity); its connected
-components are matched against the finite and affine templates and
-cross-checked on the spot against the spectrum of the cosine matrix.
+whenever their entry is 3 or more (including infinity), that is,
+whenever they do not commute, so its connected components are the
+graph's join factors (:func:`join_factors`).  Each component is matched
+against the finite and affine templates by the canonical key of its
+bond graph and cross-checked on the spot against the spectrum of the
+cosine matrix.
 """
 
 from __future__ import annotations
@@ -19,21 +22,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .labeled_graph import (
-    AbelianGroupLabel,
-    Flavor,
     InternalInvariantError,
     LabeledGraph,
+    Z2,
+    canonical_key,
     detect_flavor,
     join_factors,
-    mask_components,
 )
-from .labeled_graph import _canonical_order  # shared low-level canonizer
 
 EIG_TOL = 1e-9
 
@@ -66,12 +67,6 @@ class CoxeterMatrix:
         j = self.vertices.index(v)
         return self.rows[i][j]
 
-    def submatrix(self, indices: Sequence[int]) -> "CoxeterMatrix":
-        return CoxeterMatrix(
-            vertices=tuple(self.vertices[i] for i in indices),
-            rows=tuple(tuple(self.rows[i][j] for j in indices) for i in indices),
-        )
-
 
 def coxeter_matrix(G: LabeledGraph) -> CoxeterMatrix:
     """Coxeter matrix of an all-Z2 graph; nonadjacent pairs get infinity."""
@@ -98,12 +93,7 @@ def cosine_matrix(M: CoxeterMatrix) -> np.ndarray:
     the diagonal is 1.  Positive definite exactly for finite groups,
     positive semidefinite with one zero eigenvalue per connected
     diagram component exactly for the affine ones."""
-    n = M.n
-    B = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            B[i, j] = -math.cos(math.pi / M.rows[i][j])
-    return B
+    return -np.cos(np.pi / np.array(M.rows, dtype=float))
 
 
 def _signature(B: np.ndarray, tol: float = EIG_TOL) -> tuple[int, int]:
@@ -168,11 +158,10 @@ def _finite_order(family: str, index: int, bond: Optional[int] = None) -> int:
     return _EXCEPTIONAL_ORDERS[(family, index)]
 
 
-Bond = Union[int, float]
-Bonds = dict[tuple[int, int], Bond]
+Bonds = dict[tuple[int, int], int]
 
 
-def _path(bonds: Sequence[Bond]) -> Bonds:
+def _path(bonds: Sequence[int]) -> Bonds:
     return {(i, i + 1): m for i, m in enumerate(bonds)}
 
 
@@ -182,7 +171,7 @@ def _cycle(r: int) -> Bonds:
     return bonds
 
 
-def _fork_chain(r: int, end_bond: Bond) -> Bonds:
+def _fork_chain(r: int, end_bond: int) -> Bonds:
     """Two leaves on a hub, then a chain whose final bond is
     ``end_bond``; r vertices total (r >= 4)."""
     bonds: Bonds = {(0, 2): 3, (1, 2): 3}
@@ -218,16 +207,14 @@ def _arm_star(arms: Sequence[int]) -> Bonds:
 
 
 def _bond_key(r: int, bonds: Bonds) -> str:
-    adj: list[dict[int, Bond]] = [dict() for _ in range(r)]
-    for (i, j), m in bonds.items():
-        adj[i][j] = m
-        adj[j][i] = m
-    order = _canonical_order(r, [""] * r, adj)
-    pos = {v: p for p, v in enumerate(order)}
-    triples = sorted(
-        (min(pos[i], pos[j]), max(pos[i], pos[j]), m) for (i, j), m in bonds.items()
+    """Canonical key of the all-Z2 graph on r vertices whose edges are
+    the bonds (position pairs i < j), labeled with their orders."""
+    D = LabeledGraph(
+        vertices=tuple(map(str, range(r))),
+        groups=(Z2,) * r,
+        edges=tuple(sorted((i, j, m) for (i, j), m in bonds.items())),
     )
-    return ",".join(f"{i}-{j}:{m}" for i, j, m in triples)
+    return canonical_key(D, cap=r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,50 +276,26 @@ def _templates(r: int) -> tuple[tuple[IrreducibleType, str], ...]:
     return tuple((t, _bond_key(r, bonds)) for t, bonds in out)
 
 
-def _diagram_components(M: CoxeterMatrix) -> list[list[int]]:
-    """Connected components of the standard diagram (bonds where the
-    entry is >= 3 or infinite), ordered by smallest position."""
-    n = M.n
-    bonds = []
-    for row in M.rows:
-        # The diagonal entry 1 sets a vertex's own bit; the walk ignores it.
-        bond = 0
-        for j, m in enumerate(row):
-            if m != 2:
-                bond |= 1 << j
-        bonds.append(bond)
-    return [
-        [i for i in range(n) if comp >> i & 1]
-        for comp in mask_components(bonds, (1 << n) - 1)
-    ]
-
-
-def _match_component(M: CoxeterMatrix, comp: list[int]) -> IrreducibleType:
-    r = len(comp)
+def _match_component(G: LabeledGraph, idx: list[int]) -> IrreducibleType:
+    """Type of the diagram component on the vertex positions ``idx``
+    (ascending), read off the graph's edges."""
+    r = len(idx)
     if r == 1:
         return IrreducibleType("finite", "A", 1, order=2)
+    pos = {v: k for k, v in enumerate(idx)}
+    labels = [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
+    if len(labels) < r * (r - 1) // 2:
+        # A missing edge is an infinite bond: affine A1 on two vertices,
+        # and no finite or affine diagram on 3+ vertices carries one.
+        return IrreducibleType("affine", "A", 1) if r == 2 else IrreducibleType("indefinite")
     if r == 2:
-        m = M.rows[comp[0]][comp[1]]
-        if m == math.inf:
-            return IrreducibleType("affine", "A", 1)
-        m = int(m)
+        m = labels[0][2]
         if m == 3:
             return IrreducibleType("finite", "A", 2, order=6)
         if m == 4:
             return IrreducibleType("finite", "B", 2, order=8)
         return IrreducibleType("finite", "I2", 2, bond=m, order=2 * m)
-    pos = {v: k for k, v in enumerate(comp)}
-    bonds: Bonds = {}
-    for a, b in itertools.combinations(comp, 2):
-        m = M.rows[a][b]
-        if m != 2:
-            key = (pos[a], pos[b])
-            bonds[key] = math.inf if m == math.inf else int(m)
-    if any(m == math.inf for m in bonds.values()):
-        # No finite or affine diagram on 3+ vertices carries an
-        # infinite bond, so skip template matching.
-        return IrreducibleType("indefinite")
-    ckey = _bond_key(r, bonds)
+    ckey = _bond_key(r, {(i, j): m for i, j, m in labels if m != 2})
     for t, tkey in _templates(r):
         if tkey == ckey:
             return t
@@ -340,16 +303,19 @@ def _match_component(M: CoxeterMatrix, comp: list[int]) -> IrreducibleType:
 
 
 def classify_components(
-    M: CoxeterMatrix,
+    G: LabeledGraph,
 ) -> tuple[tuple[tuple[str, ...], IrreducibleType], ...]:
-    """Type of every standard-diagram component, cross-checked against
-    the cosine matrix spectrum (definite for finite, corank one for
-    affine, a negative eigenvalue otherwise)."""
+    """Type of every standard-diagram component of an all-Z2 graph, in
+    the order of :func:`join_factors`, cross-checked against the cosine
+    matrix spectrum (definite for finite, corank one for affine, a
+    negative eigenvalue otherwise).  Other graphs raise
+    :class:`UnsupportedFlavorError`."""
+    B = cosine_matrix(coxeter_matrix(G))
     out = []
-    for comp in _diagram_components(M):
-        t = _match_component(M, comp)
-        sub = M.submatrix(comp)
-        neg, zero = _signature(cosine_matrix(sub))
+    for comp in join_factors(G):
+        idx = [G.index(v) for v in comp]
+        t = _match_component(G, idx)
+        neg, zero = _signature(B.take(idx, 0).take(idx, 1))
         expected = {
             "finite": (0, 0),
             "affine": (0, 1),
@@ -362,7 +328,7 @@ def classify_components(
             raise InternalInvariantError(
                 "unmatched diagram component is not actually indefinite"
             )
-        out.append((tuple(M.vertices[i] for i in comp), t))
+        out.append((comp, t))
     return tuple(out)
 
 
@@ -380,7 +346,7 @@ class FinitenessResult:
 def is_finite(G: LabeledGraph) -> FinitenessResult:
     """Finiteness of the Coxeter group of an all-Z2 graph, with the
     order and the per-component types."""
-    comps = classify_components(coxeter_matrix(G))
+    comps = classify_components(G)
     finite = all(t.kind == "finite" for _, t in comps)
     if finite:
         order: float = math.prod(t.order for _, t in comps)
@@ -533,7 +499,7 @@ class SlenderCertificate:
 
 
 def _coxeter_slender(G: LabeledGraph) -> SlenderCertificate:
-    comps = classify_components(coxeter_matrix(G))
+    comps = classify_components(G)
     for vertices, t in comps:
         if t.kind == "indefinite":
             return SlenderCertificate(

@@ -11,8 +11,9 @@ It is also the one graph core.  Vertex sets can be int bitmasks over
 vertex positions (:func:`vertex_mask`, :func:`mask_vertices`); every
 graph carries its adjacency bitsets (``LabeledGraph.adjacency_masks``,
 built on first use), and :func:`mask_components` is the one components
-walk, used for graph components, join factors, Coxeter-diagram
-components and the separator search alike.
+walk, used for graph components, join factors and the separator search
+alike.  The components of a Coxeter group's standard diagram are the
+join factors of its all-Z2 graph.
 """
 
 from __future__ import annotations
@@ -500,13 +501,6 @@ def _parse_json(text: str) -> LabeledGraph:
     extra = set(doc) - {"flavor", "vertices", "edges"}
     if extra:
         raise GraphValidationError(f"unknown top-level fields: {sorted(extra)}")
-    flavor = doc.get("flavor")
-    if flavor is not None and (not isinstance(flavor, str) or flavor not in _FLAVOR_DEFAULTS):
-        raise GraphValidationError(
-            f"unknown flavor {flavor!r}; expected one of {sorted(_FLAVOR_DEFAULTS)}"
-        )
-    default = _FLAVOR_DEFAULTS.get(flavor) if flavor else None
-
     raw_vertices = doc.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise GraphValidationError("'vertices' must be a nonempty list")
@@ -522,19 +516,8 @@ def _parse_json(text: str) -> LabeledGraph:
         extra = set(entry) - {"id", "group"}
         if extra:
             raise GraphValidationError(f"unknown vertex fields: {sorted(extra)}")
-        if "group" in entry:
-            g = AbelianGroupLabel.from_jsonable(entry["group"])
-            if default is not None and g != default:
-                raise GraphValidationError(
-                    f"vertex {vid!r} group {g} conflicts with flavor {flavor!r}"
-                )
-        elif default is not None:
-            g = default
-        else:
-            raise GraphValidationError(
-                f"vertex {vid!r} has no group and no flavor supplies one"
-            )
-        vertex_items.append((vid, g))
+        group = AbelianGroupLabel.from_jsonable(entry["group"]) if "group" in entry else None
+        vertex_items.append((vid, group))
 
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -554,16 +537,7 @@ def _parse_json(text: str) -> LabeledGraph:
             )
         label = entry.get("label", 2)
         edge_items.append((entry["u"], entry["v"], label))
-    G = LabeledGraph.build(vertex_items, edge_items)
-    if flavor in ("raag", "racg", "graph_product"):
-        bad = next((e for e in G.edges if e[2] != 2), None)
-        if bad is not None:
-            u, v, m = bad
-            raise GraphValidationError(
-                f"flavor {flavor!r} requires label 2 on every edge, "
-                f"got {m} on {G.vertices[u]!r}--{G.vertices[v]!r}"
-            )
-    return G
+    return _flavored_graph(doc.get("flavor"), vertex_items, edge_items)
 
 
 _DOT_COMMENT = re.compile(r"//[^\n]*|#[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -589,7 +563,6 @@ def _parse_dot(text: str) -> LabeledGraph:
     inner = body[m.end() : body.rstrip().rfind("}")]
 
     flavor = None
-    vertex_items: list[tuple[str, AbelianGroupLabel]] = []
     declared: dict[str, AbelianGroupLabel | None] = {}
     vertex_order: list[str] = []
     edge_items: list[tuple[str, str, int]] = []
@@ -647,26 +620,45 @@ def _parse_dot(text: str) -> LabeledGraph:
             for u, v in zip(chain, chain[1:]):
                 edge_items.append((u, v, label))
 
-    if flavor is not None and flavor not in _FLAVOR_DEFAULTS:
-        raise GraphValidationError(f"unknown flavor {flavor!r}")
-    default = _FLAVOR_DEFAULTS.get(flavor) if flavor else None
-    for vid in vertex_order:
-        g = declared[vid]
+    return _flavored_graph(flavor, [(vid, declared[vid]) for vid in vertex_order], edge_items)
+
+
+def _flavored_graph(
+    flavor: object,
+    vertex_items: Sequence[tuple[str, Optional[AbelianGroupLabel]]],
+    edge_items: Sequence[tuple[str, str, int]],
+) -> LabeledGraph:
+    """The graph of a parsed document under its ``flavor`` (None when it
+    names none): the flavor must be known, it supplies the group of every
+    vertex that declares none and must agree with every declared one, and
+    the right-angled flavors allow label 2 only."""
+    if flavor is not None and (not isinstance(flavor, str) or flavor not in _FLAVOR_DEFAULTS):
+        raise GraphValidationError(
+            f"unknown flavor {flavor!r}; expected one of {sorted(_FLAVOR_DEFAULTS)}"
+        )
+    default = _FLAVOR_DEFAULTS.get(flavor)
+    groups = []
+    for vid, g in vertex_items:
         if g is None:
             if default is None:
                 raise GraphValidationError(
-                    f"vertex {vid!r} has no group attribute and no flavor supplies one"
+                    f"vertex {vid!r} has no group and no flavor supplies one"
                 )
             g = default
         elif default is not None and g != default:
             raise GraphValidationError(
                 f"vertex {vid!r} group {g} conflicts with flavor {flavor!r}"
             )
-        vertex_items.append((vid, g))
-    G = LabeledGraph.build(vertex_items, edge_items)
+        groups.append((vid, g))
+    G = LabeledGraph.build(groups, edge_items)
     if flavor in ("raag", "racg", "graph_product"):
-        if any(m != 2 for _, _, m in G.edges):
-            raise GraphValidationError(f"flavor {flavor!r} requires label 2 on every edge")
+        bad = next((e for e in G.edges if e[2] != 2), None)
+        if bad is not None:
+            u, v, m = bad
+            raise GraphValidationError(
+                f"flavor {flavor!r} requires label 2 on every edge, "
+                f"got {m} on {G.vertices[u]!r}--{G.vertices[v]!r}"
+            )
     return G
 
 

@@ -30,7 +30,6 @@ from graphcoherence.decomposition import dirac_split, verify_split
 from graphcoherence.group_model import (
     SLENDER,
     classify_components,
-    coxeter_matrix,
     finiteness,
     is_slender,
 )
@@ -261,7 +260,7 @@ def test_criterion_07_coxeter_types_and_orders():
     tol = 1e-9
     for name, r, bonds in diagram_catalog():
         G = realize_diagram(r, bonds)
-        comps = classify_components(coxeter_matrix(G))
+        comps = classify_components(G)
         assert len(comps) == 1 and comps[0][1].name == name
         eigs = independent_cosine_eigs(G)
         neg = int(np.sum(eigs < -tol))
@@ -283,7 +282,7 @@ def test_criterion_07_coxeter_types_and_orders():
         assert finiteness(G).order == dihedral_order(m) == 2 * m
 
     K = symmetric_coxeter_k4()
-    comps = classify_components(coxeter_matrix(K))
+    comps = classify_components(K)
     assert comps[0][1].name == "A4"
     assert finiteness(K).order == 120 == symmetric_group_order(4)
     print(

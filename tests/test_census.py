@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -325,6 +326,22 @@ class TestRecordsAndResume:
         with pytest.raises(ValueError, match=f"corrupt census record at .*:3: .*{message}"):
             run_census(config, out_path=str(out))
         assert out.read_bytes() == written
+
+    def test_record_file_held_by_another_census_refused(self, tmp_path):
+        out = tmp_path / "census.jsonl"
+        config = CensusConfig(flavor="racg", max_vertices=3)
+        run_census(config, out_path=str(out))
+        whole = out.read_bytes()
+        # A cut-off last record: a run that read the file would cut it.
+        out.write_bytes(whole[:-20])
+        with open(out, "ab") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            with pytest.raises(ValueError, match="is in use by another census"):
+                run_census(config, out_path=str(out))
+            assert out.read_bytes() == whole[:-20]
+        # Released, the same file resumes.
+        run_census(config, out_path=str(out))
+        assert out.read_bytes() == whole
 
 
 _CUT_CONFIG = CensusConfig(flavor="racg", max_vertices=4)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -18,6 +20,7 @@ from graphcoherence.coherence_engine import STEP_NAMES
 from graphcoherence.labeled_graph import (
     AbelianGroupLabel,
     LabeledGraph,
+    Z2,
     graph_to_jsonable,
 )
 from helpers import (
@@ -402,6 +405,24 @@ class TestFiniteness:
         doc = json.loads(capsys.readouterr().out)
         assert doc["finite"] is True and doc["order"] == 120
 
+    def test_a13_on_13_vertices(self, tmp_path, capsys):
+        # Bond 3 along a path, label 2 elsewhere: the A13 diagram, one
+        # vertex above the default canonical-form cap.
+        ids = [f"s{i}" for i in range(13)]
+        G = LabeledGraph.build(
+            [(v, Z2) for v in ids],
+            [
+                (u, v, 3 if j == i + 1 else 2)
+                for (i, u), (j, v) in itertools.combinations(enumerate(ids), 2)
+            ],
+        )
+        path = graph_file(tmp_path, G)
+        assert main(["finiteness", "--format", "json", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["finite"] is True and doc["order"] == 87178291200
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out.startswith("verdict: COHERENT\n")
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -489,13 +510,33 @@ class TestErrors:
             (["--max-edges", "-1"], "max_edges must be >= 0"),
             (["--workers", "0"], "workers must be >= 1, not 0"),
             (["--workers", "-3"], "workers must be >= 1, not -3"),
+            (
+                ["--flavor", "coxeter", "--labels", "2,x"],
+                "argument --labels: expected comma-separated integers, got '2,x'",
+            ),
         ],
-        ids=["repeated-label", "negative-max-edges", "zero-workers", "negative-workers"],
+        ids=[
+            "repeated-label",
+            "negative-max-edges",
+            "zero-workers",
+            "negative-workers",
+            "non-integer-label",
+        ],
     )
     def test_bad_census_option_exits_1_without_traceback(self, options, message):
         _assert_exits_1_without_traceback(
             ["census", "--max-vertices", "2", *options], "", message
         )
+
+    def test_census_on_a_record_file_in_use_exits_1(self, tmp_path):
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--max-vertices", "3", "--out", str(out)]
+        assert main(argv) == 0
+        written = out.read_bytes()
+        with open(out, "ab") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            _assert_exits_1_without_traceback(argv, "", "is in use by another census")
+        assert out.read_bytes() == written
 
 
 def _assert_exits_1_without_traceback(argv, stdin, message):

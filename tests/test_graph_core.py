@@ -79,11 +79,11 @@ def test_join_factors_match_noncommuting_components(G):
 @given(labeled_graphs())
 def test_diagram_components_match_networkx(G):
     nx = pytest.importorskip("networkx")
-    M = coxeter_matrix(G)
-    parts = tuple(vertices for vertices, _ in classify_components(M))
+    parts = tuple(vertices for vertices, _ in classify_components(G))
     _assert_ordered_partition(G, parts)
-    # The standard diagram, read off the matrix: a bond wherever the
-    # entry is not 2 (a label >= 3 or infinity).
+    # The standard diagram, read off the Coxeter matrix: a bond wherever
+    # the entry is not 2 (a label >= 3 or infinity).
+    M = coxeter_matrix(G)
     bonded = lambda u, v: M.m(u, v) != 2  # noqa: E731
     assert {frozenset(p) for p in parts} == _nx_parts(nx, G, bonded)
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphcoherence as gc
 from graphcoherence import (
@@ -180,7 +181,7 @@ class TestDiagramClassification:
     @pytest.mark.parametrize("name, r, bonds", diagram_catalog())
     def test_catalog_entry_matches_name(self, name, r, bonds):
         G = realize_diagram(r, bonds)
-        comps = classify_components(coxeter_matrix(G))
+        comps = classify_components(G)
         assert len(comps) == 1
         vertices, t = comps[0]
         assert len(vertices) == r
@@ -201,7 +202,7 @@ class TestDiagramClassification:
     def test_indefinite_triangle_detected(self):
         # all pairwise unbonded: free product diagram on 3 generators
         G = racg(["a", "b", "c"], [])
-        comps = classify_components(coxeter_matrix(G))
+        comps = classify_components(G)
         assert len(comps) == 1
         assert comps[0][1].kind == "indefinite"
         eigs = independent_cosine_eigs(G)
@@ -210,7 +211,7 @@ class TestDiagramClassification:
     def test_components_split_on_label_two_edges(self):
         # square: diagram components are the two diagonals
         G = cycle_racg(4)
-        comps = classify_components(coxeter_matrix(G))
+        comps = classify_components(G)
         assert sorted(tuple(sorted(vs)) for vs, _ in comps) == [
             ("v0", "v2"),
             ("v1", "v3"),
@@ -218,16 +219,52 @@ class TestDiagramClassification:
         assert all(t.name == "~A1" for _, t in comps)
 
     def test_heavy_k4_is_a4(self):
-        comps = classify_components(coxeter_matrix(symmetric_coxeter_k4()))
+        comps = classify_components(symmetric_coxeter_k4())
         assert len(comps) == 1
         assert comps[0][1].name == "A4"
 
     def test_triangle_333_is_affine_a2(self):
-        comps = classify_components(coxeter_matrix(triangle_coxeter_333()))
+        comps = classify_components(triangle_coxeter_333())
         assert comps[0][1].name == "~A2"
         B = cosine_matrix(coxeter_matrix(triangle_coxeter_333()))
         eigs = np.linalg.eigvalsh(B)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_a13_above_the_default_vertex_cap(self):
+        # A diagram is keyed at its own vertex count, so a component
+        # above the default canonical-form cap of 12 still matches.
+        G = realize_diagram(13, _path_bonds([3] * 12))
+        fin = finiteness(G)
+        assert fin.finite and fin.order == 87178291200 == math.factorial(14)
+        assert [t.name for _, t in fin.components] == ["A13"]
+
+
+@st.composite
+def coxeter_graphs(draw, max_vertices=8):
+    """All-Z2 graphs with labels 2..6 (label 2 weighted up, so finite
+    and affine components show up) or no edge."""
+    n = draw(st.integers(1, max_vertices))
+    ids = [f"g{i}" for i in range(n)]
+    edges = []
+    for u, v in itertools.combinations(ids, 2):
+        m = draw(st.sampled_from([None, 2, 2, 2, 3, 3, 4, 5, 6]))
+        if m is not None:
+            edges.append((u, v, m))
+    return coxeter_graph(ids, edges)
+
+
+@settings(max_examples=100)
+@given(G=coxeter_graphs(), data=st.data())
+def test_component_types_survive_reorder_and_renaming(G, data):
+    order = data.draw(st.permutations(G.vertices))
+    names = data.draw(st.permutations([f"x{i}" for i in range(G.n)]))
+    H = G.permuted(order).relabeled(dict(zip(order, names)))
+
+    def types(K):
+        return sorted((len(vs), t.name) for vs, t in classify_components(K))
+
+    assert types(H) == types(G)
+    assert finiteness(H).order == finiteness(G).order
 
 
 class TestOrders:
@@ -492,7 +529,7 @@ class TestInternalConsistency:
         # spectrum; a full catalog sweep passing means table and oracle
         # agree from the inside as well
         for name, r, bonds in diagram_catalog():
-            classify_components(coxeter_matrix(realize_diagram(r, bonds)))
+            classify_components(realize_diagram(r, bonds))
 
     def test_direct_sums_of_catalog_entries(self):
         # two disjoint pieces classify independently
@@ -504,5 +541,5 @@ class TestInternalConsistency:
             + [(ids[0], ids[1], 4)]
             + [(u, v, 2) for u in a.vertices for v in ids],
         )
-        comps = classify_components(coxeter_matrix(G))
+        comps = classify_components(G)
         assert sorted(t.name for _, t in comps) == ["A3", "B2"]

@@ -308,6 +308,42 @@ class TestParsing:
         with pytest.raises(GraphValidationError):
             parse_graph("hello world")
 
+    @pytest.mark.parametrize(
+        "json_doc, dot_doc, message",
+        [
+            (
+                '{"flavor": "rag", "vertices": [{"id": "a"}]}',
+                'graph g { flavor="rag"; a; }',
+                "unknown flavor 'rag'; expected one of",
+            ),
+            (
+                '{"vertices": [{"id": "a"}]}',
+                "graph g { a; }",
+                "vertex 'a' has no group and no flavor supplies one",
+            ),
+            (
+                '{"flavor": "racg", "vertices": [{"id": "a", "group": "Z_3"}]}',
+                'graph g { flavor="racg"; a [group="Z_3"]; }',
+                "vertex 'a' group Z_3 conflicts with flavor 'racg'",
+            ),
+            (
+                '{"flavor": "raag", "vertices": [{"id": "a"}, {"id": "b"}],'
+                ' "edges": [{"u": "a", "v": "b", "label": 3}]}',
+                'graph g { flavor="raag"; a -- b [label=3]; }',
+                "flavor 'raag' requires label 2 on every edge, got 3 on 'a'--'b'",
+            ),
+        ],
+        ids=["unknown-flavor", "no-group", "group-conflict", "big-label"],
+    )
+    def test_json_and_dot_report_a_flavor_defect_alike(self, json_doc, dot_doc, message):
+        errors = []
+        for doc in (json_doc, dot_doc):
+            with pytest.raises(GraphValidationError) as info:
+                parse_graph(doc)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert message in errors[0]
+
 
 class TestChordality:
     def test_named_graphs(self):
