@@ -39,12 +39,6 @@ class InternalInvariantError(RuntimeError):
     """A self-check that must hold by theory failed; indicates a bug."""
 
 
-# Frontier sizes beyond this make the pairwise equivalence test too
-# expensive; candidates are kept as-is and the hard cap below protects
-# against runaway growth.
-_DEDUPE_LIMIT = 600
-_FRONTIER_HARD_CAP = 250_000
-
 # Default ceiling for canonical forms.  Callers may raise it, but the
 # search-based classification never does.
 DEFAULT_VERTEX_CAP = 12
@@ -541,14 +535,34 @@ def _parse_json(text: str) -> LabeledGraph:
 
 
 _DOT_COMMENT = re.compile(r"//[^\n]*|#[^\n]*|/\*.*?\*/", re.DOTALL)
-_DOT_ID = r'(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_]*)'
-_DOT_ATTR = re.compile(rf"({_DOT_ID})\s*=\s*({_DOT_ID}|\d+)")
+# A DOT ID: a quoted string, an identifier or a numeral.
+_DOT_ID = r'(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))'
+_DOT_PAIR = rf"({_DOT_ID})\s*=\s*({_DOT_ID})"
+# One item of an attribute list, with its optional comma.
+_DOT_ATTR = re.compile(rf"\s*{_DOT_PAIR}\s*,?")
 
 
 def _dot_unquote(token: str) -> str:
     if token.startswith('"') and token.endswith('"'):
         return token[1:-1]
     return token
+
+
+def _dot_attrs(text: str, kind: str, allowed: Iterable[str]) -> dict[str, str]:
+    """The ``key=value`` pairs of one attribute list, each key one of
+    ``allowed``."""
+    attrs = {}
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _DOT_ATTR.match(text, pos)
+        if not m:
+            raise GraphValidationError(f"malformed attribute list [{text.strip()}]")
+        attrs[_dot_unquote(m.group(1))] = _dot_unquote(m.group(2))
+        pos = m.end()
+    extra = set(attrs) - set(allowed)
+    if extra:
+        raise GraphValidationError(f"unknown {kind} attributes: {sorted(extra)}")
+    return attrs
 
 
 def _parse_dot(text: str) -> LabeledGraph:
@@ -580,34 +594,35 @@ def _parse_dot(text: str) -> LabeledGraph:
         stmt = raw.strip()
         if not stmt:
             continue
-        attrs = {}
         am = re.search(r"\[([^\]]*)\]\s*$", stmt)
+        attr_text = am.group(1) if am else ""
         if am:
-            for k, v in _DOT_ATTR.findall(am.group(1)):
-                attrs[_dot_unquote(k)] = _dot_unquote(v)
             stmt = stmt[: am.start()].strip()
         if stmt == "graph":
-            if "flavor" in attrs:
-                flavor = attrs["flavor"]
+            flavor = _dot_attrs(attr_text, "graph", ("flavor",)).get("flavor", flavor)
             continue
-        gm = re.fullmatch(rf"({_DOT_ID})\s*=\s*({_DOT_ID}|\d+)", stmt)
+        if stmt in ("node", "edge"):
+            if attr_text.strip():
+                raise GraphValidationError(f"{stmt} default attributes are not supported")
+            continue
+        gm = re.fullmatch(_DOT_PAIR, stmt)
         if gm:
             name = _dot_unquote(gm.group(1))
             if name != "flavor":
                 raise GraphValidationError(f"unknown graph attribute {name!r}")
             flavor = _dot_unquote(gm.group(2))
             continue
-        chain = [_dot_unquote(t.strip()) for t in stmt.split("--")]
-        if any(not t for t in chain):
+        chain = [t.strip() for t in stmt.split("--")]
+        if not all(re.fullmatch(_DOT_ID, t) for t in chain):
             raise GraphValidationError(f"malformed statement {raw.strip()!r}")
+        chain = [_dot_unquote(t) for t in chain]
         if len(chain) == 1:
-            vid = chain[0]
-            if vid in ("node", "edge"):
-                continue
+            attrs = _dot_attrs(attr_text, "vertex", ("group",))
             group = AbelianGroupLabel.parse(attrs["group"]) if "group" in attrs else None
-            note_vertex(vid, group)
+            note_vertex(chain[0], group)
         else:
             label = 2
+            attrs = _dot_attrs(attr_text, "edge", ("label",))
             if "label" in attrs:
                 try:
                     label = int(attrs["label"])
@@ -972,78 +987,17 @@ def _refine_colors(n: int, colors: list[int], adj: Sequence[dict[int, int]]):
     return colors
 
 
-def _maps_onto(
-    p: tuple[int, ...],
-    q: tuple[int, ...],
-    p_only: int,
-    q_only: int,
-    adj: Sequence[dict[int, int]],
-) -> bool:
-    """Sound but incomplete test that some automorphism maps p to q
-    position-wise; ``p_only`` and ``q_only`` are the bitmasks of the
-    vertices placed in one of them only.
-
-    The candidate permutation sends p[i] to q[i], pairs the leftover
-    placed vertices in ascending order, and fixes everything else.  It
-    is an automorphism exactly when every edge at a moved vertex maps to
-    an edge with the same label (an edge between two fixed vertices maps
-    to itself).  Group labels and degrees need no check: both are part
-    of the colour, p[i] and q[i] share a colour, and every placement
-    places vertices in colour order, so the leftovers all lie in one
-    colour class.
-    """
-    sigma = {}
-    while q_only:
-        a, b = q_only & -q_only, p_only & -p_only
-        sigma[a.bit_length() - 1] = b.bit_length() - 1
-        q_only ^= a
-        p_only ^= b
-    # Leftovers first: they are where a wrong candidate usually fails.
-    sigma.update(zip(p, q))
-    for a, b in sigma.items():
-        row = adj[b]
-        for j, m in adj[a].items():
-            if row.get(sigma.get(j, j)) != m:
-                return False
-    return True
-
-
-def _dedupe_placements(
-    candidates: list[tuple], n: int, adj: Sequence[dict[int, int]], masks: Sequence[int]
-) -> list[tuple]:
-    """The candidates kept, in order: each one whose placement (its
-    first item) :func:`_maps_onto` does not map onto an earlier kept
-    one's.
-
-    The candidate permutation fixes every vertex outside
-    ``U = set(p) | set(q)``, so p[i] and q[i] must have the same
-    neighbours outside U.  Each placement's adjacency bitsets are
-    stacked into one int, n bits per position, so that test is one
-    masked xor per pair, and the full check runs only when it passes.
-    """
-    if len(candidates) > _DEDUPE_LIMIT:
-        return candidates
-    full = (1 << n) - 1
-    spread = ((1 << (n * len(candidates[0][0]))) - 1) // full
-    kept = []
-    seen: list[tuple[int, int, tuple[int, ...], int]] = []
-    for cand in candidates:
-        p = cand[0]
-        placed = stacked = 0
-        for i, v in enumerate(p):
-            placed |= 1 << v
-            stacked |= masks[v] << (n * i)
-        # The unplaced vertices' bitmask, repeated once per position.
-        free = (full & ~placed) * spread
-        for q_free, q_stacked, q, q_placed in seen:
-            if not (stacked ^ q_stacked) & free & q_free and _maps_onto(
-                p, q, placed & ~q_placed, q_placed & ~placed, adj
-            ):
-                break
-        else:
-            kept.append(cand)
-            seen.append((free, stacked, p, placed))
-    return kept
+def _join_orbits(orbits: list[int], perm: Sequence[int]) -> None:
+    """Merge the cycles of the vertex permutation ``perm`` into the
+    union-find forest ``orbits``, whose roots are the orbits' least
+    vertices."""
+    for a, b in enumerate(perm):
+        if a != b:
+            while orbits[a] != a:
+                a = orbits[a]
+            while orbits[b] != b:
+                b = orbits[b]
+            orbits[max(a, b)] = min(a, b)
 
 
 def _canonical_order(
@@ -1053,46 +1007,91 @@ def _canonical_order(
     lexicographically smallest vertex order whose row sequence is
     lexicographically least.
 
-    Grows placements a position at a time, keeping every placement that
-    attains the least next row, with a sound automorphism-based dedupe
-    (:func:`_dedupe_placements`) so symmetric graphs do not blow up.
-    Colour refinement orders the vertices as their vkeys do, so each row
-    is kept as one int: the colour, then one base-``base`` digit per
-    placed vertex, an edge's label sorting below the non-edge digit.
-    Placing a vertex appends one digit to every row.
+    One depth-first search over vertex orders.  Colour refinement orders
+    the vertices as their vkeys do, so each row is kept as one int: the
+    colour, then one base-``base`` digit per placed vertex, an edge's
+    label sorting below the non-edge digit.  A node places, in ascending
+    order, only the vertices whose row is least there (any other makes
+    the rows larger), so leaves come in lexicographic order, and a leaf
+    becomes the best only when its rows are strictly smaller: the best
+    is the first leaf attaining its rows.  The prunes skip only leaves
+    with larger rows or with equal rows and a larger order:
+
+    - A node whose rows so far equal the best leaf's and whose next row
+      exceeds the best leaf's there is cut.
+    - A leaf whose rows equal the best leaf's gives the automorphism
+      ``best[i] -> order[i]`` (equal rows mean equal colours and
+      labels).  It fixes their common prefix and maps the best leaf's
+      branch at the first difference onto this leaf's, so the search
+      returns to that depth.
+    - Each node merges into its vertex orbits the automorphisms found
+      below it that did not return past it, which all fix its prefix,
+      and places only the least vertex of each orbit: the branch of any
+      other is the image of the least one's.
     """
     colors = _refine_colors(n, _initial_colors(n, vkeys, adj), adj)
     non_edge = max(map(max, map(dict.values, filter(None, adj))), default=1) + 1
     base = non_edge + 1
-    masks: Optional[list[int]] = None
-    # Each frontier state is (placement, rows); a placed vertex's row is
-    # infinite, so it never attains the least row again.
-    frontier: list[tuple[tuple[int, ...], list]] = [((), colors)]
-    for level in range(n):
-        best = min([min(rows) for _, rows in frontier])
-        candidates = [
-            (placement + (v,), rows, v)
-            for placement, rows in frontier
-            for v, row in enumerate(rows)
-            if row == best
-        ]
-        if len(candidates) > _FRONTIER_HARD_CAP:
-            raise VertexCapError("canonical form search exceeded its frontier cap")
-        if level == n - 1:
-            # Only the first full placement is used, so the last level
-            # needs no dedupe.
-            return candidates[0][0]
-        if len(candidates) > 1:
-            if masks is None:
-                masks = [sum(map((1).__lshift__, row)) for row in adj]
-            candidates = _dedupe_placements(candidates, n, adj, masks)
-        frontier = []
-        for placement, rows, v in candidates:
+    order: list[int] = []
+    path_rows: list[int] = []
+    best: list[int] = []
+    best_rows: list[int] = []
+    automorphisms: list[list[int]] = []
+
+    def search(rows: list, equal: bool) -> int:
+        """Search below ``order``, whose unplaced vertices have ``rows``
+        (placed ones have infinite rows); ``equal`` says the rows so far
+        equal the best leaf's.  Returns the depth to resume at, or n."""
+        depth = len(order)
+        least = min(rows)
+        if equal:
+            if least > best_rows[depth]:
+                return n
+            equal = least == best_rows[depth]
+        path_rows.append(least)
+        if depth == n - 1:
+            # A leaf: the one vertex left goes last.
+            order.append(rows.index(least))
+            back = n
+            if not equal:
+                best[:], best_rows[:] = order, path_rows
+            else:
+                automorphisms.append([b for _, b in sorted(zip(best, order))])
+                back = next(i for i, (a, b) in enumerate(zip(best, order)) if a != b)
+            order.pop()
+            path_rows.pop()
+            return back
+        orbits = None
+        merged = len(automorphisms)
+        for v, row in enumerate(rows):
+            if row != least or orbits is not None and orbits[v] != v:
+                continue
             col = adj[v]
-            rows = [r * base + col.get(w, non_edge) for w, r in enumerate(rows)]
-            rows[v] = math.inf
-            frontier.append((placement, rows))
-    return ()  # the empty graph
+            child = [r * base + col.get(w, non_edge) for w, r in enumerate(rows)]
+            child[v] = math.inf
+            order.append(v)
+            back = search(child, equal)
+            order.pop()
+            if back < depth:
+                break
+            # The best leaf now shares this path's rows: if they were
+            # below its rows, this first child reached a new best.
+            equal = True
+            if len(automorphisms) > merged:
+                if orbits is None:
+                    orbits = list(range(n))
+                for perm in automorphisms[merged:]:
+                    _join_orbits(orbits, perm)
+                merged = len(automorphisms)
+        else:
+            back = n
+        path_rows.pop()
+        return back
+
+    if n:
+        search(colors, False)
+    del search  # it refers to itself; free it now, not at the next collection
+    return tuple(best)
 
 
 def canonical_form(

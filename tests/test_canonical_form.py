@@ -7,9 +7,10 @@ key comes from the lexicographically least row sequence and the
 placement is the lexicographically smallest order attaining it.  The
 brute-force oracle below restates that over all vertex orders, with its
 own colour refinement; the pinned values are the keys and placements of
-the benchmark's classify inputs (seed 1), and the networkx oracle checks
-that keys separate exactly the isomorphism classes of symmetric graphs
-on 8-12 vertices.
+the benchmark's classify inputs (seed 1) and of two symmetric graphs,
+and the networkx oracle checks that keys separate exactly the
+isomorphism classes of symmetric graphs on 8-12 vertices.  Every
+automorphism the search prunes with is checked by brute force.
 """
 
 from __future__ import annotations
@@ -132,65 +133,46 @@ def test_brute_force_oracle_on_symmetric_graphs():
         assert canonical_form(G) == brute_force_canonical_form(G)
 
 
-def full_rule_dedupe(placements, G: LabeledGraph):
-    """The frontier dedupe by its definition: keep a placement unless the
-    permutation sending it position-wise onto an earlier kept one q,
-    pairing the leftover placed vertices in ascending order and fixing
-    the rest, is an automorphism (groups, edges and labels) of G."""
-    if len(placements) > labeled_graph._DEDUPE_LIMIT:
-        return placements
-    n = G.n
-    label = {(i, j): m for i, j, m in G.edges}
-    label.update({(j, i): m for (i, j), m in list(label.items())})
-
-    def automorphism(sigma):
-        return all(G.groups[sigma[v]] == G.groups[v] for v in range(n)) and all(
-            label.get((sigma[i], sigma[j])) == m for (i, j), m in label.items()
+def is_automorphism(G: LabeledGraph, perm) -> bool:
+    """Brute force: perm is a bijection of vertex positions that keeps
+    every vertex group and every pair's edge label (or non-edge)."""
+    vs = G.vertices
+    return (
+        sorted(perm) == list(range(G.n))
+        and all(G.groups[perm[v]] == G.groups[v] for v in range(G.n))
+        and all(
+            G.edge_label(vs[perm[i]], vs[perm[j]]) == G.edge_label(vs[i], vs[j])
+            for i, j in itertools.combinations(range(G.n), 2)
         )
-
-    kept = []
-    for p in placements:
-        for q in kept:
-            sigma = list(range(n))
-            for a, b in zip(p, q):
-                sigma[a] = b
-            for a, b in zip(sorted(set(q) - set(p)), sorted(set(p) - set(q))):
-                sigma[a] = b
-            if automorphism(sigma):
-                break
-        else:
-            kept.append(p)
-    return kept
+    )
 
 
-def assert_frontiers_follow_the_full_rule(monkeypatch, G: LabeledGraph) -> None:
-    """Every level's dedupe keeps exactly what the full rule keeps, so the
-    frontier sizes, and with them the cap errors, follow the rule."""
-    calls = []
-    dedupe = labeled_graph._dedupe_placements
+def recorded_automorphisms(G: LabeledGraph) -> list:
+    """The automorphisms the search merges into its orbits on G."""
+    perms = []
+    join = labeled_graph._join_orbits
 
-    def recording(candidates, *args):
-        kept = dedupe(candidates, *args)
-        calls.append(([c[0] for c in candidates], [c[0] for c in kept]))
-        return kept
+    def recording(orbits, perm):
+        perms.append(tuple(perm))
+        return join(orbits, perm)
 
-    monkeypatch.setattr(labeled_graph, "_dedupe_placements", recording)
-    canonical_form(G)
-    monkeypatch.undo()
-    for placements, kept in calls:
-        assert kept == full_rule_dedupe(placements, G)
-
-
-@settings(max_examples=60)
-@given(mixed_graphs(max_n=7))
-def test_dedupe_follows_the_full_automorphism_rule(G):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_frontiers_follow_the_full_rule(monkeypatch, G)
+        monkeypatch.setattr(labeled_graph, "_join_orbits", recording)
+        canonical_form(G)
+    return perms
+
+
+@settings(max_examples=100)
+@given(mixed_graphs(max_n=7))
+def test_recorded_automorphisms_are_automorphisms(G):
+    for perm in recorded_automorphisms(G):
+        assert is_automorphism(G, perm), perm
 
 
 # (name, flavor, vertex ids in document order, edges "u-v" or "u-v:m",
 #  canonical key, placement) of the benchmark's classify-search and
-# classify-proofs inputs at seed 1.
+# classify-proofs inputs at seed 1, then of the cocktail-party graph
+# K(2,2,2,2,2,2) and the complement of C12 with shuffled ids.
 PINNED = [
     (
         'regular-4-10-0',
@@ -312,6 +294,22 @@ PINNED = [
         '12;1|;1|;1|;1|;1|;1|;1|;1|;1|;1|;1|;1|;0-1:3,0-2:3,1-3:3,2-4:3,3-5:3,4-6:3,5-7:3,6-8:3,7-9:3,8-10:3,9-11:3,10-11:3',
         'v774 v558 v462 v479 v817 v566 v718 v978 v102 v906 v621 v791',
     ),
+    (
+        'cocktail-party-6',
+        'racg',
+        'v773 v380 v246 v111 v375 v782 v458 v585 v641 v483 v490 v594',
+        'v641-v380 v782-v380 v782-v490 v585-v380 v458-v483 v773-v246 v782-v111 v375-v641 v585-v111 v773-v490 v641-v458 v490-v594 v246-v111 v375-v594 v641-v490 v490-v380 v585-v773 v641-v246 v458-v380 v641-v483 v375-v490 v773-v111 v246-v483 v483-v594 v375-v380 v490-v483 v585-v782 v773-v594 v375-v111 v782-v594 v375-v483 v458-v111 v375-v773 v773-v782 v641-v594 v585-v594 v782-v483 v585-v483 v641-v782 v773-v380 v458-v594 v375-v246 v246-v380 v458-v246 v111-v594 v585-v641 v585-v490 v773-v483 v246-v594 v483-v380 v458-v490 v641-v111 v585-v246 v375-v782 v490-v111 v782-v246 v585-v458 v375-v458 v111-v380 v773-v458',
+        '12;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0-1:2,0-2:2,0-3:2,0-4:2,0-5:2,0-6:2,0-7:2,0-8:2,0-9:2,0-10:2,1-2:2,1-3:2,1-4:2,1-5:2,1-6:2,1-7:2,1-8:2,1-9:2,1-11:2,2-3:2,2-4:2,2-5:2,2-6:2,2-7:2,2-8:2,2-10:2,2-11:2,3-4:2,3-5:2,3-6:2,3-7:2,3-9:2,3-10:2,3-11:2,4-5:2,4-6:2,4-8:2,4-9:2,4-10:2,4-11:2,5-7:2,5-8:2,5-9:2,5-10:2,5-11:2,6-7:2,6-8:2,6-9:2,6-10:2,6-11:2,7-8:2,7-9:2,7-10:2,7-11:2,8-9:2,8-10:2,8-11:2,9-10:2,9-11:2,10-11:2',
+        'v773 v380 v246 v111 v375 v782 v458 v585 v483 v490 v594 v641',
+    ),
+    (
+        'cycle-12-complement',
+        'racg',
+        'v283 v133 v929 v490 v612 v686 v979 v540 v128 v883 v623 v942',
+        'v942-v133 v612-v979 v686-v128 v929-v133 v490-v979 v686-v540 v942-v540 v490-v540 v612-v128 v883-v490 v623-v883 v686-v883 v283-v540 v283-v979 v612-v540 v929-v128 v128-v979 v883-v283 v128-v540 v623-v540 v623-v929 v929-v283 v623-v979 v283-v490 v929-v540 v623-v942 v623-v490 v979-v133 v128-v133 v612-v942 v686-v942 v686-v612 v686-v979 v612-v490 v883-v979 v283-v133 v929-v612 v929-v490 v686-v490 v929-v979 v883-v942 v883-v133 v623-v283 v283-v942 v612-v133 v929-v942 v883-v540 v490-v133 v883-v128 v623-v612 v686-v133 v128-v942 v623-v128 v686-v283',
+        '12;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0|2;0-1:2,0-2:2,0-3:2,0-4:2,0-5:2,0-6:2,0-7:2,0-8:2,0-9:2,1-2:2,1-3:2,1-4:2,1-5:2,1-6:2,1-7:2,1-8:2,1-10:2,2-3:2,2-4:2,2-5:2,2-6:2,2-7:2,2-9:2,2-11:2,3-4:2,3-5:2,3-6:2,3-8:2,3-10:2,3-11:2,4-5:2,4-7:2,4-9:2,4-10:2,4-11:2,5-8:2,5-9:2,5-10:2,5-11:2,6-7:2,6-8:2,6-9:2,6-10:2,6-11:2,7-8:2,7-9:2,7-10:2,7-11:2,8-9:2,8-10:2,8-11:2,9-10:2,9-11:2,10-11:2',
+        'v283 v490 v883 v979 v686 v133 v623 v540 v929 v942 v612 v128',
+    ),
 ]
 
 
@@ -399,6 +397,8 @@ def _family():
         ("K(2,2,2,2)", None, _complete_multipartite(4, 2)),
         ("K(3,3,3)", None, _complete_multipartite(3, 3)),
         ("K(4,4,4)", None, _complete_multipartite(3, 4)),
+        ("K(2,2,2,2,2,2)", None, _complete_multipartite(6, 2)),
+        ("co-C12", None, _circulant(12, (2, 3, 4, 5, 6))),
         ("coxeter-C12-3", None, _coxeter_cycle([3] * 12)),
         ("coxeter-C12-45", None, _coxeter_cycle([4, 5] * 6)),
         ("coxeter-C12-54", None, _coxeter_cycle([5, 4] * 6)),
@@ -433,12 +433,15 @@ def _to_nx(nx, G: LabeledGraph):
     return H
 
 
-@pytest.mark.parametrize(
-    "name", ["C12", "prism-6", "moebius-6", "petersen", "coxeter-C12-45", "C12-paired-z3"]
-)
-def test_symmetric_frontiers_follow_the_full_automorphism_rule(monkeypatch, name):
-    groups, n_edges = next((g, ne) for nm, g, ne in _family() if nm == name)
-    assert_frontiers_follow_the_full_rule(monkeypatch, _build(groups, n_edges, random.Random(5)))
+def test_symmetric_graphs_record_automorphisms():
+    """Every graph of the family has a nontrivial automorphism, so the
+    search prunes with some, and each one it records is one."""
+    rng = random.Random(5)
+    for name, groups, n_edges in _family():
+        G = _build(groups, n_edges, rng)
+        perms = recorded_automorphisms(G)
+        assert perms, name
+        assert all(is_automorphism(G, perm) for perm in perms), name
 
 
 def test_keys_separate_exactly_the_networkx_isomorphism_classes():

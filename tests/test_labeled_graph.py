@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,7 @@ from graphcoherence import (
     shape_classify,
     verify_peo,
 )
+from graphcoherence.cli import main
 from helpers import (
     brute_force_chordless_cycle,
     brute_force_is_chordal,
@@ -302,7 +304,39 @@ class TestParsing:
 
     def test_dot_bad_statement_rejected(self):
         with pytest.raises(GraphValidationError):
-            parse_graph("graph g { a -> b; }")
+            parse_graph('graph g { flavor="racg"; a -> b; }')
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("a -> b", "malformed statement 'a -> b'"),
+            ("a b", "malformed statement 'a b'"),
+            ("a -- b [label=-3]", "label must be an integer >= 2, got -3"),
+            ("a -- b [label=3.5]", "edge label must be an integer, got '3.5'"),
+            ("a [group=Z^2]", "malformed attribute list [group=Z^2]"),
+            ("a -- b [lable=3]", "unknown edge attributes: ['lable']"),
+            ("a [grp=Z]", "unknown vertex attributes: ['grp']"),
+            ("edge [label=3]; a -- b", "edge default attributes are not supported"),
+        ],
+        ids=["arrow", "two-ids", "negative-label", "fractional-label",
+             "unquoted-group", "unknown-edge-attribute", "unknown-vertex-attribute",
+             "edge-defaults"],
+    )
+    def test_dot_malformed_statement_exits_1(self, tmp_path, capsys, statement, message):
+        """Each is rejected with one line, not read as some other graph."""
+        doc = f'graph g {{ flavor="graph_product"; a [group="Z"]; b [group="Z"]; {statement}; }}'
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            parse_graph(doc)
+        path = tmp_path / "g.dot"
+        path.write_text(doc)
+        assert main(["classify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_dot_numeral_ids_and_attribute_separators(self):
+        G = parse_graph('graph g { flavor="coxeter"; 1 -- 2 [ label = 5 , ]; 2 -- x [label="4"] }')
+        assert G.vertices == ("1", "2", "x")
+        assert G.edge_label("1", "2") == 5 and G.edge_label("2", "x") == 4
 
     def test_neither_format_rejected(self):
         with pytest.raises(GraphValidationError):
