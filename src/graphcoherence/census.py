@@ -1,14 +1,17 @@
-"""Exhaustive sweeps over small labeled graphs.
+"""Exhaustive sweeps over small graphs, one isomorphism class at a time.
 
-Enumerates every graph of a configured kind up to a vertex bound and
-canonicalizes each one, classifies each new isomorphism class once
+Grows the isomorphism classes of a configured kind one vertex at a time
+(each class on n-1 vertices gets one more vertex with every
+neighbourhood and edge label, and canonical forms name the classes, as
+in McKay's isomorph-free generation), classifies each class once
 (optionally in worker processes), re-verifies the produced evidence,
-and tallies every graph, in enumeration order, by verdict per (vertex
-count, edge count) cell.  Records are written one JSON line per
-isomorphism class, in order of first appearance and keyed by canonical
-form, after a header line naming the engine that wrote them; an
-existing record file from the same engine is resumed rather than
-recomputed.
+and tallies each class by verdict per (vertex count, edge count) cell,
+weighted by the n!/|Aut| labeled graphs it stands for.  Classes come in
+the order in which :func:`enumerate_graphs`, the labeled enumeration,
+first meets them.  Records are written one JSON line per isomorphism
+class, in that order and keyed by canonical form, after a header line
+naming the engine that wrote them; an existing record file from the
+same engine is resumed rather than recomputed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import fcntl
 import itertools
 import json
+import math
 import os
 import string
 import sys
@@ -24,7 +28,7 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 from .coherence_engine import (
@@ -41,6 +45,7 @@ from .labeled_graph import (
     LabeledGraph,
     Z,
     Z2,
+    _canonical_search,
     canonical_form,
     canonical_relabel,
     detect_flavor,
@@ -92,9 +97,10 @@ def _vertex_ids(n: int) -> list[str]:
 
 
 def enumerate_graphs(config: CensusConfig) -> Iterator[LabeledGraph]:
-    """Every graph in the sweep, in a fixed deterministic order:
+    """Every labeled graph in the sweep, in a fixed deterministic order:
     vertex count ascending, then edge subsets by bitmask, then label
-    assignments lexicographically."""
+    assignments lexicographically.  The census visits its classes in
+    the order in which this first meets them, without calling it."""
     group = _FLAVOR_GROUPS[config.flavor]
     for n in range(config.min_vertices, config.max_vertices + 1):
         ids = _vertex_ids(n)
@@ -329,30 +335,139 @@ def _checked_key(rec: dict) -> str:
     return rec["key"]
 
 
-def _sightings(
-    config: CensusConfig, cap: int, seen: set[str]
-) -> Iterator[tuple[int, int, str, Optional[LabeledGraph]]]:
-    """``(n, e, key, CG)`` for each enumerated graph: its cell, its
-    canonical key and, at the first sighting of a key not yet in
-    ``seen`` (which this adds it to), its canonical representative;
-    ``CG`` is None for every later sighting."""
-    for G in enumerate_graphs(config):
-        key, placement = canonical_form(G, cap=cap)
-        if key in seen:
-            yield G.n, G.m, key, None
-        else:
-            seen.add(key)
-            yield G.n, G.m, key, canonical_relabel(G, placement)
+def _least_member(
+    G: LabeledGraph, label_rank: dict[int, int]
+) -> tuple[tuple, tuple[int, list[list[int]]]]:
+    """Where :func:`enumerate_graphs` first yields a graph isomorphic to
+    ``G``, as ``(mask, ranks)``, and G's automorphism group, as its
+    order and generators.
+
+    ``G`` is a census graph, so its vertex groups are all equal.  The
+    enumeration goes by edge mask, bit k for pair k of
+    ``combinations(positions, 2)``, then by the edges' labels in pair
+    order, ranked by ``label_rank``.  The mask's most significant bit is
+    the pair (n-2, n-1), then come (n-3, n-1), (n-3, n-2), (n-4, n-1)
+    and so on: filling positions from n-1 downwards, each placed
+    vertex's row of bits towards the vertices placed before it extends
+    the mask from the top.  So the least mask is the least row sequence
+    of :func:`_canonical_search` with a non-edge digit 0 below the edge
+    digit 1, and orders reaching it tie-break on their label ranks.
+    """
+    n = G.n
+    bits = [dict.fromkeys(nbrs, 1) for nbrs in G._adj]
+
+    def ranked_edges(order: list[int]) -> list[tuple[int, int, int]]:
+        pos = [0] * n
+        for t, v in enumerate(order):
+            pos[v] = n - 1 - t
+        return sorted(
+            (pos[i], pos[j], label_rank[m]) if pos[i] < pos[j] else (pos[j], pos[i], label_rank[m])
+            for i, j, m in G.edges
+        )
+
+    order, group = _canonical_search(
+        [0] * n, bits, 0, 2, ranked_edges if len(label_rank) > 1 else None, group=True
+    )
+    edges = ranked_edges(list(order))
+    mask = sum(1 << (a * (2 * n - a - 3) // 2 + b - 1) for a, b, _ in edges)
+    return (mask, tuple(r for _, _, r in edges)), group
 
 
-def _record_job(classifier: Classifier, sighting: tuple) -> tuple:
-    """A sighting with its canonical representative replaced by the new
-    class's record: the verdict and what the census table shows of it."""
-    n, e, key, CG = sighting
+def _extensions(
+    n: int, generators: list[list[int]], config: CensusConfig, room: int
+) -> Iterator[tuple[int, ...]]:
+    """The ways ``c`` to join a new vertex to vertices 0..n-1 by at most
+    ``room`` edges labelled from ``config.edge_labels``, one per orbit
+    of the group that ``generators`` generate: ``c[v]`` is the label of
+    the edge to v, or 0 for none.  An automorphism g maps the graph
+    joined by ``c`` onto the one joined by ``c'``, ``c'[g[v]] = c[v]``,
+    so one way per orbit reaches every class."""
+    seen: set[tuple[int, ...]] = set()
+    for size in range(room + 1):
+        for nbrs in itertools.combinations(range(n), size):
+            for labels in itertools.product(config.edge_labels, repeat=size):
+                c = [0] * n
+                for v, m in zip(nbrs, labels):
+                    c[v] = m
+                c = tuple(c)
+                if c in seen:
+                    continue
+                seen.add(c)
+                orbit = [c]
+                for x in orbit:
+                    for g in generators:
+                        y = [0] * n
+                        for v, m in enumerate(x):
+                            y[g[v]] = m
+                        y = tuple(y)
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                yield c
+
+
+def _next_level(
+    parents: Iterable[tuple[LabeledGraph, list[list[int]]]], config: CensusConfig, cap: int
+) -> dict[str, LabeledGraph]:
+    """The canonical representatives, by key, of the classes one vertex
+    larger than ``parents`` (all of one size, each with generators of
+    its automorphism group), within ``max_edges``.
+
+    Deleting a vertex of any such class leaves a parent's class, so
+    adding a vertex to each parent in every way (up to the parent's
+    automorphisms) reaches every class; deleting a vertex never adds
+    edges, so a parent above ``max_edges`` has no child within it.
+    """
+    classes: dict[str, LabeledGraph] = {}
+    for P, generators in parents:
+        n = P.n
+        vertices, groups = P.vertices + (str(n),), P.groups + P.groups[:1]
+        room = n if config.max_edges is None else min(n, config.max_edges - P.m)
+        for c in _extensions(n, generators, config, room):
+            edges = tuple(sorted(P.edges + tuple((v, n, m) for v, m in enumerate(c) if m)))
+            child = LabeledGraph(vertices, groups, edges)
+            key, placement = canonical_form(child, cap=cap)
+            if key not in classes:
+                classes[key] = canonical_relabel(child, placement)
+    return classes
+
+
+def _classes(
+    config: CensusConfig, cap: int, recorded: set[str]
+) -> Iterator[tuple[int, int, str, Optional[LabeledGraph], int]]:
+    """``(n, e, key, CG, weight)`` for each isomorphism class of the
+    sweep, in order of first appearance in :func:`enumerate_graphs`:
+    its cell, its canonical key, its canonical representative (None
+    when ``recorded`` holds the key) and the number n!/|Aut| of labeled
+    graphs in it.  Classes are grown one vertex at a time from the
+    single vertex, so those below ``min_vertices`` are grown but not
+    yielded."""
+    label_rank = {m: r for r, m in enumerate(config.edge_labels)}
+    G = LabeledGraph(("0",), (_FLAVOR_GROUPS[config.flavor],), ())
+    level = {canonical_form(G, cap=cap)[0]: G}
+    for n in range(1, config.max_vertices + 1):
+        if n > 1:
+            level = _next_level(((CG, gens) for _, (_, gens), _, CG in ranked), config, cap)
+        ranked = sorted(
+            (*_least_member(CG, label_rank), key, CG) for key, CG in level.items()
+        )
+        if n < config.min_vertices:
+            continue
+        for _, (size, _), key, CG in ranked:
+            yield n, CG.m, key, None if key in recorded else CG, math.factorial(n) // size
+
+
+def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
+    """A class from :func:`_classes` with its canonical representative
+    replaced by its record: the verdict, re-verified from its JSON form
+    when ``verify`` is set, and what the census table shows of it."""
+    n, e, key, CG, weight = job
     if CG is None:
-        return sighting
+        return job
     verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
-    return n, e, key, {
+    if verify:
+        _check_stored(key, verdict_obj, classifier.config.max_search_vertices)
+    rec = {
         "key": key,
         "n": n,
         "e": e,
@@ -362,19 +477,26 @@ def _record_job(classifier: Classifier, sighting: tuple) -> tuple:
         "notes": [note["code"] for note in verdict_obj["notes"]],
         "verdict": verdict_obj,
     }
+    return n, e, key, rec, weight
 
 
-# Each pool worker's classifier, so that its memo outlives one chunk.
-_worker_classifier: Optional[Classifier] = None
+def _check_stored(key: str, verdict_obj: dict, cap: int) -> None:
+    """Re-verify a verdict in its JSON form against the graph its key
+    encodes."""
+    check_verdict(graph_from_key(key), verdict_from_jsonable(verdict_obj), cap, key)
 
 
-def _worker_init(engine_config: EngineConfig) -> None:
-    global _worker_classifier
-    _worker_classifier = Classifier(engine_config)
+# Each pool worker's job, with a classifier whose memo outlives one chunk.
+_worker_job: Optional[partial] = None
 
 
-def _worker_job(sighting: tuple) -> tuple:
-    return _record_job(_worker_classifier, sighting)
+def _worker_init(engine_config: EngineConfig, verify: bool) -> None:
+    global _worker_job
+    _worker_job = partial(_record_job, Classifier(engine_config), verify)
+
+
+def _pool_job(job: tuple) -> tuple:
+    return _worker_job(job)
 
 
 def run_census(
@@ -385,9 +507,10 @@ def run_census(
 ) -> CensusReport:
     """Run the sweep and return the report.
 
-    One pass canonicalizes every enumerated graph in the calling
-    process, classifies each new isomorphism class once, and tallies
-    every graph in enumeration order.  With ``out_path`` set, each new
+    One pass grows the isomorphism classes in the calling process,
+    classifies each class once, and tallies it with the weight of its
+    labeled graphs (or once, with ``dedup``), in order of first
+    appearance among the labeled graphs.  With ``out_path`` set, each
     class's record is appended as it is tallied, after a header line in
     a new file; re-running with the same path skips keys that already
     have records (their stored verdicts are still counted and, when
@@ -395,7 +518,7 @@ def run_census(
     configuration or package version is refused with a ``ValueError``,
     and so is a file that another census holds: the run keeps an
     exclusive lock on it from before reading it to its end.
-    ``workers`` > 1 classifies the new classes in that many processes;
+    ``workers`` > 1 classifies the classes in that many processes;
     stdout and record file are identical to the serial run's.
     """
     engine_config = engine_config or EngineConfig()
@@ -421,7 +544,6 @@ def run_census(
     cells: dict[tuple[int, int], Counter] = {}
     incoherent: list[tuple[int, int, str]] = []
     unknown: list[tuple[int, int, str, tuple[str, ...]]] = []
-    counted_keys: set[str] = set()
     with ExitStack() as stack:
         out_fh = stack.enter_context(_locked_records(out_path)) if out_path else None
         records = _load_records(out_path, header) if out_path else {}
@@ -429,41 +551,38 @@ def run_census(
         if out_fh and os.fstat(out_fh.fileno()).st_size == 0:
             out_fh.write(json.dumps(header) + "\n")
             out_fh.flush()
-        sightings = _sightings(config, cap, set(records))
+        classes = _classes(config, cap, set(records))
         if workers == 1:
-            results = map(partial(_record_job, Classifier(engine_config)), sightings)
+            results = map(partial(_record_job, Classifier(engine_config), config.verify), classes)
         else:
             import multiprocessing
 
             pool = stack.enter_context(
-                multiprocessing.Pool(workers, initializer=_worker_init, initargs=(engine_config,))
+                multiprocessing.Pool(
+                    workers, initializer=_worker_init, initargs=(engine_config, config.verify)
+                )
             )
-            # Large chunks keep the per-graph traffic to the pool cheap.
-            results = pool.imap(_worker_job, sightings, chunksize=512)
-        for n, e, key, rec in results:
-            if rec is not None:
-                records[key] = rec
-                if out_fh:
-                    out_fh.write(json.dumps(rec) + "\n")
-                    out_fh.flush()
-            # The tally reads the stored verdict, the one re-verified below.
-            first_time = key not in counted_keys
-            if config.dedup and not first_time:
-                continue
-            verdict_obj = records[key]["verdict"]
-            status = verdict_obj["status"]
-            cells.setdefault((n, e), Counter())[status] += 1
-            report.total += 1
-            if first_time:
-                counted_keys.add(key)
-                report.class_count += 1
-                if status == INCOHERENT:
-                    incoherent.append((n, e, key))
-                elif status == UNKNOWN:
-                    codes = tuple(note["code"] for note in verdict_obj["notes"])
-                    unknown.append((n, e, key, codes))
+            results = pool.imap(_pool_job, classes, chunksize=8)
+        for n, e, key, rec, weight in results:
+            if rec is None:
+                rec = records[key]
                 if config.verify:
-                    check_verdict(graph_from_key(key), verdict_from_jsonable(verdict_obj), cap, key)
+                    _check_stored(key, rec["verdict"], cap)
+            elif out_fh:
+                out_fh.write(json.dumps(rec) + "\n")
+                out_fh.flush()
+            # The tally reads the stored verdict, the one re-verified.
+            verdict_obj = rec["verdict"]
+            status = verdict_obj["status"]
+            count = 1 if config.dedup else weight
+            cells.setdefault((n, e), Counter())[status] += count
+            report.total += count
+            report.class_count += 1
+            if status == INCOHERENT:
+                incoherent.append((n, e, key))
+            elif status == UNKNOWN:
+                codes = tuple(note["code"] for note in verdict_obj["notes"])
+                unknown.append((n, e, key, codes))
     report.cells = {cell: dict(counter) for cell, counter in cells.items()}
     report.incoherent = tuple(incoherent)
     report.unknown = tuple(unknown)

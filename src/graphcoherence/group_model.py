@@ -104,6 +104,20 @@ def _signature(B: np.ndarray, tol: float = EIG_TOL) -> tuple[int, int]:
     return neg, zero
 
 
+def _component_signature(G: LabeledGraph, B: np.ndarray, idx: list[int]) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts of the cosine matrix ``B`` on
+    the diagram component at the vertex positions ``idx``.  One vertex
+    has the spectrum {1}; two have 1 +- cos(pi/m), and 1 - cos(pi/m) is
+    positive for every finite m and zero for a missing edge (m infinite),
+    however close to zero a float would round it.  Larger components
+    take the spectrum within ``EIG_TOL``."""
+    if len(idx) == 1:
+        return 0, 0
+    if len(idx) == 2:
+        return (0, 0) if idx[1] in G._adj[idx[0]] else (0, 1)
+    return _signature(B.take(idx, 0).take(idx, 1))
+
+
 # -- irreducible types --------------------------------------------------------
 
 
@@ -315,7 +329,7 @@ def classify_components(
     for comp in join_factors(G):
         idx = [G.index(v) for v in comp]
         t = _match_component(G, idx)
-        neg, zero = _signature(B.take(idx, 0).take(idx, 1))
+        neg, zero = _component_signature(G, B, idx)
         expected = {
             "finite": (0, 0),
             "affine": (0, 1),

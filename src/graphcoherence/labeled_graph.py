@@ -24,7 +24,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class GraphValidationError(ValueError):
@@ -534,48 +534,115 @@ def _parse_json(text: str) -> LabeledGraph:
     return _flavored_graph(doc.get("flavor"), vertex_items, edge_items)
 
 
-_DOT_COMMENT = re.compile(r"//[^\n]*|#[^\n]*|/\*.*?\*/", re.DOTALL)
-# A DOT ID: a quoted string, an identifier or a numeral.
-_DOT_ID = r'(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))'
-_DOT_PAIR = rf"({_DOT_ID})\s*=\s*({_DOT_ID})"
-# One item of an attribute list, with its optional comma.
-_DOT_ATTR = re.compile(rf"\s*{_DOT_PAIR}\s*,?")
+# One token of the DOT subset, at each position the first of: whitespace
+# or a comment (skipped), a quoted string with \" escapes, an identifier
+# or numeral, the edge operator, one punctuation character, or any other
+# character, which no statement accepts.
+_DOT_TOKEN = re.compile(
+    r'(?P<skip>\s+|//[^\n]*|#[^\n]*|/\*.*?\*/)'
+    r'|(?P<quoted>"(?:[^"\\]|\\.)*")'
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))"
+    r"|(?P<op>--|[;\[\]=,{}])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
 
-def _dot_unquote(token: str) -> str:
-    if token.startswith('"') and token.endswith('"'):
-        return token[1:-1]
-    return token
+@dataclass(frozen=True)
+class _DotToken:
+    kind: str  # quoted, id, op or other
+    text: str
+    start: int
+    end: int
+
+    @property
+    def is_id(self) -> bool:
+        return self.kind in ("id", "quoted")
+
+    def value(self) -> str:
+        """The ID a quoted string or identifier stands for."""
+        if self.kind == "quoted":
+            return self.text[1:-1].replace('\\"', '"')
+        return self.text
+
+    def is_op(self, text: str) -> bool:
+        return self.kind == "op" and self.text == text
+
+    def is_keyword(self, text: str) -> bool:
+        return self.kind == "id" and self.text == text
 
 
-def _dot_attrs(text: str, kind: str, allowed: Iterable[str]) -> dict[str, str]:
-    """The ``key=value`` pairs of one attribute list, each key one of
-    ``allowed``."""
+def _dot_tokens(text: str) -> list[_DotToken]:
+    return [
+        _DotToken(m.lastgroup, m.group(), m.start(), m.end())
+        for m in _DOT_TOKEN.finditer(text)
+        if m.lastgroup != "skip"
+    ]
+
+
+def _dot_attrs(
+    tokens: Sequence[_DotToken], text: str, kind: str, allowed: Iterable[str]
+) -> dict[str, str]:
+    """The ``ID = ID`` pairs, each with an optional comma, of the
+    attribute list ``tokens`` (whose source is ``text``), each key one
+    of ``allowed``."""
     attrs = {}
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _DOT_ATTR.match(text, pos)
-        if not m:
+    k = 0
+    while k < len(tokens):
+        pair = tokens[k : k + 3]
+        if len(pair) < 3 or not (pair[0].is_id and pair[1].is_op("=") and pair[2].is_id):
             raise GraphValidationError(f"malformed attribute list [{text.strip()}]")
-        attrs[_dot_unquote(m.group(1))] = _dot_unquote(m.group(2))
-        pos = m.end()
+        attrs[pair[0].value()] = pair[2].value()
+        k += 3
+        if k < len(tokens) and tokens[k].is_op(","):
+            k += 1
     extra = set(attrs) - set(allowed)
     if extra:
         raise GraphValidationError(f"unknown {kind} attributes: {sorted(extra)}")
     return attrs
 
 
-def _parse_dot(text: str) -> LabeledGraph:
-    body = _DOT_COMMENT.sub("", text)
-    m = re.match(rf"\s*(?:strict\s+)?graph(?:\s+{_DOT_ID})?\s*\{{", body)
-    if not m:
+def _dot_statements(
+    text: str,
+) -> Iterator[tuple[list[_DotToken], Optional[list[_DotToken]], str, str]]:
+    """``(head, attrs, attr_text, source)`` for each ``;``-separated
+    statement of a DOT document's body: its tokens before a trailing
+    attribute list, that list's tokens (None without a list) and source,
+    and the statement's source."""
+    tokens = _dot_tokens(text)
+    # The header: [strict] graph [ID] {
+    k = 1 if tokens and tokens[0].is_keyword("strict") else 0
+    is_graph = k < len(tokens) and tokens[k].is_keyword("graph")
+    k += 1
+    if k < len(tokens) and tokens[k].is_id:
+        k += 1
+    if not (is_graph and k < len(tokens) and tokens[k].is_op("{")):
         raise GraphValidationError(
             "unrecognized document: expected JSON or 'graph ... { ... }'"
         )
-    if not body.rstrip().endswith("}"):
+    if not tokens[-1].is_op("}"):
         raise GraphValidationError("DOT document does not end with '}'")
-    inner = body[m.end() : body.rstrip().rfind("}")]
+    stmt: list[_DotToken] = []
+    for tok in tokens[k + 1 : -1] + [_DotToken("op", ";", 0, 0)]:
+        if not tok.is_op(";"):
+            stmt.append(tok)
+            continue
+        if not stmt:
+            continue
+        source = text[stmt[0].start : stmt[-1].end]
+        head, attrs, attr_text = stmt, None, ""
+        if stmt[-1].is_op("]"):
+            opening = max((i for i, t in enumerate(stmt) if t.is_op("[")), default=None)
+            if opening is not None:
+                head, attrs = stmt[:opening], stmt[opening + 1 : -1]
+                attr_text = text[stmt[opening].end : stmt[-1].start]
+        if any(t.is_op("[") or t.is_op("]") for t in head):
+            raise GraphValidationError(f"malformed statement {source!r}")
+        yield head, attrs, attr_text, source
+        stmt = []
 
+
+def _parse_dot(text: str) -> LabeledGraph:
     flavor = None
     declared: dict[str, AbelianGroupLabel | None] = {}
     vertex_order: list[str] = []
@@ -590,39 +657,33 @@ def _parse_dot(text: str) -> LabeledGraph:
                 raise GraphValidationError(f"vertex {vid!r} declared with two groups")
             declared[vid] = group
 
-    for raw in inner.split(";"):
-        stmt = raw.strip()
-        if not stmt:
+    for head, attr_tokens, attr_text, source in _dot_statements(text):
+        listed = attr_tokens is not None
+        attr_tokens = attr_tokens or []
+        if len(head) == 1 and head[0].is_keyword("graph"):
+            flavor = _dot_attrs(attr_tokens, attr_text, "graph", ("flavor",)).get("flavor", flavor)
             continue
-        am = re.search(r"\[([^\]]*)\]\s*$", stmt)
-        attr_text = am.group(1) if am else ""
-        if am:
-            stmt = stmt[: am.start()].strip()
-        if stmt == "graph":
-            flavor = _dot_attrs(attr_text, "graph", ("flavor",)).get("flavor", flavor)
+        if len(head) == 1 and (head[0].is_keyword("node") or head[0].is_keyword("edge")):
+            if attr_tokens:
+                raise GraphValidationError(f"{head[0].text} default attributes are not supported")
             continue
-        if stmt in ("node", "edge"):
-            if attr_text.strip():
-                raise GraphValidationError(f"{stmt} default attributes are not supported")
-            continue
-        gm = re.fullmatch(_DOT_PAIR, stmt)
-        if gm:
-            name = _dot_unquote(gm.group(1))
+        if len(head) == 3 and not listed and head[0].is_id and head[1].is_op("=") and head[2].is_id:
+            name = head[0].value()
             if name != "flavor":
                 raise GraphValidationError(f"unknown graph attribute {name!r}")
-            flavor = _dot_unquote(gm.group(2))
+            flavor = head[2].value()
             continue
-        chain = [t.strip() for t in stmt.split("--")]
-        if not all(re.fullmatch(_DOT_ID, t) for t in chain):
-            raise GraphValidationError(f"malformed statement {raw.strip()!r}")
-        chain = [_dot_unquote(t) for t in chain]
+        ids, ops = head[::2], head[1::2]
+        if not (len(head) % 2 and all(t.is_id for t in ids) and all(t.is_op("--") for t in ops)):
+            raise GraphValidationError(f"malformed statement {source!r}")
+        chain = [t.value() for t in ids]
         if len(chain) == 1:
-            attrs = _dot_attrs(attr_text, "vertex", ("group",))
+            attrs = _dot_attrs(attr_tokens, attr_text, "vertex", ("group",))
             group = AbelianGroupLabel.parse(attrs["group"]) if "group" in attrs else None
             note_vertex(chain[0], group)
         else:
             label = 2
-            attrs = _dot_attrs(attr_text, "edge", ("label",))
+            attrs = _dot_attrs(attr_tokens, attr_text, "edge", ("label",))
             if "label" in attrs:
                 try:
                     label = int(attrs["label"])
@@ -987,6 +1048,12 @@ def _refine_colors(n: int, colors: list[int], adj: Sequence[dict[int, int]]):
     return colors
 
 
+def _orbit_root(orbits: list[int], v: int) -> int:
+    while orbits[v] != v:
+        v = orbits[v]
+    return v
+
+
 def _join_orbits(orbits: list[int], perm: Sequence[int]) -> None:
     """Merge the cycles of the vertex permutation ``perm`` into the
     union-find forest ``orbits``, whose roots are the orbits' least
@@ -1001,47 +1068,91 @@ def _join_orbits(orbits: list[int], perm: Sequence[int]) -> None:
 
 
 def _canonical_order(
-    n: int, vkeys: Sequence[str], adj: Sequence[dict[int, int]]
-) -> tuple[int, ...]:
-    """The canonical order of :func:`canonical_form`: the
+    n: int, vkeys: Sequence[str], adj: Sequence[dict[int, int]], group: bool = False
+) -> tuple[tuple[int, ...], Optional[tuple[int, list[list[int]]]]]:
+    """The canonical order of :func:`canonical_form`, the
     lexicographically smallest vertex order whose row sequence is
-    lexicographically least.
+    lexicographically least, and with ``group`` the automorphism group,
+    both found by :func:`_canonical_search`.
 
-    One depth-first search over vertex orders.  Colour refinement orders
-    the vertices as their vkeys do, so each row is kept as one int: the
-    colour, then one base-``base`` digit per placed vertex, an edge's
-    label sorting below the non-edge digit.  A node places, in ascending
-    order, only the vertices whose row is least there (any other makes
-    the rows larger), so leaves come in lexicographic order, and a leaf
-    becomes the best only when its rows are strictly smaller: the best
-    is the first leaf attaining its rows.  The prunes skip only leaves
-    with larger rows or with equal rows and a larger order:
+    Colour refinement orders the vertices as their vkeys do, so each row
+    is kept as one int: the colour, then one base-``base`` digit per
+    placed vertex, an edge's label sorting below the non-edge digit.
+    """
+    colors = _refine_colors(n, _initial_colors(n, vkeys, adj), adj)
+    non_edge = max(map(max, map(dict.values, filter(None, adj))), default=1) + 1
+    return _canonical_search(colors, adj, non_edge, non_edge + 1, group=group)
+
+
+def _canonical_search(
+    rows: list[int],
+    adj: Sequence[dict[int, int]],
+    non_edge: int,
+    base: int,
+    tiebreak: Optional[Callable[[list[int]], object]] = None,
+    group: bool = False,
+) -> tuple[tuple[int, ...], Optional[tuple[int, list[list[int]]]]]:
+    """The lexicographically smallest vertex order with the least row
+    sequence, and with ``group`` the automorphism group as its order and
+    generators, each a vertex map ``v -> perm[v]`` (else None).
+
+    Vertex v starts with the row ``rows[v]``; placing a vertex w appends
+    the digit ``adj[v].get(w, non_edge)``, below ``base``, to the row of
+    every unplaced v.  With ``tiebreak``, orders whose row sequences are
+    equal compare next by ``tiebreak(order)``, and an automorphism must
+    keep it too.
+
+    One depth-first search over vertex orders.  A node places, in
+    ascending order, only the vertices whose row is least there (any
+    other makes the rows larger), so leaves come in lexicographic order,
+    and a leaf becomes the best only when it is strictly smaller: the
+    best is the first leaf attaining its rows (and tiebreak).  The
+    prunes skip only leaves that are larger or equal with a larger
+    order:
 
     - A node whose rows so far equal the best leaf's and whose next row
       exceeds the best leaf's there is cut.
-    - A leaf whose rows equal the best leaf's gives the automorphism
-      ``best[i] -> order[i]`` (equal rows mean equal colours and
-      labels).  It fixes their common prefix and maps the best leaf's
-      branch at the first difference onto this leaf's, so the search
-      returns to that depth.
+    - A leaf equal to the best leaf gives the automorphism ``best[i] ->
+      order[i]`` (equal rows mean equal row digits and labels).  It
+      fixes their common prefix and maps the best leaf's branch at the
+      first difference onto this leaf's, so the search returns to that
+      depth.
     - Each node merges into its vertex orbits the automorphisms found
       below it that did not return past it, which all fix its prefix,
       and places only the least vertex of each orbit: the branch of any
       other is the image of the least one's.
+
+    |Aut| is the product, over the depths d of the best leaf's path, of
+    the orbit of ``best[d]`` under the automorphisms fixing ``best[:d]``
+    (orbit-stabilizer down the chain of pointwise stabilizers), and the
+    node at depth d of that path merges exactly that orbit, after
+    McKay & Piperno, "Practical graph isomorphism II" (2014): each w in
+    it is at least ``best[d]``, since the best comes first, and a w
+    placed after ``best[d]`` has a leaf equal to the final best, so its
+    branch returns to depth d with an automorphism mapping ``best[d]``
+    to w, or w is skipped as the image of an earlier vertex of the
+    orbit.  A node that merged an automorphism has the best leaf below
+    it from then on, so each node that ends with orbits records them as
+    the best path's at its depth, and a new best starts the record
+    afresh.  The automorphisms found generate Aut: those fixing
+    ``best[:d]`` move ``best[d]`` over its whole orbit under the
+    stabilizer of ``best[:d]``, for every d.
     """
-    colors = _refine_colors(n, _initial_colors(n, vkeys, adj), adj)
-    non_edge = max(map(max, map(dict.values, filter(None, adj))), default=1) + 1
-    base = non_edge + 1
+    n = len(rows)
     order: list[int] = []
     path_rows: list[int] = []
     best: list[int] = []
     best_rows: list[int] = []
+    best_tie = None
+    # depth -> orbits of the node there on the best leaf's path, if any.
+    best_orbits: dict[int, list[int]] = {}
     automorphisms: list[list[int]] = []
 
     def search(rows: list, equal: bool) -> int:
         """Search below ``order``, whose unplaced vertices have ``rows``
         (placed ones have infinite rows); ``equal`` says the rows so far
         equal the best leaf's.  Returns the depth to resume at, or n."""
+        nonlocal best_tie
         depth = len(order)
         least = min(rows)
         if equal:
@@ -1055,9 +1166,15 @@ def _canonical_order(
             back = n
             if not equal:
                 best[:], best_rows[:] = order, path_rows
-            else:
+                best_orbits.clear()
+                if tiebreak is not None:
+                    best_tie = tiebreak(order)
+            elif tiebreak is None or (tie := tiebreak(order)) == best_tie:
                 automorphisms.append([b for _, b in sorted(zip(best, order))])
                 back = next(i for i, (a, b) in enumerate(zip(best, order)) if a != b)
+            elif tie < best_tie:
+                best[:], best_tie = order, tie
+                best_orbits.clear()
             order.pop()
             path_rows.pop()
             return back
@@ -1085,13 +1202,21 @@ def _canonical_order(
                 merged = len(automorphisms)
         else:
             back = n
+            if orbits is not None:
+                best_orbits[depth] = orbits
         path_rows.pop()
         return back
 
     if n:
-        search(colors, False)
+        search(rows, False)
     del search  # it refers to itself; free it now, not at the next collection
-    return tuple(best)
+    if not group:
+        return tuple(best), None
+    size = 1
+    for depth, orbits in best_orbits.items():
+        root = _orbit_root(orbits, best[depth])
+        size *= sum(_orbit_root(orbits, v) == root for v in range(n))
+    return tuple(best), (size, automorphisms)
 
 
 def canonical_form(
@@ -1117,7 +1242,7 @@ def canonical_form(
     if G.n > cap:
         raise VertexCapError(f"graph has {G.n} vertices, above the cap of {cap}")
     vkeys = [g.key() for g in G.groups]
-    order = _canonical_order(G.n, vkeys, G._adj)
+    order, _ = _canonical_order(G.n, vkeys, G._adj)
     placement = tuple(G.vertices[i] for i in order)
     pos = [0] * G.n
     for p, v in enumerate(order):

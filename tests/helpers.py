@@ -29,6 +29,22 @@ from graphcoherence import (
 from graphcoherence.coherence_engine import JoinEmbedding
 
 # ---------------------------------------------------------------------------
+# brute-force automorphism count over all vertex permutations.
+
+
+def brute_force_automorphism_count(G: LabeledGraph) -> int:
+    """How many vertex permutations keep every group and every pair's
+    edge label (or non-edge)."""
+    label = [[G.edge_label(u, v) for v in G.vertices] for u in G.vertices]
+    pairs = list(itertools.combinations(range(G.n), 2))
+    return sum(
+        all(G.groups[p[v]] == G.groups[v] for v in range(G.n))
+        and all(label[p[i]][p[j]] == label[i][j] for i, j in pairs)
+        for p in itertools.permutations(range(G.n))
+    )
+
+
+# ---------------------------------------------------------------------------
 # brute-force chordality: scan every vertex subset of size >= 4 and check
 # whether it induces a chordless cycle (2-regular and connected).
 

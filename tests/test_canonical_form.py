@@ -10,13 +10,16 @@ own colour refinement; the pinned values are the keys and placements of
 the benchmark's classify inputs (seed 1) and of two symmetric graphs,
 and the networkx oracle checks that keys separate exactly the
 isomorphism classes of symmetric graphs on 8-12 vertices.  Every
-automorphism the search prunes with is checked by brute force.
+automorphism the search prunes with is checked by brute force, and so
+is the order of the automorphism group it reports, which also meets
+closed forms on larger symmetric graphs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -31,6 +34,7 @@ from graphcoherence.labeled_graph import (
     canonical_graph,
     parse_graph,
 )
+from helpers import brute_force_automorphism_count
 
 GROUPS = (
     AbelianGroupLabel(torsion=(2,)),
@@ -167,6 +171,16 @@ def recorded_automorphisms(G: LabeledGraph) -> list:
 def test_recorded_automorphisms_are_automorphisms(G):
     for perm in recorded_automorphisms(G):
         assert is_automorphism(G, perm), perm
+
+
+def automorphism_count(G: LabeledGraph) -> int:
+    return labeled_graph._canonical_order(G.n, [g.key() for g in G.groups], G._adj, group=True)[1][0]
+
+
+@settings(max_examples=150)
+@given(mixed_graphs(max_n=7))
+def test_automorphism_count_matches_brute_force(G):
+    assert automorphism_count(G) == brute_force_automorphism_count(G)
 
 
 # (name, flavor, vertex ids in document order, edges "u-v" or "u-v:m",
@@ -467,3 +481,14 @@ def test_keys_separate_exactly_the_networkx_isomorphism_classes():
     classes = len({key for key, _ in forms})
     # The family has both isomorphic and non-isomorphic pairs to tell apart.
     assert len(graphs) // 2 > classes > 1
+
+
+@pytest.mark.parametrize(
+    "name, n_edges, count",
+    [(f"C{n}", _circulant(n, (1,)), 2 * n) for n in range(3, 13)]
+    + [("petersen", _petersen(), 120)]
+    + [(f"K(2^{k})", _complete_multipartite(k, 2), 2**k * math.factorial(k)) for k in range(1, 7)],
+)
+def test_automorphism_count_closed_forms(name, n_edges, count):
+    G = _build(None, n_edges, random.Random(name))
+    assert automorphism_count(G) == count

@@ -1,12 +1,16 @@
-"""Census sweeps: enumeration, counting, dedup, resume, verification."""
+"""Census sweeps: labeled enumeration, class generation, counting,
+dedup, resume, verification."""
 
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
 import math
 import os
+import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +20,19 @@ from graphcoherence import (
     EngineConfig,
     InternalInvariantError,
     canonical_key,
+    coxeter_graph,
+    racg,
     run_census,
 )
-from graphcoherence.census import enumerate_graphs, graph_from_key, records_header
+from graphcoherence.census import (
+    _classes,
+    _least_member,
+    enumerate_graphs,
+    graph_from_key,
+    records_header,
+)
 from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES
-from helpers import brute_force_is_chordal, prism_racg
+from helpers import brute_force_automorphism_count, brute_force_is_chordal, prism_racg
 
 
 class TestConfig:
@@ -120,6 +132,134 @@ class TestGraphFromKey:
     def test_garbage_key_rejected(self):
         with pytest.raises(ValueError):
             graph_from_key("not a key")
+
+
+def first_appearances(config: CensusConfig) -> tuple[dict, Counter]:
+    """Brute force over the labeled enumeration: each class's first
+    graph, as its key -> (edge mask, label ranks in pair order), in
+    order of first appearance, and each class's count of labeled graphs."""
+    rank = {m: r for r, m in enumerate(config.edge_labels)}
+    first: dict = {}
+    counts: Counter = Counter()
+    for G in enumerate_graphs(config):
+        key = canonical_key(G)
+        counts[key] += 1
+        if key not in first:
+            index = {pair: k for k, pair in enumerate(itertools.combinations(range(G.n), 2))}
+            mask = sum(1 << index[i, j] for i, j, _ in G.edges)
+            first[key] = (mask, tuple(rank[m] for _, _, m in G.edges))
+    return first, counts
+
+
+def brute_force_least_member(G, rank: dict) -> tuple:
+    """The least (edge mask, label ranks) over all vertex orders of G."""
+    pairs = list(itertools.combinations(range(G.n), 2))
+    best = None
+    for order in itertools.permutations(range(G.n)):
+        pos = {v: p for p, v in enumerate(order)}
+        labels = {tuple(sorted((pos[i], pos[j]))): m for i, j, m in G.edges}
+        mask = sum(1 << k for k, pair in enumerate(pairs) if pair in labels)
+        member = (mask, tuple(rank[labels[pair]] for pair in pairs if pair in labels))
+        best = member if best is None else min(best, member)
+    return best
+
+
+@st.composite
+def census_graphs(draw):
+    """All-Z2 graphs on up to 6 vertices with edge labels from a drawn
+    label list, in user order, and that list's ranks."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.sampled_from((2, 3, 4, 5)), min_size=1, max_size=3, unique=True))
+    density = draw(st.sampled_from((0.0, 0.3, 0.5, 0.8, 1.0)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    ids = [str(v) for v in range(n)]
+    edges = [
+        (u, v, rng.choice(labels))
+        for u, v in itertools.combinations(ids, 2)
+        if rng.random() < density
+    ]
+    return coxeter_graph(ids, edges), {m: r for r, m in enumerate(labels)}
+
+
+class TestClassGeneration:
+    @settings(max_examples=100)
+    @given(census_graphs())
+    def test_least_member_and_automorphisms_match_brute_force(self, case):
+        G, rank = case
+        member, (size, generators) = _least_member(G, rank)
+        assert member == brute_force_least_member(G, rank)
+        assert size == brute_force_automorphism_count(G)
+        # The generators are automorphisms and generate a group of that size.
+        edges = {(i, j): m for i, j, m in G.edges}
+        for g in generators:
+            assert {tuple(sorted((g[i], g[j]))): m for (i, j), m in edges.items()} == edges
+        group = {tuple(range(G.n))}
+        frontier = list(group)
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[v] for v in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == size
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CensusConfig(flavor="racg", max_vertices=6),
+            CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(2, 3, 4, 5)),
+            CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(5, 3)),
+            CensusConfig(
+                flavor="coxeter", min_vertices=3, max_vertices=4, max_edges=4, edge_labels=(2, 3, 4)
+            ),
+        ],
+        ids=["racg-6", "coxeter-4-2345", "coxeter-4-53", "coxeter-3to4-e4-234"],
+    )
+    def test_classes_follow_the_labeled_enumeration(self, config):
+        """Classes come in order of first appearance among the labeled
+        graphs, each with its first graph as least member and its count
+        of labeled graphs as weight."""
+        first, counts = first_appearances(config)
+        rank = {m: r for r, m in enumerate(config.edge_labels)}
+        classes = list(_classes(config, 12, set()))
+        assert [key for _, _, key, _, _ in classes] == list(first)
+        for n, e, key, CG, weight in classes:
+            assert CG == graph_from_key(key) and (n, e) == (CG.n, CG.m)
+            assert _least_member(CG, rank)[0] == first[key]
+            assert weight == counts[key]
+
+    def test_recorded_classes_come_without_a_representative(self):
+        config = CensusConfig(flavor="racg", max_vertices=3)
+        keys = [key for _, _, key, _, _ in _classes(config, 12, set())]
+        recorded = set(keys[::2])
+        for _, _, key, CG, _ in _classes(config, 12, recorded):
+            assert (CG is None) == (key in recorded)
+
+
+@pytest.fixture(scope="module")
+def racg_classes_to_7():
+    return list(_classes(CensusConfig(flavor="racg", max_vertices=7), 12, set()))
+
+
+def test_class_counts_match_oeis_a000088(racg_classes_to_7):
+    """Graphs on n unlabeled vertices, n = 1..7, and 2^(n choose 2)
+    labeled graphs on n vertices."""
+    per_n = Counter(n for n, *_ in racg_classes_to_7)
+    assert [per_n[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    weights = Counter()
+    for n, _, _, _, weight in racg_classes_to_7:
+        weights[n] += weight
+    assert [weights[n] for n in range(1, 8)] == [2 ** math.comb(n, 2) for n in range(1, 8)]
+
+
+def test_classes_are_the_networkx_atlas_graphs(racg_classes_to_7):
+    nx = pytest.importorskip("networkx")
+    atlas = Counter()
+    for H in nx.graph_atlas_g()[1:]:
+        ids = [str(v) for v in H.nodes]
+        atlas[canonical_key(racg(ids, [(str(u), str(v)) for u, v in H.edges]))] += 1
+    assert all(count == 1 for count in atlas.values())
+    assert set(atlas) == {key for _, _, key, _, _ in racg_classes_to_7}
 
 
 class TestSmallCensus:

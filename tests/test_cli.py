@@ -528,6 +528,20 @@ class TestErrors:
             ["census", "--max-vertices", "2", *options], "", message
         )
 
+    @pytest.mark.parametrize(
+        "command, line", [("classify", "finite: yes, order 200000"), ("finiteness", "finite, order 200000")]
+    )
+    def test_huge_coxeter_label_exits_0(self, tmp_path, capsys, command, line):
+        path = tmp_path / "g.dot"
+        path.write_text('graph { flavor="coxeter"; a -- b [label=100000]; }')
+        assert main([command, str(path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_census_with_a_huge_label_exits_0(self, capsys):
+        argv = ["census", "--flavor", "coxeter", "--max-vertices", "2", "--labels", "2,70249"]
+        assert main(argv) == 0
+        assert "graphs: 4  classes: 4" in capsys.readouterr().out
+
     def test_census_on_a_record_file_in_use_exits_1(self, tmp_path):
         out = tmp_path / "rec.jsonl"
         argv = ["census", "--max-vertices", "3", "--out", str(out)]

@@ -314,6 +314,21 @@ class TestOrders:
 
 
 class TestFiniteness:
+    @pytest.mark.parametrize("m", [70_249, 10**6, 10**12])
+    def test_dihedral_with_a_huge_label_is_finite(self, m):
+        """1 - cos(pi/m) rounds to within the eigenvalue tolerance of 0
+        from m = 70,249 on, but the spectrum is exactly positive."""
+        G = coxeter_graph(["a", "b"], [("a", "b", m)])
+        (_, t), = classify_components(G)
+        assert t.name == f"I2({m})" and t.kind == "finite"
+        res = finiteness(G)
+        assert res.finite and res.order == 2 * m
+        assert gc.classify(G).status == "COHERENT"
+
+    def test_two_unbonded_generators_are_affine(self):
+        (_, t), = classify_components(racg(["a", "b"], []))
+        assert t.name == "~A1" and t.kind == "affine"
+
     def test_racg_with_nonedge_is_infinite(self):
         res = is_finite(path_racg(3))
         assert not res.finite and res.order == math.inf

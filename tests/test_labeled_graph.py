@@ -338,6 +338,33 @@ class TestParsing:
         assert G.vertices == ("1", "2", "x")
         assert G.edge_label("1", "2") == 5 and G.edge_label("2", "x") == 4
 
+    @pytest.mark.parametrize(
+        "quoted, plain",
+        [
+            ('"x--y" -- c', "x -- c"),
+            ('"a;b" -- c', "a -- c"),
+            ('"p\\"q" -- "r // s" -- "t # u" -- "v /* w */"; "v /* w */" -- "p\\"q"', "p -- r -- t -- v; v -- p"),
+        ],
+        ids=["edge-operator", "semicolon", "escapes-and-comment-marks"],
+    )
+    def test_dot_quoted_ids_are_whole_tokens(self, tmp_path, capsys, quoted, plain):
+        """A quoted ID may hold any character, a \\" standing for a quote;
+        the graph is the one with plain IDs, renamed, and so is its verdict."""
+        graphs, outputs = [], []
+        for statements in (quoted, plain):
+            doc = f"graph g {{ flavor=racg; {statements}; }}"
+            graphs.append(parse_graph(doc))
+            path = tmp_path / "g.dot"
+            path.write_text(doc)
+            assert main(["classify", "--format", "json", str(path)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        G, H = graphs
+        assert G.relabeled(dict(zip(G.vertices, H.vertices))) == H
+        assert [v for v in G.vertices if '"' in v] in ([], ['p"q'])
+        verdicts = [out["verdict"] for out in outputs]
+        assert verdicts[0]["status"] == verdicts[1]["status"]
+        assert verdicts[0]["proof"]["rule"] == verdicts[1]["proof"]["rule"]
+
     def test_neither_format_rejected(self):
         with pytest.raises(GraphValidationError):
             parse_graph("hello world")
