@@ -38,9 +38,7 @@ from .group_model import (
     is_slender,
 )
 from .labeled_graph import (
-    GraphValidationError,
     LabeledGraph,
-    VertexCapError,
     detect_flavor,
     graph_to_jsonable,
     is_chordal,
@@ -373,16 +371,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (GraphValidationError, UnsupportedFlavorError, VertexCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (_UsageError, OSError, ValueError) as e:
+        # GraphValidationError, UnsupportedFlavorError and VertexCapError
+        # are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InternalInvariantError as e:

@@ -11,10 +11,10 @@ Coxeter conventions: the matrix entry of an edge is its label, and a
 missing edge means infinity.  The standard diagram joins two generators
 whenever their entry is 3 or more (including infinity), that is,
 whenever they do not commute, so its connected components are the
-graph's join factors (:func:`join_factors`).  Each component is matched
-against the finite and affine templates by the canonical key of its
-bond graph and cross-checked on the spot against the spectrum of the
-cosine matrix.
+graph's join factors (:func:`join_factors`).  Each component is typed
+by looking the canonical key of its bond graph up in a table of the
+finite and affine templates, whose spectra are checked once, when the
+table is built: a matched component is a relabelling of its template.
 """
 
 from __future__ import annotations
@@ -74,18 +74,21 @@ def coxeter_matrix(G: LabeledGraph) -> CoxeterMatrix:
         raise UnsupportedFlavorError(
             "a Coxeter matrix needs every vertex group of order two"
         )
-    n = G.n
-    rows = []
+    return _coxeter_matrix(G.vertices, G.edges)
+
+
+def _coxeter_matrix(
+    vertices: tuple[str, ...], edges: Sequence[tuple[int, int, int]]
+) -> CoxeterMatrix:
+    """Coxeter matrix on ``vertices`` with the labeled position pairs
+    ``edges``; other pairs get infinity."""
+    n = len(vertices)
+    rows = [[math.inf] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1)
-            else:
-                m = G._adj[i].get(j)
-                row.append(math.inf if m is None else m)
-        rows.append(tuple(row))
-    return CoxeterMatrix(vertices=G.vertices, rows=tuple(rows))
+        rows[i][i] = 1
+    for i, j, m in edges:
+        rows[i][j] = rows[j][i] = m
+    return CoxeterMatrix(vertices=vertices, rows=tuple(map(tuple, rows)))
 
 
 def cosine_matrix(M: CoxeterMatrix) -> np.ndarray:
@@ -102,20 +105,6 @@ def _signature(B: np.ndarray, tol: float = EIG_TOL) -> tuple[int, int]:
     neg = int(np.sum(eigs < -tol))
     zero = int(np.sum(np.abs(eigs) <= tol))
     return neg, zero
-
-
-def _component_signature(G: LabeledGraph, B: np.ndarray, idx: list[int]) -> tuple[int, int]:
-    """(negative, zero) eigenvalue counts of the cosine matrix ``B`` on
-    the diagram component at the vertex positions ``idx``.  One vertex
-    has the spectrum {1}; two have 1 +- cos(pi/m), and 1 - cos(pi/m) is
-    positive for every finite m and zero for a missing edge (m infinite),
-    however close to zero a float would round it.  Larger components
-    take the spectrum within ``EIG_TOL``."""
-    if len(idx) == 1:
-        return 0, 0
-    if len(idx) == 2:
-        return (0, 0) if idx[1] in G._adj[idx[0]] else (0, 1)
-    return _signature(B.take(idx, 0).take(idx, 1))
 
 
 # -- irreducible types --------------------------------------------------------
@@ -146,10 +135,6 @@ class IrreducibleType:
         return f"{prefix}{self.family}{self.index}"
 
 
-def _factorial(k: int) -> int:
-    return math.factorial(k)
-
-
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
     ("E", 7): 2903040,
@@ -162,11 +147,11 @@ _EXCEPTIONAL_ORDERS = {
 
 def _finite_order(family: str, index: int, bond: Optional[int] = None) -> int:
     if family == "A":
-        return _factorial(index + 1)
+        return math.factorial(index + 1)
     if family == "B":
-        return 2**index * _factorial(index)
+        return 2**index * math.factorial(index)
     if family == "D":
-        return 2 ** (index - 1) * _factorial(index)
+        return 2 ** (index - 1) * math.factorial(index)
     if family == "I2":
         return 2 * bond
     return _EXCEPTIONAL_ORDERS[(family, index)]
@@ -231,11 +216,9 @@ def _bond_key(r: int, bonds: Bonds) -> str:
     return canonical_key(D, cap=r)
 
 
-@functools.lru_cache(maxsize=None)
-def _templates(r: int) -> tuple[tuple[IrreducibleType, str], ...]:
-    """Finite and affine diagram templates on r vertices, as
-    (type, canonical bond key) pairs.  Rank 1 and 2 are handled
-    directly and never consult this table."""
+def _template_bonds(r: int) -> list[tuple[IrreducibleType, Bonds]]:
+    """Every finite and affine diagram on r >= 3 vertices, with its
+    bonds."""
     out: list[tuple[IrreducibleType, Bonds]] = []
 
     def finite(family: str, index: int, bonds: Bonds) -> None:
@@ -287,32 +270,64 @@ def _templates(r: int) -> tuple[tuple[IrreducibleType, str], ...]:
     if r == 3:
         affine("G", 2, _path([6, 3]))
 
-    return tuple((t, _bond_key(r, bonds)) for t, bonds in out)
+    return out
 
 
-def _match_component(G: LabeledGraph, idx: list[int]) -> IrreducibleType:
-    """Type of the diagram component on the vertex positions ``idx``
-    (ascending), read off the graph's edges."""
-    r = len(idx)
+@functools.lru_cache(maxsize=None)
+def _templates(r: int) -> dict[str, IrreducibleType]:
+    """The finite and affine diagram templates on r >= 3 vertices, keyed
+    by the canonical key of their bond graph.  Each template's spectrum
+    is checked here, once per rank: the cosine matrix of its Coxeter
+    matrix (2 on every unbonded pair) must be positive definite for
+    a finite type and positive semidefinite of corank one for an affine
+    type.  Template labels are at most 6, so no eigenvalue is near
+    ``EIG_TOL``."""
+    vertices = tuple(map(str, range(r)))
+    table = {}
+    for t, bonds in _template_bonds(r):
+        pairs = itertools.combinations(range(r), 2)
+        M = _coxeter_matrix(vertices, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
+        signature = _signature(cosine_matrix(M))
+        if signature != ((0, 0) if t.kind == "finite" else (0, 1)):
+            raise InternalInvariantError(
+                f"diagram template {t.name} has spectrum signature {signature}"
+            )
+        table[_bond_key(r, bonds)] = t
+    return table
+
+
+def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
+    """Type of the diagram component on the all-Z2 vertices ``comp``, a
+    join factor of ``G`` in ambient order: rank 1 and 2 directly, larger
+    ranks by one lookup of the bond key in :func:`_templates`.  A
+    component that matches no template must show a negative eigenvalue
+    of its own cosine matrix."""
+    r = len(comp)
     if r == 1:
         return IrreducibleType("finite", "A", 1, order=2)
-    pos = {v: k for k, v in enumerate(idx)}
+    pos = {G.index(v): k for k, v in enumerate(comp)}
     labels = [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
-    if len(labels) < r * (r - 1) // 2:
-        # A missing edge is an infinite bond: affine A1 on two vertices,
-        # and no finite or affine diagram on 3+ vertices carries one.
-        return IrreducibleType("affine", "A", 1) if r == 2 else IrreducibleType("indefinite")
+    complete = len(labels) == r * (r - 1) // 2
     if r == 2:
+        if not complete:
+            return IrreducibleType("affine", "A", 1)
         m = labels[0][2]
         if m == 3:
             return IrreducibleType("finite", "A", 2, order=6)
         if m == 4:
             return IrreducibleType("finite", "B", 2, order=8)
         return IrreducibleType("finite", "I2", 2, bond=m, order=2 * m)
-    ckey = _bond_key(r, {(i, j): m for i, j, m in labels if m != 2})
-    for t, tkey in _templates(r):
-        if tkey == ckey:
+    # A missing edge is an infinite bond, which no finite or affine
+    # diagram on 3+ vertices carries.
+    if complete:
+        t = _templates(r).get(_bond_key(r, {(i, j): m for i, j, m in labels if m != 2}))
+        if t is not None:
             return t
+    neg, _ = _signature(cosine_matrix(_coxeter_matrix(comp, labels)))
+    if neg == 0:
+        raise InternalInvariantError(
+            "unmatched diagram component is not actually indefinite"
+        )
     return IrreducibleType("indefinite")
 
 
@@ -320,30 +335,15 @@ def classify_components(
     G: LabeledGraph,
 ) -> tuple[tuple[tuple[str, ...], IrreducibleType], ...]:
     """Type of every standard-diagram component of an all-Z2 graph, in
-    the order of :func:`join_factors`, cross-checked against the cosine
-    matrix spectrum (definite for finite, corank one for affine, a
-    negative eigenvalue otherwise).  Other graphs raise
-    :class:`UnsupportedFlavorError`."""
-    B = cosine_matrix(coxeter_matrix(G))
-    out = []
-    for comp in join_factors(G):
-        idx = [G.index(v) for v in comp]
-        t = _match_component(G, idx)
-        neg, zero = _component_signature(G, B, idx)
-        expected = {
-            "finite": (0, 0),
-            "affine": (0, 1),
-        }.get(t.kind)
-        if expected is not None and (neg, zero) != expected:
-            raise InternalInvariantError(
-                f"component {t.name} has spectrum signature {(neg, zero)}"
-            )
-        if t.kind == "indefinite" and neg == 0:
-            raise InternalInvariantError(
-                "unmatched diagram component is not actually indefinite"
-            )
-        out.append((comp, t))
-    return tuple(out)
+    the order of :func:`join_factors`, each typed by
+    :func:`_match_component`: a key lookup in the spectrum-checked
+    template table, or an indefinite type backed by a negative
+    eigenvalue.  Other graphs raise :class:`UnsupportedFlavorError`."""
+    if not detect_flavor(G).coxeter:
+        raise UnsupportedFlavorError(
+            "a Coxeter matrix needs every vertex group of order two"
+        )
+    return tuple((comp, _match_component(G, comp)) for comp in join_factors(G))
 
 
 # -- finiteness ---------------------------------------------------------------
@@ -512,49 +512,33 @@ class SlenderCertificate:
         return sum(1 for f in self.factors or () if f.kind == "abelian")
 
 
-def _coxeter_slender(G: LabeledGraph) -> SlenderCertificate:
-    comps = classify_components(G)
-    for vertices, t in comps:
-        if t.kind == "indefinite":
-            return SlenderCertificate(
-                verdict=NOT_SLENDER,
-                reason="indefinite-diagram-component",
-                obstruction=IndefiniteComponent(vertices=vertices),
-            )
-    factors = tuple(
-        SlenderFactor(vertices=vertices, kind=t.kind, type=t) for vertices, t in comps
-    )
-    return SlenderCertificate(
-        verdict=SLENDER,
-        reason="diagram-components-finite-or-affine",
-        factors=factors,
-    )
-
-
 def is_slender(G: LabeledGraph) -> SlenderCertificate:
     """Decide whether every subgroup is finitely generated.
 
     A group that is (finite) x (f.g. abelian) x (affine reflection
     pieces) is slender, and direct products of slender groups are
-    slender.  Coxeter graphs are decided completely through their
-    diagram components.  Other graph products first scan for an F2
-    certificate; failing that, every multi-vertex join factor is forced
-    to be all-Z2 and is decided as a Coxeter piece.  Artin graphs with a
-    label >= 3 on a complete graph stay unknown.
+    slender.  One loop types the join factors in place.  Coxeter graphs
+    are decided completely: every factor is a diagram component.  Other
+    graph products first scan for an F2 certificate; failing that, a
+    one-vertex factor is abelian and every multi-vertex factor is
+    forced to be all-Z2 and is typed as a diagram component.  Artin
+    graphs with a label >= 3 stay unknown.
     """
     flavor = detect_flavor(G)
     if not flavor.any:
         raise UnsupportedFlavorError("no group semantics for these labels")
-    if flavor.coxeter:
-        return _coxeter_slender(G)
-    if flavor.graph_product:
+    if not flavor.coxeter:
         cert = contains_f2_certificate(G)
         if cert is not None:
             return SlenderCertificate(
                 verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
             )
-        factors: list[SlenderFactor] = []
-        for members in join_factors(G):
+        if not flavor.graph_product:
+            # All-Z with some label >= 3.
+            return SlenderCertificate(verdict=UNKNOWN, reason="artin-label-ge-3")
+    factors: list[SlenderFactor] = []
+    for members in join_factors(G):
+        if not flavor.coxeter:
             if len(members) == 1:
                 factors.append(SlenderFactor(vertices=members, kind="abelian"))
                 continue
@@ -563,26 +547,23 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
                     "multi-vertex join factor without an F2 certificate "
                     "must have all groups of order two"
                 )
-            inner = _coxeter_slender(G.induced(members))
-            if inner.verdict != SLENDER:
-                return SlenderCertificate(
-                    verdict=NOT_SLENDER,
-                    reason=inner.reason,
-                    obstruction=inner.obstruction,
-                )
-            factors.extend(inner.factors or ())
-        return SlenderCertificate(
-            verdict=SLENDER,
-            reason="direct-product-of-slender-factors",
-            factors=tuple(factors),
-        )
-    # All-Z with some label >= 3.
-    cert = contains_f2_certificate(G)
-    if cert is not None:
-        return SlenderCertificate(
-            verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
-        )
-    return SlenderCertificate(verdict=UNKNOWN, reason="artin-label-ge-3")
+        t = _match_component(G, members)
+        if t.kind == "indefinite":
+            return SlenderCertificate(
+                verdict=NOT_SLENDER,
+                reason="indefinite-diagram-component",
+                obstruction=IndefiniteComponent(vertices=members),
+            )
+        factors.append(SlenderFactor(vertices=members, kind=t.kind, type=t))
+    return SlenderCertificate(
+        verdict=SLENDER,
+        reason=(
+            "diagram-components-finite-or-affine"
+            if flavor.coxeter
+            else "direct-product-of-slender-factors"
+        ),
+        factors=tuple(factors),
+    )
 
 
 # -- presentations ------------------------------------------------------------

@@ -605,10 +605,16 @@ def _dot_attrs(
 def _dot_statements(
     text: str,
 ) -> Iterator[tuple[list[_DotToken], Optional[list[_DotToken]], str, str]]:
-    """``(head, attrs, attr_text, source)`` for each ``;``-separated
-    statement of a DOT document's body: its tokens before a trailing
-    attribute list, that list's tokens (None without a list) and source,
-    and the statement's source."""
+    """``(head, attrs, attr_text, source)`` for each statement of a DOT
+    document's body: its tokens before a trailing attribute list, that
+    list's tokens (None without a list) and source, and the statement's
+    source.
+
+    A statement ends at a ``;``, or, as the ``;`` is optional in DOT,
+    where the next one can only start: at a line break outside an
+    attribute list between an ID or ``]`` and an ID.  So ``a b`` on one
+    line stays one malformed statement, and a line break before ``--``,
+    ``=`` or ``[`` continues the statement."""
     tokens = _dot_tokens(text)
     # The header: [strict] graph [ID] {
     k = 1 if tokens and tokens[0].is_keyword("strict") else 0
@@ -623,8 +629,17 @@ def _dot_statements(
     if not tokens[-1].is_op("}"):
         raise GraphValidationError("DOT document does not end with '}'")
     stmt: list[_DotToken] = []
+    depth = 0
     for tok in tokens[k + 1 : -1] + [_DotToken("op", ";", 0, 0)]:
-        if not tok.is_op(";"):
+        line_break = (
+            depth == 0
+            and tok.is_id
+            and bool(stmt)
+            and (stmt[-1].is_id or stmt[-1].is_op("]"))
+            and "\n" in text[stmt[-1].end : tok.start]
+        )
+        if not (tok.is_op(";") or line_break):
+            depth += tok.is_op("[") - tok.is_op("]")
             stmt.append(tok)
             continue
         if not stmt:
@@ -639,7 +654,7 @@ def _dot_statements(
         if any(t.is_op("[") or t.is_op("]") for t in head):
             raise GraphValidationError(f"malformed statement {source!r}")
         yield head, attrs, attr_text, source
-        stmt = []
+        stmt = [tok] if line_break else []
 
 
 def _parse_dot(text: str) -> LabeledGraph:

@@ -9,13 +9,16 @@ orders computed from explicit permutation models.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import graphcoherence as gc
+from graphcoherence import group_model
+from graphcoherence.cli import main
 from graphcoherence import (
     AbelianGroupLabel,
     CoxeterMatrix,
@@ -32,10 +35,12 @@ from graphcoherence import (
     coxeter_graph,
     coxeter_matrix,
     cyclic,
+    detect_flavor,
     emit_presentation,
     f2_certificate_valid,
     finiteness,
     graph_product_graph,
+    graph_to_jsonable,
     is_finite,
     is_slender,
     raag,
@@ -558,3 +563,118 @@ class TestInternalConsistency:
         )
         comps = classify_components(G)
         assert sorted(t.name for _, t in comps) == ["A3", "B2"]
+
+
+# ---------------------------------------------------------------------------
+# the checked template table: each template's spectrum is checked once, when
+# its rank is first built, and each component is typed by a key lookup
+
+
+def disjoint_join(*graphs: LabeledGraph) -> LabeledGraph:
+    """The Coxeter graph whose diagram is the disjoint union of the
+    diagrams of ``graphs``: their vertices renamed apart, every pair from
+    different graphs joined by a label-2 edge."""
+    parts = [
+        G.relabeled({v: f"{k}{v}" for v in G.vertices}) for k, G in enumerate(graphs)
+    ]
+    ids = [v for P in parts for v in P.vertices]
+    edges = [(u, v, m) for P in parts for u, v, m in P.edge_list()]
+    for P, Q in itertools.combinations(parts, 2):
+        edges += [(u, v, 2) for u in P.vertices for v in Q.vertices]
+    return coxeter_graph(ids, edges)
+
+
+def spectrum_kind(G: LabeledGraph) -> str:
+    """finite, affine or indefinite, from the test's own eigenvalues."""
+    eigs = independent_cosine_eigs(G)
+    tol = 1e-9
+    neg = int(np.sum(eigs < -tol))
+    zero = int(np.sum(np.abs(eigs) <= tol))
+    if neg:
+        return "indefinite"
+    return {0: "finite", 1: "affine"}.get(zero, f"corank {zero}")
+
+
+@st.composite
+def graph_products(draw, max_vertices=8):
+    """Graph products of Z, Z2 and Z3 vertex groups, mostly Z2 and
+    mostly joined, so that graphs without an F2 certificate have
+    multi-vertex factors to type."""
+    n = draw(st.integers(1, max_vertices))
+    ids = [f"p{i}" for i in range(n)]
+    groups = [draw(st.sampled_from([Z2, Z2, Z2, Z, cyclic(3)])) for _ in ids]
+    edges = [
+        (u, v, 2)
+        for u, v in itertools.combinations(ids, 2)
+        if draw(st.sampled_from([True, True, False]))
+    ]
+    return LabeledGraph.build(list(zip(ids, groups)), edges)
+
+
+@pytest.fixture
+def fresh_templates():
+    group_model._templates.cache_clear()
+    yield
+    group_model._templates.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_templates")
+class TestTemplateTable:
+    def test_corrupted_template_raises(self, monkeypatch, tmp_path, capsys):
+        real = group_model._template_bonds
+
+        def corrupted(r):
+            return [
+                (t, _path_bonds([5, 4]) if t.name == "H3" else bonds) for t, bonds in real(r)
+            ]
+
+        monkeypatch.setattr(group_model, "_template_bonds", corrupted)
+        H3 = realize_diagram(3, _path_bonds([5, 3]))
+        with pytest.raises(InternalInvariantError, match="diagram template H3 has spectrum"):
+            finiteness(H3)
+        path = tmp_path / "h3.json"
+        path.write_text(json.dumps(graph_to_jsonable(H3)))
+        assert main(["finiteness", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("internal error: diagram template H3 ")
+
+    def test_deleted_template_raises(self, monkeypatch):
+        real = group_model._template_bonds
+        monkeypatch.setattr(
+            group_model,
+            "_template_bonds",
+            lambda r: [(t, bonds) for t, bonds in real(r) if t.name != "F4"],
+        )
+        assert classify_components(realize_diagram(4, _path_bonds([3, 3, 3])))[0][1].name == "A4"
+        F4 = realize_diagram(4, _path_bonds([3, 4, 3]))
+        with pytest.raises(InternalInvariantError, match="not actually indefinite"):
+            classify_components(F4)
+        with pytest.raises(InternalInvariantError, match="not actually indefinite"):
+            is_slender(F4)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(G=st.one_of(coxeter_graphs(), graph_products()))
+    def test_component_kinds_agree_with_the_spectrum(self, G):
+        typed = list(classify_components(G)) if detect_flavor(G).coxeter else []
+        cert = is_slender(G)
+        typed += [(f.vertices, f.type) for f in cert.factors or () if f.type is not None]
+        for vertices, t in typed:
+            assert t.kind == spectrum_kind(G.induced(vertices))
+        if isinstance(cert.obstruction, IndefiniteComponent):
+            assert spectrum_kind(G.induced(cert.obstruction.vertices)) == "indefinite"
+
+    def test_matched_components_run_no_eigensolver(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda B: calls.append(B.shape) or real(B))
+        A4 = realize_diagram(4, _path_bonds([3, 3, 3]))
+        G = disjoint_join(A4, triangle_coxeter_333())
+        for _ in range(2):
+            assert [t.name for _, t in classify_components(G)] == ["A4", "~A2"]
+            assert is_slender(G).affine_factor_count == 1
+            assert finiteness(G).order == math.inf
+        # Only the table build solves, once per template of rank 3 and 4.
+        assert sorted(calls) == [(r, r) for r in (3, 4) for _ in group_model._templates(r)]
+        calls.clear()
+        # An unmatched component solves its own block.
+        assert classify_components(racg(["a", "b", "c"], []))[0][1].kind == "indefinite"
+        assert calls == [(3, 3)]

@@ -365,6 +365,44 @@ class TestParsing:
         assert verdicts[0]["status"] == verdicts[1]["status"]
         assert verdicts[0]["proof"]["rule"] == verdicts[1]["proof"]["rule"]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "flavor=racg\n  a -- b\n  b -- c",
+            "flavor=racg\n  a -- b [label=2]\n  b -- c",
+            "flavor\n  = racg\n  a\n  -- b // comment\n  /* block */ b\n  -- c",
+            "graph [flavor=racg]\n  a -- b\n  [label=3\n  label=2]\n  b -- c;",
+        ],
+        ids=["plain", "after-attribute-list", "continued-lines", "inside-attribute-list"],
+    )
+    def test_dot_statements_end_at_line_breaks(self, tmp_path, capsys, body):
+        """The ``;`` is optional: a statement also ends at a line break
+        between an ID or ``]`` and an ID, outside an attribute list."""
+        with_semicolons = "graph g { flavor=racg; a -- b; b -- c; }"
+        assert parse_graph(f"graph g {{\n  {body}\n}}") == parse_graph(with_semicolons)
+        outputs = []
+        for doc in (f"graph g {{\n  {body}\n}}", with_semicolons):
+            path = tmp_path / "g.dot"
+            path.write_text(doc)
+            assert main(["classify", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "statements, message",
+        [
+            ("a -- b\n  a b", "malformed statement 'a b'"),
+            ("a -- b\n  a -> b", "malformed statement 'a -> b'"),
+            ("a -- b [label=3]\n  a -- b [lable=3]", "unknown edge attributes: ['lable']"),
+            ("a -- b [label=3] b -- c", "malformed statement 'a -- b [label=3] b -- c'"),
+        ],
+        ids=["two-ids", "arrow", "unknown-edge-attribute", "same-line"],
+    )
+    def test_dot_line_breaks_keep_rejections(self, statements, message):
+        doc = f'graph g {{\n  flavor="coxeter"\n  {statements}\n}}'
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            parse_graph(doc)
+
     def test_neither_format_rejected(self):
         with pytest.raises(GraphValidationError):
             parse_graph("hello world")
