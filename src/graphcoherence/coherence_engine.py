@@ -49,6 +49,7 @@ from .group_model import (
     is_slender,
 )
 from .labeled_graph import (
+    ChordalityResult,
     DEFAULT_VERTEX_CAP,
     InternalInvariantError,
     LabeledGraph,
@@ -190,35 +191,31 @@ def wise_gordon_check(G: LabeledGraph) -> Optional[WiseGordonViolation]:
     nonadjacent vertices c, d each joined to both a and b by label-2
     edges.
     """
-    ch = is_chordal(G)
+    return _wise_gordon_violation(G, is_chordal(G))
+
+
+def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[WiseGordonViolation]:
+    """``wise_gordon_check(G)`` given ``ch = is_chordal(G)``, scanning
+    vertex positions and stopping a combination at its first non-edge."""
     if not ch:
         return WiseGordonViolation(violation="long_cycle", vertices=ch.cycle)
+    adj = G._adj
+    ids = G.vertices
     for size in (3, 4):
-        for combo in itertools.combinations(G.vertices, size):
-            labels = []
-            clique = True
-            for a, b in itertools.combinations(combo, 2):
-                m = G.edge_label(a, b)
-                if m is None:
-                    clique = False
-                    break
-                labels.append(m)
-            if clique and sum(1 for m in labels if m > 2) >= 2:
-                return WiseGordonViolation(violation="clique_big_labels", vertices=combo)
-    for a, b, m in G.edge_list():
+        for combo in itertools.combinations(range(G.n), size):
+            pairs = list(itertools.combinations(combo, 2))
+            if all(b in adj[a] for a, b in pairs) and sum(adj[a][b] > 2 for a, b in pairs) >= 2:
+                return WiseGordonViolation(
+                    violation="clique_big_labels", vertices=tuple(ids[i] for i in combo)
+                )
+    for a, b, m in G.edges:
         if m <= 2:
             continue
-        others = [v for v in G.vertices if v not in (a, b)]
+        others = [v for v in range(G.n) if v not in (a, b)]
         for c, d in itertools.combinations(others, 2):
-            if G.has_edge(c, d):
-                continue
-            if all(
-                G.edge_label(x, y) == 2
-                for x in (c, d)
-                for y in (a, b)
-            ):
+            if d not in adj[c] and all(adj[x].get(y) == 2 for x in (c, d) for y in (a, b)):
                 return WiseGordonViolation(
-                    violation="forbidden_square", vertices=(a, b, c, d)
+                    violation="forbidden_square", vertices=(ids[a], ids[b], ids[c], ids[d])
                 )
     return None
 
@@ -299,7 +296,9 @@ class Classifier:
         if G.n > cap:
             return self._apply_rules(G, _raw_key(G), big=True)
         key, placement = canonical_form(G, cap=cap)
-        verdict = self.classify_canonical(canonical_relabel(G, placement), key)
+        verdict = self._cache.get(key)
+        if verdict is None:
+            verdict = self.classify_canonical(canonical_relabel(G, placement), key)
         return remap(verdict, {str(i): v for i, v in enumerate(placement)})
 
     def classify_canonical(self, CG: LabeledGraph, key: str) -> Verdict:
@@ -570,10 +569,11 @@ def _prove_droms_chordal(clf, G, key, flavor, notes) -> Optional[Verdict]:
 def _prove_wise_gordon(clf, G, key, flavor, notes) -> Optional[Verdict]:
     if not flavor.artin:
         return None
-    violation = wise_gordon_check(G)
+    ch = is_chordal(G)
+    violation = _wise_gordon_violation(G, ch)
     if violation is not None:
         return Verdict(INCOHERENT, witness=violation)
-    node = ProofNode("wise_gordon", G.vertices, key, {"peo": list(is_chordal(G).peo)})
+    node = ProofNode("wise_gordon", G.vertices, key, {"peo": list(ch.peo)})
     return Verdict(COHERENT, proof=node)
 
 

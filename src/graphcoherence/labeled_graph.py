@@ -3,9 +3,11 @@
 A graph here carries a finitely generated abelian group on every vertex
 and an integer label >= 2 on every edge.  This module owns the data
 model, the two input formats (a JSON document and a small DOT subset),
-chordality testing with self-verifying evidence, coarse shape
-classification, join-factor decomposition, and a canonical form that is
-invariant under label-preserving isomorphism.
+chordality testing with self-verifying evidence (one LexBFS pass on
+vertex positions gives the elimination ordering or the cycle; the
+verifiers read vertex ids), coarse shape classification, join-factor
+decomposition, and a canonical form that is invariant under
+label-preserving isomorphism.
 
 It is also the one graph core.  Vertex sets can be int bitmasks over
 vertex positions (:func:`vertex_mask`, :func:`mask_vertices`); every
@@ -583,9 +585,9 @@ def _dot_tokens(text: str) -> list[_DotToken]:
 def _dot_attrs(
     tokens: Sequence[_DotToken], text: str, kind: str, allowed: Iterable[str]
 ) -> dict[str, str]:
-    """The ``ID = ID`` pairs, each with an optional comma, of the
-    attribute list ``tokens`` (whose source is ``text``), each key one
-    of ``allowed``."""
+    """The ``ID = ID`` pairs, each with an optional comma or semicolon,
+    of the attribute list ``tokens`` (whose source is ``text``), each
+    key one of ``allowed``."""
     attrs = {}
     k = 0
     while k < len(tokens):
@@ -594,7 +596,7 @@ def _dot_attrs(
             raise GraphValidationError(f"malformed attribute list [{text.strip()}]")
         attrs[pair[0].value()] = pair[2].value()
         k += 3
-        if k < len(tokens) and tokens[k].is_op(","):
+        if k < len(tokens) and (tokens[k].is_op(",") or tokens[k].is_op(";")):
             k += 1
     extra = set(attrs) - set(allowed)
     if extra:
@@ -610,11 +612,12 @@ def _dot_statements(
     list's tokens (None without a list) and source, and the statement's
     source.
 
-    A statement ends at a ``;``, or, as the ``;`` is optional in DOT,
-    where the next one can only start: at a line break outside an
-    attribute list between an ID or ``]`` and an ID.  So ``a b`` on one
-    line stays one malformed statement, and a line break before ``--``,
-    ``=`` or ``[`` continues the statement."""
+    Outside an attribute list a statement ends at a ``;`` or, as the
+    ``;`` is optional in DOT, where the next one can only start: at a
+    line break between an ID or ``]`` and an ID.  So ``a b`` on one
+    line stays one malformed statement, a line break before ``--``,
+    ``=`` or ``[`` continues the statement, and only the end of the
+    body ends an unclosed ``[``, as a malformed statement."""
     tokens = _dot_tokens(text)
     # The header: [strict] graph [ID] {
     k = 1 if tokens and tokens[0].is_keyword("strict") else 0
@@ -630,7 +633,8 @@ def _dot_statements(
         raise GraphValidationError("DOT document does not end with '}'")
     stmt: list[_DotToken] = []
     depth = 0
-    for tok in tokens[k + 1 : -1] + [_DotToken("op", ";", 0, 0)]:
+    end = _DotToken("op", ";", 0, 0)
+    for tok in tokens[k + 1 : -1] + [end]:
         line_break = (
             depth == 0
             and tok.is_id
@@ -638,8 +642,8 @@ def _dot_statements(
             and (stmt[-1].is_id or stmt[-1].is_op("]"))
             and "\n" in text[stmt[-1].end : tok.start]
         )
-        if not (tok.is_op(";") or line_break):
-            depth += tok.is_op("[") - tok.is_op("]")
+        if not (tok is end or (depth == 0 and tok.is_op(";")) or line_break):
+            depth = max(depth + tok.is_op("[") - tok.is_op("]"), 0)
             stmt.append(tok)
             continue
         if not stmt:
@@ -845,28 +849,33 @@ def is_induced_chordless_cycle(G: LabeledGraph, cycle: Sequence[str]) -> bool:
     return True
 
 
-def _cycle_through(G: LabeledGraph, v: str, p: str, w: str) -> Optional[tuple[str, ...]]:
-    """Chordless cycle v, p, ..., w given nonadjacent p, w in N(v).
+def _cycle_through(G: LabeledGraph, v: int, p: int, w: int) -> Optional[tuple[str, ...]]:
+    """Chordless cycle v, p, ..., w for vertex positions v, p, w with p
+    and w nonadjacent neighbours of v; None if no p--w path avoids
+    N[v] - {p, w}.
 
-    Found by a shortest p--w path avoiding the rest of N[v]; shortest
-    paths in that subgraph have no chords among themselves, and the
-    avoidance rules out chords through v.
+    A shortest such path (neighbours taken in ascending position) has no
+    chords, and the avoidance rules out chords through v.  The cycle is
+    returned in ids from its smallest position, toward the smaller of
+    that vertex's two cycle neighbours.
     """
-    banned = set(G.neighbors(v)) | {v}
-    banned -= {p, w}
-    prev: dict[str, Optional[str]] = {p: None}
+    adj = G._adj
+    banned = (set(adj[v]) | {v}) - {p, w}
+    prev: dict[int, Optional[int]] = {p: None}
     queue = deque([p])
     while queue:
         x = queue.popleft()
         if x == w:
-            path = []
-            cur: Optional[str] = w
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            path.reverse()
-            return _normalize_cycle(G, tuple([v] + path))
-        for y in G.neighbors(x):
+            cycle = [v]
+            while x is not None:
+                cycle.append(x)
+                x = prev[x]
+            start = cycle.index(min(cycle))
+            cycle = cycle[start:] + cycle[:start]
+            if cycle[-1] < cycle[1]:
+                cycle[1:] = cycle[:0:-1]
+            return tuple(G.vertices[i] for i in cycle)
+        for y in sorted(adj[x]):
             if y in banned or y in prev:
                 continue
             prev[y] = x
@@ -874,59 +883,44 @@ def _cycle_through(G: LabeledGraph, v: str, p: str, w: str) -> Optional[tuple[st
     return None
 
 
-def _normalize_cycle(G: LabeledGraph, cycle: tuple[str, ...]) -> tuple[str, ...]:
-    """Rotate/reflect so the smallest-position vertex comes first and its
-    smaller-position neighbor second."""
-    pos = {v: G.index(v) for v in cycle}
-    k = len(cycle)
-    start = min(range(k), key=lambda i: pos[cycle[i]])
-    fwd = cycle[start:] + cycle[:start]
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return fwd if pos[fwd[1]] <= pos[rev[1]] else rev
-
-
 def is_chordal(G: LabeledGraph) -> ChordalityResult:
     """Chordality with evidence: a perfect elimination ordering, or an
     induced chordless cycle of length >= 4.
 
-    Uses lexicographic BFS; the reverse of the visit order is a perfect
-    elimination ordering exactly when the graph is chordal.
+    Uses lexicographic BFS (Rose, Tarjan & Lueker 1976): the reverse
+    visit order is a perfect elimination ordering iff G is chordal.
+    Vertex v passes if each neighbour w visited before it is adjacent to
+    p, the last of them (Tarjan & Yannakakis 1984).  At the first w that
+    is not, ``_cycle_through(v, p, w)`` finds a cycle, by the lemma below
+    with a = w, b = p and c = v.
+
+    Lemma: in a LexBFS order let a < b < c, with ac an edge and ab not.
+    Then some a--b path has its internal vertices before a and outside
+    N(c).  Proof, by induction on a's place: when b was chosen its label
+    was at least c's, so the first vertex d before b where N(b) and N(c)
+    differ is in N(b) - N(c); d < a, as a is in N(c) - N(b), and before
+    d the two agree.  If da is an edge, the path is a, d, b.  Otherwise d, a, b
+    meet the hypothesis, so some d--a path has its internal vertices
+    before d and outside N(b), hence outside N(c); extend it by db.
+
+    ``_lex_bfs_order`` keeps its parts ordered as the labels are, so the
+    lemma holds for its order.  The test runs on vertex positions, while
+    ``verify_peo`` and ``is_induced_chordless_cycle`` check the evidence
+    through ids.
     """
     visit = _lex_bfs_order(G)
-    candidate = tuple(G.vertices[i] for i in reversed(visit))
-    pos = {v: p for p, v in enumerate(candidate)}
-    failure: Optional[tuple[str, str, str]] = None
-    for v in candidate:
-        later = sorted((w for w in G.neighbors(v) if pos[w] > pos[v]), key=pos.get)
-        if len(later) < 2:
-            continue
-        parent = later[0]
-        for w in later[1:]:
-            if not G.has_edge(parent, w):
-                failure = (v, parent, w)
-                break
-        if failure:
-            break
-    if failure is None:
-        return ChordalityResult(chordal=True, peo=candidate)
-    v, p, w = failure
-    cyc = _cycle_through(G, v, p, w)
-    if cyc is None:
-        # The LexBFS witness triple does not always span a cycle on its
-        # own; some triple must, since the graph is not chordal.
-        for v in G.vertices:
-            nbrs = G.neighbors(v)
-            for p, w in itertools.combinations(nbrs, 2):
-                if G.has_edge(p, w):
-                    continue
-                cyc = _cycle_through(G, v, p, w)
-                if cyc is not None:
-                    break
-            if cyc is not None:
-                break
-    if cyc is None:
-        raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
-    return ChordalityResult(chordal=False, cycle=cyc)
+    rank = {i: r for r, i in enumerate(visit)}
+    adj = G._adj
+    for v in reversed(visit):
+        earlier = sorted((u for u in adj[v] if rank[u] < rank[v]), key=rank.__getitem__)
+        for w in reversed(earlier[:-1]):
+            p = earlier[-1]
+            if w not in adj[p]:
+                cycle = _cycle_through(G, v, p, w)
+                if cycle is None:
+                    raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
+                return ChordalityResult(chordal=False, cycle=cycle)
+    return ChordalityResult(chordal=True, peo=tuple(G.vertices[i] for i in reversed(visit)))
 
 
 # -- shape classification -----------------------------------------------------

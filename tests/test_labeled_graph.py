@@ -339,6 +339,39 @@ class TestParsing:
         assert G.edge_label("1", "2") == 5 and G.edge_label("2", "x") == 4
 
     @pytest.mark.parametrize(
+        "semicolons, commas",
+        [
+            ("graph g { flavor=coxeter; a -- b [label=3; ]; }",
+             "graph g { flavor=coxeter; a -- b [label=3, ]; }"),
+            ("graph g { flavor=graph_product; a [group=Z; ]; }",
+             "graph g { flavor=graph_product; a [group=Z, ]; }"),
+            ("graph g { flavor=artin; a -- b [label=3; label=4]; b -- c }",
+             "graph g { flavor=artin; a -- b [label=3, label=4]; b -- c }"),
+        ],
+        ids=["edge", "vertex", "two-pairs"],
+    )
+    def test_dot_semicolon_separates_attributes(self, tmp_path, capsys, semicolons, commas):
+        """Inside an attribute list a ``;`` separates pairs, as a ``,``
+        does, and does not end the statement."""
+        assert parse_graph(semicolons) == parse_graph(commas)
+        outputs = []
+        for doc in (semicolons, commas):
+            path = tmp_path / "g.dot"
+            path.write_text(doc)
+            assert main(["present", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_dot_unclosed_attribute_list_exits_1(self, tmp_path, capsys):
+        doc = "graph g { flavor=coxeter; a -- b [label=3; b -- c; }"
+        with pytest.raises(GraphValidationError, match="malformed statement 'a -- b \\[label=3;"):
+            parse_graph(doc)
+        path = tmp_path / "g.dot"
+        path.write_text(doc)
+        assert main(["present", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed statement")
+
+    @pytest.mark.parametrize(
         "quoted, plain",
         [
             ('"x--y" -- c', "x -- c"),
