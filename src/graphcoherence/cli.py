@@ -38,6 +38,7 @@ from .group_model import (
     is_slender,
 )
 from .labeled_graph import (
+    DEFAULT_VERTEX_CAP,
     LabeledGraph,
     detect_flavor,
     graph_to_jsonable,
@@ -70,26 +71,6 @@ def _format_proof(node: ProofNode, indent: int = 0) -> list[str]:
     for child in node.children:
         lines.extend(_format_proof(child, indent + 1))
     return lines
-
-
-def _format_witness(w) -> str:
-    obj = to_jsonable(w)
-    kind = obj["kind"]
-    if kind == "join_embedding":
-        return (
-            f"join_embedding {_vset(obj['side_a'])} x {_vset(obj['side_b'])} "
-            f"(certs: {obj['cert_a']['kind']} {_vset(obj['cert_a']['vertices'])}, "
-            f"{obj['cert_b']['kind']} {_vset(obj['cert_b']['vertices'])})"
-        )
-    if kind == "droms_cycle":
-        return f"droms_cycle {_vset(obj['cycle'])}"
-    if kind == "wise_gordon":
-        return f"wise_gordon {obj['violation']} {_vset(obj['vertices'])}"
-    if kind == "incoherent_factor":
-        return f"incoherent_factor {_vset(obj['vertices'])}: " + _format_witness(
-            w.inner
-        )
-    return kind
 
 
 def _order_str(order: float) -> str:
@@ -169,7 +150,7 @@ def _cmd_classify(args) -> int:
             for line in _format_proof(verdict.proof, 1):
                 print(line)
         if verdict.witness is not None:
-            print(f"witness: {_format_witness(verdict.witness)}")
+            print(f"witness: {verdict.witness.text()}")
         for note in verdict.notes:
             where = f" {_vset(note.vertices)}" if note.vertices else ""
             detail = f": {note.detail}" if note.detail else ""
@@ -322,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--max-search-vertices",
         type=int,
-        default=12,
+        default=DEFAULT_VERTEX_CAP,
         help="cap for recursive rules and canonicalization",
     )
     p.add_argument(
@@ -349,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-verify", action="store_true", help="skip evidence re-verification")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="JSONL record file (resumable)")
-    p.add_argument("--max-search-vertices", type=int, default=12)
+    p.add_argument("--max-search-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("decompose", help="show separator splits")

@@ -16,7 +16,9 @@ decisive criteria for all-Z graphs first, then the incoherence witness
 scan, slenderness, the large-label criterion, free-product splitting, a
 clique-separator split for chordal graphs, exhaustive slender-separator
 search, and finally Unknown bookkeeping.  It also holds the verifier
-and text suffix of every proof-node rule.
+and text suffix of every proof-node rule.  In the same way each witness
+dataclass holds its verifier and its one-line text, so witnesses are
+verified and rendered from here and callers need no code per kind.
 
 Verdicts are computed on the canonical representative of the input and
 mapped back, so isomorphic inputs receive corresponding evidence, and a
@@ -67,20 +69,29 @@ INCOHERENT = "INCOHERENT"
 UNKNOWN = "UNKNOWN"
 
 
+def format_vertex_set(vertices) -> str:
+    """Vertex ids as the text renderings show them: {a,b,c}."""
+    return "{" + ",".join(vertices) + "}"
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Tuning knobs for the classifier.
 
     ``max_search_vertices`` caps canonicalization, memoization and all
-    recursive rules; above it only the size-independent rules run.
-    ``disabled_rules`` names steps of STEPS to skip and exists for
-    cross-validating one rule against another.
+    recursive rules; above it only the size-independent rules run, so 0
+    runs those alone.  ``disabled_rules`` names steps of STEPS to skip
+    and exists for cross-validating one rule against another.
     """
 
     max_search_vertices: int = DEFAULT_VERTEX_CAP
     disabled_rules: frozenset = frozenset()
 
     def __post_init__(self) -> None:
+        if self.max_search_vertices < 0:
+            raise ValueError(
+                f"max_search_vertices must be at least 0, got {self.max_search_vertices}"
+            )
         unknown = frozenset(self.disabled_rules) - frozenset(STEP_NAMES)
         if unknown:
             raise ValueError(f"unknown rule names: {sorted(unknown)}")
@@ -104,6 +115,11 @@ class ProofNode:
     children: tuple["ProofNode", ...] = ()
 
 
+# Each witness kind carries its verifier, which rechecks it against a
+# graph from scratch and names a failure by ``path``, and its one-line
+# text rendering.
+
+
 @dataclass(frozen=True)
 class JoinEmbedding:
     """Two disjoint vertex sets, fully joined by label-2 edges, each
@@ -116,6 +132,32 @@ class JoinEmbedding:
 
     kind = "join_embedding"
 
+    def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
+        sa, sb = set(self.side_a), set(self.side_b)
+        if not sa or not sb or (sa & sb):
+            return _fail(path, "sides must be disjoint and nonempty")
+        try:
+            if not all(G.edge_label(x, y) == 2 for x in self.side_a for y in self.side_b):
+                return _fail(path, "sides are not fully joined by label-2 edges")
+            if set(self.cert_a.vertices) - sa or set(self.cert_b.vertices) - sb:
+                return _fail(path, "certificates leave their sides")
+            if not f2_certificate_valid(G.induced(self.side_a), self.cert_a):
+                return _fail(path, "side A certificate fails")
+            if not f2_certificate_valid(G.induced(self.side_b), self.cert_b):
+                return _fail(path, "side B certificate fails")
+        except Exception as e:
+            return _fail(path, f"witness refers to unknown vertices: {e}")
+        return _OK
+
+    def text(self) -> str:
+        certs = ", ".join(
+            f"{c.kind} {format_vertex_set(c.vertices)}" for c in (self.cert_a, self.cert_b)
+        )
+        return (
+            f"{self.kind} {format_vertex_set(self.side_a)} x "
+            f"{format_vertex_set(self.side_b)} (certs: {certs})"
+        )
+
 
 @dataclass(frozen=True)
 class DromsCycle:
@@ -124,6 +166,16 @@ class DromsCycle:
     cycle: tuple[str, ...]
 
     kind = "droms_cycle"
+
+    def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
+        if not detect_flavor(G).raag:
+            return _fail(path, "cycle witness requires an all-Z label-2 graph")
+        if not is_induced_chordless_cycle(G, self.cycle):
+            return _fail(path, "cycle is not induced and chordless")
+        return _OK
+
+    def text(self) -> str:
+        return f"{self.kind} {format_vertex_set(self.cycle)}"
 
 
 @dataclass(frozen=True)
@@ -137,6 +189,50 @@ class WiseGordonViolation:
 
     kind = "wise_gordon"
 
+    def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
+        if not detect_flavor(G).artin:
+            return _fail(path, "violation witness requires an all-Z graph")
+        try:
+            for v in self.vertices:
+                G.index(v)
+        except Exception as e:
+            return _fail(path, f"violation refers to unknown vertices: {e}")
+        if len(set(self.vertices)) != len(self.vertices):
+            return _fail(path, "violation repeats vertices")
+        if self.violation == "long_cycle":
+            if not is_induced_chordless_cycle(G, self.vertices):
+                return _fail(path, "stored cycle is not induced and chordless")
+            return _OK
+        if self.violation == "clique_big_labels":
+            if len(self.vertices) not in (3, 4):
+                return _fail(path, "clique violation needs 3 or 4 vertices")
+            big = 0
+            for a, b in itertools.combinations(self.vertices, 2):
+                m = G.edge_label(a, b)
+                if m is None:
+                    return _fail(path, "violation vertices are not a clique")
+                if m > 2:
+                    big += 1
+            if big < 2:
+                return _fail(path, "clique has fewer than two labels above 2")
+            return _OK
+        if self.violation == "forbidden_square":
+            if len(self.vertices) != 4:
+                return _fail(path, "square violation needs 4 vertices")
+            a, b, c, d = self.vertices
+            m = G.edge_label(a, b)
+            if m is None or m <= 2:
+                return _fail(path, "first two vertices must carry a heavy edge")
+            if G.has_edge(c, d):
+                return _fail(path, "last two vertices must be nonadjacent")
+            if not all(G.edge_label(x, y) == 2 for x in (c, d) for y in (a, b)):
+                return _fail(path, "square sides must be label-2 edges")
+            return _OK
+        return _fail(path, f"unknown violation kind {self.violation!r}")
+
+    def text(self) -> str:
+        return f"{self.kind} {self.violation} {format_vertex_set(self.vertices)}"
+
 
 @dataclass(frozen=True)
 class IncoherentFactor:
@@ -147,6 +243,16 @@ class IncoherentFactor:
     inner: "Witness"
 
     kind = "incoherent_factor"
+
+    def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
+        try:
+            sub = G.induced(self.vertices)
+        except Exception as e:
+            return _fail(path, f"factor vertices invalid: {e}")
+        return verify_witness(sub, self.inner, path + ("inner",))
+
+    def text(self) -> str:
+        return f"{self.kind} {format_vertex_set(self.vertices)}: {self.inner.text()}"
 
 
 Witness = Union[JoinEmbedding, DromsCycle, WiseGordonViolation, IncoherentFactor]
@@ -428,10 +534,9 @@ def verify_witness(
     G: LabeledGraph, w: Witness, _path: tuple[str, ...] = ("witness",)
 ) -> VerificationOutcome:
     """Recheck an incoherence witness against the graph from scratch."""
-    check = _WITNESS_CHECKS.get(type(w))
-    if check is None:
+    if type(w) not in typing.get_args(Witness):
         return _fail(_path, f"unknown witness type {type(w).__name__}")
-    return check(G, w, _path)
+    return w.verify(G, _path)
 
 
 def check_verdict(
@@ -452,100 +557,6 @@ def check_verdict(
             f"{kind} for {subject} fails verification at "
             f"{'/'.join(outcome.path)}: {outcome.reason}"
         )
-
-
-def _verify_join_embedding(
-    G: LabeledGraph, w: JoinEmbedding, path: tuple[str, ...]
-) -> VerificationOutcome:
-    sa, sb = set(w.side_a), set(w.side_b)
-    if not sa or not sb or (sa & sb):
-        return _fail(path, "sides must be disjoint and nonempty")
-    try:
-        if not all(
-            G.edge_label(x, y) == 2 for x in w.side_a for y in w.side_b
-        ):
-            return _fail(path, "sides are not fully joined by label-2 edges")
-        if set(w.cert_a.vertices) - sa or set(w.cert_b.vertices) - sb:
-            return _fail(path, "certificates leave their sides")
-        if not f2_certificate_valid(G.induced(w.side_a), w.cert_a):
-            return _fail(path, "side A certificate fails")
-        if not f2_certificate_valid(G.induced(w.side_b), w.cert_b):
-            return _fail(path, "side B certificate fails")
-    except Exception as e:
-        return _fail(path, f"witness refers to unknown vertices: {e}")
-    return _OK
-
-
-def _verify_droms_cycle(
-    G: LabeledGraph, w: DromsCycle, path: tuple[str, ...]
-) -> VerificationOutcome:
-    if not detect_flavor(G).raag:
-        return _fail(path, "cycle witness requires an all-Z label-2 graph")
-    if not is_induced_chordless_cycle(G, w.cycle):
-        return _fail(path, "cycle is not induced and chordless")
-    return _OK
-
-
-def _verify_wise_gordon_violation(
-    G: LabeledGraph, w: WiseGordonViolation, path: tuple[str, ...]
-) -> VerificationOutcome:
-    if not detect_flavor(G).artin:
-        return _fail(path, "violation witness requires an all-Z graph")
-    try:
-        for v in w.vertices:
-            G.index(v)
-    except Exception as e:
-        return _fail(path, f"violation refers to unknown vertices: {e}")
-    if len(set(w.vertices)) != len(w.vertices):
-        return _fail(path, "violation repeats vertices")
-    if w.violation == "long_cycle":
-        if not is_induced_chordless_cycle(G, w.vertices):
-            return _fail(path, "stored cycle is not induced and chordless")
-        return _OK
-    if w.violation == "clique_big_labels":
-        if len(w.vertices) not in (3, 4):
-            return _fail(path, "clique violation needs 3 or 4 vertices")
-        big = 0
-        for a, b in itertools.combinations(w.vertices, 2):
-            m = G.edge_label(a, b)
-            if m is None:
-                return _fail(path, "violation vertices are not a clique")
-            if m > 2:
-                big += 1
-        if big < 2:
-            return _fail(path, "clique has fewer than two labels above 2")
-        return _OK
-    if w.violation == "forbidden_square":
-        if len(w.vertices) != 4:
-            return _fail(path, "square violation needs 4 vertices")
-        a, b, c, d = w.vertices
-        m = G.edge_label(a, b)
-        if m is None or m <= 2:
-            return _fail(path, "first two vertices must carry a heavy edge")
-        if G.has_edge(c, d):
-            return _fail(path, "last two vertices must be nonadjacent")
-        if not all(G.edge_label(x, y) == 2 for x in (c, d) for y in (a, b)):
-            return _fail(path, "square sides must be label-2 edges")
-        return _OK
-    return _fail(path, f"unknown violation kind {w.violation!r}")
-
-
-def _verify_incoherent_factor(
-    G: LabeledGraph, w: IncoherentFactor, path: tuple[str, ...]
-) -> VerificationOutcome:
-    try:
-        sub = G.induced(w.vertices)
-    except Exception as e:
-        return _fail(path, f"factor vertices invalid: {e}")
-    return verify_witness(sub, w.inner, path + ("inner",))
-
-
-_WITNESS_CHECKS = {
-    JoinEmbedding: _verify_join_embedding,
-    DromsCycle: _verify_droms_cycle,
-    WiseGordonViolation: _verify_wise_gordon_violation,
-    IncoherentFactor: _verify_incoherent_factor,
-}
 
 
 # -- the rule table ----------------------------------------------------------------
@@ -605,34 +616,22 @@ def _prove_free_product(clf, G, key, flavor, notes) -> Optional[Verdict]:
     comps = G.components()
     if len(comps) < 2:
         return None
-    children = []
-    for members in comps:
-        v = clf.classify(G.induced(members))
-        if v.status == INCOHERENT:
-            return Verdict(
-                INCOHERENT,
-                witness=IncoherentFactor(vertices=members, inner=v.witness),
+    parts = _classify_parts(clf, G, comps)
+    if isinstance(parts, Verdict):
+        return parts
+    for members, v in zip(comps, parts):
+        if v.status == UNKNOWN:
+            notes.extend(v.notes)
+            notes.append(
+                UnknownNote(
+                    code="component-unknown",
+                    vertices=members,
+                    detail="a free factor stayed unclassified",
+                )
             )
-        children.append((members, v))
-    unknowns = [(members, v) for members, v in children if v.status == UNKNOWN]
-    if unknowns:
-        members, v = unknowns[0]
-        notes.extend(v.notes)
-        notes.append(
-            UnknownNote(
-                code="component-unknown",
-                vertices=members,
-                detail="a free factor stayed unclassified",
-            )
-        )
-        return None
-    node = ProofNode(
-        "free_product",
-        G.vertices,
-        key,
-        {"components": [list(m) for m, _ in children]},
-        tuple(v.proof for _, v in children),
-    )
+            return None
+    data = {"components": [list(m) for m in comps]}
+    node = ProofNode("free_product", G.vertices, key, data, tuple(v.proof for v in parts))
     return Verdict(COHERENT, proof=node)
 
 
@@ -673,24 +672,26 @@ def _prove_amalgam_search(clf, G, key, flavor, notes) -> Optional[Verdict]:
 
 def _amalgam(clf, G: LabeledGraph, key: str, split: Split) -> Optional[Verdict]:
     """Classify both sides of a split over a slender separator."""
-    left_v = clf.classify(G.induced(split.left))
-    if left_v.status == INCOHERENT:
-        return Verdict(
-            INCOHERENT,
-            witness=IncoherentFactor(vertices=split.left, inner=left_v.witness),
-        )
-    right_v = clf.classify(G.induced(split.right))
-    if right_v.status == INCOHERENT:
-        return Verdict(
-            INCOHERENT,
-            witness=IncoherentFactor(vertices=split.right, inner=right_v.witness),
-        )
-    if left_v.status == COHERENT and right_v.status == COHERENT:
-        node = ProofNode(
-            "amalgam", G.vertices, key, to_jsonable(split), (left_v.proof, right_v.proof)
-        )
-        return Verdict(COHERENT, proof=node)
-    return None
+    parts = _classify_parts(clf, G, (split.left, split.right))
+    if isinstance(parts, Verdict):
+        return parts
+    if any(v.status != COHERENT for v in parts):
+        return None
+    node = ProofNode("amalgam", G.vertices, key, to_jsonable(split), tuple(v.proof for v in parts))
+    return Verdict(COHERENT, proof=node)
+
+
+def _classify_parts(clf, G: LabeledGraph, parts) -> Union[Verdict, list[Verdict]]:
+    """The verdicts of the subgraphs G induces on ``parts``, classified
+    in order; the first INCOHERENT one stops the scan and is returned
+    as G's incoherent_factor verdict instead."""
+    verdicts = []
+    for members in parts:
+        v = clf.classify(G.induced(members))
+        if v.status == INCOHERENT:
+            return Verdict(INCOHERENT, witness=IncoherentFactor(vertices=members, inner=v.witness))
+        verdicts.append(v)
+    return verdicts
 
 
 # A verifier gets the node's induced subgraph, the node, the subgraph's
@@ -700,21 +701,47 @@ def _amalgam(clf, G: LabeledGraph, key: str, split: Split) -> Optional[Verdict]:
 def _verify_abelian(sub, node, flavor, cap, path) -> VerificationOutcome:
     if not (flavor.graph_product and sub.is_complete()):
         return _fail(path, "abelian leaf requires a complete label-2 graph")
-    return _OK
+    return _verify_slender(sub, node, flavor, cap, path)
 
 
 def _verify_slender(sub, node, flavor, cap, path) -> VerificationOutcome:
-    if is_slender(sub).verdict != SLENDER:
+    """A stored certificate must give the reason ``is_slender`` gives and
+    the same factors, compared as a set of (vertex set, kind, type)
+    since renaming can reorder them."""
+    cert = is_slender(sub)
+    if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
+    stored = node.data.get("certificate")
+    if stored is None:
+        return _OK
+    if not isinstance(stored, dict) or stored.get("reason") != cert.reason:
+        return _fail(path, "stored slenderness reason does not match the subgraph")
+    try:
+        factors = {(frozenset(f["vertices"]), f["kind"], f["type"]) for f in stored["factors"]}
+    except (KeyError, TypeError):
+        factors = None
+    if factors != {(frozenset(f.vertices), f.kind, f.type and f.type.name) for f in cert.factors}:
+        return _fail(path, "stored slender factors do not match the subgraph")
     return _OK
+
+
+def _check_peo(sub, node, path) -> Optional[VerificationOutcome]:
+    """A failure if the node stores an elimination ordering that is not
+    a perfect elimination ordering of ``sub``, else None."""
+    try:
+        peo = node.data.get("peo")
+        ok = peo is None or verify_peo(sub, peo)
+    except TypeError:
+        ok = False
+    return None if ok else _fail(path, "stored elimination ordering does not verify")
 
 
 def _verify_droms_chordal(sub, node, flavor, cap, path) -> VerificationOutcome:
     if not flavor.raag:
         return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
-    peo = node.data.get("peo")
-    if peo is not None and not verify_peo(sub, peo):
-        return _fail(path, "stored elimination ordering does not verify")
+    failure = _check_peo(sub, node, path)
+    if failure is not None:
+        return failure
     if not is_chordal(sub):
         return _fail(path, "droms_chordal leaf on a non-chordal graph")
     return _OK
@@ -723,6 +750,9 @@ def _verify_droms_chordal(sub, node, flavor, cap, path) -> VerificationOutcome:
 def _verify_wise_gordon(sub, node, flavor, cap, path) -> VerificationOutcome:
     if not flavor.artin:
         return _fail(path, "wise_gordon leaf requires an all-Z graph")
+    failure = _check_peo(sub, node, path)
+    if failure is not None:
+        return failure
     if wise_gordon_check(sub) is not None:
         return _fail(path, "decisive conditions fail on this subgraph")
     return _OK
@@ -733,6 +763,11 @@ def _verify_mccammond_wise(sub, node, flavor, cap, path) -> VerificationOutcome:
         return _fail(path, "mccammond_wise leaf requires an all-Z2 graph")
     if not all(m >= sub.n for _, _, m in sub.edges):
         return _fail(path, "some edge label is below the vertex count")
+    if node.data.get("vertex_count", sub.n) != sub.n:
+        return _fail(path, "stored vertex count does not match the subgraph")
+    smallest = min((m for _, _, m in sub.edges), default=None)
+    if "min_edge_label" in node.data and node.data["min_edge_label"] != smallest:
+        return _fail(path, "stored minimum edge label does not match the subgraph")
     return _OK
 
 
@@ -747,16 +782,20 @@ def _verify_free_product(sub, node, flavor, cap, path) -> VerificationOutcome:
         union |= s
     if union != set(node.vertices):
         return _fail(path, "free factors do not cover the node")
+    try:
+        comps = node.data.get("components")
+        same = comps is None or [set(c) for c in comps] == sets
+    except TypeError:
+        same = False
+    if not same:
+        return _fail(path, "stored components do not match the factors")
     for a, b in itertools.combinations(range(len(sets)), 2):
         for u in sets[a]:
             for w in sub.neighbors(u):
                 if w in sets[b]:
                     return _fail(path, "edge between free factors")
-    for i, child in enumerate(node.children):
-        r = _verify_node(sub, child, child.vertices, cap, path + (f"factor[{i}]",))
-        if not r:
-            return r
-    return _OK
+    parts = [(f"factor[{i}]", child.vertices) for i, child in enumerate(node.children)]
+    return _verify_children(sub, node, parts, cap, path)
 
 
 def _verify_amalgam(sub, node, flavor, cap, path) -> VerificationOutcome:
@@ -778,15 +817,17 @@ def _verify_amalgam(sub, node, flavor, cap, path) -> VerificationOutcome:
     rights = set(node.children[1].vertices)
     if lefts != set(split.left) or rights != set(split.right):
         return _fail(path, "children do not match the split sides")
-    r = _verify_node(sub, node.children[0], split.left, cap, path + ("left",))
-    if not r:
-        return r
-    return _verify_node(sub, node.children[1], split.right, cap, path + ("right",))
+    return _verify_children(sub, node, (("left", split.left), ("right", split.right)), cap, path)
 
 
-def format_vertex_set(vertices) -> str:
-    """Vertex ids as the text renderings show them: {a,b,c}."""
-    return "{" + ",".join(vertices) + "}"
+def _verify_children(sub, node, parts, cap, path) -> VerificationOutcome:
+    """Verify each child of ``node`` against its expected vertex set;
+    ``parts`` pairs each child's path step with that set."""
+    for (step, expected), child in zip(parts, node.children):
+        r = _verify_node(sub, child, expected, cap, path + (step,))
+        if not r:
+            return r
+    return _OK
 
 
 def _amalgam_suffix(node: ProofNode) -> str:

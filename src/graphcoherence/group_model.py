@@ -568,6 +568,10 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
 
 # -- presentations ------------------------------------------------------------
 
+# The largest Artin label whose braid relation is written out letter by
+# letter; at 10^8 that relation is already 200 MB of text.
+LITERAL_BRAID_MAX = 10**8
+
 
 def _generator_names(G: LabeledGraph) -> dict[str, list[str]]:
     names: dict[str, list[str]] = {}
@@ -581,9 +585,11 @@ def emit_presentation(G: LabeledGraph) -> str:
     """Render a finite presentation of the group as ASCII text.
 
     Coxeter graphs use reflection relations v^2 and (u v)^m; Artin
-    graphs use braid relations (uvu... = vuv..., m letters each); other
-    graph products list torsion powers and commutators.  Generators are
-    juxtaposed when every name is a single character.
+    graphs use braid relations (uvu... = vuv..., m letters each), written
+    as powers (uv)^k = (vu)^k for m = 2k and (uv)^k u = (vu)^k v for
+    m = 2k + 1 once m exceeds ``LITERAL_BRAID_MAX``; other graph products
+    list torsion powers and commutators.  Generators are juxtaposed when
+    every name is a single character.
     """
     flavor = detect_flavor(G)
     if not flavor.any:
@@ -606,9 +612,14 @@ def emit_presentation(G: LabeledGraph) -> str:
             rels.append(f"({word([u, v])})^{m}")
     elif flavor.artin:
         for u, v, m in G.edge_list():
-            left = [u if i % 2 == 0 else v for i in range(m)]
-            right = [v if i % 2 == 0 else u for i in range(m)]
-            rels.append(f"{word(left)} = {word(right)}")
+            if m > LITERAL_BRAID_MAX:
+                k, odd = divmod(m, 2)
+                left = f"({word([u, v])})^{k}" + (f" {u}" if odd else "")
+                right = f"({word([v, u])})^{k}" + (f" {v}" if odd else "")
+            else:
+                left = word([u if i % 2 == 0 else v for i in range(m)])
+                right = word([v if i % 2 == 0 else u for i in range(m)])
+            rels.append(f"{left} = {right}")
     else:
         for v, g in zip(G.vertices, G.groups):
             vnames = names[v]

@@ -205,6 +205,33 @@ def random_chordal_graph(rng: random.Random, max_n: int, min_n: int = 1) -> Labe
 
 
 # ---------------------------------------------------------------------------
+# a DOT writer for the subset the package reads: every ID quoted, with
+# \" the only escape, so an ID that ends in a backslash or holds one
+# before a quote cannot be written.
+
+
+def dot_quote(text: str) -> str:
+    if text.endswith("\\") or '\\"' in text:
+        raise ValueError(f"{text!r} cannot be quoted in the DOT subset")
+    return '"' + text.replace('"', '\\"') + '"'
+
+
+def dot_document(G: LabeledGraph, flavor: str | None = None) -> str:
+    """G as a DOT document: the flavor statement if given, one vertex
+    statement per vertex in order with its group, then one edge
+    statement per edge with its label."""
+    lines = ["graph {"]
+    if flavor is not None:
+        lines.append(f"  flavor={dot_quote(flavor)};")
+    for v, g in zip(G.vertices, G.groups):
+        lines.append(f"  {dot_quote(v)} [group={dot_quote(str(g))}];")
+    for u, v, m in G.edge_list():
+        lines.append(f"  {dot_quote(u)} -- {dot_quote(v)} [label={m}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # concrete reflection-group models: orders computed by BFS closure over
 # actual permutation-like elements, nothing shared with the package.
 

@@ -377,6 +377,15 @@ class TestPresent:
         assert main(["present", graph_file(tmp_path, G)]) == 0
         assert capsys.readouterr().out.strip() == "< a | a^2 >"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_artin_label_in_power_form(self, tmp_path, capsys, fmt):
+        path = tmp_path / "g.dot"
+        path.write_text("graph { flavor=artin; a -- b [label=1000000000000]; }")
+        assert main(["present", "--format", fmt, str(path)]) == 0
+        text = "< a, b | (ab)^500000000000 = (ba)^500000000000 >"
+        expected = json.dumps({"presentation": text}) if fmt == "json" else text
+        assert capsys.readouterr().out == expected + "\n"
+
 
 class TestFiniteness:
     def test_finite_symmetric(self, tmp_path, capsys):
@@ -536,6 +545,19 @@ class TestErrors:
         path.write_text('graph { flavor="coxeter"; a -- b [label=100000]; }')
         assert main([command, str(path)]) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--max-search-vertices", "-5", "-"],
+            ["census", "--max-vertices", "3", "--max-search-vertices", "-1"],
+        ],
+        ids=["classify", "census"],
+    )
+    def test_negative_search_cap_exits_1(self, argv):
+        _assert_exits_1_without_traceback(
+            argv, "graph { flavor=racg; a -- b; }", "max_search_vertices must be at least 0, got -"
+        )
 
     def test_census_with_a_huge_label_exits_0(self, capsys):
         argv = ["census", "--flavor", "coxeter", "--max-vertices", "2", "--labels", "2,70249"]

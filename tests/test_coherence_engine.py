@@ -300,6 +300,17 @@ class TestMixedAndInvalid:
         with pytest.raises(ValueError):
             EngineConfig(disabled_rules=frozenset({"not_a_rule"}))
 
+    def test_negative_search_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_search_vertices must be at least 0"):
+            EngineConfig(max_search_vertices=-1)
+
+    def test_zero_search_cap_runs_only_size_independent_rules(self):
+        config = EngineConfig(max_search_vertices=0)
+        assert classify(cycle_racg(4), config).proof.rule == "slender"
+        v = classify(cycle_racg(5), config)
+        assert v.status == UNKNOWN
+        assert [n.code for n in v.notes] == ["search-cap-exceeded"]
+
     def test_vertex_cap_notes(self):
         ids = [f"v{i}" for i in range(13)]
         G = racg(ids, cycle_edges(ids))
@@ -492,6 +503,118 @@ class TestProofVerification:
         assert v.proof.rule in ("free_product", "mccammond_wise")
 
 
+class TestStoredEvidence:
+    """verify_proof checks every evidence field a prover stores, not
+    only the facts the rule itself rests on."""
+
+    def assert_rejected(self, G, node, reason):
+        out = verify_proof(G, node)
+        assert not out
+        assert out.reason == reason
+
+    def test_wise_gordon_peo_must_verify(self):
+        G = gc.artin_graph(list("abcd"), [("a", "b", 3), ("b", "c", 2), ("c", "d", 2)])
+        proof = classify(G).proof
+        assert proof.rule == "wise_gordon" and verify_proof(G, proof)
+        for peo in (["a", "a", "a", "a"], ["a", "b", "c", 1], 7):
+            bad = dataclasses.replace(proof, data={"peo": peo})
+            self.assert_rejected(G, bad, "stored elimination ordering does not verify")
+
+    def test_free_product_components_must_match_the_factors(self):
+        G = graph_product_graph([(x, cyclic(3)) for x in "ab"], [])
+        proof = classify(G).proof
+        assert proof.rule == "free_product" and verify_proof(G, proof)
+        reason = "stored components do not match the factors"
+        bad = dataclasses.replace(proof, data={"components": [["a"], ["zzz"]]})
+        self.assert_rejected(G, bad, reason)
+        swapped = dataclasses.replace(proof, data={"components": proof.data["components"][::-1]})
+        self.assert_rejected(G, swapped, reason)
+        for malformed in ([1, 2], [[["a"]], ["b"]], 7):
+            self.assert_rejected(G, dataclasses.replace(proof, data={"components": malformed}), reason)
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ({"vertex_count": 99, "min_edge_label": 1}, "stored vertex count does not match the subgraph"),
+            ({"vertex_count": 3, "min_edge_label": 1}, "stored minimum edge label does not match the subgraph"),
+        ],
+    )
+    def test_mccammond_wise_counts_must_match(self, data, reason):
+        G = gc.coxeter_graph(list("abc"), [("a", "b", 5), ("b", "c", 6), ("a", "c", 5)])
+        proof = classify(G).proof
+        assert proof.rule == "mccammond_wise"
+        assert proof.data == {"vertex_count": 3, "min_edge_label": 5} and verify_proof(G, proof)
+        self.assert_rejected(G, dataclasses.replace(proof, data=data), reason)
+
+    def test_mccammond_wise_without_edges_stores_no_label(self):
+        G = gc.coxeter_graph(["a"])
+        node = ProofNode("mccammond_wise", ("a",), gc.canonical_key(G), {"min_edge_label": None})
+        assert verify_proof(G, node)
+        self.assert_rejected(
+            G,
+            dataclasses.replace(node, data={"min_edge_label": 2}),
+            "stored minimum edge label does not match the subgraph",
+        )
+
+    def test_slender_certificate_reason_must_match(self):
+        G = cycle_racg(4)
+        proof = classify(G).proof
+        assert proof.rule == "slender" and verify_proof(G, proof)
+        bad = dataclasses.replace(
+            proof, data={"certificate": {"reason": "nonsense", "factors": []}}
+        )
+        self.assert_rejected(G, bad, "stored slenderness reason does not match the subgraph")
+        for malformed in (7, "slender", ["reason"]):
+            self.assert_rejected(
+                G,
+                dataclasses.replace(proof, data={"certificate": malformed}),
+                "stored slenderness reason does not match the subgraph",
+            )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fs: fs[:1],
+            lambda fs: [{**f, "kind": "finite"} for f in fs],
+            lambda fs: [{**f, "type": "A1"} for f in fs],
+            lambda fs: [{**f, "vertices": f["vertices"][:1]} for f in fs],
+            lambda fs: [{"kind": f["kind"]} for f in fs],
+            lambda fs: [f["vertices"] for f in fs],
+            lambda fs: 7,
+        ],
+    )
+    def test_slender_certificate_factors_must_match(self, edit):
+        G = cycle_racg(4)
+        proof = classify(G).proof
+        cert = proof.data["certificate"]
+        bad = dataclasses.replace(
+            proof, data={"certificate": {**cert, "factors": edit(cert["factors"])}}
+        )
+        self.assert_rejected(G, bad, "stored slender factors do not match the subgraph")
+
+    def test_slender_factors_compare_as_a_set(self):
+        G = cycle_racg(4)
+        proof = classify(G).proof
+        cert = proof.data["certificate"]
+        assert len(cert["factors"]) == 2
+        reordered = {
+            **cert,
+            "factors": [
+                {**f, "vertices": f["vertices"][::-1]} for f in cert["factors"][::-1]
+            ],
+        }
+        assert verify_proof(G, dataclasses.replace(proof, data={"certificate": reordered}))
+
+    def test_abelian_certificate_must_match(self):
+        G = graph_product_graph([("a", cyclic(3)), ("b", gc.Z)], [("a", "b")])
+        proof = classify(G).proof
+        assert proof.rule == "abelian" and verify_proof(G, proof)
+        bad = dataclasses.replace(
+            proof, data={"certificate": {**proof.data["certificate"], "factors": []}}
+        )
+        self.assert_rejected(G, bad, "stored slender factors do not match the subgraph")
+
+
 class TestWitnessVerification:
     def test_all_named_witnesses_verify(self):
         for G in (
@@ -566,6 +689,35 @@ class TestWitnessVerification:
             cert_b=gc.F2Certificate(kind="free_pair", vertices=("v1", "v3")),
         )
         assert not verify_witness(G, w)
+
+
+class TestWitnessText:
+    @pytest.mark.parametrize(
+        "G, text",
+        [
+            (
+                complete_bipartite_racg(),
+                "join_embedding {a,b,c} x {d,e,f} "
+                "(certs: independent_triple {a,b,c}, independent_triple {d,e,f})",
+            ),
+            (braid_like_artin_k4(), "wise_gordon clique_big_labels {bl,tr,br}"),
+            (raag(list("abcd"), cycle_edges(list("abcd"))), "droms_cycle {a,b,c,d}"),
+            (
+                graph_product_graph(
+                    [(x, gc.Z) for x in "abcde"] + [("x", Z2)], cycle_edges(list("abcde"))
+                ),
+                "incoherent_factor {a,b,e,c,d}: droms_cycle {a,b,c,d,e}",
+            ),
+        ],
+    )
+    def test_each_kind_renders_itself(self, G, text):
+        w = classify(G).witness
+        assert w.text() == text
+        assert verify_witness(G, w)
+
+    def test_unknown_witness_type_rejected(self):
+        out = verify_witness(cycle_racg(4), object())
+        assert not out and out.reason == "unknown witness type object"
 
 
 class TestWitnessScanHelper:

@@ -542,6 +542,35 @@ class TestPresentations:
         text = emit_presentation(raag(["a", "b"], []))
         assert text == "< a, b | >"
 
+    @pytest.mark.parametrize(
+        "ids, m, relation",
+        [
+            (["a", "b"], 10**12, "(ab)^500000000000 = (ba)^500000000000"),
+            (["a", "b"], 10**12 + 1, "(ab)^500000000000 a = (ba)^500000000000 b"),
+            (["a", "b"], 10**8 + 1, "(ab)^50000000 a = (ba)^50000000 b"),
+            (["s1", "s2"], 10**8 + 2, "(s1 s2)^50000001 = (s2 s1)^50000001"),
+            (["s1", "s2"], 10**8 + 3, "(s1 s2)^50000001 s1 = (s2 s1)^50000001 s2"),
+        ],
+    )
+    def test_large_artin_labels_use_powers(self, ids, m, relation):
+        G = gc.artin_graph(ids, [(*ids, m)])
+        assert emit_presentation(G) == f"< {', '.join(ids)} | {relation} >"
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_power_form_starts_above_the_literal_limit(self, monkeypatch, m):
+        G = gc.artin_graph(["a", "b"], [("a", "b", m)])
+        literal = emit_presentation(G)
+        monkeypatch.setattr(group_model, "LITERAL_BRAID_MAX", 5)
+        text = emit_presentation(G)
+        if m <= 5:
+            assert text == literal
+        else:
+            assert text == {6: "< a, b | (ab)^3 = (ba)^3 >", 7: "< a, b | (ab)^3 a = (ba)^3 b >"}[m]
+            # The power form spells the same words as the literal one.
+            left, right = literal[len("< a, b | ") : -len(" >")].split(" = ")
+            assert left == "ab" * (m // 2) + "a" * (m % 2)
+            assert right == "ba" * (m // 2) + "b" * (m % 2)
+
 
 class TestInternalConsistency:
     def test_template_sweep_never_raises(self):
