@@ -466,7 +466,7 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
         return job
     verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
     if verify:
-        _check_stored(key, verdict_obj, classifier.config.max_search_vertices)
+        _check_stored(key, verdict_obj, classifier)
     rec = {
         "key": key,
         "n": n,
@@ -480,10 +480,12 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     return n, e, key, rec, weight
 
 
-def _check_stored(key: str, verdict_obj: dict, cap: int) -> None:
+def _check_stored(key: str, verdict_obj: dict, classifier: Classifier) -> None:
     """Re-verify a verdict in its JSON form against the graph its key
-    encodes."""
-    check_verdict(graph_from_key(key), verdict_from_jsonable(verdict_obj), cap, key)
+    encodes, checking proof node keys through ``classifier``'s memo."""
+    check_verdict(
+        graph_from_key(key), verdict_from_jsonable(verdict_obj), subject=key, classifier=classifier
+    )
 
 
 # Each pool worker's job, with a classifier whose memo outlives one chunk.
@@ -552,8 +554,11 @@ def run_census(
             out_fh.write(json.dumps(header) + "\n")
             out_fh.flush()
         classes = _classes(config, cap, set(records))
+        # The run's classifier: it classifies in a serial run, and checks
+        # resumed records in this process either way.
+        classifier = Classifier(engine_config)
         if workers == 1:
-            results = map(partial(_record_job, Classifier(engine_config), config.verify), classes)
+            results = map(partial(_record_job, classifier, config.verify), classes)
         else:
             import multiprocessing
 
@@ -567,7 +572,7 @@ def run_census(
             if rec is None:
                 rec = records[key]
                 if config.verify:
-                    _check_stored(key, rec["verdict"], cap)
+                    _check_stored(key, rec["verdict"], classifier)
             elif out_fh:
                 out_fh.write(json.dumps(rec) + "\n")
                 out_fh.flush()

@@ -118,7 +118,7 @@ def _cmd_classify(args) -> int:
     )
     classifier = Classifier(config)
     verdict = classifier.classify(G)
-    check_verdict(G, verdict, config.max_search_vertices, "the input")
+    check_verdict(G, verdict, subject="the input", classifier=classifier)
     slender = _unless_unsupported(is_slender, G)
     fin = _unless_unsupported(finiteness, G)
     if args.format == "json":

@@ -22,7 +22,9 @@ verified and rendered from here and callers need no code per kind.
 
 Verdicts are computed on the canonical representative of the input and
 mapped back, so isomorphic inputs receive corresponding evidence, and a
-per-classifier memo makes repeated sub-classifications cheap.  One
+per-classifier memo makes repeated sub-classifications cheap.  A second
+one canonicalizes each subgraph structure once for both classification
+and the proof checks run through the same classifier.  One
 field walker serializes, rebuilds and renames the evidence dataclasses.
 """
 
@@ -275,6 +277,8 @@ class Verdict:
     notes: tuple[UnknownNote, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.status not in (COHERENT, INCOHERENT, UNKNOWN):
+            raise ValueError(f"unknown status {self.status!r}")
         if self.status == COHERENT and (self.proof is None or self.witness is not None):
             raise ValueError("coherent verdicts carry exactly a proof tree")
         if self.status == INCOHERENT and (self.witness is None or self.proof is not None):
@@ -382,15 +386,26 @@ def _raw_key(G: LabeledGraph) -> str:
 class Classifier:
     """Memoizing coherence classifier.
 
-    Safe to reuse across graphs; the memo is keyed by canonical form,
-    and verdicts are computed on canonical representatives so equal
-    inputs (and isomorphic ones, up to the isomorphism) receive
+    Safe to reuse across graphs; the verdict memo is keyed by canonical
+    form, and verdicts are computed on canonical representatives so
+    equal inputs (and isomorphic ones, up to the isomorphism) receive
     identical evidence.
+
+    A second memo, shared by the classifier's classification and by the
+    proof checks run through it, maps a graph's positional structure,
+    its ``groups`` and ``edges``, to its canonical key and the canonical
+    order of its positions (see :meth:`node_key`).  ``canonical_form``
+    reads nothing else of a graph, so a hit returns exactly the key it
+    would compute and the placement is the graph's ids at that order:
+    a key check against the memo is as strong as one that recomputes
+    the key.  Both memos live as long as the classifier and hold no
+    graph and no vertex id.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config or EngineConfig()
         self._cache: dict[str, Verdict] = {}
+        self._forms: dict[tuple, tuple[str, tuple[int, ...]]] = {}
 
     def classify(self, G: LabeledGraph) -> Verdict:
         flavor = detect_flavor(G)
@@ -398,14 +413,28 @@ class Classifier:
             raise UnsupportedFlavorError(
                 "edge labels above 2 require all-Z or all-Z2 vertex groups"
             )
-        cap = self.config.max_search_vertices
-        if G.n > cap:
-            return self._apply_rules(G, _raw_key(G), big=True)
-        key, placement = canonical_form(G, cap=cap)
+        key, placement = self.node_key(G)
+        if placement is None:
+            return self._apply_rules(G, key, big=True)
         verdict = self._cache.get(key)
         if verdict is None:
             verdict = self.classify_canonical(canonical_relabel(G, placement), key)
         return remap(verdict, {str(i): v for i, v in enumerate(placement)})
+
+    def node_key(self, G: LabeledGraph) -> tuple[str, Optional[tuple[str, ...]]]:
+        """The key that G's proof nodes carry, with the placement that
+        realizes it: ``canonical_form(G)``, computed once per positional
+        structure, or the raw key and None above the search cap."""
+        cap = self.config.max_search_vertices
+        if G.n > cap:
+            return _raw_key(G), None
+        structure = (G.groups, G.edges)
+        form = self._forms.get(structure)
+        if form is None:
+            key, placement = canonical_form(G, cap=cap)
+            form = self._forms[structure] = key, tuple(map(G.index, placement))
+        ids = G.vertices
+        return form[0], tuple(ids[i] for i in form[1])
 
     def classify_canonical(self, CG: LabeledGraph, key: str) -> Verdict:
         """Verdict of a canonical representative whose canonical key is
@@ -492,22 +521,32 @@ def _fail(path: tuple[str, ...], reason: str) -> VerificationOutcome:
 
 
 def verify_proof(
-    G: LabeledGraph, node: ProofNode, cap: int = DEFAULT_VERTEX_CAP
+    G: LabeledGraph,
+    node: ProofNode,
+    cap: int = DEFAULT_VERTEX_CAP,
+    classifier: Optional[Classifier] = None,
 ) -> VerificationOutcome:
     """Recheck every node of a coherence proof against the graph.
 
     The root must cover the whole vertex set; every leaf premise and
-    every split invariant is recomputed from scratch.  Failures name
-    the offending node by its path from the root.
+    every split invariant is recomputed from scratch.  Each node's key
+    is compared with :meth:`Classifier.node_key` of its induced
+    subgraph, under ``classifier``'s cap and through its memo, or else
+    through a fresh classifier with cap ``cap``.  A memo hit is exactly
+    what ``canonical_form`` returns for that subgraph (see
+    :class:`Classifier`), so a warm memo checks keys as strictly as a
+    fresh one.  Failures name the offending node by its path from the
+    root.
     """
-    return _verify_node(G, node, tuple(G.vertices), cap, path=("root",))
+    clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
+    return _verify_node(G, node, tuple(G.vertices), clf, path=("root",))
 
 
 def _verify_node(
     G: LabeledGraph,
     node: ProofNode,
     expected: tuple[str, ...],
-    cap: int,
+    clf: Classifier,
     path: tuple[str, ...],
 ) -> VerificationOutcome:
     if sorted(node.vertices) != sorted(expected):
@@ -516,10 +555,7 @@ def _verify_node(
         sub = G.induced(node.vertices)
     except Exception as e:
         return _fail(path, f"induced subgraph failed: {e}")
-    expected_key = (
-        canonical_form(sub, cap=cap)[0] if sub.n <= cap else _raw_key(sub)
-    )
-    if node.key != expected_key:
+    if node.key != clf.node_key(sub)[0]:
         return _fail(path, "stored key does not match the induced subgraph")
     flavor = detect_flavor(sub)
     rule = PROOF_RULES.get(node.rule)
@@ -527,7 +563,7 @@ def _verify_node(
         return _fail(path, f"unknown rule {node.rule!r}")
     if rule.leaf and node.children:
         return _fail(path, f"leaf rule {node.rule} must not have children")
-    return rule.verify(sub, node, flavor, cap, path)
+    return rule.verify(sub, node, flavor, clf, path)
 
 
 def verify_witness(
@@ -540,14 +576,18 @@ def verify_witness(
 
 
 def check_verdict(
-    G: LabeledGraph, verdict: Verdict, cap: int = DEFAULT_VERTEX_CAP, subject: str = "the graph"
+    G: LabeledGraph,
+    verdict: Verdict,
+    cap: int = DEFAULT_VERTEX_CAP,
+    subject: str = "the graph",
+    classifier: Optional[Classifier] = None,
 ) -> None:
     """Re-verify the proof of a COHERENT verdict or the witness of an
     INCOHERENT one from scratch, raising :class:`InternalInvariantError`
     if it does not check out.  ``subject`` names the graph in the
-    message."""
+    message; ``cap`` and ``classifier`` are as in :func:`verify_proof`."""
     if verdict.status == COHERENT:
-        kind, outcome = "proof", verify_proof(G, verdict.proof, cap=cap)
+        kind, outcome = "proof", verify_proof(G, verdict.proof, cap=cap, classifier=classifier)
     elif verdict.status == INCOHERENT:
         kind, outcome = "witness", verify_witness(G, verdict.witness)
     else:
@@ -695,16 +735,17 @@ def _classify_parts(clf, G: LabeledGraph, parts) -> Union[Verdict, list[Verdict]
 
 
 # A verifier gets the node's induced subgraph, the node, the subgraph's
-# flavor, the canonicalization cap and the node's path.
+# flavor, the classifier whose ``node_key`` checks the keys of the
+# node's children, and the node's path.
 
 
-def _verify_abelian(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_abelian(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not (flavor.graph_product and sub.is_complete()):
         return _fail(path, "abelian leaf requires a complete label-2 graph")
-    return _verify_slender(sub, node, flavor, cap, path)
+    return _verify_slender(sub, node, flavor, clf, path)
 
 
-def _verify_slender(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     """A stored certificate must give the reason ``is_slender`` gives and
     the same factors, compared as a set of (vertex set, kind, type)
     since renaming can reorder them."""
@@ -736,7 +777,7 @@ def _check_peo(sub, node, path) -> Optional[VerificationOutcome]:
     return None if ok else _fail(path, "stored elimination ordering does not verify")
 
 
-def _verify_droms_chordal(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_droms_chordal(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not flavor.raag:
         return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
     failure = _check_peo(sub, node, path)
@@ -747,7 +788,7 @@ def _verify_droms_chordal(sub, node, flavor, cap, path) -> VerificationOutcome:
     return _OK
 
 
-def _verify_wise_gordon(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_wise_gordon(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not flavor.artin:
         return _fail(path, "wise_gordon leaf requires an all-Z graph")
     failure = _check_peo(sub, node, path)
@@ -758,7 +799,7 @@ def _verify_wise_gordon(sub, node, flavor, cap, path) -> VerificationOutcome:
     return _OK
 
 
-def _verify_mccammond_wise(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_mccammond_wise(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not flavor.coxeter:
         return _fail(path, "mccammond_wise leaf requires an all-Z2 graph")
     if not all(m >= sub.n for _, _, m in sub.edges):
@@ -771,7 +812,7 @@ def _verify_mccammond_wise(sub, node, flavor, cap, path) -> VerificationOutcome:
     return _OK
 
 
-def _verify_free_product(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
     if len(node.children) < 2:
         return _fail(path, "free_product needs at least two factors")
     sets = [set(c.vertices) for c in node.children]
@@ -795,14 +836,16 @@ def _verify_free_product(sub, node, flavor, cap, path) -> VerificationOutcome:
                 if w in sets[b]:
                     return _fail(path, "edge between free factors")
     parts = [(f"factor[{i}]", child.vertices) for i, child in enumerate(node.children)]
-    return _verify_children(sub, node, parts, cap, path)
+    return _verify_children(sub, node, parts, clf, path)
 
 
-def _verify_amalgam(sub, node, flavor, cap, path) -> VerificationOutcome:
+def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
     try:
         split = from_jsonable(Split, node.data)
     except KeyError as e:
         return _fail(path, f"amalgam node missing field {e}")
+    except ValueError as e:
+        return _fail(path, f"amalgam node has a malformed field: {e}")
     if set(split.left) | set(split.right) != set(node.vertices):
         return _fail(path, "amalgam sides do not cover the node")
     if not split.separator:
@@ -817,14 +860,14 @@ def _verify_amalgam(sub, node, flavor, cap, path) -> VerificationOutcome:
     rights = set(node.children[1].vertices)
     if lefts != set(split.left) or rights != set(split.right):
         return _fail(path, "children do not match the split sides")
-    return _verify_children(sub, node, (("left", split.left), ("right", split.right)), cap, path)
+    return _verify_children(sub, node, (("left", split.left), ("right", split.right)), clf, path)
 
 
-def _verify_children(sub, node, parts, cap, path) -> VerificationOutcome:
+def _verify_children(sub, node, parts, clf, path) -> VerificationOutcome:
     """Verify each child of ``node`` against its expected vertex set;
     ``parts`` pairs each child's path step with that set."""
     for (step, expected), child in zip(parts, node.children):
-        r = _verify_node(sub, child, expected, cap, path + (step,))
+        r = _verify_node(sub, child, expected, clf, path + (step,))
         if not r:
             return r
     return _OK
@@ -909,20 +952,20 @@ _PLANS: dict = {}
 def _plan(hint) -> tuple:
     """What the walkers need to know about a type or type hint:
     ("class", dataclass, its ``kind`` class attribute or None,
-    ((field, type hint or None for a plain type, required), ...)),
-    ("tuple", item dataclass or None), ("union", {kind class attribute:
-    dataclass}) or ("plain",)."""
+    ((field, type hint, required), ...)), ("tuple", item type hint),
+    ("optional", type hint), ("union", {kind class attribute:
+    dataclass}) or ("plain", the type its values must have, or None)."""
     plan = _PLANS.get(hint)
     if plan is not None:
         return plan
     origin = typing.get_origin(hint)
     if origin is tuple:
-        item = typing.get_args(hint)[0]
-        plan = ("tuple", item if dataclasses.is_dataclass(item) else None)
+        plan = ("tuple", typing.get_args(hint)[0])
     elif origin is Union:
-        options = [a for a in typing.get_args(hint) if a is not type(None)]
-        if len(options) == 1:
-            plan = _plan(options[0])
+        args = typing.get_args(hint)
+        options = tuple(a for a in args if a is not type(None))
+        if len(options) < len(args):
+            plan = ("optional", Union[options])
         else:
             plan = ("union", {a.kind: a for a in options if hasattr(a, "kind")})
     elif dataclasses.is_dataclass(hint):
@@ -930,7 +973,7 @@ def _plan(hint) -> tuple:
         fields = tuple(
             (
                 f.name,
-                None if _plan(types[f.name]) == ("plain",) else types[f.name],
+                types[f.name],
                 f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING,
             )
@@ -939,7 +982,7 @@ def _plan(hint) -> tuple:
         kind = None if "kind" in types else getattr(hint, "kind", None)
         plan = ("class", hint, kind, fields)
     else:
-        plan = ("plain",)
+        plan = ("plain", hint if isinstance(hint, type) else None)
     _PLANS[hint] = plan
     return plan
 
@@ -967,32 +1010,59 @@ def to_jsonable(obj):
 def from_jsonable(hint, obj):
     """Rebuild a value of type ``hint`` from its JSON form.
 
-    ``hint`` is a dataclass, ``tuple[X, ...]``, an Optional, or a Union
-    of dataclasses told apart by their ``kind``; any other type passes
-    the value through.  Missing fields take their defaults; a missing
-    required field raises KeyError.
+    ``hint`` is a dataclass, ``tuple[X, ...]``, an Optional, a Union of
+    dataclasses told apart by their ``kind``, or a plain type such as
+    ``str`` or ``dict``, whose values pass through.  Missing fields take
+    their defaults; a missing required field raises KeyError.  A value
+    of another JSON type than its hint's, including null where no
+    Optional allows it, raises ValueError naming the field.
     """
-    if obj is None:
-        return None
     plan = _plan(hint)
     how = plan[0]
+    if how == "plain":
+        if plan[1] is not None and not isinstance(obj, plan[1]):
+            raise _mistyped(plan[1], obj)
+        return obj
+    if how == "optional":
+        return None if obj is None else from_jsonable(plan[1], obj)
     if how == "tuple":
+        if type(obj) is not list and type(obj) is not tuple:
+            raise _mistyped(list, obj)
         item = plan[1]
-        return tuple(obj) if item is None else tuple(from_jsonable(item, x) for x in obj)
+        if all(type(x) is item for x in obj):
+            return tuple(obj)
+        return tuple(from_jsonable(item, x) for x in obj)
+    if type(obj) is not dict:
+        raise _mistyped(dict, obj)
     if how == "union":
         kind = obj.get("kind")
-        if kind not in plan[1]:
+        cls = plan[1].get(kind) if type(kind) is str else None
+        if cls is None:
             raise ValueError(f"unknown witness kind {kind!r}")
-        return from_jsonable(plan[1][kind], obj)
-    if how == "class":
-        return plan[1](
-            **{
-                name: obj[name] if t is None else from_jsonable(t, obj[name])
-                for name, t, required in plan[3]
-                if required or name in obj
-            }
-        )
-    return obj
+        return from_jsonable(cls, obj)
+    values = {}
+    for name, t, required in plan[3]:
+        if required or name in obj:
+            value = obj[name]
+            # A value of exactly its plain hint type (str, dict) is ready.
+            if type(value) is not t:
+                try:
+                    value = from_jsonable(t, value)
+                except ValueError as e:
+                    raise ValueError(f"{name}: {e}") from None
+            values[name] = value
+    return plan[1](**values)
+
+
+_JSON_TYPES = {
+    str: "a string", dict: "an object", list: "an array", tuple: "an array",
+    bool: "a boolean", int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _mistyped(expected: type, obj) -> ValueError:
+    got = _JSON_TYPES.get(type(obj), type(obj).__name__)
+    return ValueError(f"expected {_JSON_TYPES.get(expected, expected.__name__)}, got {got}")
 
 
 def remap(obj, mapping: dict[str, str]):

@@ -474,7 +474,7 @@ class TestErrors:
         from graphcoherence.coherence_engine import VerificationOutcome
 
         broken = VerificationOutcome(ok=False, path=("root",), reason="tampered")
-        monkeypatch.setattr(coherence_engine, "verify_proof", lambda G, node, cap=12: broken)
+        monkeypatch.setattr(coherence_engine, "verify_proof", lambda *args, **kwargs: broken)
         path = graph_file(tmp_path, cycle_racg(4))
         assert main([path if a == "GRAPH" else a for a in argv]) == 2
         err = capsys.readouterr().err

@@ -1,0 +1,171 @@
+"""The canonical-form memo each classifier keeps: it returns exactly what
+``canonical_form`` returns, lives as long as its classifier, and a warm
+memo checks proof node keys as strictly as a fresh one."""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphcoherence import AbelianGroupLabel, LabeledGraph, Z, Z2, cyclic
+from graphcoherence import census, coherence_engine, labeled_graph
+from graphcoherence.census import CensusConfig, _classes, _record_job, graph_from_key
+from graphcoherence.cli import main
+from graphcoherence.coherence_engine import (
+    COHERENT,
+    Classifier,
+    EngineConfig,
+    _raw_key,
+    verdict_from_jsonable,
+    verify_proof,
+)
+from graphcoherence.labeled_graph import canonical_form
+from helpers import prism_racg
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """A list that gets one entry per ``canonical_form`` call made through
+    any module of the package."""
+    calls = []
+    original = labeled_graph.canonical_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return original(*args, **kwargs)
+
+    for module in (labeled_graph, coherence_engine, census):
+        monkeypatch.setattr(module, "canonical_form", counting)
+    return calls
+
+
+# -- exact hits ------------------------------------------------------------------
+
+FLAVOR_GROUPS = {"racg": (Z2,), "coxeter": (Z2,), "raag": (Z,), "artin": (Z,)}
+PRODUCT_GROUPS = (Z, Z2, cyclic(3), cyclic(6), AbelianGroupLabel(rank=2))
+
+
+@st.composite
+def flavored_graphs(draw):
+    flavor = draw(st.sampled_from(("racg", "raag", "coxeter", "artin", "graph_product")))
+    n = draw(st.integers(1, 8))
+    groups = FLAVOR_GROUPS.get(flavor, PRODUCT_GROUPS)
+    labels = (2, 3, 4, 5) if flavor in ("coxeter", "artin") else (2,)
+    ids = [f"v{i}" for i in range(n)]
+    edges = [
+        (u, v, draw(st.sampled_from(labels)))
+        for u, v in itertools.combinations(ids, 2)
+        if draw(st.booleans())
+    ]
+    return LabeledGraph.build([(v, draw(st.sampled_from(groups))) for v in ids], edges)
+
+
+@settings(max_examples=150)
+@given(G=flavored_graphs(), data=st.data(), cap=st.sampled_from([0, 4, 12]))
+def test_one_structure_under_two_id_sets_gets_canonical_form_of_each(G, data, cap):
+    names = data.draw(st.permutations([f"x{i}" for i in range(G.n)]))
+    H = G.relabeled(dict(zip(G.vertices, names)))
+    assert (H.groups, H.edges) == (G.groups, G.edges)
+    clf = Classifier(EngineConfig(max_search_vertices=cap))
+    for graph in (G, H, G):
+        expected = canonical_form(graph, cap=cap) if graph.n <= cap else (_raw_key(graph), None)
+        assert clf.node_key(graph) == expected
+    assert len(clf._forms) == (G.n <= cap)
+
+
+def test_the_memo_holds_no_graph_and_no_vertex_id():
+    clf = Classifier()
+    clf.classify(prism_racg())
+    for (groups, edges), (key, order) in clf._forms.items():
+        assert all(type(g) is AbelianGroupLabel for g in groups)
+        assert all(type(x) is int for edge in edges for x in edge)
+        assert type(key) is str and all(type(i) is int for i in order)
+
+
+# -- scope -----------------------------------------------------------------------
+
+
+def test_two_classifiers_share_no_memo(canonical_calls):
+    G = prism_racg()
+    first, second = Classifier(), Classifier()
+    first.classify(G)
+    cold = len(canonical_calls)
+    assert cold and first._forms and not second._forms
+    second.classify(G)
+    assert len(canonical_calls) == 2 * cold
+    assert first._forms == second._forms and first._forms is not second._forms
+
+
+def test_each_census_run_starts_cold(canonical_calls):
+    counts = []
+    for _ in range(2):
+        canonical_calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["census", "--flavor", "racg", "--max-vertices", "5"]) == 0
+        counts.append(len(canonical_calls))
+    assert counts[0] == counts[1] > 0
+
+
+# -- a warm memo does not weaken the key check -------------------------------------
+
+
+def nodes(node, at=()):
+    yield at, node
+    for i, child in enumerate(node.children):
+        yield from nodes(child, at + (i,))
+
+
+def with_keys(node, keys: dict, at=()):
+    """The proof with the node at each child-index path in ``keys``
+    given that key."""
+    children = tuple(with_keys(c, keys, at + (i,)) for i, c in enumerate(node.children))
+    return dataclasses.replace(node, key=keys.get(at, node.key), children=children)
+
+
+def tamperings(proof):
+    """The proof with two nodes' keys swapped, or a child given its
+    parent's key, in every way that changes a key."""
+    found = list(nodes(proof))
+    for (a, x), (b, y) in itertools.combinations(found, 2):
+        if x.key != y.key:
+            yield with_keys(proof, {a: y.key, b: x.key})
+    for at, node in found:
+        for i, child in enumerate(node.children):
+            if child.key != node.key:
+                yield with_keys(proof, {at + (i,): node.key})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CensusConfig(flavor="racg", max_vertices=5),
+        CensusConfig(flavor="coxeter", max_vertices=3, edge_labels=(2, 3, 4, 5)),
+    ],
+    ids=["racg-5", "coxeter-3"],
+)
+def test_a_warm_memo_rejects_tampered_keys_as_a_fresh_check_does(config, canonical_calls):
+    clf = Classifier()
+    jobs = _classes(config, clf.config.max_search_vertices, set())
+    records = [_record_job(clf, True, job)[3] for job in jobs]
+    proofs = [
+        (graph_from_key(rec["key"]), verdict_from_jsonable(rec["verdict"]).proof)
+        for rec in records
+        if rec["status"] == COHERENT
+    ]
+    assert proofs
+    tampered = [(G, t) for G, proof in proofs for t in tamperings(proof)]
+    assert tampered
+    for G, proof in tampered:
+        before = len(canonical_calls)
+        warm = verify_proof(G, proof, classifier=clf)
+        # Every subgraph of a stored proof was canonicalized already.
+        assert len(canonical_calls) == before
+        assert not warm
+        assert warm == verify_proof(G, proof)
+        assert warm.reason == "stored key does not match the induced subgraph"
+
