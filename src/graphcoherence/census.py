@@ -4,14 +4,15 @@ Grows the isomorphism classes of a configured kind one vertex at a time
 (each class on n-1 vertices gets one more vertex with every
 neighbourhood and edge label, and canonical forms name the classes, as
 in McKay's isomorph-free generation), classifies each class once
-(optionally in worker processes), re-verifies the produced evidence,
-and tallies each class by verdict per (vertex count, edge count) cell,
-weighted by the n!/|Aut| labeled graphs it stands for.  Classes come in
+(optionally in worker processes), re-verifies the produced evidence
+against the class's own representative, and tallies each class by
+verdict per (vertex count, edge count) cell, weighted by the n!/|Aut|
+labeled graphs it stands for.  Classes come in
 the order in which :func:`enumerate_graphs`, the labeled enumeration,
 first meets them.  Records are written one JSON line per isomorphism
 class, in that order and keyed by canonical form, after a header line
-naming the engine that wrote them; an existing record file from the
-same engine is resumed rather than recomputed.
+naming the engine and key format that wrote them; an existing record
+file from the same engine is resumed rather than recomputed.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .coherence_engine import (
 )
 from .labeled_graph import (
     LabeledGraph,
+    RECORD_KEY_FORMAT,
     Z,
     Z2,
     _canonical_search,
     canonical_form,
     canonical_relabel,
     detect_flavor,
+    graph_from_key,
 )
 
 _FLAVOR_GROUPS = {"racg": Z2, "raag": Z, "coxeter": Z2}
@@ -61,8 +64,9 @@ class CensusConfig:
     ``flavor``: racg and raag fix every label to 2; coxeter keeps all-Z2
     vertices and ranges each edge over ``edge_labels``.  ``dedup``
     counts isomorphism classes once instead of every labeled graph.
-    ``verify`` recheck every proof and witness (including resumed
-    records, whose graphs are rebuilt from their canonical keys).
+    ``verify`` rechecks every proof and witness: a new class's against
+    its canonical representative, a resumed record's against the graph
+    :func:`graph_from_key` rebuilds from its key.
     """
 
     flavor: str = "racg"
@@ -114,29 +118,6 @@ def enumerate_graphs(config: CensusConfig) -> Iterator[LabeledGraph]:
                 yield LabeledGraph.build(
                     vertex_items, [(u, v, m) for (u, v), m in zip(chosen, labels)]
                 )
-
-
-def graph_from_key(key: str) -> LabeledGraph:
-    """Rebuild the canonical representative encoded by a canonical key
-    (vertices are named "0", "1", ...)."""
-    from .labeled_graph import AbelianGroupLabel
-
-    head, *rest = key.split(";")
-    n = int(head)
-    if len(rest) != n + 1:
-        raise ValueError(f"malformed key {key!r}")
-    vertex_items = []
-    for i, part in enumerate(rest[:n]):
-        rank_s, torsion_s = part.split("|")
-        torsion = tuple(int(x) for x in torsion_s.split(",") if x)
-        vertex_items.append((str(i), AbelianGroupLabel(rank=int(rank_s), torsion=torsion)))
-    edge_items = []
-    if rest[n]:
-        for token in rest[n].split(","):
-            pos, m = token.rsplit(":", 1)
-            i, j = pos.split("-")
-            edge_items.append((i, j, int(m)))
-    return LabeledGraph.build(vertex_items, edge_items)
 
 
 @dataclass
@@ -215,11 +196,6 @@ def _root_rule(verdict_obj: dict) -> Optional[str]:
     if verdict_obj["status"] == INCOHERENT:
         return verdict_obj["witness"]["kind"]
     return None
-
-
-# Version of the canonical key format that records are keyed by; bump it
-# whenever ``canonical_form`` changes its keys.
-RECORD_KEY_FORMAT = 1
 
 
 def records_header(engine_config: EngineConfig) -> dict:
@@ -459,14 +435,15 @@ def _classes(
 
 def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     """A class from :func:`_classes` with its canonical representative
-    replaced by its record: the verdict, re-verified from its JSON form
-    when ``verify`` is set, and what the census table shows of it."""
+    replaced by its record: the verdict, parsed back from its JSON form
+    and re-verified on that representative when ``verify`` is set, and
+    what the census table shows of it."""
     n, e, key, CG, weight = job
     if CG is None:
         return job
     verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
     if verify:
-        _check_stored(key, verdict_obj, classifier)
+        check_verdict(CG, verdict_from_jsonable(verdict_obj), subject=key, classifier=classifier)
     rec = {
         "key": key,
         "n": n,
@@ -478,14 +455,6 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
         "verdict": verdict_obj,
     }
     return n, e, key, rec, weight
-
-
-def _check_stored(key: str, verdict_obj: dict, classifier: Classifier) -> None:
-    """Re-verify a verdict in its JSON form against the graph its key
-    encodes, checking proof node keys through ``classifier``'s memo."""
-    check_verdict(
-        graph_from_key(key), verdict_from_jsonable(verdict_obj), subject=key, classifier=classifier
-    )
 
 
 # Each pool worker's job, with a classifier whose memo outlives one chunk.
@@ -572,7 +541,12 @@ def run_census(
             if rec is None:
                 rec = records[key]
                 if config.verify:
-                    _check_stored(key, rec["verdict"], classifier)
+                    check_verdict(
+                        graph_from_key(key),
+                        verdict_from_jsonable(rec["verdict"]),
+                        subject=key,
+                        classifier=classifier,
+                    )
             elif out_fh:
                 out_fh.write(json.dumps(rec) + "\n")
                 out_fh.flush()

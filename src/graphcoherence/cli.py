@@ -24,6 +24,7 @@ from .coherence_engine import (
     EngineConfig,
     ProofNode,
     check_verdict,
+    require_group,
     to_jsonable,
     verdict_to_jsonable,
 )
@@ -199,6 +200,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = _read_graph(args.path)
+    require_group(G)
     lines: list[str] = []
     obj: dict = {"kind": None, "splits": []}
     comps = G.components()

@@ -62,6 +62,7 @@ from .labeled_graph import (
     detect_flavor,
     is_chordal,
     is_induced_chordless_cycle,
+    positional_key,
     shape_classify,
     verify_peo,
 )
@@ -377,10 +378,14 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
 # -- the classifier ------------------------------------------------------------
 
 
+def require_group(G: LabeledGraph) -> None:
+    """Raise :class:`UnsupportedFlavorError` if G's labels define no group."""
+    if not detect_flavor(G).any:
+        raise UnsupportedFlavorError("edge labels above 2 require all-Z or all-Z2 vertex groups")
+
+
 def _raw_key(G: LabeledGraph) -> str:
-    vertex_part = ";".join(g.key() for g in G.groups)
-    edge_part = ",".join(f"{i}-{j}:{m}" for i, j, m in G.edges)
-    return f"raw:{G.n};{vertex_part};{edge_part}"
+    return "raw:" + positional_key(G.groups, G.edges)
 
 
 class Classifier:
@@ -408,11 +413,7 @@ class Classifier:
         self._forms: dict[tuple, tuple[str, tuple[int, ...]]] = {}
 
     def classify(self, G: LabeledGraph) -> Verdict:
-        flavor = detect_flavor(G)
-        if not flavor.any:
-            raise UnsupportedFlavorError(
-                "edge labels above 2 require all-Z or all-Z2 vertex groups"
-            )
+        require_group(G)
         key, placement = self.node_key(G)
         if placement is None:
             return self._apply_rules(G, key, big=True)
@@ -578,16 +579,15 @@ def verify_witness(
 def check_verdict(
     G: LabeledGraph,
     verdict: Verdict,
-    cap: int = DEFAULT_VERTEX_CAP,
     subject: str = "the graph",
     classifier: Optional[Classifier] = None,
 ) -> None:
     """Re-verify the proof of a COHERENT verdict or the witness of an
     INCOHERENT one from scratch, raising :class:`InternalInvariantError`
     if it does not check out.  ``subject`` names the graph in the
-    message; ``cap`` and ``classifier`` are as in :func:`verify_proof`."""
+    message; ``classifier`` is as in :func:`verify_proof`."""
     if verdict.status == COHERENT:
-        kind, outcome = "proof", verify_proof(G, verdict.proof, cap=cap, classifier=classifier)
+        kind, outcome = "proof", verify_proof(G, verdict.proof, classifier=classifier)
     elif verdict.status == INCOHERENT:
         kind, outcome = "witness", verify_witness(G, verdict.witness)
     else:

@@ -15,6 +15,7 @@ graph's join factors (:func:`join_factors`).  Each component is typed
 by looking the canonical key of its bond graph up in a table of the
 finite and affine templates, whose spectra are checked once, when the
 table is built: a matched component is a relabelling of its template.
+:func:`_signature` gives the spectrum, from position-labelled pairs.
 """
 
 from __future__ import annotations
@@ -47,63 +48,21 @@ class UnsupportedFlavorError(ValueError):
     """The labels of the graph define no group in this model."""
 
 
-# -- Coxeter matrices ---------------------------------------------------------
+# -- spectra -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    """Symmetric matrix of pairwise orders, diagonal 1, off-diagonal
-    entries in {2, 3, ...} or ``math.inf`` (for missing edges)."""
-
-    vertices: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def m(self, u: str, v: str) -> float:
-        i = self.vertices.index(u)
-        j = self.vertices.index(v)
-        return self.rows[i][j]
-
-
-def coxeter_matrix(G: LabeledGraph) -> CoxeterMatrix:
-    """Coxeter matrix of an all-Z2 graph; nonadjacent pairs get infinity."""
-    if not detect_flavor(G).coxeter:
-        raise UnsupportedFlavorError(
-            "a Coxeter matrix needs every vertex group of order two"
-        )
-    return _coxeter_matrix(G.vertices, G.edges)
-
-
-def _coxeter_matrix(
-    vertices: tuple[str, ...], edges: Sequence[tuple[int, int, int]]
-) -> CoxeterMatrix:
-    """Coxeter matrix on ``vertices`` with the labeled position pairs
-    ``edges``; other pairs get infinity."""
-    n = len(vertices)
-    rows = [[math.inf] * n for _ in range(n)]
-    for i in range(n):
+def _signature(r: int, labels: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts, within ``EIG_TOL``, of the
+    cosine matrix on positions 0..r-1: -cos(pi/m) for each pair (i, j, m)
+    in ``labels``, -1 (m infinite) for other pairs and 1 on the diagonal."""
+    rows = [[math.inf] * r for _ in range(r)]
+    for i in range(r):
         rows[i][i] = 1
-    for i, j, m in edges:
+    for i, j, m in labels:
         rows[i][j] = rows[j][i] = m
-    return CoxeterMatrix(vertices=vertices, rows=tuple(map(tuple, rows)))
-
-
-def cosine_matrix(M: CoxeterMatrix) -> np.ndarray:
-    """The matrix with entries -cos(pi/m); infinity contributes -1 and
-    the diagonal is 1.  Positive definite exactly for finite groups,
-    positive semidefinite with one zero eigenvalue per connected
-    diagram component exactly for the affine ones."""
-    return -np.cos(np.pi / np.array(M.rows, dtype=float))
-
-
-def _signature(B: np.ndarray, tol: float = EIG_TOL) -> tuple[int, int]:
-    """(negative, zero) eigenvalue counts within tolerance."""
-    eigs = np.linalg.eigvalsh(B)
-    neg = int(np.sum(eigs < -tol))
-    zero = int(np.sum(np.abs(eigs) <= tol))
+    eigs = np.linalg.eigvalsh(-np.cos(np.pi / np.array(rows, dtype=float)))
+    neg = int(np.sum(eigs < -EIG_TOL))
+    zero = int(np.sum(np.abs(eigs) <= EIG_TOL))
     return neg, zero
 
 
@@ -277,17 +236,14 @@ def _template_bonds(r: int) -> list[tuple[IrreducibleType, Bonds]]:
 def _templates(r: int) -> dict[str, IrreducibleType]:
     """The finite and affine diagram templates on r >= 3 vertices, keyed
     by the canonical key of their bond graph.  Each template's spectrum
-    is checked here, once per rank: the cosine matrix of its Coxeter
-    matrix (2 on every unbonded pair) must be positive definite for
-    a finite type and positive semidefinite of corank one for an affine
-    type.  Template labels are at most 6, so no eigenvalue is near
-    ``EIG_TOL``."""
-    vertices = tuple(map(str, range(r)))
+    is checked here, once per rank: its cosine matrix (label 2 on every
+    unbonded pair) must be positive definite for a finite type and
+    positive semidefinite of corank one for an affine type.  Template
+    labels are at most 6, so no eigenvalue is near ``EIG_TOL``."""
     table = {}
     for t, bonds in _template_bonds(r):
         pairs = itertools.combinations(range(r), 2)
-        M = _coxeter_matrix(vertices, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
-        signature = _signature(cosine_matrix(M))
+        signature = _signature(r, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
         if signature != ((0, 0) if t.kind == "finite" else (0, 1)):
             raise InternalInvariantError(
                 f"diagram template {t.name} has spectrum signature {signature}"
@@ -323,7 +279,7 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
         t = _templates(r).get(_bond_key(r, {(i, j): m for i, j, m in labels if m != 2}))
         if t is not None:
             return t
-    neg, _ = _signature(cosine_matrix(_coxeter_matrix(comp, labels)))
+    neg, _ = _signature(r, labels)
     if neg == 0:
         raise InternalInvariantError(
             "unmatched diagram component is not actually indefinite"

@@ -7,7 +7,8 @@ chordality testing with self-verifying evidence (one LexBFS pass on
 vertex positions gives the elimination ordering or the cycle; the
 verifiers read vertex ids), coarse shape classification, join-factor
 decomposition, and a canonical form that is invariant under
-label-preserving isomorphism.
+label-preserving isomorphism, with the one key codec: the key writer
+:func:`positional_key` and its reader :func:`graph_from_key`.
 
 It is also the one graph core.  Vertex sets can be int bitmasks over
 vertex positions (:func:`vertex_mask`, :func:`mask_vertices`); every
@@ -1245,13 +1246,12 @@ def canonical_form(
     ``(1,)`` for a non-edge.  The canonical order is the
     lexicographically smallest index tuple among the orders whose row
     sequence is lexicographically least; the key is
-    ``"n;<vkeys in that order>;<edges as i-j:m by position>"`` and the
-    placement is that order's vertex ids.
+    :func:`positional_key` of the graph in that order and the placement
+    is that order's vertex ids.
     """
     if G.n > cap:
         raise VertexCapError(f"graph has {G.n} vertices, above the cap of {cap}")
-    vkeys = [g.key() for g in G.groups]
-    order, _ = _canonical_order(G.n, vkeys, G._adj)
+    order, _ = _canonical_order(G.n, [g.key() for g in G.groups], G._adj)
     placement = tuple(G.vertices[i] for i in order)
     pos = [0] * G.n
     for p, v in enumerate(order):
@@ -1259,9 +1259,45 @@ def canonical_form(
     edges = sorted(
         [(pos[a], pos[b], m) if pos[a] < pos[b] else (pos[b], pos[a], m) for a, b, m in G.edges]
     )
+    return positional_key([G.groups[i] for i in order], edges), placement
+
+
+# Version of the key format that census records are keyed by; bump it
+# whenever :func:`positional_key` or :func:`canonical_form` changes keys.
+RECORD_KEY_FORMAT = 1
+
+
+def positional_key(
+    groups: Sequence[AbelianGroupLabel], edges: Iterable[tuple[int, int, int]]
+) -> str:
+    """The one key writer: ``"n;<group keys>;<edges as i-j:m>"`` for a
+    graph's ``groups`` and sorted (i, j, label) ``edges`` by position, in
+    its own vertex order.  :func:`graph_from_key` reads it back."""
+    vertex_part = ";".join(g.key() for g in groups)
     edge_part = ",".join(f"{i}-{j}:{m}" for i, j, m in edges)
-    vertex_part = ";".join(vkeys[i] for i in order)
-    return f"{G.n};{vertex_part};{edge_part}", placement
+    return f"{len(groups)};{vertex_part};{edge_part}"
+
+
+def graph_from_key(key: str) -> LabeledGraph:
+    """The graph whose :func:`positional_key` is ``key``, with vertices
+    named "0", "1", ... by position: for a canonical key, the canonical
+    representative.  A malformed key raises a ``ValueError``."""
+    head, *rest = key.split(";")
+    n = int(head)
+    if len(rest) != n + 1:
+        raise ValueError(f"malformed key {key!r}")
+    vertex_items = []
+    for i, part in enumerate(rest[:n]):
+        rank_s, torsion_s = part.split("|")
+        torsion = tuple(int(x) for x in torsion_s.split(",") if x)
+        vertex_items.append((str(i), AbelianGroupLabel(rank=int(rank_s), torsion=torsion)))
+    edge_items = []
+    if rest[n]:
+        for token in rest[n].split(","):
+            pos, m = token.rsplit(":", 1)
+            i, j = pos.split("-")
+            edge_items.append((i, j, int(m)))
+    return LabeledGraph.build(vertex_items, edge_items)
 
 
 def canonical_key(G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP) -> str:

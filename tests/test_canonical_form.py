@@ -12,7 +12,9 @@ and the networkx oracle checks that keys separate exactly the
 isomorphism classes of symmetric graphs on 8-12 vertices.  Every
 automorphism the search prunes with is checked by brute force, and so
 is the order of the automorphism group it reports, which also meets
-closed forms on larger symmetric graphs.
+closed forms on larger symmetric graphs.  Keys read back: a canonical
+key through ``graph_from_key`` gives the canonical representative, and
+a raw key gives the graph in its own order.
 """
 
 from __future__ import annotations
@@ -27,14 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcoherence import labeled_graph
+from graphcoherence.coherence_engine import _raw_key
 from graphcoherence.labeled_graph import (
     AbelianGroupLabel,
     LabeledGraph,
     canonical_form,
     canonical_graph,
+    canonical_relabel,
+    graph_from_key,
     parse_graph,
 )
 from helpers import brute_force_automorphism_count
+from test_cli_roundtrip import flavored_graphs
 
 GROUPS = (
     AbelianGroupLabel(torsion=(2,)),
@@ -118,6 +124,21 @@ def mixed_graphs(draw, max_n: int = 6):
 @given(mixed_graphs())
 def test_canonical_form_matches_its_definition(G):
     assert canonical_form(G) == brute_force_canonical_form(G)
+
+
+@settings(max_examples=150)
+@given(flavored_graphs())
+def test_key_codec_round_trips(case):
+    """``graph_from_key`` reads back what the one key writer wrote: a
+    canonical key gives the canonical representative, and a raw key
+    (the graph in its own order) gives G's groups and edges by position."""
+    _, G = case
+    key, placement = canonical_form(G)
+    assert graph_from_key(key) == canonical_relabel(G, placement)
+    prefix, _, raw = _raw_key(G).partition(":")
+    assert prefix == "raw"
+    H = graph_from_key(raw)
+    assert (H.vertices, H.groups, H.edges) == (tuple(map(str, range(G.n))), G.groups, G.edges)
 
 
 def test_brute_force_oracle_on_symmetric_graphs():

@@ -207,18 +207,21 @@ class TestClassGeneration:
         "config",
         [
             CensusConfig(flavor="racg", max_vertices=6),
+            CensusConfig(flavor="raag", max_vertices=5),
             CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(2, 3, 4, 5)),
             CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(5, 3)),
             CensusConfig(
                 flavor="coxeter", min_vertices=3, max_vertices=4, max_edges=4, edge_labels=(2, 3, 4)
             ),
         ],
-        ids=["racg-6", "coxeter-4-2345", "coxeter-4-53", "coxeter-3to4-e4-234"],
+        ids=["racg-6", "raag-5", "coxeter-4-2345", "coxeter-4-53", "coxeter-3to4-e4-234"],
     )
     def test_classes_follow_the_labeled_enumeration(self, config):
         """Classes come in order of first appearance among the labeled
         graphs, each with its first graph as least member and its count
-        of labeled graphs as weight."""
+        of labeled graphs as weight.  Each representative is also the
+        graph its key rebuilds: the census checks a new class's verdict
+        on the one and a resumed record's on the other."""
         first, counts = first_appearances(config)
         rank = {m: r for r, m in enumerate(config.edge_labels)}
         classes = list(_classes(config, 12, set()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import io
 import itertools
@@ -11,8 +12,10 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from graphcoherence import CensusConfig, EngineConfig, run_census
 from graphcoherence.cli import main
@@ -21,6 +24,8 @@ from graphcoherence.labeled_graph import (
     AbelianGroupLabel,
     LabeledGraph,
     Z2,
+    cyclic,
+    detect_flavor,
     graph_to_jsonable,
 )
 from helpers import (
@@ -357,6 +362,41 @@ class TestDecompose:
         split = doc["splits"][0]
         assert set(split) == {"separator", "left", "right", "method"}
         assert split["method"] == "dirac"
+
+
+@st.composite
+def groupless_graphs(draw):
+    """Graphs on at most 7 vertices whose labels define no group: mixed
+    vertex groups and at least one edge label above 2."""
+    n = draw(st.integers(2, 7))
+    ids = [f"v{i}" for i in range(n)]
+    kinds = st.sampled_from((Z, Z2, cyclic(3), AbelianGroupLabel(rank=2)))
+    groups = draw(st.lists(kinds, min_size=n, max_size=n))
+    pairs = list(itertools.combinations(ids, 2))
+    heavy = draw(st.sampled_from(pairs))
+    edges = []
+    for u, v in pairs:
+        m = draw(st.integers(3, 6) if (u, v) == heavy else st.sampled_from((None, 2, 2, 3, 5)))
+        if m is not None:
+            edges.append((u, v, m))
+    G = LabeledGraph.build(list(zip(ids, groups)), edges)
+    assume(not detect_flavor(G).any)
+    return G
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=groupless_graphs())
+def test_decompose_rejects_graphs_without_a_group(G):
+    """Like classify, decompose refuses such a graph whatever its shape:
+    disconnected, complete, chordal or not."""
+    document = json.dumps(graph_to_jsonable(G))
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(document)), contextlib.redirect_stdout(out):
+            with contextlib.redirect_stderr(err):
+                assert main(["decompose", "--format", fmt, "-"]) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue() == "error: edge labels above 2 require all-Z or all-Z2 vertex groups\n"
 
 
 class TestPresent:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcoherence import LabeledGraph, Z2, classify_components, coxeter_matrix, join_factors
+from graphcoherence import LabeledGraph, Z2, classify_components, join_factors
 from graphcoherence.decomposition import mask_vertices as reexported_mask_vertices
 from graphcoherence.labeled_graph import mask_components, mask_vertices, vertex_mask
 
@@ -81,10 +81,9 @@ def test_diagram_components_match_networkx(G):
     nx = pytest.importorskip("networkx")
     parts = tuple(vertices for vertices, _ in classify_components(G))
     _assert_ordered_partition(G, parts)
-    # The standard diagram, read off the Coxeter matrix: a bond wherever
-    # the entry is not 2 (a label >= 3 or infinity).
-    M = coxeter_matrix(G)
-    bonded = lambda u, v: M.m(u, v) != 2  # noqa: E731
+    # The standard diagram: a bond wherever the pair's order is not 2 (a
+    # label >= 3, or infinity for a missing edge).
+    bonded = lambda u, v: G.edge_label(u, v) != 2  # noqa: E731
     assert {frozenset(p) for p in parts} == _nx_parts(nx, G, bonded)
 
 

@@ -21,7 +21,6 @@ from graphcoherence import group_model
 from graphcoherence.cli import main
 from graphcoherence import (
     AbelianGroupLabel,
-    CoxeterMatrix,
     F2Certificate,
     IndefiniteComponent,
     InternalInvariantError,
@@ -31,9 +30,7 @@ from graphcoherence import (
     Z2,
     classify_components,
     contains_f2_certificate,
-    cosine_matrix,
     coxeter_graph,
-    coxeter_matrix,
     cyclic,
     detect_flavor,
     emit_presentation,
@@ -43,6 +40,7 @@ from graphcoherence import (
     graph_to_jsonable,
     is_finite,
     is_slender,
+    join_factors,
     raag,
     racg,
 )
@@ -157,32 +155,11 @@ def independent_cosine_eigs(G: LabeledGraph) -> np.ndarray:
     return np.linalg.eigvalsh(B)
 
 
-class TestCoxeterMatrix:
-    def test_values(self):
-        G = coxeter_graph(["a", "b", "c"], [("a", "b", 5), ("b", "c", 2)])
-        M = coxeter_matrix(G)
-        assert M.m("a", "b") == 5
-        assert M.m("b", "c") == 2
-        assert M.m("a", "c") == math.inf
-        assert M.m("a", "a") == 1
-
+class TestDiagramClassification:
     def test_requires_coxeter_flavor(self):
         with pytest.raises(UnsupportedFlavorError):
-            coxeter_matrix(raag(["a", "b"], [("a", "b")]))
+            classify_components(raag(["a", "b"], [("a", "b")]))
 
-    def test_cosine_matrix_entries(self):
-        G = coxeter_graph(["a", "b"], [("a", "b", 5)])
-        B = cosine_matrix(coxeter_matrix(G))
-        assert B[0, 0] == B[1, 1] == 1.0
-        assert B[0, 1] == pytest.approx(-math.cos(math.pi / 5))
-
-    def test_infinite_entry_becomes_minus_one(self):
-        G = racg(["a", "b"], [])
-        B = cosine_matrix(coxeter_matrix(G))
-        assert B[0, 1] == -1.0
-
-
-class TestDiagramClassification:
     @pytest.mark.parametrize("name, r, bonds", diagram_catalog())
     def test_catalog_entry_matches_name(self, name, r, bonds):
         G = realize_diagram(r, bonds)
@@ -231,8 +208,7 @@ class TestDiagramClassification:
     def test_triangle_333_is_affine_a2(self):
         comps = classify_components(triangle_coxeter_333())
         assert comps[0][1].name == "~A2"
-        B = cosine_matrix(coxeter_matrix(triangle_coxeter_333()))
-        eigs = np.linalg.eigvalsh(B)
+        eigs = independent_cosine_eigs(triangle_coxeter_333())
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_a13_above_the_default_vertex_cap(self):
@@ -245,14 +221,15 @@ class TestDiagramClassification:
 
 
 @st.composite
-def coxeter_graphs(draw, max_vertices=8):
-    """All-Z2 graphs with labels 2..6 (label 2 weighted up, so finite
-    and affine components show up) or no edge."""
+def coxeter_graphs(draw, max_vertices=8, labels=(None, 2, 2, 2, 3, 3, 4, 5, 6)):
+    """All-Z2 graphs with an edge label or no edge (None) per pair, drawn
+    from ``labels``: by default 2..6, label 2 weighted up, so finite and
+    affine components show up."""
     n = draw(st.integers(1, max_vertices))
     ids = [f"g{i}" for i in range(n)]
     edges = []
     for u, v in itertools.combinations(ids, 2):
-        m = draw(st.sampled_from([None, 2, 2, 2, 3, 3, 4, 5, 6]))
+        m = draw(st.sampled_from(labels))
         if m is not None:
             edges.append((u, v, m))
     return coxeter_graph(ids, edges)
@@ -270,6 +247,21 @@ def test_component_types_survive_reorder_and_renaming(G, data):
 
     assert types(H) == types(G)
     assert finiteness(H).order == finiteness(G).order
+
+
+class TestSignature:
+    @settings(max_examples=150)
+    @given(G=coxeter_graphs(9, (None, 2, 2, 2, 3, 4, 5, 6, 7, 8, 10**6)))
+    def test_counts_agree_with_the_independent_oracle(self, G):
+        """On every join factor, the (negative, zero) eigenvalue counts
+        of the cosine matrix that ``_signature`` builds from the factor's
+        position-labelled pairs equal those of the test's own matrix."""
+        for comp in join_factors(G):
+            pos = {G.index(v): k for k, v in enumerate(comp)}
+            labels = [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
+            eigs = independent_cosine_eigs(G.induced(comp))
+            expected = (int(np.sum(eigs < -1e-9)), int(np.sum(np.abs(eigs) <= 1e-9)))
+            assert group_model._signature(len(comp), labels) == expected
 
 
 class TestOrders:
