@@ -4,15 +4,17 @@ Grows the isomorphism classes of a configured kind one vertex at a time
 (each class on n-1 vertices gets one more vertex with every
 neighbourhood and edge label, and canonical forms name the classes, as
 in McKay's isomorph-free generation), classifies each class once
-(optionally in worker processes), re-verifies the produced evidence
-against the class's own representative, and tallies each class by
-verdict per (vertex count, edge count) cell, weighted by the n!/|Aut|
-labeled graphs it stands for.  Classes come in
-the order in which :func:`enumerate_graphs`, the labeled enumeration,
-first meets them.  Records are written one JSON line per isomorphism
-class, in that order and keyed by canonical form, after a header line
-naming the engine and key format that wrote them; an existing record
-file from the same engine is resumed rather than recomputed.
+(optionally in worker processes), re-verifies its evidence against
+the class's own representative, and tallies each class by verdict per
+(vertex count, edge count) cell, weighted by the n!/|Aut| labeled
+graphs it stands for.  Classes come in the order in which
+:func:`enumerate_graphs`, the labeled enumeration, first meets them.
+Records are written one JSON line per isomorphism class, in that order
+and keyed by canonical form, after a header line naming the engine and
+key format that wrote them; an existing record file from the same
+engine is resumed rather than recomputed: its stored verdicts are
+re-verified like new ones, on the same representatives and in the same
+processes.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .labeled_graph import (
     canonical_form,
     canonical_relabel,
     detect_flavor,
-    graph_from_key,
+    graph_from_key,  # re-exported: the reader of record keys
 )
 
 _FLAVOR_GROUPS = {"racg": Z2, "raag": Z, "coxeter": Z2}
@@ -64,9 +66,8 @@ class CensusConfig:
     ``flavor``: racg and raag fix every label to 2; coxeter keeps all-Z2
     vertices and ranges each edge over ``edge_labels``.  ``dedup``
     counts isomorphism classes once instead of every labeled graph.
-    ``verify`` rechecks every proof and witness: a new class's against
-    its canonical representative, a resumed record's against the graph
-    :func:`graph_from_key` rebuilds from its key.
+    ``verify`` rechecks every proof and witness, new or resumed, against
+    its class's canonical representative.
     """
 
     flavor: str = "racg"
@@ -122,7 +123,7 @@ def enumerate_graphs(config: CensusConfig) -> Iterator[LabeledGraph]:
 
 @dataclass
 class CensusReport:
-    """Aggregated sweep results.
+    """Aggregated results of the sweep ``config``.
 
     ``cells`` maps (vertex count, edge count) to verdict counts; counts
     are per labeled graph unless the census deduplicates.  ``elapsed``
@@ -130,18 +131,12 @@ class CensusReport:
     sweeps serialize identically.
     """
 
-    flavor: str
-    min_vertices: int
-    max_vertices: int
-    max_edges: Optional[int]
-    edge_labels: tuple[int, ...]
-    dedup: bool
+    config: CensusConfig
     cells: dict = field(default_factory=dict)
     total: int = 0
     class_count: int = 0
     incoherent: tuple = ()
     unknown: tuple = ()
-    records_path: Optional[str] = None
     elapsed: float = 0.0
 
     def smallest_incoherent(self) -> Optional[tuple[int, int]]:
@@ -162,13 +157,14 @@ class CensusReport:
         return "\n".join(lines)
 
     def to_jsonable(self) -> dict:
+        config = self.config
         return {
-            "flavor": self.flavor,
-            "min_vertices": self.min_vertices,
-            "max_vertices": self.max_vertices,
-            "max_edges": self.max_edges,
-            "edge_labels": list(self.edge_labels),
-            "dedup": self.dedup,
+            "flavor": config.flavor,
+            "min_vertices": config.min_vertices,
+            "max_vertices": config.max_vertices,
+            "max_edges": config.max_edges,
+            "edge_labels": list(config.edge_labels),
+            "dedup": config.dedup,
             "total": self.total,
             "class_count": self.class_count,
             "cells": [
@@ -409,15 +405,14 @@ def _next_level(
 
 
 def _classes(
-    config: CensusConfig, cap: int, recorded: set[str]
-) -> Iterator[tuple[int, int, str, Optional[LabeledGraph], int]]:
+    config: CensusConfig, cap: int
+) -> Iterator[tuple[int, int, str, LabeledGraph, int]]:
     """``(n, e, key, CG, weight)`` for each isomorphism class of the
     sweep, in order of first appearance in :func:`enumerate_graphs`:
-    its cell, its canonical key, its canonical representative (None
-    when ``recorded`` holds the key) and the number n!/|Aut| of labeled
-    graphs in it.  Classes are grown one vertex at a time from the
-    single vertex, so those below ``min_vertices`` are grown but not
-    yielded."""
+    its cell, its canonical key, its canonical representative and the
+    number n!/|Aut| of labeled graphs in it.  Classes are grown one
+    vertex at a time from the single vertex, so those below
+    ``min_vertices`` are grown but not yielded."""
     label_rank = {m: r for r, m in enumerate(config.edge_labels)}
     G = LabeledGraph(("0",), (_FLAVOR_GROUPS[config.flavor],), ())
     level = {canonical_form(G, cap=cap)[0]: G}
@@ -430,30 +425,30 @@ def _classes(
         if n < config.min_vertices:
             continue
         for _, (size, _), key, CG in ranked:
-            yield n, CG.m, key, None if key in recorded else CG, math.factorial(n) // size
+            yield n, CG.m, key, CG, math.factorial(n) // size
 
 
 def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
-    """A class from :func:`_classes` with its canonical representative
-    replaced by its record: the verdict, parsed back from its JSON form
-    and re-verified on that representative when ``verify`` is set, and
-    what the census table shows of it."""
-    n, e, key, CG, weight = job
-    if CG is None:
-        return job
-    verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
+    """``(n, e, key, rec, weight)`` for a class from :func:`_classes`
+    paired with its stored record, or None: the stored record, or else a
+    new one classifying the canonical representative.  With ``verify``
+    set, the record's verdict, parsed back from its JSON form, is
+    re-verified on that representative."""
+    n, e, key, CG, weight, rec = job
+    if rec is None:
+        verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
+        rec = {
+            "key": key,
+            "n": n,
+            "e": e,
+            "flavor": list(detect_flavor(CG).tags()),
+            "status": verdict_obj["status"],
+            "rule": _root_rule(verdict_obj),
+            "notes": [note["code"] for note in verdict_obj["notes"]],
+            "verdict": verdict_obj,
+        }
     if verify:
-        check_verdict(CG, verdict_from_jsonable(verdict_obj), subject=key, classifier=classifier)
-    rec = {
-        "key": key,
-        "n": n,
-        "e": e,
-        "flavor": list(detect_flavor(CG).tags()),
-        "status": verdict_obj["status"],
-        "rule": _root_rule(verdict_obj),
-        "notes": [note["code"] for note in verdict_obj["notes"]],
-        "verdict": verdict_obj,
-    }
+        check_verdict(CG, verdict_from_jsonable(rec["verdict"]), subject=key, classifier=classifier)
     return n, e, key, rec, weight
 
 
@@ -485,12 +480,13 @@ def run_census(
     class's record is appended as it is tallied, after a header line in
     a new file; re-running with the same path skips keys that already
     have records (their stored verdicts are still counted and, when
-    configured, re-verified).  A file whose header names another engine
-    configuration or package version is refused with a ``ValueError``,
-    and so is a file that another census holds: the run keeps an
-    exclusive lock on it from before reading it to its end.
-    ``workers`` > 1 classifies the classes in that many processes;
-    stdout and record file are identical to the serial run's.
+    configured, re-verified as new ones are).  A file whose header
+    names another engine configuration or package version is refused
+    with a ``ValueError``, and so is a file that another census holds:
+    the run keeps an exclusive lock on it from before reading it to its
+    end.
+    ``workers`` > 1 classifies and re-verifies the classes in that many
+    processes; stdout and record file are identical to the serial run's.
     """
     engine_config = engine_config or EngineConfig()
     cap = engine_config.max_search_vertices
@@ -503,15 +499,7 @@ def run_census(
         raise ValueError(f"workers must be >= 1, not {workers}")
     started = time.monotonic()
     header = records_header(engine_config)
-    report = CensusReport(
-        flavor=config.flavor,
-        min_vertices=config.min_vertices,
-        max_vertices=config.max_vertices,
-        max_edges=config.max_edges,
-        edge_labels=config.edge_labels,
-        dedup=config.dedup,
-        records_path=out_path,
-    )
+    report = CensusReport(config)
     cells: dict[tuple[int, int], Counter] = {}
     incoherent: list[tuple[int, int, str]] = []
     unknown: list[tuple[int, int, str, tuple[str, ...]]] = []
@@ -522,12 +510,12 @@ def run_census(
         if out_fh and os.fstat(out_fh.fileno()).st_size == 0:
             out_fh.write(json.dumps(header) + "\n")
             out_fh.flush()
-        classes = _classes(config, cap, set(records))
-        # The run's classifier: it classifies in a serial run, and checks
-        # resumed records in this process either way.
-        classifier = Classifier(engine_config)
+        jobs = (
+            (n, e, key, CG, weight, records.get(key))
+            for n, e, key, CG, weight in _classes(config, cap)
+        )
         if workers == 1:
-            results = map(partial(_record_job, classifier, config.verify), classes)
+            results = map(partial(_record_job, Classifier(engine_config), config.verify), jobs)
         else:
             import multiprocessing
 
@@ -536,18 +524,9 @@ def run_census(
                     workers, initializer=_worker_init, initargs=(engine_config, config.verify)
                 )
             )
-            results = pool.imap(_pool_job, classes, chunksize=8)
+            results = pool.imap(_pool_job, jobs, chunksize=8)
         for n, e, key, rec, weight in results:
-            if rec is None:
-                rec = records[key]
-                if config.verify:
-                    check_verdict(
-                        graph_from_key(key),
-                        verdict_from_jsonable(rec["verdict"]),
-                        subject=key,
-                        classifier=classifier,
-                    )
-            elif out_fh:
+            if out_fh and key not in records:
                 out_fh.write(json.dumps(rec) + "\n")
                 out_fh.flush()
             # The tally reads the stored verdict, the one re-verified.

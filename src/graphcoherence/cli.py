@@ -24,7 +24,6 @@ from .coherence_engine import (
     EngineConfig,
     ProofNode,
     check_verdict,
-    require_group,
     to_jsonable,
     verdict_to_jsonable,
 )
@@ -33,10 +32,10 @@ from .decomposition import dirac_split, separator_splits, slender_separators
 from .group_model import (
     SLENDER,
     InternalInvariantError,
-    UnsupportedFlavorError,
     emit_presentation,
     finiteness,
     is_slender,
+    require_group,
 )
 from .labeled_graph import (
     DEFAULT_VERTEX_CAP,
@@ -78,17 +77,7 @@ def _order_str(order: float) -> str:
     return "infinite" if order == math.inf else str(int(order))
 
 
-def _unless_unsupported(fn, G: LabeledGraph):
-    """``fn(G)``, or None when the labels define no group for it."""
-    try:
-        return fn(G)
-    except UnsupportedFlavorError:
-        return None
-
-
 def _slender_line(cert) -> str:
-    if cert is None:
-        return "slender: not applicable"
     if cert.verdict == SLENDER:
         parts = []
         if cert.abelian_factor_count:
@@ -120,20 +109,16 @@ def _cmd_classify(args) -> int:
     classifier = Classifier(config)
     verdict = classifier.classify(G)
     check_verdict(G, verdict, subject="the input", classifier=classifier)
-    slender = _unless_unsupported(is_slender, G)
-    fin = _unless_unsupported(finiteness, G)
+    slender = is_slender(G)
+    fin = finiteness(G)
     if args.format == "json":
         out = {
             "graph": graph_to_jsonable(G),
             "flavor": list(detect_flavor(G).tags()),
             "shape": shape_classify(G).tag,
             "verdict": verdict_to_jsonable(verdict),
-            "slender": (
-                None
-                if slender is None
-                else {k: v for k, v in to_jsonable(slender).items() if v is not None}
-            ),
-            "finiteness": None if fin is None else _finiteness_jsonable(fin),
+            "slender": {k: v for k, v in to_jsonable(slender).items() if v is not None},
+            "finiteness": _finiteness_jsonable(fin),
         }
         print(json.dumps(out, indent=2))
     else:
@@ -141,11 +126,7 @@ def _cmd_classify(args) -> int:
         print(f"flavor: {', '.join(detect_flavor(G).tags())}")
         print(f"shape: {shape_classify(G).tag}")
         print(_slender_line(slender))
-        if fin is not None:
-            print(
-                "finite: "
-                + ("yes, order " + _order_str(fin.order) if fin.finite else "no")
-            )
+        print("finite: " + ("yes, order " + _order_str(fin.order) if fin.finite else "no"))
         if verdict.proof is not None:
             print("proof:")
             for line in _format_proof(verdict.proof, 1):

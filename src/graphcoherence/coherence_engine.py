@@ -47,10 +47,10 @@ from .group_model import (
     SLENDER,
     F2Certificate,
     IrreducibleType,
-    UnsupportedFlavorError,
     f2_certificate_valid,
     f2_certificates,
     is_slender,
+    require_group,
 )
 from .labeled_graph import (
     ChordalityResult,
@@ -376,12 +376,6 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
 
 
 # -- the classifier ------------------------------------------------------------
-
-
-def require_group(G: LabeledGraph) -> None:
-    """Raise :class:`UnsupportedFlavorError` if G's labels define no group."""
-    if not detect_flavor(G).any:
-        raise UnsupportedFlavorError("edge labels above 2 require all-Z or all-Z2 vertex groups")
 
 
 def _raw_key(G: LabeledGraph) -> str:

@@ -29,6 +29,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .labeled_graph import (
+    Flavor,
     InternalInvariantError,
     LabeledGraph,
     Z2,
@@ -46,6 +47,15 @@ UNKNOWN = "unknown"
 
 class UnsupportedFlavorError(ValueError):
     """The labels of the graph define no group in this model."""
+
+
+def require_group(G: LabeledGraph) -> Flavor:
+    """G's flavor, or :class:`UnsupportedFlavorError` if its labels
+    define no group."""
+    flavor = detect_flavor(G)
+    if not flavor.any:
+        raise UnsupportedFlavorError("edge labels above 2 require all-Z or all-Z2 vertex groups")
+    return flavor
 
 
 # -- spectra -------------------------------------------------------------------
@@ -332,16 +342,14 @@ def finiteness(G: LabeledGraph) -> FinitenessResult:
     products are finite exactly when the graph is complete and every
     vertex group is finite; Artin groups are always infinite.
     """
-    flavor = detect_flavor(G)
+    flavor = require_group(G)
     if flavor.coxeter:
         return is_finite(G)
     if flavor.graph_product:
         finite = G.is_complete() and all(not g.is_infinite for g in G.groups)
         order = math.prod(g.order() for g in G.groups) if finite else math.inf
         return FinitenessResult(finite=finite, order=order, mode="graph_product")
-    if flavor.artin:
-        return FinitenessResult(finite=False, order=math.inf, mode="artin")
-    raise UnsupportedFlavorError("no group semantics for these labels")
+    return FinitenessResult(finite=False, order=math.inf, mode="artin")
 
 
 # -- free subgroups of rank two ----------------------------------------------
@@ -480,9 +488,7 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
     forced to be all-Z2 and is typed as a diagram component.  Artin
     graphs with a label >= 3 stay unknown.
     """
-    flavor = detect_flavor(G)
-    if not flavor.any:
-        raise UnsupportedFlavorError("no group semantics for these labels")
+    flavor = require_group(G)
     if not flavor.coxeter:
         cert = contains_f2_certificate(G)
         if cert is not None:
@@ -547,12 +553,7 @@ def emit_presentation(G: LabeledGraph) -> str:
     list torsion powers and commutators.  Generators are juxtaposed when
     every name is a single character.
     """
-    flavor = detect_flavor(G)
-    if not flavor.any:
-        raise UnsupportedFlavorError(
-            "presentations exist only for graph products of abelian groups, "
-            "all-Z graphs, or all-Z2 graphs"
-        )
+    flavor = require_group(G)
     names = _generator_names(G)
     gens = [g for v in G.vertices for g in names[v]]
     juxt = all(len(g) == 1 for g in gens)

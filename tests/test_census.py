@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from collections import Counter
 
@@ -220,28 +221,22 @@ class TestClassGeneration:
         """Classes come in order of first appearance among the labeled
         graphs, each with its first graph as least member and its count
         of labeled graphs as weight.  Each representative is also the
-        graph its key rebuilds: the census checks a new class's verdict
-        on the one and a resumed record's on the other."""
+        graph its key rebuilds, so the census, which checks new and
+        resumed verdicts alike on the representative, checks a resumed
+        record on the graph its key names."""
         first, counts = first_appearances(config)
         rank = {m: r for r, m in enumerate(config.edge_labels)}
-        classes = list(_classes(config, 12, set()))
+        classes = list(_classes(config, 12))
         assert [key for _, _, key, _, _ in classes] == list(first)
         for n, e, key, CG, weight in classes:
             assert CG == graph_from_key(key) and (n, e) == (CG.n, CG.m)
             assert _least_member(CG, rank)[0] == first[key]
             assert weight == counts[key]
 
-    def test_recorded_classes_come_without_a_representative(self):
-        config = CensusConfig(flavor="racg", max_vertices=3)
-        keys = [key for _, _, key, _, _ in _classes(config, 12, set())]
-        recorded = set(keys[::2])
-        for _, _, key, CG, _ in _classes(config, 12, recorded):
-            assert (CG is None) == (key in recorded)
-
 
 @pytest.fixture(scope="module")
 def racg_classes_to_7():
-    return list(_classes(CensusConfig(flavor="racg", max_vertices=7), 12, set()))
+    return list(_classes(CensusConfig(flavor="racg", max_vertices=7), 12))
 
 
 def test_class_counts_match_oeis_a000088(racg_classes_to_7):
@@ -344,7 +339,10 @@ class TestRecordsAndResume:
         with pytest.raises(ValueError, match="corrupt census record"):
             run_census(CensusConfig(flavor="racg", max_vertices=3), out_path=str(out))
 
-    def test_tampered_record_caught_by_verification(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_tampered_record_caught_by_verification(self, tmp_path, workers):
+        """A resumed record is re-verified where a new one would be: in
+        this process, or in a pool worker."""
         out = tmp_path / "census.jsonl"
         config = CensusConfig(flavor="racg", max_vertices=4)
         run_census(config, out_path=str(out))
@@ -355,8 +353,8 @@ class TestRecordsAndResume:
         victim["verdict"] = donor["verdict"]
         victim["status"] = donor["status"]
         out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
-        with pytest.raises(InternalInvariantError):
-            run_census(config, out_path=str(out))
+        with pytest.raises(InternalInvariantError, match=f"for {re.escape(victim['key'])}"):
+            run_census(config, out_path=str(out), workers=workers)
 
     @pytest.mark.parametrize(
         "writer",

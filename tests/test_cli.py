@@ -399,6 +399,21 @@ def test_decompose_rejects_graphs_without_a_group(G):
         assert err.getvalue() == "error: edge labels above 2 require all-Z or all-Z2 vertex groups\n"
 
 
+@pytest.mark.parametrize("command", ["present", "finiteness", "classify", "decompose"])
+def test_every_command_refuses_graphs_without_a_group_alike(tmp_path, capsys, command):
+    """One condition, one message: the labels of this graph define no
+    group, whichever command reads it."""
+    path = tmp_path / "mixed.dot"
+    path.write_text(
+        "graph { a [group=Z]; b [group=Z_3]; c [group=Z]; d [group=Z]; e [group=Z]; "
+        "a -- b [label=3]; c -- a; c -- b; d -- a; d -- b; e -- c; e -- d; }\n"
+    )
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: edge labels above 2 require all-Z or all-Z2 vertex groups\n"
+
+
 class TestPresent:
     def test_braid_pair(self, tmp_path, capsys):
         assert main(["present", graph_file(tmp_path, braid_pair())]) == 0

@@ -150,8 +150,8 @@ def tamperings(proof):
 )
 def test_a_warm_memo_rejects_tampered_keys_as_a_fresh_check_does(config, canonical_calls):
     clf = Classifier()
-    jobs = _classes(config, clf.config.max_search_vertices, set())
-    records = [_record_job(clf, True, job)[3] for job in jobs]
+    jobs = _classes(config, clf.config.max_search_vertices)
+    records = [_record_job(clf, True, (*job, None))[3] for job in jobs]
     proofs = [
         (graph_from_key(rec["key"]), verdict_from_jsonable(rec["verdict"]).proof)
         for rec in records
