@@ -15,7 +15,9 @@ graph's join factors (:func:`join_factors`).  Each component is typed
 by looking the canonical key of its bond graph up in a table of the
 finite and affine templates, whose spectra are checked once, when the
 table is built: a matched component is a relabelling of its template.
-:func:`_signature` gives the spectrum, from position-labelled pairs.
+:func:`_diagram_kind` types a template or an unmatched component from
+its position-labelled pairs, by one symmetric elimination in plain
+Python.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 from .labeled_graph import (
     Flavor,
@@ -38,6 +38,7 @@ from .labeled_graph import (
     join_factors,
 )
 
+# Pivots within EIG_TOL of 0 count as zero in :func:`_diagram_kind`.
 EIG_TOL = 1e-9
 
 SLENDER = "slender"
@@ -58,22 +59,67 @@ def require_group(G: LabeledGraph) -> Flavor:
     return flavor
 
 
-# -- spectra -------------------------------------------------------------------
+# -- diagram kinds -------------------------------------------------------------
 
 
-def _signature(r: int, labels: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
-    """(negative, zero) eigenvalue counts, within ``EIG_TOL``, of the
-    cosine matrix on positions 0..r-1: -cos(pi/m) for each pair (i, j, m)
-    in ``labels``, -1 (m infinite) for other pairs and 1 on the diagonal."""
-    rows = [[math.inf] * r for _ in range(r)]
-    for i in range(r):
-        rows[i][i] = 1
+def _diagram_kind(r: int, labels: Sequence[tuple[int, int, int]]) -> str:
+    """Kind of the connected diagram on positions 0..r-1 (r >= 3):
+    "finite", "affine" or "indefinite".
+
+    Its cosine matrix B has 1 on the diagonal, -cos(pi/m) for each pair
+    (i, j, m) in ``labels`` and -1 (m infinite) for other pairs.  One
+    symmetric elimination B = L D L^T, without pivoting, stops at the
+    first pivot d_k not above ``EIG_TOL``: below -EIG_TOL, or within
+    EIG_TOL of 0 before the last step, is indefinite; within EIG_TOL of
+    0 at the last step is affine; all pivots positive is finite.  Write
+    B_k for the leading block on positions 0..k; B_{k-1} is positive
+    definite when d_k is reached.
+
+    1. Sylvester's law of inertia: L is unit lower triangular, so B and
+       D have as many negative, zero and positive eigenvalues as each
+       other.  The pivot signs give the eigenvalue signs.
+    2. Interlacing: d_k is the least x^T B_k x over x with x_k = 1.  An
+       eigenvector of lam = lam_min(B_k) scaled to x_k = 1 has
+       ||x|| >= 1, so lam <= d_k, and d_k <= lam <= 0 once d_k <= 0: the
+       first non-positive pivot is at least as large in magnitude as
+       the least eigenvalue of its block.  So an eigenvalue of B_k below
+       -EIG_TOL makes d_k negative (fact 1) and then below -EIG_TOL,
+       and a last pivot within EIG_TOL of 0 puts lam_min(B) within
+       EIG_TOL of 0 (it is positive if d_k is): the kind agrees with
+       counting eigenvalues below and within EIG_TOL of 0 wherever that
+       count's decision was clear.
+    3. A pivot within EIG_TOL of 0 before the last step puts lam_min(B_k)
+       within EIG_TOL of 0 or below (fact 2), for a block on fewer than
+       r positions.  A component of B_k with that least eigenvalue is
+       indefinite, affine, or finite with least eigenvalue
+       1 - cos(pi/h) <= EIG_TOL, so with Coxeter number h >= 70,249:
+       I2(m) with m >= 70,249 (or a type of rank 35,125 or more, far
+       beyond any diagram typed here).
+       In each case the connected diagram B, which properly contains it,
+       is indefinite:
+       - indefinite: B has the component's negative eigenvalue (Cauchy
+         interlacing);
+       - affine: its null vector z is positive (Perron-Frobenius), and a
+         generator v outside it bonded to it gives
+         (z + eps e_v)^T B (z + eps e_v) = 2 eps z^T B e_v + eps^2 < 0
+         for small eps > 0;
+       - I2(m) on a, b: a generator c bonded to a or b makes the
+         triangle {a, b, c} with labels m, p >= 3 and q >= 2, and
+         1/m + 1/p + 1/q <= 1/m + 1/3 + 1/2 < 1: it is hyperbolic, so
+         indefinite, and B contains it.
+    """
+    B = [[1.0 if i == j else -1.0 for j in range(r)] for i in range(r)]
     for i, j, m in labels:
-        rows[i][j] = rows[j][i] = m
-    eigs = np.linalg.eigvalsh(-np.cos(np.pi / np.array(rows, dtype=float)))
-    neg = int(np.sum(eigs < -EIG_TOL))
-    zero = int(np.sum(np.abs(eigs) <= EIG_TOL))
-    return neg, zero
+        B[i][j] = B[j][i] = -math.cos(math.pi / m)
+    for k, pivot_row in enumerate(B):
+        d = pivot_row[k]
+        if d <= EIG_TOL:
+            return "affine" if k == r - 1 and d >= -EIG_TOL else "indefinite"
+        for row in B[k + 1 :]:
+            f = row[k] / d
+            for j in range(k + 1, r):
+                row[j] -= f * pivot_row[j]
+    return "finite"
 
 
 # -- irreducible types --------------------------------------------------------
@@ -114,15 +160,13 @@ _EXCEPTIONAL_ORDERS = {
 }
 
 
-def _finite_order(family: str, index: int, bond: Optional[int] = None) -> int:
+def _finite_order(family: str, index: int) -> int:
     if family == "A":
         return math.factorial(index + 1)
     if family == "B":
         return 2**index * math.factorial(index)
     if family == "D":
         return 2 ** (index - 1) * math.factorial(index)
-    if family == "I2":
-        return 2 * bond
     return _EXCEPTIONAL_ORDERS[(family, index)]
 
 
@@ -246,17 +290,18 @@ def _template_bonds(r: int) -> list[tuple[IrreducibleType, Bonds]]:
 def _templates(r: int) -> dict[str, IrreducibleType]:
     """The finite and affine diagram templates on r >= 3 vertices, keyed
     by the canonical key of their bond graph.  Each template's spectrum
-    is checked here, once per rank: its cosine matrix (label 2 on every
-    unbonded pair) must be positive definite for a finite type and
-    positive semidefinite of corank one for an affine type.  Template
-    labels are at most 6, so no eigenvalue is near ``EIG_TOL``."""
+    is checked here, once per rank: :func:`_diagram_kind` of its cosine
+    matrix (label 2 on every unbonded pair) must be the template's kind,
+    positive definite for a finite type and positive semidefinite of
+    corank one for an affine type.  Template labels are at most 6, so no
+    pivot but an affine template's last is near ``EIG_TOL``."""
     table = {}
     for t, bonds in _template_bonds(r):
         pairs = itertools.combinations(range(r), 2)
-        signature = _signature(r, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
-        if signature != ((0, 0) if t.kind == "finite" else (0, 1)):
+        kind = _diagram_kind(r, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
+        if kind != t.kind:
             raise InternalInvariantError(
-                f"diagram template {t.name} has spectrum signature {signature}"
+                f"diagram template {t.name} has spectrum of kind {kind}"
             )
         table[_bond_key(r, bonds)] = t
     return table
@@ -266,8 +311,8 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
     """Type of the diagram component on the all-Z2 vertices ``comp``, a
     join factor of ``G`` in ambient order: rank 1 and 2 directly, larger
     ranks by one lookup of the bond key in :func:`_templates`.  A
-    component that matches no template must show a negative eigenvalue
-    of its own cosine matrix."""
+    component that matches no template must be indefinite by
+    :func:`_diagram_kind` of its own cosine matrix."""
     r = len(comp)
     if r == 1:
         return IrreducibleType("finite", "A", 1, order=2)
@@ -289,8 +334,7 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
         t = _templates(r).get(_bond_key(r, {(i, j): m for i, j, m in labels if m != 2}))
         if t is not None:
             return t
-    neg, _ = _signature(r, labels)
-    if neg == 0:
+    if _diagram_kind(r, labels) != "indefinite":
         raise InternalInvariantError(
             "unmatched diagram component is not actually indefinite"
         )
@@ -303,8 +347,9 @@ def classify_components(
     """Type of every standard-diagram component of an all-Z2 graph, in
     the order of :func:`join_factors`, each typed by
     :func:`_match_component`: a key lookup in the spectrum-checked
-    template table, or an indefinite type backed by a negative
-    eigenvalue.  Other graphs raise :class:`UnsupportedFlavorError`."""
+    template table, or an indefinite type backed by the elimination of
+    :func:`_diagram_kind`.  Other graphs raise
+    :class:`UnsupportedFlavorError`."""
     if not detect_flavor(G).coxeter:
         raise UnsupportedFlavorError(
             "a Coxeter matrix needs every vertex group of order two"

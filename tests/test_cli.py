@@ -630,20 +630,78 @@ class TestErrors:
         assert out.read_bytes() == written
 
 
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
 def _assert_exits_1_without_traceback(argv, stdin, message):
     """Run the CLI as a process, so an uncaught exception would show as a
     traceback on stderr instead of failing inside the test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphcoherence.cli", *argv],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
+        env=_env_with_src(),
         timeout=60,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+
+
+# The runtime needs no numpy: these runs block its import.
+NUMPY_FREE_GRAPHS = {
+    "h3": "graph { flavor=coxeter; a -- b [label=5]; b -- c [label=3]; a -- c [label=2]; }",
+    "f4": (
+        "graph { flavor=coxeter; a -- b [label=3]; b -- c [label=4]; c -- d [label=3];"
+        " a -- c [label=2]; a -- d [label=2]; b -- d [label=2]; }"
+    ),
+    "triangle-237": "graph { flavor=coxeter; a -- b [label=2]; b -- c [label=3]; a -- c [label=7]; }",
+    "complete-4": (
+        "graph { flavor=coxeter; a -- b [label=3]; a -- c [label=3]; a -- d [label=3];"
+        " b -- c [label=3]; b -- d [label=3]; c -- d [label=3]; }"
+    ),
+    "i2-huge": "graph { flavor=coxeter; a -- b [label=1000000000000]; }",
+}
+
+NUMPY_BLOCKED_SHIM = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from graphcoherence.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    results.append([status, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_with_numpy_blocked(tmp_path, capsys):
+    """A process in which ``import numpy`` fails gives the exit codes and
+    stdout of the same commands run here: finite diagrams, indefinite
+    ones that match no template, and a Coxeter census."""
+    argvs = [["census", "--flavor", "coxeter", "--max-vertices", "4", "--labels", "5,3"]]
+    for name, dot in NUMPY_FREE_GRAPHS.items():
+        path = tmp_path / f"{name}.dot"
+        path.write_text(dot)
+        for command in ("classify", "finiteness", "present", "decompose"):
+            argvs.append([command, str(path)])
+    expected = []
+    for argv in argvs:
+        status = main(argv)
+        expected.append([status, capsys.readouterr().out])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_SHIM, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
