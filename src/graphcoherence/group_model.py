@@ -11,13 +11,16 @@ Coxeter conventions: the matrix entry of an edge is its label, and a
 missing edge means infinity.  The standard diagram joins two generators
 whenever their entry is 3 or more (including infinity), that is,
 whenever they do not commute, so its connected components are the
-graph's join factors (:func:`join_factors`).  Each component is typed
-by looking the canonical key of its bond graph up in a table of the
-finite and affine templates, whose spectra are checked once, when the
-table is built: a matched component is a relabelling of its template.
-:func:`_diagram_kind` types a template or an unmatched component from
-its position-labelled pairs, by one symmetric elimination in plain
-Python.
+graph's join factors (:func:`join_factors`).  A component of rank 3
+or more with an infinite bond or a label above 6 is indefinite by an
+elementary lemma (proved at :func:`_match_component`), with no
+arithmetic.  Any other component is typed by looking the canonical key
+of its bond graph up in a table of the finite and affine templates,
+whose spectra are checked once, when the table is built: a matched
+component is a relabelling of its template.  :func:`_diagram_kind`
+types a template or an unmatched complete component labelled 2..6
+from its position-labelled pairs, by one symmetric elimination in
+plain Python.
 """
 
 from __future__ import annotations
@@ -309,10 +312,25 @@ def _templates(r: int) -> dict[str, IrreducibleType]:
 
 def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
     """Type of the diagram component on the all-Z2 vertices ``comp``, a
-    join factor of ``G`` in ambient order: rank 1 and 2 directly, larger
-    ranks by one lookup of the bond key in :func:`_templates`.  A
-    component that matches no template must be indefinite by
-    :func:`_diagram_kind` of its own cosine matrix."""
+    join factor of ``G`` in ambient order: rank 1 and 2 directly.  A
+    larger component with a missing pair (an infinite bond) or a label
+    above 6 is indefinite by the lemma below, with no arithmetic; any
+    other is looked up by its bond key in :func:`_templates`, and one
+    that matches no template must be indefinite by
+    :func:`_diagram_kind` of its own cosine matrix.
+
+    Lemma: a connected diagram of rank >= 3 with a bond a-b whose label
+    is m >= 7 or m infinite is indefinite.  Connectivity gives a vertex
+    c bonded to a, say, with label >= 3 or infinite, and the pair b-c
+    has label >= 2 or infinite.  For x = e_a + e_b + e_c / 2,
+    x^T B x = 9/4 + 2 B_ab + B_ac + B_bc <= 7/4 - 2 cos(pi/m), as
+    B_ac <= -1/2 and B_bc <= 0.  That is negative: B_ab = -1 for m
+    infinite, and cos(pi/m) >= 1 - pi^2/(2 m^2) > 1 - 10/98 > 7/8 for
+    m >= 7.  So B has a negative eigenvalue.  The bound 7 is sharp for
+    this x, since cos(pi/6) < 7/8.  No finite or affine template of
+    rank >= 3 has a missing pair or a label above 6, so the lemma
+    agrees with the table.
+    """
     r = len(comp)
     if r == 1:
         return IrreducibleType("finite", "A", 1, order=2)
@@ -328,16 +346,12 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
         if m == 4:
             return IrreducibleType("finite", "B", 2, order=8)
         return IrreducibleType("finite", "I2", 2, bond=m, order=2 * m)
-    # A missing edge is an infinite bond, which no finite or affine
-    # diagram on 3+ vertices carries.
-    if complete:
+    if complete and max(m for _, _, m in labels) <= 6:
         t = _templates(r).get(_bond_key(r, {(i, j): m for i, j, m in labels if m != 2}))
         if t is not None:
             return t
-    if _diagram_kind(r, labels) != "indefinite":
-        raise InternalInvariantError(
-            "unmatched diagram component is not actually indefinite"
-        )
+        if _diagram_kind(r, labels) != "indefinite":
+            raise InternalInvariantError("unmatched diagram component is not actually indefinite")
     return IrreducibleType("indefinite")
 
 
@@ -346,10 +360,11 @@ def classify_components(
 ) -> tuple[tuple[tuple[str, ...], IrreducibleType], ...]:
     """Type of every standard-diagram component of an all-Z2 graph, in
     the order of :func:`join_factors`, each typed by
-    :func:`_match_component`: a key lookup in the spectrum-checked
-    template table, or an indefinite type backed by the elimination of
-    :func:`_diagram_kind`.  Other graphs raise
-    :class:`UnsupportedFlavorError`."""
+    :func:`_match_component`: indefinite by its lemma when a component
+    of rank 3 or more has an infinite bond or a label above 6, else a
+    key lookup in the spectrum-checked template table, or an indefinite
+    type backed by the elimination of :func:`_diagram_kind`.  Other
+    graphs raise :class:`UnsupportedFlavorError`."""
     if not detect_flavor(G).coxeter:
         raise UnsupportedFlavorError(
             "a Coxeter matrix needs every vertex group of order two"
@@ -405,8 +420,10 @@ class F2Certificate:
     """Witness that the group contains a rank-two free subgroup.
 
     ``free_pair``: two nonadjacent vertices whose group orders p, q
-    satisfy (p-1)(q-1) >= 2; the kernel of the retraction from the free
-    product onto the direct product is then free of rank at least two.
+    satisfy (p-1)(q-1) >= 2, that is, are not both 2 (every vertex
+    group has order at least 2); the kernel of the retraction from the
+    free product onto the direct product is then free of rank at least
+    two.
     ``independent_triple``: three pairwise nonadjacent vertices; a free
     product of three nontrivial groups always contains F2.
     """
@@ -425,7 +442,7 @@ def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
     ``~(adj[i] | adj[j]) >> (j + 1)``, lowest first.
     """
     for u, v in G.nonadjacent_pairs():
-        if (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2:
+        if not (G.group(u).is_order_two and G.group(v).is_order_two):
             yield F2Certificate(kind="free_pair", vertices=(u, v))
     adj = G.adjacency_masks
     vs = G.vertices
@@ -464,7 +481,7 @@ def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
         if len(cert.vertices) != 2:
             return False
         u, v = cert.vertices
-        return (G.group(u).order() - 1) * (G.group(v).order() - 1) >= 2
+        return not (G.group(u).is_order_two and G.group(v).is_order_two)
     if cert.kind == "independent_triple":
         return len(cert.vertices) == 3
     return False

@@ -1157,10 +1157,14 @@ def _canonical_search(
     # depth -> orbits of the node there on the best leaf's path, if any.
     best_orbits: dict[int, list[int]] = {}
     automorphisms: list[list[int]] = []
+    # The row of a placed vertex, above every unplaced row at any depth
+    # (those stay below (max(rows) + 1) * base**depth); an int, since
+    # math.inf * base overflows once base is above ~1.8e308.
+    placed = (max(rows, default=0) + 1) * base**n
 
     def search(rows: list, equal: bool) -> int:
         """Search below ``order``, whose unplaced vertices have ``rows``
-        (placed ones have infinite rows); ``equal`` says the rows so far
+        (placed ones have larger rows); ``equal`` says the rows so far
         equal the best leaf's.  Returns the depth to resume at, or n."""
         nonlocal best_tie
         depth = len(order)
@@ -1195,7 +1199,7 @@ def _canonical_search(
                 continue
             col = adj[v]
             child = [r * base + col.get(w, non_edge) for w, r in enumerate(rows)]
-            child[v] = math.inf
+            child[v] = placed
             order.append(v)
             back = search(child, equal)
             order.pop()

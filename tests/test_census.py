@@ -32,6 +32,7 @@ from graphcoherence.census import (
     graph_from_key,
     records_header,
 )
+from graphcoherence.cli import main
 from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES
 from helpers import brute_force_automorphism_count, brute_force_is_chordal, prism_racg
 
@@ -339,22 +340,46 @@ class TestRecordsAndResume:
         with pytest.raises(ValueError, match="corrupt census record"):
             run_census(CensusConfig(flavor="racg", max_vertices=3), out_path=str(out))
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
-    def test_tampered_record_caught_by_verification(self, tmp_path, workers):
+    @pytest.mark.parametrize(
+        "workers, check",
+        [(w, c) for c in ("verify", "config-off", "cli-off") for w in (1, 2)],
+        ids=[
+            f"{run}{suffix}"
+            for suffix in ("", "-verify-false", "-no-verify-flag")
+            for run in ("serial", "pool")
+        ],
+    )
+    def test_tampered_record_caught_by_verification(self, tmp_path, capsys, workers, check):
         """A resumed record is re-verified where a new one would be: in
-        this process, or in a pool worker."""
+        this process, or in a pool worker.  With verification off
+        (``verify=False``, or ``--no-verify``) it is tallied as stored."""
         out = tmp_path / "census.jsonl"
         config = CensusConfig(flavor="racg", max_vertices=4)
-        run_census(config, out_path=str(out))
+        clean = run_census(config, out_path=str(out)).to_jsonable()
         header, *records = [json.loads(line) for line in out.read_text().splitlines()]
         # graft the edge-free verdict onto the complete-graph class
         donor = next(r for r in records if (r["n"], r["e"]) == (4, 0))
         victim = next(r for r in records if (r["n"], r["e"]) == (4, 6))
         victim["verdict"] = donor["verdict"]
         victim["status"] = donor["status"]
-        out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
-        with pytest.raises(InternalInvariantError, match=f"for {re.escape(victim['key'])}"):
-            run_census(config, out_path=str(out), workers=workers)
+        tampered = "".join(json.dumps(r) + "\n" for r in [header, *records])
+        out.write_text(tampered)
+        if check == "verify":
+            with pytest.raises(InternalInvariantError, match=f"for {re.escape(victim['key'])}"):
+                run_census(config, out_path=str(out), workers=workers)
+            return
+        if check == "config-off":
+            off = CensusConfig(flavor="racg", max_vertices=4, verify=False)
+            report = run_census(off, out_path=str(out), workers=workers).to_jsonable()
+        else:
+            argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]
+            argv += ["--out", str(out), "--workers", str(workers), "--no-verify"]
+            capsys.readouterr()
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+        # The stored statuses are tallied, and nothing is rewritten.
+        assert report == clean
+        assert out.read_text() == tampered
 
     @pytest.mark.parametrize(
         "writer",

@@ -488,6 +488,23 @@ class TestFiniteness:
         assert capsys.readouterr().out.startswith("verdict: COHERENT\n")
 
 
+# Integers above the float range (about 1.8e308), as labels and torsion:
+# canonical labeling, the free-pair test and diagram typing must not
+# convert them to floats.
+BIG = 10**400
+LABELS_ABOVE_FLOAT_RANGE = {
+    "artin-path.dot": f"graph {{ flavor=artin; a -- b [label={BIG}]; b -- c; }}",
+    "coxeter-path-2.dot": f"graph {{ flavor=coxeter; a -- b [label={BIG}]; b -- c [label=2]; }}",
+    "coxeter-path-3.dot": f"graph {{ flavor=coxeter; a -- b [label={BIG}]; b -- c [label=3]; }}",
+    "coxeter-triangle.dot": (
+        f"graph {{ flavor=coxeter; a -- b [label={BIG}]; b -- c [label=3]; a -- c [label=3]; }}"
+    ),
+    "torsion-pair.json": json.dumps(
+        {"vertices": [{"id": "a", "group": {"torsion": [BIG]}}, {"id": "b", "group": "Z"}]}
+    ),
+}
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/graph.json"]) == 1
@@ -613,6 +630,15 @@ class TestErrors:
         _assert_exits_1_without_traceback(
             argv, "graph { flavor=racg; a -- b; }", "max_search_vertices must be at least 0, got -"
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["classify", "finiteness", "decompose", "present"])
+    @pytest.mark.parametrize("name", sorted(LABELS_ABOVE_FLOAT_RANGE))
+    def test_labels_above_the_float_range_exit_0(self, tmp_path, capsys, name, command, fmt):
+        path = tmp_path / name
+        path.write_text(LABELS_ABOVE_FLOAT_RANGE[name])
+        assert main([command, "--format", fmt, str(path)]) == 0
+        assert capsys.readouterr().out
 
     def test_census_with_a_huge_label_exits_0(self, capsys):
         argv = ["census", "--flavor", "coxeter", "--max-vertices", "2", "--labels", "2,70249"]

@@ -236,6 +236,24 @@ class TestCoxeterInstances:
         assert v.proof.data["min_edge_label"] == 5
         assert_self_verifies(G, v)
 
+    def test_chordal_split_needs_a_slender_separator(self):
+        # K5 minus d-e: the clique separator {a, b, c} is the hyperbolic
+        # (7, 7, 7) triangle, which is not slender, so neither the Dirac
+        # split nor the search may build an amalgam over it.
+        ids = list("abcde")
+        edges = [(u, v, 7) for u, v in itertools.combinations("abc", 2)]
+        edges += [(u, v, 4) for u in "abc" for v in "de"]
+        G = gc.coxeter_graph(ids, edges)
+        v = classify(G)
+        assert v.status == UNKNOWN
+        assert [(n.code, n.detail) for n in v.notes] == [
+            (
+                "search-exhausted",
+                "2 separator splits examined, 0 slender ones recursed, "
+                "none resolved both sides",
+            )
+        ]
+
 
 class TestGraphProductInstances:
     def test_z3_square_incoherent(self):
@@ -244,6 +262,21 @@ class TestGraphProductInstances:
         assert v.status == INCOHERENT
         assert isinstance(v.witness, JoinEmbedding)
         assert v.witness.cert_a.kind == "free_pair"
+        assert_self_verifies(G, v)
+
+    def test_incoherent_side_of_an_amalgam_decides(self):
+        # A Z-pentagon with a Z_2 vertex w on a: the amalgam search splits
+        # over {a}, and the pentagon side's incoherence is the verdict.
+        ids = list("abcde")
+        G = graph_product_graph(
+            [(x, gc.Z) for x in ids] + [("w", Z2)], cycle_edges(ids) + [("a", "w")]
+        )
+        v = classify(G)
+        assert v.status == INCOHERENT
+        assert isinstance(v.witness, IncoherentFactor)
+        assert sorted(v.witness.vertices) == ids
+        assert isinstance(v.witness.inner, DromsCycle)
+        assert sorted(v.witness.inner.cycle) == ids
         assert_self_verifies(G, v)
 
     def test_z3_pentagon_unknown_open_problem(self):

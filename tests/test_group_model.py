@@ -1,9 +1,10 @@
 """Coxeter diagram classification, finiteness, slenderness and
 presentation tests.
 
-Diagram types are cross-checked two independent ways: against numpy
-eigenvalues of a cosine matrix built here from scratch, and against
-orders computed from explicit permutation models.
+Diagram types are cross-checked three independent ways: against numpy
+eigenvalues of a cosine matrix built here from scratch, against its
+60-digit mpmath signature, and against orders computed from explicit
+permutation models.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from helpers import (
     symmetric_coxeter_k4,
     triangle_coxeter_333,
 )
+from test_separator_search import REGULAR_4_10
 
 # ---------------------------------------------------------------------------
 # diagram realizations: a diagram is given by bonds {pair: label} where the
@@ -617,15 +619,18 @@ def disjoint_join(*graphs: LabeledGraph) -> LabeledGraph:
     return coxeter_graph(ids, edges)
 
 
+def eigenvalue_kind(eigs, tol) -> str:
+    """finite, affine or indefinite, from a connected diagram's cosine
+    matrix eigenvalues, counting those within ``tol`` of 0 as zero."""
+    if any(e < -tol for e in eigs):
+        return "indefinite"
+    zero = sum(1 for e in eigs if abs(e) <= tol)
+    return {0: "finite", 1: "affine"}.get(zero, f"corank {zero}")
+
+
 def spectrum_kind(G: LabeledGraph) -> str:
     """finite, affine or indefinite, from the test's own eigenvalues."""
-    eigs = independent_cosine_eigs(G)
-    tol = 1e-9
-    neg = int(np.sum(eigs < -tol))
-    zero = int(np.sum(np.abs(eigs) <= tol))
-    if neg:
-        return "indefinite"
-    return {0: "finite", 1: "affine"}.get(zero, f"corank {zero}")
+    return eigenvalue_kind(independent_cosine_eigs(G), 1e-9)
 
 
 @st.composite
@@ -710,6 +715,59 @@ class TestTemplateTable:
         # Only the table build eliminates, once per template of rank 3 and 4.
         assert sorted(calls) == [r for r in (3, 4) for _ in group_model._templates(r)]
         calls.clear()
-        # An unmatched component eliminates its own block.
+        # A component with a missing pair is indefinite by the lemma alone.
         assert classify_components(racg(["a", "b", "c"], []))[0][1].kind == "indefinite"
-        assert calls == [3]
+        assert calls == []
+        # A complete unmatched component eliminates its own block.
+        K4 = realize_diagram(4, dict.fromkeys(itertools.combinations(range(4), 2), 3))
+        assert classify_components(K4)[0][1].kind == "indefinite"
+        assert calls == [4]
+
+
+def test_right_angled_passes_run_no_elimination(tmp_path, monkeypatch, capsys):
+    """Once the template tables are built, a RACG census and a search on
+    a 4-regular RACG of the classify-search workload type every
+    component by the lemma or the table."""
+    for r in range(3, 11):
+        group_model._templates(r)
+    calls = []
+    real = group_model._diagram_kind
+    monkeypatch.setattr(
+        group_model, "_diagram_kind", lambda r, labels: calls.append(r) or real(r, labels)
+    )
+    assert main(["census", "--flavor", "racg", "--max-vertices", "5"]) == 0
+    path = tmp_path / "regular.json"
+    G = racg(10, [(f"v{i}", f"v{j}") for i, j in REGULAR_4_10[0]])
+    path.write_text(json.dumps(graph_to_jsonable(G)))
+    assert main(["classify", str(path)]) == 0
+    assert "verdict: UNKNOWN" in capsys.readouterr().out
+    assert calls == []
+
+
+def mpmath_kind(G: LabeledGraph) -> str:
+    """finite, affine or indefinite, from the signature of G's cosine
+    matrix at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        n = G.n
+        B = mpmath.matrix(n, n)
+        for i in range(n):
+            B[i, i] = 1
+            for j in range(i + 1, n):
+                m = G.edge_label(G.vertices[i], G.vertices[j])
+                B[i, j] = B[j, i] = -1 if m is None else -mpmath.cos(mpmath.pi / m)
+        return eigenvalue_kind(mpmath.eigsy(B, eigvals_only=True), mpmath.mpf(10) ** -40)
+
+
+@given(
+    G=st.one_of(
+        coxeter_graphs(9, (None, 2, 2, 2, 3, 4, 5, 6, 7, 8) + HUGE_LABELS),
+        coxeter_graphs(9, (2, 2, 2, 3, 4, 5, 6, 7, 8) + HUGE_LABELS),
+    )
+)
+def test_component_kinds_agree_with_a_60_digit_signature(G):
+    """Every component kind, whether from the lemma, the table or the
+    elimination, is the kind of the component's own cosine matrix,
+    computed in 60-digit arithmetic without ``_diagram_kind``."""
+    for vertices, t in classify_components(G):
+        assert t.kind == mpmath_kind(G.induced(vertices))
