@@ -1,14 +1,17 @@
 """Exhaustive sweeps over small graphs, one isomorphism class at a time.
 
 Grows the isomorphism classes of a configured kind one vertex at a time
-(each class on n-1 vertices gets one more vertex with every
-neighbourhood and edge label, and canonical forms name the classes, as
-in McKay's isomorph-free generation), classifies each class once
-(optionally in worker processes), re-verifies its evidence against
-the class's own representative, and tallies each class by verdict per
-(vertex count, edge count) cell, weighted by the n!/|Aut| labeled
-graphs it stands for.  Classes come in the order in which
-:func:`enumerate_graphs`, the labeled enumeration, first meets them.
+by McKay's canonical augmentation (each class on n-1 vertices gets one
+more vertex in every way up to its automorphisms, and a graph so grown
+is kept exactly when its new vertex lies in the automorphism orbit of
+the last vertex of its canonical order, so each class is grown once
+and no graph is canonicalized only to be dropped as a repeat),
+classifies each class once (optionally in worker processes),
+re-verifies its evidence against the class's own representative, and
+tallies each class by verdict per (vertex count, edge count) cell,
+weighted by the n!/|Aut| labeled graphs it stands for.  Classes come
+in the order in which :func:`enumerate_graphs`, the labeled
+enumeration, first meets them.
 Records are written one JSON line per isomorphism class, in that order
 and keyed by canonical form, after a header line naming the engine and
 key format that wrote them; an existing record file from the same
@@ -45,15 +48,20 @@ from .coherence_engine import (
     UNKNOWN,
 )
 from .labeled_graph import (
+    InternalInvariantError,
     LabeledGraph,
     RECORD_KEY_FORMAT,
+    VertexCapError,
     Z,
     Z2,
     _canonical_search,
-    canonical_form,
-    canonical_relabel,
+    _join_orbits,
+    _orbit_root,
+    _rank,
+    _refine_colors,
     detect_flavor,
     graph_from_key,  # re-exported: the reader of record keys
+    positional_key,
 )
 
 _FLAVOR_GROUPS = {"racg": Z2, "raag": Z, "coxeter": Z2}
@@ -307,12 +315,9 @@ def _checked_key(rec: dict) -> str:
     return rec["key"]
 
 
-def _least_member(
-    G: LabeledGraph, label_rank: dict[int, int]
-) -> tuple[tuple, tuple[int, list[list[int]]]]:
+def _least_member(G: LabeledGraph, label_rank: dict[int, int]) -> tuple[int, tuple[int, ...]]:
     """Where :func:`enumerate_graphs` first yields a graph isomorphic to
-    ``G``, as ``(mask, ranks)``, and G's automorphism group, as its
-    order and generators.
+    ``G``, as ``(mask, ranks)``.
 
     ``G`` is a census graph, so its vertex groups are all equal.  The
     enumeration goes by edge mask, bit k for pair k of
@@ -337,12 +342,12 @@ def _least_member(
             for i, j, m in G.edges
         )
 
-    order, group = _canonical_search(
-        [0] * n, bits, 0, 2, ranked_edges if len(label_rank) > 1 else None, group=True
+    order, _ = _canonical_search(
+        [0] * n, bits, 0, 2, ranked_edges if len(label_rank) > 1 else None
     )
     edges = ranked_edges(list(order))
     mask = sum(1 << (a * (2 * n - a - 3) // 2 + b - 1) for a, b, _ in edges)
-    return (mask, tuple(r for _, _, r in edges)), group
+    return mask, tuple(r for _, _, r in edges)
 
 
 def _extensions(
@@ -350,10 +355,12 @@ def _extensions(
 ) -> Iterator[tuple[int, ...]]:
     """The ways ``c`` to join a new vertex to vertices 0..n-1 by at most
     ``room`` edges labelled from ``config.edge_labels``, one per orbit
-    of the group that ``generators`` generate: ``c[v]`` is the label of
-    the edge to v, or 0 for none.  An automorphism g maps the graph
-    joined by ``c`` onto the one joined by ``c'``, ``c'[g[v]] = c[v]``,
-    so one way per orbit reaches every class."""
+    of the group that ``generators`` generate, the first of each orbit
+    in a fixed order (so any generating set gives the same ways):
+    ``c[v]`` is the label of the edge to v, or 0 for none.  An
+    automorphism g maps the graph joined by ``c`` onto the one joined by
+    ``c'``, ``c'[g[v]] = c[v]``, so one way per orbit reaches every
+    class."""
     seen: set[tuple[int, ...]] = set()
     for size in range(room + 1):
         for nbrs in itertools.combinations(range(n), size):
@@ -378,29 +385,130 @@ def _extensions(
                 yield c
 
 
+# A class of the census: its canonical key, its canonical representative
+# (vertices "0", "1", ... in canonical order) and its automorphism group,
+# as its order and generators on the representative's positions.
+_Class = tuple[str, LabeledGraph, tuple[int, list[list[int]]]]
+
+
 def _next_level(
     parents: Iterable[tuple[LabeledGraph, list[list[int]]]], config: CensusConfig, cap: int
-) -> dict[str, LabeledGraph]:
-    """The canonical representatives, by key, of the classes one vertex
-    larger than ``parents`` (all of one size, each with generators of
-    its automorphism group), within ``max_edges``.
+) -> list[_Class]:
+    """The classes one vertex larger than ``parents``, within
+    ``max_edges``.  ``parents`` are the canonical representatives of
+    the classes of one size within ``max_edges``, each once and with
+    generators of its automorphism group.
 
-    Deleting a vertex of any such class leaves a parent's class, so
-    adding a vertex to each parent in every way (up to the parent's
-    automorphisms) reaches every class; deleting a vertex never adds
-    edges, so a parent above ``max_edges`` has no child within it.
+    Canonical augmentation, after McKay, "Isomorph-free exhaustive
+    generation" (J. Algorithms 1998).  A child joins a new vertex v to
+    a parent P by a way ``c`` from :func:`_extensions`, one per orbit of
+    Aut(P); it is accepted when v lies in the Aut(child)-orbit of the
+    last vertex of the child's canonical order (that of
+    :func:`~graphcoherence.labeled_graph.canonical_form`).  An
+    isomorphism maps one canonical order onto the other up to an
+    automorphism, so it maps the orbit of the last vertex onto the
+    orbit of the last vertex, and the test is isomorphism-invariant.
+
+    Theorem: with one way per orbit of Aut(P) and this
+    isomorphism-invariant test, each class one vertex larger is
+    accepted exactly once.  At least once: deleting a vertex w in the
+    last vertex's orbit of a class G leaves a parent's class, since
+    deleting a vertex never adds edges (so a parent above ``max_edges``
+    has no child within it); the way that joins w's neighbourhood to
+    that parent, or the one ``_extensions`` keeps of its orbit, gives a
+    child isomorphic to G with v sent to w, which is accepted.  At most
+    once: an isomorphism between two accepted children, composed with
+    an automorphism, fixes v; it then maps one parent onto the other,
+    which are so the same parent, and restricts to an automorphism of
+    it mapping one way onto the other, which are so in one orbit and
+    the same way.
+
+    Two exact filters reject most children before any search.  Colours
+    are isomorphism-invariant, so the last vertex's orbit has its
+    colours, and:
+
+    - The search places a vertex of least row first and each row
+      begins with the vertex's refined colour, so the last vertex has
+      the largest refined colour.
+    - ``_rank`` sorts each refined signature by the colour it refines
+      first, so the largest refined class lies in the largest initial
+      class, by (vkey, degree, sorted labels).
+
+    So a child is rejected unless v has the largest initial colour,
+    which comes from P's degrees and labels and from ``c`` before the
+    child is built, then unless v has the largest refined colour, and
+    only then is it searched once.  That search also gives an accepted
+    child's key, its representative and its group, the generators
+    mapped onto canonical positions for the next level's
+    ``_extensions``.  A key repeated within a level raises
+    ``InternalInvariantError``, so every run checks that the generation
+    is isomorph-free.
     """
-    classes: dict[str, LabeledGraph] = {}
+    # Any non-edge digit above every label gives the same canonical order.
+    non_edge = max(config.edge_labels) + 1
+    classes: list[_Class] = []
+    keys: set[str] = set()
     for P, generators in parents:
         n = P.n
+        if n >= cap:
+            raise VertexCapError(f"graph has {n + 1} vertices, above the cap of {cap}")
         vertices, groups = P.vertices + (str(n),), P.groups + P.groups[:1]
+        # Initial colours without the vkey, which every census vertex shares.
+        colours = [(len(nbrs), tuple(sorted(nbrs.values()))) for nbrs in P._adj]
+        top = max(degree for degree, _ in colours)
+        tops = [u for u, (degree, _) in enumerate(colours) if degree == top]
         room = n if config.max_edges is None else min(n, config.max_edges - P.m)
         for c in _extensions(n, generators, config, room):
-            edges = tuple(sorted(P.edges + tuple((v, n, m) for v, m in enumerate(c) if m)))
-            child = LabeledGraph(vertices, groups, edges)
-            key, placement = canonical_form(child, cap=cap)
-            if key not in classes:
-                classes[key] = canonical_relabel(child, placement)
+            # Degrees first: v has degree n - c.count(0), and a vertex of
+            # P has its degree in P, plus one if c joins it to v.
+            degree = n - c.count(0)
+            if degree < top or degree == top and any(c[u] for u in tops):
+                continue
+            labels = tuple(sorted(filter(None, c)))
+            new = (degree, labels)
+            child_colours = colours[:]
+            for u, m in enumerate(c):
+                if m:
+                    d, around = colours[u]
+                    child_colours[u] = (d + 1, tuple(sorted(around + (m,))))
+            if max(child_colours) > new:
+                continue
+            child_colours.append(new)
+            adj = list(P._adj)
+            row = {}
+            for u, m in enumerate(c):
+                if m:
+                    adj[u] = {**adj[u], n: m}
+                    row[u] = m
+            adj.append(row)
+            refined = _refine_colors(n + 1, _rank(child_colours), adj)
+            if refined[n] < max(refined):
+                continue
+            order, (size, automorphisms) = _canonical_search(
+                refined, adj, non_edge, non_edge + 1, group=True
+            )
+            if order[-1] != n:
+                orbits = list(range(n + 1))
+                for perm in automorphisms:
+                    _join_orbits(orbits, perm)
+                if _orbit_root(orbits, n) != _orbit_root(orbits, order[-1]):
+                    continue
+            pos = [0] * (n + 1)
+            for p, u in enumerate(order):
+                pos[u] = p
+            edges = tuple(
+                sorted(
+                    (pos[a], pos[b], m) if pos[a] < pos[b] else (pos[b], pos[a], m)
+                    for a, b, m in P.edges + tuple((u, n, m) for u, m in row.items())
+                )
+            )
+            # All vertex groups are equal, so canonical order keeps ``groups``.
+            key = positional_key(groups, edges)
+            if key in keys:
+                raise InternalInvariantError(f"census class {key} was generated twice")
+            keys.add(key)
+            generators_at = [[pos[perm[u]] for u in order] for perm in automorphisms]
+            classes.append((key, LabeledGraph(vertices, groups, edges), (size, generators_at)))
     return classes
 
 
@@ -411,20 +519,18 @@ def _classes(
     sweep, in order of first appearance in :func:`enumerate_graphs`:
     its cell, its canonical key, its canonical representative and the
     number n!/|Aut| of labeled graphs in it.  Classes are grown one
-    vertex at a time from the single vertex, so those below
-    ``min_vertices`` are grown but not yielded."""
+    vertex at a time from the single vertex by :func:`_next_level`, so
+    those below ``min_vertices`` are grown but not yielded."""
     label_rank = {m: r for r, m in enumerate(config.edge_labels)}
     G = LabeledGraph(("0",), (_FLAVOR_GROUPS[config.flavor],), ())
-    level = {canonical_form(G, cap=cap)[0]: G}
+    level: list[_Class] = [(positional_key(G.groups, ()), G, (1, []))]
     for n in range(1, config.max_vertices + 1):
         if n > 1:
-            level = _next_level(((CG, gens) for _, (_, gens), _, CG in ranked), config, cap)
-        ranked = sorted(
-            (*_least_member(CG, label_rank), key, CG) for key, CG in level.items()
-        )
+            level = _next_level(((CG, gens) for _, _, CG, (_, gens) in ranked), config, cap)
+        ranked = sorted((_least_member(CG, label_rank), key, CG, group) for key, CG, group in level)
         if n < config.min_vertices:
             continue
-        for _, (size, _), key, CG in ranked:
+        for _, key, CG, (size, _) in ranked:
             yield n, CG.m, key, CG, math.factorial(n) // size
 
 

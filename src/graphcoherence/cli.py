@@ -10,6 +10,7 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import math
@@ -73,8 +74,17 @@ def _format_proof(node: ProofNode, indent: int = 0) -> list[str]:
     return lines
 
 
+# Python refuses to convert an int of more than 4,300 digits to or from
+# a str by default; ``decimal`` writes any int exactly.
+_JSON_ORDER_LIMIT = 10**4300
+
+
+def _order_digits(order: int) -> str:
+    return format(decimal.Decimal(order), "f")
+
+
 def _order_str(order: float) -> str:
-    return "infinite" if order == math.inf else str(int(order))
+    return "infinite" if order == math.inf else _order_digits(int(order))
 
 
 def _slender_line(cert) -> str:
@@ -93,11 +103,13 @@ def _slender_line(cert) -> str:
 
 
 def _finiteness_jsonable(fin) -> dict:
-    return {
-        "finite": fin.finite,
-        "order": None if fin.order == math.inf else int(fin.order),
-        "mode": fin.mode,
-    }
+    """``order`` is None when infinite, an int of at most 4,300 digits,
+    and above that the string of its digits, so that every form reads
+    back under Python's default limit on integer digits."""
+    order = None if fin.order == math.inf else int(fin.order)
+    if order is not None and order >= _JSON_ORDER_LIMIT:
+        order = _order_digits(order)
+    return {"finite": fin.finite, "order": order, "mode": fin.mode}
 
 
 def _cmd_classify(args) -> int:

@@ -18,6 +18,7 @@ from graphcoherence import (
     Z,
     Z2,
     artin_graph,
+    canonical_form,
     coxeter_graph,
     cyclic,
     cycle_edges,
@@ -27,6 +28,7 @@ from graphcoherence import (
     racg,
 )
 from graphcoherence.coherence_engine import JoinEmbedding
+from graphcoherence.labeled_graph import canonical_relabel
 
 # ---------------------------------------------------------------------------
 # brute-force automorphism count over all vertex permutations.
@@ -42,6 +44,32 @@ def brute_force_automorphism_count(G: LabeledGraph) -> int:
         and all(label[p[i]][p[j]] == label[i][j] for i, j in pairs)
         for p in itertools.permutations(range(G.n))
     )
+
+
+# ---------------------------------------------------------------------------
+# census generation by dedupe: every child of every parent, canonicalized,
+# the first child per key kept (the census's generation before canonical
+# augmentation, without its one-extension-per-orbit pruning).
+
+
+def dedupe_next_level(parents, edge_labels, max_edges=None) -> dict[str, LabeledGraph]:
+    """The canonical representatives, by key, of the classes one vertex
+    larger than the graphs ``parents``: each parent joined to a new
+    vertex in every way, by edges labelled from ``edge_labels``, within
+    ``max_edges``."""
+    classes: dict[str, LabeledGraph] = {}
+    for P in parents:
+        for c in itertools.product((0, *edge_labels), repeat=P.n):
+            new = tuple((v, P.n, m) for v, m in enumerate(c) if m)
+            if max_edges is not None and P.m + len(new) > max_edges:
+                continue
+            child = LabeledGraph(
+                P.vertices + (str(P.n),), P.groups + P.groups[:1], tuple(sorted(P.edges + new))
+            )
+            key, placement = canonical_form(child)
+            if key not in classes:
+                classes[key] = canonical_relabel(child, placement)
+    return classes
 
 
 # ---------------------------------------------------------------------------

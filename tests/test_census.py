@@ -20,21 +20,31 @@ from graphcoherence import (
     CensusConfig,
     EngineConfig,
     InternalInvariantError,
+    LabeledGraph,
+    Z,
+    Z2,
     canonical_key,
     coxeter_graph,
     racg,
     run_census,
 )
+from graphcoherence import census, labeled_graph
 from graphcoherence.census import (
     _classes,
     _least_member,
+    _next_level,
     enumerate_graphs,
     graph_from_key,
     records_header,
 )
 from graphcoherence.cli import main
 from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES
-from helpers import brute_force_automorphism_count, brute_force_is_chordal, prism_racg
+from helpers import (
+    brute_force_automorphism_count,
+    brute_force_is_chordal,
+    dedupe_next_level,
+    prism_racg,
+)
 
 
 class TestConfig:
@@ -183,27 +193,98 @@ def census_graphs(draw):
     return coxeter_graph(ids, edges), {m: r for r, m in enumerate(labels)}
 
 
+def assert_generates_the_automorphism_group(G, size: int, generators) -> None:
+    """``generators`` are automorphisms of ``G`` and generate a group of
+    ``size`` elements, the brute-force count of G's automorphisms."""
+    assert size == brute_force_automorphism_count(G)
+    edges = {(i, j): m for i, j, m in G.edges}
+    for g in generators:
+        assert {tuple(sorted((g[i], g[j]))): m for (i, j), m in edges.items()} == edges
+    group = {tuple(range(G.n))}
+    frontier = list(group)
+    for p in frontier:
+        for g in generators:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    assert len(group) == size
+
+
 class TestClassGeneration:
     @settings(max_examples=100)
     @given(census_graphs())
-    def test_least_member_and_automorphisms_match_brute_force(self, case):
+    def test_least_member_matches_brute_force(self, case):
         G, rank = case
-        member, (size, generators) = _least_member(G, rank)
-        assert member == brute_force_least_member(G, rank)
-        assert size == brute_force_automorphism_count(G)
-        # The generators are automorphisms and generate a group of that size.
-        edges = {(i, j): m for i, j, m in G.edges}
-        for g in generators:
-            assert {tuple(sorted((g[i], g[j]))): m for (i, j), m in edges.items()} == edges
-        group = {tuple(range(G.n))}
-        frontier = list(group)
-        for p in frontier:
-            for g in generators:
-                q = tuple(g[v] for v in p)
-                if q not in group:
-                    group.add(q)
-                    frontier.append(q)
-        assert len(group) == size
+        assert _least_member(G, rank) == brute_force_least_member(G, rank)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CensusConfig(flavor="racg", max_vertices=7),
+            CensusConfig(flavor="raag", max_vertices=6),
+            CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(2, 3, 4, 5)),
+            CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(5, 3)),
+            CensusConfig(flavor="coxeter", max_vertices=5, max_edges=4, edge_labels=(2, 3, 4)),
+        ],
+        ids=["racg-7", "raag-6", "coxeter-4-2345", "coxeter-4-53", "coxeter-5-e4-234"],
+    )
+    def test_generation_matches_the_dedupe_oracle(self, config):
+        """Level by level, canonical augmentation accepts each class of
+        the dedupe oracle once, with its key, its canonical
+        representative and, up to 6 vertices (brute force), generators
+        of its automorphism group."""
+        single = LabeledGraph(("0",), (Z if config.flavor == "raag" else Z2,), ())
+        level = [(canonical_key(single), single, (1, []))]
+        oracle = {canonical_key(single): single}
+        for n in range(2, config.max_vertices + 1):
+            level = _next_level(((CG, gens) for _, CG, (_, gens) in level), config, 12)
+            oracle = dedupe_next_level(oracle.values(), config.edge_labels, config.max_edges)
+            assert len(level) == len(oracle)
+            assert {key: CG for key, CG, _ in level} == oracle
+            if n <= 6:
+                for _, CG, (size, generators) in level:
+                    assert_generates_the_automorphism_group(CG, size, generators)
+
+    def test_one_search_per_child_that_passes_both_filters(self, monkeypatch):
+        """Generation canonicalizes no child: it searches only the children
+        whose new vertex has the largest initial and refined colours, once
+        each.  At 7 vertices two of those fail the orbit test."""
+        def refused(*args, **kwargs):
+            raise AssertionError("canonical_form called during generation")
+
+        for module in (labeled_graph, census):
+            monkeypatch.setattr(module, "canonical_form", refused, raising=False)
+        searches = Counter()
+        search = census._canonical_search
+
+        def counting(rows, *args, group=False, **kwargs):
+            searches[len(rows), group] += 1
+            return search(rows, *args, group=group, **kwargs)
+
+        monkeypatch.setattr(census, "_canonical_search", counting)
+        classes = Counter(n for n, *_ in _classes(CensusConfig(flavor="racg", max_vertices=7), 12))
+        assert [searches[n, True] for n in range(2, 8)] == [2, 4, 11, 34, 156, 1046]
+        assert [classes[n] for n in range(2, 8)] == [2, 4, 11, 34, 156, 1044]
+
+    def test_a_class_generated_twice_is_an_internal_error(self, monkeypatch, capsys):
+        """The generator checks that it is isomorph-free: one parent
+        given twice grows each of its classes twice, and the second time
+        is an internal error, exit 2 through the command line."""
+        config = CensusConfig(flavor="racg", max_vertices=3)
+        single = LabeledGraph(("0",), (Z2,), ())
+        with pytest.raises(InternalInvariantError, match="generated twice"):
+            _next_level([(single, []), (single, [])], config, 12)
+        next_level = census._next_level
+        monkeypatch.setattr(
+            census,
+            "_next_level",
+            lambda parents, config, cap: next_level([*parents] * 2, config, cap),
+        )
+        assert main(["census", "--flavor", "racg", "--max-vertices", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "internal error: census class" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "config",
@@ -231,7 +312,7 @@ class TestClassGeneration:
         assert [key for _, _, key, _, _ in classes] == list(first)
         for n, e, key, CG, weight in classes:
             assert CG == graph_from_key(key) and (n, e) == (CG.n, CG.m)
-            assert _least_member(CG, rank)[0] == first[key]
+            assert _least_member(CG, rank) == first[key]
             assert weight == counts[key]
 
 

@@ -469,6 +469,26 @@ class TestFiniteness:
         doc = json.loads(capsys.readouterr().out)
         assert doc["finite"] is True and doc["order"] == 120
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["classify", "finiteness"])
+    def test_orders_above_4300_digits(self, tmp_path, capsys, command, fmt):
+        """By default Python converts no int of more than 4,300 digits to
+        a str.  The order is printed exactly anyway, and in JSON as an int
+        of at most 4,300 digits and as the string of its digits above."""
+        for a, b in ((2150, 2149), (2200, 2200)):
+            G = LabeledGraph.build(
+                [("a", cyclic(10**a)), ("b", cyclic(10**b))], [("a", "b", 2)]
+            )
+            assert main([command, "--format", fmt, graph_file(tmp_path, G)]) == 0
+            out = capsys.readouterr().out
+            digits = "1" + "0" * (a + b)
+            if fmt == "text":
+                assert f" order {digits}\n" in out
+            else:
+                doc = json.loads(out)
+                order = (doc["finiteness"] if command == "classify" else doc)["order"]
+                assert order == (10 ** (a + b) if len(digits) <= 4300 else digits)
+
     def test_a13_on_13_vertices(self, tmp_path, capsys):
         # Bond 3 along a path, label 2 elsewhere: the A13 diagram, one
         # vertex above the default canonical-form cap.

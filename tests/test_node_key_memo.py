@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcoherence import AbelianGroupLabel, LabeledGraph, Z, Z2, cyclic
-from graphcoherence import census, coherence_engine, labeled_graph
+from graphcoherence import coherence_engine, labeled_graph
 from graphcoherence.census import CensusConfig, _classes, _record_job, graph_from_key
 from graphcoherence.cli import main
 from graphcoherence.coherence_engine import (
@@ -39,7 +39,7 @@ def canonical_calls(monkeypatch):
         calls.append(args[0].n)
         return original(*args, **kwargs)
 
-    for module in (labeled_graph, coherence_engine, census):
+    for module in (labeled_graph, coherence_engine):
         monkeypatch.setattr(module, "canonical_form", counting)
     return calls
 
