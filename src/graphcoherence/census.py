@@ -592,7 +592,8 @@ def run_census(
     the run keeps an exclusive lock on it from before reading it to its
     end.
     ``workers`` > 1 classifies and re-verifies the classes in that many
-    processes; stdout and record file are identical to the serial run's.
+    processes, but in no more than ``os.cpu_count()``; stdout and record
+    file are identical to the serial run's.
     """
     engine_config = engine_config or EngineConfig()
     cap = engine_config.max_search_vertices
@@ -603,6 +604,7 @@ def run_census(
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     started = time.monotonic()
     header = records_header(engine_config)
     report = CensusReport(config)

@@ -323,7 +323,13 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--dedup", action="store_true", help="count isomorphism classes once")
     p.add_argument("--no-verify", action="store_true", help="skip evidence re-verification")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="classify and re-verify in N processes, at most the CPU count (default 1)",
+    )
     p.add_argument("--out", default=None, help="JSONL record file (resumable)")
     p.add_argument("--max-search-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     p.set_defaults(func=_cmd_census)

@@ -8,11 +8,15 @@ on.  Chordal graphs get a direct construction whose separator is always
 a clique; everything else goes through ordered exhaustive enumeration.
 
 The enumeration works on int bitmasks over vertex positions.  The
-adjacency bitsets belong to the graph and the one components walk to
-:mod:`.labeled_graph` (``LabeledGraph.adjacency_masks``,
+adjacency bitsets belong to the graph and the components walk for
+one-off calls to :mod:`.labeled_graph` (``LabeledGraph.adjacency_masks``,
 :func:`~.labeled_graph.mask_components`); this module re-exports the
 mask helpers.  :func:`walk_separators` yields each separator once with
-the components it leaves, and :func:`slender_separators` adds each
+the components it leaves.  It finds components for up to ``2**n``
+subsets of one graph, so it steps through the subsets by bit arithmetic
+(:func:`_subset_masks`) and grows each component by lookups in
+neighbourhood tables of at most 256 entries, built once per walk
+(:func:`_neighbourhood_table`).  :func:`slender_separators` adds each
 separator's slenderness, deciding it at most once per separator and not
 at all for a separator that contains an obstruction found earlier in
 the walk (a special subgroup of a slender group is slender).
@@ -20,9 +24,8 @@ the walk (a special subgroup of a slender group is slender).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .group_model import NOT_SLENDER, SLENDER, is_slender
 from .labeled_graph import (
@@ -120,6 +123,60 @@ def dirac_split(G: LabeledGraph) -> Split:
     return split
 
 
+def _subset_masks(n: int, size: int) -> Iterator[int]:
+    """The ``size``-element subsets of positions ``0..n-1`` as bitmasks,
+    in ``itertools.combinations(range(n), size)`` order.
+
+    The successor of a subset moves up by one its highest member with a
+    free position directly above it (the highest member below the block
+    of members packed against position ``n - 1``), packs that block
+    right after it, and keeps the members below it.
+    """
+    full = (1 << n) - 1
+    mask = (1 << size) - 1
+    last = full ^ (full >> size)
+    yield mask
+    while mask != last:
+        gap = (mask ^ full).bit_length() - 1  # the highest position left out
+        rest = mask & ((1 << gap) - 1)
+        top = rest.bit_length() - 1  # the member that moves up
+        mask = rest ^ (1 << top) | (full >> gap) << (top + 1)
+        yield mask
+
+
+def _neighbourhood_table(adj: Sequence[int], start: int, stop: int):
+    """``T[X]``: the union of ``adj[start + i]`` over the bits i of X,
+    for X over positions ``start..stop-1``.
+
+    A span of at most 8 positions is one list of ``2**(stop - start)``
+    entries; a wider one is a :class:`_ChunkedTable` of such lists, so
+    no table has more than 256 entries.
+    """
+    if stop - start > 8:
+        return _ChunkedTable(adj, start, stop)
+    table = [0]
+    for row in adj[start:stop]:
+        table += [reach | row for reach in table]
+    return table
+
+
+class _ChunkedTable:
+    """A neighbourhood table over more than 8 positions, one list per
+    8-position chunk, looked up by indexing like a list."""
+
+    def __init__(self, adj: Sequence[int], start: int, stop: int):
+        self._chunks = [
+            _neighbourhood_table(adj, lo, min(lo + 8, stop)) for lo in range(start, stop, 8)
+        ]
+
+    def __getitem__(self, mask: int) -> int:
+        reach = 0
+        for chunk in self._chunks:
+            reach |= chunk[mask & 255]
+            mask >>= 8
+        return reach
+
+
 def walk_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every vertex separator of a connected non-complete graph, with
     the components it leaves.
@@ -128,19 +185,41 @@ def walk_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
     positions.  Separators come by size, then lexicographically by
     vertex position; components are ordered by smallest vertex
     position.  A set whose removal leaves one component is skipped.
+
+    The walk is lazy, and its set-up is two neighbourhood tables, over
+    the low ``h`` positions and over the rest (:func:`_neighbourhood_table`).
+    A component grows from its smallest vertex by
+    ``comp | lo[comp & m] | hi[comp >> h]`` within the vertices left,
+    one step per layer of breadth-first search, until it stops growing
+    or holds every vertex left.
     """
     if not G.is_connected() or G.is_complete():
         return
     adj = G.adjacency_masks
-    full = (1 << G.n) - 1
-    for size in range(1, G.n - 1):
-        for combo in itertools.combinations(range(G.n), size):
-            sep = 0
-            for i in combo:
-                sep |= 1 << i
-            comps = mask_components(adj, full & ~sep)
-            if len(comps) >= 2:
-                yield sep, comps
+    n = G.n
+    full = (1 << n) - 1
+    h = min(n // 2, 8)
+    m = (1 << h) - 1
+    lo = _neighbourhood_table(adj, 0, h)
+    hi = _neighbourhood_table(adj, h, n)
+    for size in range(1, n - 1):
+        for sep in _subset_masks(n, size):
+            rest = full ^ sep
+            comps = []
+            while True:
+                comp = rest & -rest
+                while True:
+                    grown = (comp | lo[comp & m] | hi[comp >> h]) & rest
+                    if grown == comp or grown == rest:
+                        break
+                    comp = grown
+                if grown == rest:  # the last component
+                    break
+                comps.append(grown)
+                rest ^= grown
+            if comps:
+                comps.append(rest)
+                yield sep, tuple(comps)
 
 
 def separator_splits(G: LabeledGraph, sep: int, comps: tuple[int, ...]) -> Iterator[Split]:
@@ -187,10 +266,12 @@ def slender_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...], 
     """
     obstructions: list[int] = []
     for sep, comps in walk_separators(G):
-        if any(obs & sep == obs for obs in obstructions):
-            yield sep, comps, False
-            continue
-        cert = is_slender(G.induced(mask_vertices(G, sep)))
-        if cert.verdict == NOT_SLENDER:
-            obstructions.append(vertex_mask(G, cert.obstruction.vertices))
-        yield sep, comps, cert.verdict == SLENDER
+        for obs in obstructions:
+            if not obs & ~sep:
+                yield sep, comps, False
+                break
+        else:
+            cert = is_slender(G.induced(mask_vertices(G, sep)))
+            if cert.verdict == NOT_SLENDER:
+                obstructions.append(vertex_mask(G, cert.obstruction.vertices))
+            yield sep, comps, cert.verdict == SLENDER

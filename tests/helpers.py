@@ -28,7 +28,7 @@ from graphcoherence import (
     racg,
 )
 from graphcoherence.coherence_engine import JoinEmbedding
-from graphcoherence.labeled_graph import canonical_relabel
+from graphcoherence.labeled_graph import canonical_relabel, mask_components
 
 # ---------------------------------------------------------------------------
 # brute-force automorphism count over all vertex permutations.
@@ -70,6 +70,30 @@ def dedupe_next_level(parents, edge_labels, max_edges=None) -> dict[str, Labeled
             if key not in classes:
                 classes[key] = canonical_relabel(child, placement)
     return classes
+
+
+# ---------------------------------------------------------------------------
+# the separator walk one subset at a time: each subset's mask built bit by
+# bit from itertools.combinations, its components by one mask_components
+# call (the walk before its neighbourhood tables and subset stepper).
+
+
+def oracle_walk_separators(G: LabeledGraph):
+    """``decomposition.walk_separators``'s yields: every separator of a
+    connected non-complete graph, by size and then lexicographically by
+    position, with the components it leaves."""
+    if not G.is_connected() or G.is_complete():
+        return
+    adj = G.adjacency_masks
+    full = (1 << G.n) - 1
+    for size in range(1, G.n - 1):
+        for combo in itertools.combinations(range(G.n), size):
+            sep = 0
+            for i in combo:
+                sep |= 1 << i
+            comps = mask_components(adj, full & ~sep)
+            if len(comps) >= 2:
+                yield sep, comps
 
 
 # ---------------------------------------------------------------------------

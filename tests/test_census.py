@@ -497,6 +497,41 @@ class TestRecordsAndResume:
         parallel = run_census(config, workers=2)
         assert parallel.to_jsonable() == serial.to_jsonable()
 
+    @pytest.mark.parametrize(
+        "cpus, workers, pool_size",
+        [(2, 64, 2), (4, 3, 3), (1, 8, None), (None, 8, None)],
+        ids=["above-2-cpus", "below-4-cpus", "1-cpu", "cpu-count-unknown"],
+    )
+    def test_pool_is_clamped_to_the_cpu_count(self, monkeypatch, cpus, workers, pool_size):
+        """A pool gets at most ``os.cpu_count()`` processes (1 when the
+        count is unknown, which runs serially); a fake pool records its
+        size and maps in this process."""
+        import multiprocessing
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, jobs, chunksize=1):
+                return map(func, jobs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(census, "_worker_job", None)
+        config = CensusConfig(flavor="racg", max_vertices=4)
+        report = run_census(config, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert report.to_jsonable() == run_census(config).to_jsonable()
+
     def test_workers_with_records(self, tmp_path):
         out = tmp_path / "par.jsonl"
         config = CensusConfig(flavor="raag", max_vertices=4)
