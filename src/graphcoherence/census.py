@@ -40,7 +40,6 @@ from . import __version__
 from .coherence_engine import (
     Classifier,
     EngineConfig,
-    verdict_to_jsonable,
     check_verdict,
     verdict_from_jsonable,
     COHERENT,
@@ -542,7 +541,7 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     re-verified on that representative."""
     n, e, key, CG, weight, rec = job
     if rec is None:
-        verdict_obj = verdict_to_jsonable(classifier.classify_canonical(CG, key))
+        verdict_obj = classifier.classify_canonical_jsonable(CG, key)
         rec = {
             "key": key,
             "n": n,

@@ -20,12 +20,18 @@ and text suffix of every proof-node rule.  In the same way each witness
 dataclass holds its verifier and its one-line text, so witnesses are
 verified and rendered from here and callers need no code per kind.
 
-Verdicts are computed on the canonical representative of the input and
-mapped back, so isomorphic inputs receive corresponding evidence, and a
-per-classifier memo makes repeated sub-classifications cheap.  A second
-one canonicalizes each subgraph structure once for both classification
-and the proof checks run through the same classifier.  One
-field walker serializes, rebuilds and renames the evidence dataclasses.
+Verdicts are computed on the canonical representative of the input, so
+isomorphic inputs receive corresponding evidence, and a per-classifier
+memo makes repeated sub-classifications cheap.  A memo entry holds the
+verdicts of the parts it was built from by reference, each with the id
+map from the part's canonical ids to the entry's, and nothing is
+renamed during the recursion: :meth:`Classifier.classify` renames a
+verdict into the input's ids in one walk that composes the maps on the
+way down, and the census writes a record in one walk of
+:func:`to_jsonable` that resolves them as it writes.  A second memo
+canonicalizes each subgraph structure once for both classification and
+the proof checks run through the same classifier.  One field walker
+serializes, rebuilds and renames the evidence dataclasses.
 """
 
 from __future__ import annotations
@@ -388,7 +394,11 @@ class Classifier:
     Safe to reuse across graphs; the verdict memo is keyed by canonical
     form, and verdicts are computed on canonical representatives so
     equal inputs (and isomorphic ones, up to the isomorphism) receive
-    identical evidence.
+    identical evidence.  A memo entry's evidence holds each part's
+    entry by reference, with the placement that maps the part's
+    canonical ids to the entry's (see :meth:`_classify_part`); the
+    verdicts the public methods return hold no reference, and each of
+    their nodes is renamed once (see :func:`remap`).
 
     A second memo, shared by the classifier's classification and by the
     proof checks run through it, maps a graph's positional structure,
@@ -407,14 +417,37 @@ class Classifier:
         self._forms: dict[tuple, tuple[str, tuple[int, ...]]] = {}
 
     def classify(self, G: LabeledGraph) -> Verdict:
+        """G's verdict, with its evidence in G's ids."""
+        verdict, placement = self._memo_entry(G)
+        if placement is None:
+            return verdict
+        return remap(verdict, _id_map(placement))
+
+    def _classify_part(self, G: LabeledGraph) -> Verdict:
+        """G's verdict as a part of a larger graph's evidence: its
+        evidence holds G's memo entry by reference, with the placement
+        into G's ids, so nothing is renamed until a public method
+        resolves the whole tree.  The provers call this hook only, and
+        only below the search cap, so G has a placement."""
+        verdict, placement = self._memo_entry(G)
+        if verdict.status == COHERENT:
+            return Verdict(COHERENT, proof=_Ref(verdict.proof, placement))
+        if verdict.status == INCOHERENT:
+            return Verdict(INCOHERENT, witness=_Ref(verdict.witness, placement))
+        return Verdict(UNKNOWN, notes=tuple(_Ref(note, placement) for note in verdict.notes))
+
+    def _memo_entry(self, G: LabeledGraph) -> tuple[Verdict, Optional[tuple[str, ...]]]:
+        """G's memo entry, in the ids of G's canonical representative,
+        and the placement that maps them to G's; above the search cap,
+        G's verdict in its own ids and None."""
         require_group(G)
         key, placement = self.node_key(G)
         if placement is None:
-            return self._apply_rules(G, key, big=True)
+            return self._apply_rules(G, key, big=True), None
         verdict = self._cache.get(key)
         if verdict is None:
-            verdict = self.classify_canonical(canonical_relabel(G, placement), key)
-        return remap(verdict, {str(i): v for i, v in enumerate(placement)})
+            verdict = self._canonical(canonical_relabel(G, placement), key)
+        return verdict, placement
 
     def node_key(self, G: LabeledGraph) -> tuple[str, Optional[tuple[str, ...]]]:
         """The key that G's proof nodes carry, with the placement that
@@ -436,6 +469,17 @@ class Classifier:
         already known: ``CG`` is ``canonical_relabel(G, placement)`` for
         ``(key, placement) = canonical_form(G)``, with at most
         ``max_search_vertices`` vertices.  The verdict is in CG's ids."""
+        return remap(self._canonical(CG, key), {v: v for v in CG.vertices})
+
+    def classify_canonical_jsonable(self, CG: LabeledGraph, key: str) -> dict:
+        """``verdict_to_jsonable(self.classify_canonical(CG, key))``,
+        written in one walk that resolves the memo's references as it
+        writes, with no verdict copied first."""
+        return to_jsonable(self._canonical(CG, key))
+
+    def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
+        """The memo entry of ``CG`` as in :meth:`classify_canonical`,
+        computed on a miss; its evidence may hold references."""
         cached = self._cache.get(key)
         if cached is None:
             cached = self._apply_rules(CG, key, big=False)
@@ -721,7 +765,7 @@ def _classify_parts(clf, G: LabeledGraph, parts) -> Union[Verdict, list[Verdict]
     as G's incoherent_factor verdict instead."""
     verdicts = []
     for members in parts:
-        v = clf.classify(G.induced(members))
+        v = clf._classify_part(G.induced(members))
         if v.status == INCOHERENT:
             return Verdict(INCOHERENT, witness=IncoherentFactor(vertices=members, inner=v.witness))
         verdicts.append(v)
@@ -981,14 +1025,24 @@ def _plan(hint) -> tuple:
     return plan
 
 
-def to_jsonable(obj):
+def to_jsonable(obj, mapping: Optional[dict[str, str]] = None):
     """JSON-ready form of an evidence object: a dataclass becomes a dict
     with its ``kind`` class attribute first and then its fields in
     declaration order, tuples become lists, and a diagram type its name.
-    Dicts are proof data, which is JSON-ready already, and are shared."""
+    Dicts are proof data, which is JSON-ready already, and are shared.
+
+    With ``mapping``, every vertex id is renamed through it as the form
+    is written, and dicts are copied renamed: the result is
+    ``to_jsonable(remap(obj, mapping))``.  A memo reference is written
+    resolved, through its id map composed with ``mapping`` (see
+    :func:`remap`), so a memo entry becomes JSON in one walk."""
     t = type(obj)
     if t is tuple or t is list:
-        return [x if type(x) is str else to_jsonable(x) for x in obj]
+        return [x if type(x) is str else to_jsonable(x, mapping) for x in obj]
+    if t is _Ref:
+        return to_jsonable(obj.target, _id_map(obj.placement, mapping))
+    if t is dict:
+        return obj if mapping is None else remap(obj, mapping)
     if t is IrreducibleType:
         return obj.name
     plan = _plan(t)
@@ -997,7 +1051,13 @@ def to_jsonable(obj):
     out = {} if plan[2] is None else {"kind": plan[2]}
     for name, _, _ in plan[3]:
         value = getattr(obj, name)
-        out[name] = value if type(value) is str else to_jsonable(value)
+        if type(value) is str:
+            out[name] = value
+        elif mapping is not None and name in _ID_FIELDS:
+            # Id fields of the evidence dataclasses are flat tuples of ids.
+            out[name] = [mapping[x] for x in value]
+        else:
+            out[name] = to_jsonable(value, mapping)
     return out
 
 
@@ -1059,10 +1119,56 @@ def _mistyped(expected: type, obj) -> ValueError:
     return ValueError(f"expected {_JSON_TYPES.get(expected, expected.__name__)}, got {got}")
 
 
+class _Ref:
+    """A memo entry's evidence (``target``, in the ids "0", "1", ... of
+    its canonical representative) standing, inside a larger graph's
+    evidence, for ``remap(target, _id_map(placement))``: canonical id
+    ``str(i)`` names the vertex ``placement[i]`` of the larger graph.
+    It lives only in memo entries and in :meth:`Classifier._classify_part`
+    verdicts; :func:`remap` and :func:`to_jsonable` resolve it."""
+
+    __slots__ = ("target", "placement")
+
+    def __init__(self, target, placement: tuple[str, ...]) -> None:
+        self.target = target
+        self.placement = placement
+
+
+def _id_map(placement: tuple[str, ...], outer: Optional[dict[str, str]] = None) -> dict[str, str]:
+    """The map ``str(i) -> placement[i]``, followed by ``outer`` when
+    given: the composition ``outer ∘ placement``."""
+    if outer is None:
+        return {str(i): v for i, v in enumerate(placement)}
+    return {str(i): outer[v] for i, v in enumerate(placement)}
+
+
 def remap(obj, mapping: dict[str, str]):
     """Copy of an evidence object with every vertex id renamed through
-    ``mapping``."""
+    ``mapping``, and every memo reference resolved.
+
+    A reference ``_Ref(t, p)`` is resolved as ``remap(t, mapping ∘ p)``
+    (see :func:`_id_map`), in the same walk.  That gives the tree that
+    renaming at every level of the recursion would give, because
+
+        remap(remap(x, m1), m2) == remap(x, m2 ∘ m1)
+
+    whenever every id of x is a key of m1 and every value of m1 a key
+    of m2.  Proof: ``remap`` rebuilds x with the same types, field
+    values and dict keys, and changes only the strings at id places
+    (the fields and dict keys in ``_ID_FIELDS``, at any depth of nested
+    sequences), each id v to m[v]; the places are fixed by x's
+    structure, which the first remap keeps.  So the left side holds
+    m2[m1[v]] where x holds v, and the same structure elsewhere, which
+    is the right side.  A reference's placement maps the part's
+    canonical ids onto ids of the graph holding it, so the condition
+    holds at every reference, and by induction on the nesting depth of
+    references, resolving each through the composed map equals
+    resolving level by level.  The same argument gives
+    ``to_jsonable(x, m) == to_jsonable(remap(x, m))``.
+    """
     t = type(obj)
+    if t is _Ref:
+        return remap(obj.target, _id_map(obj.placement, mapping))
     if t is tuple or t is list:
         return t([remap(x, mapping) for x in obj])
     if t is dict:

@@ -13,6 +13,7 @@ import random
 
 from graphcoherence import (
     AbelianGroupLabel,
+    Classifier,
     F2Certificate,
     LabeledGraph,
     Z,
@@ -203,6 +204,22 @@ def brute_force_join_witness(G: LabeledGraph) -> JoinEmbedding | None:
                 side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
             )
     return None
+
+
+# ---------------------------------------------------------------------------
+# the classifier that renames evidence at every level of its recursion.
+
+
+class EagerClassifier(Classifier):
+    """A classifier whose provers get each part's verdict already
+    renamed into the part's ids, as ``classify`` returns it.  Its memo
+    entries then hold plain evidence, and a node at depth d of a proof
+    is copied d times: the classifier before memo entries held their
+    parts by reference, kept as the oracle for resolving references
+    through composed id maps."""
+
+    def _classify_part(self, G):
+        return self.classify(G)
 
 
 # ---------------------------------------------------------------------------

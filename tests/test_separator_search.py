@@ -153,6 +153,9 @@ class _Unresolved:
     def classify(self, G):
         return Verdict(UNKNOWN, notes=(UnknownNote(code="no-rule-applied"),))
 
+    def _classify_part(self, G):
+        return self.classify(G)
+
 
 def _search_counts(note: UnknownNote) -> tuple[int, int]:
     assert note.code == "search-exhausted"
