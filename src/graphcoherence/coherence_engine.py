@@ -25,13 +25,15 @@ isomorphic inputs receive corresponding evidence, and a per-classifier
 memo makes repeated sub-classifications cheap.  A memo entry holds the
 verdicts of the parts it was built from by reference, each with the id
 map from the part's canonical ids to the entry's, and nothing is
-renamed during the recursion: :meth:`Classifier.classify` renames a
-verdict into the input's ids in one walk that composes the maps on the
-way down, and the census writes a record in one walk of
-:func:`to_jsonable` that resolves them as it writes.  A second memo
-canonicalizes each subgraph structure once for both classification and
-the proof checks run through the same classifier.  One field walker
-serializes, rebuilds and renames the evidence dataclasses.
+renamed during the recursion.  Evidence is renamed in one place,
+:func:`to_jsonable`, which writes a memo entry's JSON form in one walk
+that composes the id maps on the way down and resolves the references
+as it writes; :func:`from_jsonable` is the one reader.  The census
+writes that JSON, and :meth:`Classifier.classify` returns it parsed
+back, so every verdict that leaves the classifier is the parsed form
+of the JSON the engine writes.  A second memo canonicalizes each
+subgraph structure once for both classification and the proof checks
+run through the same classifier.
 """
 
 from __future__ import annotations
@@ -396,9 +398,13 @@ class Classifier:
     equal inputs (and isomorphic ones, up to the isomorphism) receive
     identical evidence.  A memo entry's evidence holds each part's
     entry by reference, with the placement that maps the part's
-    canonical ids to the entry's (see :meth:`_classify_part`); the
-    verdicts the public methods return hold no reference, and each of
-    their nodes is renamed once (see :func:`remap`).
+    canonical ids to the entry's (see :meth:`_classify_part`).  Evidence
+    leaves the classifier only as the JSON that :func:`to_jsonable`
+    writes from a memo entry through an id map, renaming each node once
+    and copying every memo dict; :meth:`classify` returns that JSON
+    parsed back by :func:`from_jsonable`, so the verdict a caller checks
+    is the one the JSON form holds, and no reference or memo dict
+    reaches a caller.
 
     A second memo, shared by the classifier's classification and by the
     proof checks run through it, maps a graph's positional structure,
@@ -417,11 +423,14 @@ class Classifier:
         self._forms: dict[tuple, tuple[str, tuple[int, ...]]] = {}
 
     def classify(self, G: LabeledGraph) -> Verdict:
-        """G's verdict, with its evidence in G's ids."""
+        """G's verdict, with its evidence in G's ids: the parsed form of
+        the JSON that :func:`to_jsonable` writes for G's memo entry
+        through the id map into G's ids.  Above the search cap G's
+        verdict is computed in G's own ids, holds no memo dict, and is
+        written with no map."""
         verdict, placement = self._memo_entry(G)
-        if placement is None:
-            return verdict
-        return remap(verdict, _id_map(placement))
+        mapping = None if placement is None else _id_map(placement)
+        return from_jsonable(Verdict, to_jsonable(verdict, mapping))
 
     def _classify_part(self, G: LabeledGraph) -> Verdict:
         """G's verdict as a part of a larger graph's evidence: its
@@ -464,21 +473,18 @@ class Classifier:
         ids = G.vertices
         return form[0], tuple(ids[i] for i in form[1])
 
-    def classify_canonical(self, CG: LabeledGraph, key: str) -> Verdict:
-        """Verdict of a canonical representative whose canonical key is
-        already known: ``CG`` is ``canonical_relabel(G, placement)`` for
-        ``(key, placement) = canonical_form(G)``, with at most
-        ``max_search_vertices`` vertices.  The verdict is in CG's ids."""
-        return remap(self._canonical(CG, key), {v: v for v in CG.vertices})
-
     def classify_canonical_jsonable(self, CG: LabeledGraph, key: str) -> dict:
-        """``verdict_to_jsonable(self.classify_canonical(CG, key))``,
-        written in one walk that resolves the memo's references as it
-        writes, with no verdict copied first."""
-        return to_jsonable(self._canonical(CG, key))
+        """JSON form of the verdict of a canonical representative whose
+        canonical key is already known: ``CG`` is
+        ``canonical_relabel(G, placement)`` for ``(key, placement) =
+        canonical_form(G)``, with at most ``max_search_vertices``
+        vertices.  It is written in CG's ids, in one walk of
+        :func:`to_jsonable` through the identity map, which copies every
+        memo dict it writes."""
+        return to_jsonable(self._canonical(CG, key), {v: v for v in CG.vertices})
 
     def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
-        """The memo entry of ``CG`` as in :meth:`classify_canonical`,
+        """The memo entry of ``CG`` as in :meth:`classify_canonical_jsonable`,
         computed on a miss; its evidence may hold references."""
         cached = self._cache.get(key)
         if cached is None:
@@ -1032,17 +1038,42 @@ def to_jsonable(obj, mapping: Optional[dict[str, str]] = None):
     Dicts are proof data, which is JSON-ready already, and are shared.
 
     With ``mapping``, every vertex id is renamed through it as the form
-    is written, and dicts are copied renamed: the result is
-    ``to_jsonable(remap(obj, mapping))``.  A memo reference is written
-    resolved, through its id map composed with ``mapping`` (see
-    :func:`remap`), so a memo entry becomes JSON in one walk."""
+    is written, and dicts are copied renamed.  This is the one walker
+    that renames evidence or resolves a memo reference: a reference
+    ``_Ref(t, p)`` is written as
+
+        to_jsonable(_Ref(t, p), m) == to_jsonable(t, m ∘ p)
+
+    (see :func:`_id_map`), in the same walk, and that is the form that
+    renaming at every level of the recursion would write.  Write J_m(x)
+    for ``to_jsonable(x, m)``.  Renaming at every level writes a part's
+    evidence t into the ids of the graph holding it, J_p(t), and the
+    whole into the caller's, J_m applied to a tree that holds J_p(t);
+    the claim is J_m(J_p(t)) == J_{m∘p}(t) whenever every id of t is a
+    key of p and every value of p a key of m.  Proof: J_m writes x's
+    structure unchanged, with the same kinds, field names, dict keys
+    and values, and changes only the strings at id places (the fields
+    and dict keys in ``_ID_FIELDS``, at any depth of nested sequences),
+    each id v to m[v].  A dataclass field becomes the dict key of its
+    name, so the id places of J_p(t) are those of t, and J_m(J_p(t))
+    holds m[p[v]] where t holds v and the same structure elsewhere,
+    which is J_{m∘p}(t).  A reference's placement maps the part's
+    canonical ids onto ids of the graph holding it, so the condition
+    holds at every reference, and by induction on the nesting depth of
+    references, resolving each through the composed map equals
+    renaming level by level."""
     t = type(obj)
     if t is tuple or t is list:
         return [x if type(x) is str else to_jsonable(x, mapping) for x in obj]
     if t is _Ref:
         return to_jsonable(obj.target, _id_map(obj.placement, mapping))
     if t is dict:
-        return obj if mapping is None else remap(obj, mapping)
+        if mapping is None:
+            return obj
+        return {
+            k: _rename(v, mapping) if k in _ID_FIELDS else to_jsonable(v, mapping)
+            for k, v in obj.items()
+        }
     if t is IrreducibleType:
         return obj.name
     plan = _plan(t)
@@ -1122,10 +1153,11 @@ def _mistyped(expected: type, obj) -> ValueError:
 class _Ref:
     """A memo entry's evidence (``target``, in the ids "0", "1", ... of
     its canonical representative) standing, inside a larger graph's
-    evidence, for ``remap(target, _id_map(placement))``: canonical id
-    ``str(i)`` names the vertex ``placement[i]`` of the larger graph.
-    It lives only in memo entries and in :meth:`Classifier._classify_part`
-    verdicts; :func:`remap` and :func:`to_jsonable` resolve it."""
+    evidence, for ``target`` renamed through ``_id_map(placement)``:
+    canonical id ``str(i)`` names the vertex ``placement[i]`` of the
+    larger graph.  It lives only in memo entries and in
+    :meth:`Classifier._classify_part` verdicts; only :func:`to_jsonable`
+    resolves it."""
 
     __slots__ = ("target", "placement")
 
@@ -1140,54 +1172,6 @@ def _id_map(placement: tuple[str, ...], outer: Optional[dict[str, str]] = None) 
     if outer is None:
         return {str(i): v for i, v in enumerate(placement)}
     return {str(i): outer[v] for i, v in enumerate(placement)}
-
-
-def remap(obj, mapping: dict[str, str]):
-    """Copy of an evidence object with every vertex id renamed through
-    ``mapping``, and every memo reference resolved.
-
-    A reference ``_Ref(t, p)`` is resolved as ``remap(t, mapping ∘ p)``
-    (see :func:`_id_map`), in the same walk.  That gives the tree that
-    renaming at every level of the recursion would give, because
-
-        remap(remap(x, m1), m2) == remap(x, m2 ∘ m1)
-
-    whenever every id of x is a key of m1 and every value of m1 a key
-    of m2.  Proof: ``remap`` rebuilds x with the same types, field
-    values and dict keys, and changes only the strings at id places
-    (the fields and dict keys in ``_ID_FIELDS``, at any depth of nested
-    sequences), each id v to m[v]; the places are fixed by x's
-    structure, which the first remap keeps.  So the left side holds
-    m2[m1[v]] where x holds v, and the same structure elsewhere, which
-    is the right side.  A reference's placement maps the part's
-    canonical ids onto ids of the graph holding it, so the condition
-    holds at every reference, and by induction on the nesting depth of
-    references, resolving each through the composed map equals
-    resolving level by level.  The same argument gives
-    ``to_jsonable(x, m) == to_jsonable(remap(x, m))``.
-    """
-    t = type(obj)
-    if t is _Ref:
-        return remap(obj.target, _id_map(obj.placement, mapping))
-    if t is tuple or t is list:
-        return t([remap(x, mapping) for x in obj])
-    if t is dict:
-        return {
-            k: _rename(v, mapping) if k in _ID_FIELDS else remap(v, mapping)
-            for k, v in obj.items()
-        }
-    plan = _plan(t)
-    if plan[0] != "class":
-        return obj
-    values = []
-    for name, _, _ in plan[3]:
-        value = getattr(obj, name)
-        if name in _ID_FIELDS:
-            value = _rename(value, mapping)
-        elif type(value) is not str:
-            value = remap(value, mapping)
-        values.append(value)
-    return t(*values)
 
 
 def _rename(ids, mapping: dict[str, str]):

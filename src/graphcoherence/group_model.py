@@ -383,18 +383,6 @@ class FinitenessResult:
     components: tuple[tuple[tuple[str, ...], IrreducibleType], ...] = ()
 
 
-def is_finite(G: LabeledGraph) -> FinitenessResult:
-    """Finiteness of the Coxeter group of an all-Z2 graph, with the
-    order and the per-component types."""
-    comps = classify_components(G)
-    finite = all(t.kind == "finite" for _, t in comps)
-    if finite:
-        order: float = math.prod(t.order for _, t in comps)
-    else:
-        order = math.inf
-    return FinitenessResult(finite=finite, order=order, mode="coxeter", components=comps)
-
-
 def finiteness(G: LabeledGraph) -> FinitenessResult:
     """Finiteness for any supported flavor.
 
@@ -404,7 +392,10 @@ def finiteness(G: LabeledGraph) -> FinitenessResult:
     """
     flavor = require_group(G)
     if flavor.coxeter:
-        return is_finite(G)
+        comps = classify_components(G)
+        finite = all(t.kind == "finite" for _, t in comps)
+        order = math.prod(t.order for _, t in comps) if finite else math.inf
+        return FinitenessResult(finite=finite, order=order, mode="coxeter", components=comps)
     if flavor.graph_product:
         finite = G.is_complete() and all(not g.is_infinite for g in G.groups)
         order = math.prod(g.order() for g in G.groups) if finite else math.inf
@@ -460,11 +451,6 @@ def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
                     kind="independent_triple", vertices=(vs[i], vs[j], vs[k])
                 )
                 rest ^= low
-
-
-def contains_f2_certificate(G: LabeledGraph) -> Optional[F2Certificate]:
-    """First F2 certificate in scan order (pairs, then triples), if any."""
-    return next(f2_certificates(G), None)
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
@@ -552,7 +538,7 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
     """
     flavor = require_group(G)
     if not flavor.coxeter:
-        cert = contains_f2_certificate(G)
+        cert = next(f2_certificates(G), None)
         if cert is not None:
             return SlenderCertificate(
                 verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert

@@ -12,7 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphcoherence import Z, Z2, canonical_form, cycle_edges, cyclic, graph_product_graph
+from graphcoherence import (
+    Z,
+    Z2,
+    artin_graph,
+    canonical_form,
+    coxeter_graph,
+    cycle_edges,
+    cyclic,
+    graph_product_graph,
+    raag,
+)
 from graphcoherence import census, coherence_engine
 from graphcoherence.census import CensusConfig, run_census
 from graphcoherence.coherence_engine import (
@@ -20,6 +30,7 @@ from graphcoherence.coherence_engine import (
     IncoherentFactor,
     ProofNode,
     UnknownNote,
+    verdict_from_jsonable,
     verdict_to_jsonable,
 )
 from graphcoherence.labeled_graph import canonical_relabel
@@ -101,13 +112,14 @@ def test_verdicts_equal_the_eager_oracle(G):
     assert v == eager.classify(G)
     assert json.dumps(verdict_to_jsonable(v)) == json.dumps(verdict_to_jsonable(eager.classify(G)))
     CG, key = _canonical(G)
-    expected = eager.classify_canonical(CG, key)
-    assert lazy.classify_canonical(CG, key) == expected
+    expected = verdict_from_jsonable(eager.classify_canonical_jsonable(CG, key))
+    canonical = verdict_from_jsonable(lazy.classify_canonical_jsonable(CG, key))
+    assert canonical == expected
     expected_json = json.dumps(verdict_to_jsonable(expected))
     assert json.dumps(lazy.classify_canonical_jsonable(CG, key)) == expected_json
     # A cold classifier's JSON form, written from its memo entry at once.
     assert json.dumps(Classifier().classify_canonical_jsonable(CG, key)) == expected_json
-    assert not list(_references(v)) and not list(_references(lazy.classify_canonical(CG, key)))
+    assert not list(_references(v)) and not list(_references(canonical))
 
 
 def test_pinned_cases_reach_factors_and_notes_under_references():
@@ -135,7 +147,8 @@ def test_pinned_cases_reach_factors_and_notes_under_references():
 def test_no_reference_leaves_the_classifier(G):
     clf = Classifier()
     CG, key = _canonical(G)
-    for verdict in (clf.classify(G), clf.classify_canonical(CG, key), clf.classify(G)):
+    canonical = verdict_from_jsonable(clf.classify_canonical_jsonable(CG, key))
+    for verdict in (clf.classify(G), canonical, clf.classify(G)):
         assert not list(_references(verdict))
     # The memo itself does hold references: they are what is tested for.
     assert any(True for entry in clf._cache.values() for _ in _references(entry))
@@ -158,24 +171,93 @@ def test_no_reference_reaches_a_census_record(monkeypatch, tmp_path):
     assert all(json.loads(json.dumps(r)) == r for r in records)
 
 
+# One COHERENT graph of each flavor.  The RACG, Coxeter and
+# graph-product proofs have slender or abelian leaves whose data nests a
+# certificate with a list of factor dicts; the RAAG and Artin proofs are
+# single leaves, so their root is the memo entry itself.
+ISOLATION_GRAPHS = {
+    "racg": cycle_racg(6),
+    "raag": raag(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d")]),
+    "artin": artin_graph(list("abcd"), [("a", "b", 3), ("b", "c", 2), ("c", "d", 2), ("b", "d", 2)]),
+    "coxeter": coxeter_graph(list("abcdef"), [(u, v, 3) for u, v in cycle_edges(list("abcdef"))]),
+    "graph_product": graph_product_graph(
+        [(v, cyclic(3)) for v in "abcde"], cycle_edges(list("abcde"))[:4] + [("c", "e")]
+    ),
+}
+
+
+def _vandalize(obj) -> int:
+    """Clear every dict and list inside ``obj``, innermost first, leave
+    a marker in each, and return how many there were."""
+    if isinstance(obj, dict):
+        hit = 1 + sum(_vandalize(x) for x in obj.values())
+        obj.clear()
+        obj["vandal"] = True
+        return hit
+    if isinstance(obj, list):
+        hit = 1 + sum(_vandalize(x) for x in obj)
+        obj[:] = ["vandal"]
+        return hit
+    return 0
+
+
+def _proof_data(node: ProofNode):
+    yield node.data
+    for child in node.children:
+        yield from _proof_data(child)
+
+
+@pytest.mark.parametrize("flavor", sorted(ISOLATION_GRAPHS))
+def test_returned_evidence_shares_no_dict_with_the_memo(flavor):
+    """Mutating every dict and list of a returned verdict's proof data,
+    and of a census record's JSON, changes nothing the classifier
+    returns later: its memo shares no dict with what it hands out."""
+    G = ISOLATION_GRAPHS[flavor]
+    H = G.permuted(G.vertices[::-1]).relabeled({v: "x" + v for v in G.vertices})
+    CG, key = _canonical(G)
+
+    def outputs(clf):
+        return (
+            json.dumps(verdict_to_jsonable(clf.classify(G))),
+            json.dumps(verdict_to_jsonable(clf.classify(H))),
+            json.dumps(clf.classify_canonical_jsonable(CG, key)),
+        )
+
+    clf = Classifier()
+    data = list(_proof_data(clf.classify(G).proof))
+    certified = any("certificate" in d for d in data)
+    assert certified == (flavor not in ("raag", "artin"))
+    assert sum(_vandalize(d) for d in data) >= len(data)
+    assert outputs(clf) == outputs(Classifier())
+    assert _vandalize(clf.classify_canonical_jsonable(CG, key)) > 0
+    assert outputs(clf) == outputs(Classifier())
+
+
 def _nodes(node: ProofNode) -> int:
     return 1 + sum(_nodes(child) for child in node.children)
 
 
+def _count_walks(monkeypatch, kind) -> list:
+    """Every object of type ``kind`` that ``coherence_engine.to_jsonable``
+    is called on from now on, the walker's recursive calls included."""
+    visits = []
+    walk = coherence_engine.to_jsonable
+
+    def counting(obj, mapping=None):
+        if type(obj) is kind:
+            visits.append(obj)
+        return walk(obj, mapping)
+
+    monkeypatch.setattr(coherence_engine, "to_jsonable", counting)
+    return visits
+
+
 def test_each_output_node_is_renamed_once(monkeypatch):
     """One ``classify`` of the 12-cycle renames each node of its proof
-    once: ``remap`` visits as many proof nodes as the proof has.  (A
-    classifier that renames at every level visits a node at depth d
+    once: ``to_jsonable`` visits as many proof nodes as the proof has.
+    (A classifier that renames at every level visits a node at depth d
     d + 1 times.)"""
-    visits = []
-    remap = coherence_engine.remap
-
-    def counting(obj, mapping):
-        if type(obj) is ProofNode:
-            visits.append(obj)
-        return remap(obj, mapping)
-
-    monkeypatch.setattr(coherence_engine, "remap", counting)
+    visits = _count_walks(monkeypatch, ProofNode)
     v = Classifier().classify(cycle_racg(12))
     assert v.proof.rule == "amalgam"
     assert _nodes(v.proof) > 12
@@ -183,14 +265,6 @@ def test_each_output_node_is_renamed_once(monkeypatch):
 
 
 def test_each_output_note_is_renamed_once(monkeypatch):
-    visits = []
-    remap = coherence_engine.remap
-
-    def counting(obj, mapping):
-        if type(obj) is UnknownNote:
-            visits.append(obj)
-        return remap(obj, mapping)
-
-    monkeypatch.setattr(coherence_engine, "remap", counting)
+    visits = _count_walks(monkeypatch, UnknownNote)
     v = Classifier().classify(UNKNOWN_COMPONENT)
     assert len(visits) == len(v.notes) > 1
