@@ -4,13 +4,15 @@ Subcommands: classify, census, decompose, present, finiteness.  Exit
 codes: 0 when a result was computed (an Unknown verdict is a result),
 1 for input or usage errors, 2 when an internal self-check failed.
 Output on stdout is byte-identical across runs for the same input;
-timing goes to stderr.
+timing goes to stderr.  The argument parser is built once per process;
+each ``main`` call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -270,7 +272,13 @@ def _cmd_finiteness(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built on the first call and shared
+    after: argparse sizes help text for the terminal on every
+    ``add_argument``, which costs about a millisecond per build.
+    Parsing leaves no state on it, since every ``parse_args`` call
+    fills a new namespace from the defaults."""
     parser = _Parser(
         prog="graphcoherence",
         description=(

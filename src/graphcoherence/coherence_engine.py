@@ -42,7 +42,7 @@ import dataclasses
 import itertools
 import typing
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .decomposition import (
     Split,
@@ -315,28 +315,77 @@ def wise_gordon_check(G: LabeledGraph) -> Optional[WiseGordonViolation]:
 
 def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[WiseGordonViolation]:
     """``wise_gordon_check(G)`` given ``ch = is_chordal(G)``, scanning
-    vertex positions and stopping a combination at its first non-edge."""
+    on the adjacency bitsets.
+
+    Cliques come from ``_cliques``, in the lexicographic order of their
+    vertex positions: the order of ``itertools.combinations`` with the
+    non-cliques skipped, so the first clique with two labels above 2 is
+    the first such combination.  Labels are read on cliques only.  Over
+    a heavy edge {a, b} the square's c and d lie in the label-2 common
+    neighbourhood S = ``two[a] & two[b]``, which never holds a or b;
+    the first pair in ``itertools.combinations`` order is the least c
+    in S with a non-neighbour above it in S, and the least such d.
+    """
     if not ch:
         return WiseGordonViolation(violation="long_cycle", vertices=ch.cycle)
-    adj = G._adj
+    labels = G._adj
+    adj = G.adjacency_masks
     ids = G.vertices
     for size in (3, 4):
-        for combo in itertools.combinations(range(G.n), size):
-            pairs = list(itertools.combinations(combo, 2))
-            if all(b in adj[a] for a, b in pairs) and sum(adj[a][b] > 2 for a, b in pairs) >= 2:
+        for clique in _cliques(adj, size):
+            if sum(labels[a][b] > 2 for a, b in itertools.combinations(clique, 2)) >= 2:
                 return WiseGordonViolation(
-                    violation="clique_big_labels", vertices=tuple(ids[i] for i in combo)
+                    violation="clique_big_labels", vertices=tuple(ids[i] for i in clique)
                 )
+    two = _label_two_masks(G)
     for a, b, m in G.edges:
         if m <= 2:
             continue
-        others = [v for v in range(G.n) if v not in (a, b)]
-        for c, d in itertools.combinations(others, 2):
-            if d not in adj[c] and all(adj[x].get(y) == 2 for x in (c, d) for y in (a, b)):
+        square = rest = two[a] & two[b]
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            far = (square & ~adj[c]) >> (c + 1)
+            if far:
+                d = c + (far & -far).bit_length()
                 return WiseGordonViolation(
                     violation="forbidden_square", vertices=(ids[a], ids[b], ids[c], ids[d])
                 )
+            rest ^= low
     return None
+
+
+def _cliques(adj: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """The ``size``-cliques of the graph with adjacency bitsets ``adj``,
+    as increasing position tuples in lexicographic order: each next
+    vertex is a bit, lowest first, of the clique's common neighbourhood
+    above its last vertex."""
+
+    def grow(clique: tuple[int, ...], common: int) -> Iterator[tuple[int, ...]]:
+        if len(clique) == size:
+            yield clique
+            return
+        last = clique[-1]
+        rest = common >> (last + 1)
+        while rest:
+            low = rest & -rest
+            v = last + low.bit_length()
+            yield from grow(clique + (v,), common & adj[v])
+            rest ^= low
+
+    for a in range(len(adj)):
+        yield from grow((a,), adj[a])
+
+
+def _label_two_masks(G: LabeledGraph) -> list[int]:
+    """Label-2 neighbour bitsets: bit j of entry i is set iff vertices
+    i and j (by position) are joined by a label-2 edge."""
+    two = [0] * G.n
+    for i, j, m in G.edges:
+        if m == 2:
+            two[i] |= 1 << j
+            two[j] |= 1 << i
+    return two
 
 
 def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
@@ -354,11 +403,7 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     two bits is skipped outright.
     """
     certs = list(f2_certificates(G))
-    two = [0] * G.n
-    for i, j, m in G.edges:
-        if m == 2:
-            two[i] |= 1 << j
-            two[j] |= 1 << i
+    two = _label_two_masks(G)
     masks = []
     joined = []
     for cert in certs:

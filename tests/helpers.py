@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the package internals:
 brute-force chordality, brute-force isomorphism, brute-force F2
-evidence, concrete permutation models for reflection group orders, and
-random graph generators.
+evidence, the Wise-Gordon scan tuple by tuple, concrete permutation
+models for reflection group orders, and random graph generators.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from graphcoherence import (
     raag,
     racg,
 )
-from graphcoherence.coherence_engine import JoinEmbedding
-from graphcoherence.labeled_graph import canonical_relabel, mask_components
+from graphcoherence.coherence_engine import JoinEmbedding, WiseGordonViolation
+from graphcoherence.labeled_graph import canonical_relabel, is_chordal, mask_components
 
 # ---------------------------------------------------------------------------
 # brute-force automorphism count over all vertex permutations.
@@ -203,6 +203,39 @@ def brute_force_join_witness(G: LabeledGraph) -> JoinEmbedding | None:
             return JoinEmbedding(
                 side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
             )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the Wise-Gordon scan over position tuples: every 3- and 4-combination in
+# itertools.combinations order, tested for being a clique with two labels
+# above 2, then every pair of other vertices over each heavy edge (the
+# package's scan before it ran on bitsets).  The long cycle is
+# is_chordal's, which has its own oracle.
+
+
+def brute_force_wise_gordon(G: LabeledGraph) -> WiseGordonViolation | None:
+    ch = is_chordal(G)
+    if not ch:
+        return WiseGordonViolation(violation="long_cycle", vertices=ch.cycle)
+    adj = G._adj
+    ids = G.vertices
+    for size in (3, 4):
+        for combo in itertools.combinations(range(G.n), size):
+            pairs = list(itertools.combinations(combo, 2))
+            if all(b in adj[a] for a, b in pairs) and sum(adj[a][b] > 2 for a, b in pairs) >= 2:
+                return WiseGordonViolation(
+                    violation="clique_big_labels", vertices=tuple(ids[i] for i in combo)
+                )
+    for a, b, m in G.edges:
+        if m <= 2:
+            continue
+        others = [v for v in range(G.n) if v not in (a, b)]
+        for c, d in itertools.combinations(others, 2):
+            if d not in adj[c] and all(adj[x].get(y) == 2 for x in (c, d) for y in (a, b)):
+                return WiseGordonViolation(
+                    violation="forbidden_square", vertices=(ids[a], ids[b], ids[c], ids[d])
+                )
     return None
 
 

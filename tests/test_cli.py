@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import fcntl
 import io
@@ -751,3 +752,74 @@ def test_commands_run_with_numpy_blocked(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == expected
+
+
+# -- one parser per process ------------------------------------------------------
+
+ARTIN_PATH = "graph { flavor=artin; a -- b [label=3]; b -- c [label=2]; c -- d [label=3]; }\n"
+
+
+def _script_stdout(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphcoherence.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, so no call may
+    leave state on it that a later call sees."""
+
+    def test_disabled_rule_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "artin.dot"
+        path.write_text(ARTIN_PATH)
+        assert main(["classify", "--disable", "wise_gordon", str(path)]) == 0
+        disabled = capsys.readouterr().out
+        assert main(["classify", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert plain != disabled
+        assert plain == _script_stdout(["classify", str(path)])
+
+    def test_calls_after_a_usage_error_and_after_help(self, tmp_path, capsys):
+        path = tmp_path / "artin.dot"
+        path.write_text(ARTIN_PATH)
+        expected = _script_stdout(["classify", "--format", "json", str(path)])
+        argv = ["classify", "--disable", "wise_gordon", "--format", "xml", str(path)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert main(["classify", "--format", "json", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "--disable", "wise_gordon", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: graphcoherence classify")
+        assert main(["classify", "--format", "json", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "artin.dot"
+        path.write_text(ARTIN_PATH)
+        assert main(["present", str(path)]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (
+            ["classify", str(path)],
+            ["classify", "--disable", "wise_gordon", str(path)],
+            ["finiteness", str(path)],
+            ["decompose", "--format", "json", str(path)],
+            ["present", str(path)],
+            ["census", "--max-vertices", "2"],
+        ):
+            assert main(argv) == 0
+        assert built == []
