@@ -266,7 +266,7 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
         if line.strip():
             try:
                 rec = json.loads(line)
-            except ValueError as e:
+            except (RecursionError, ValueError) as e:
                 if line_no < len(lines):
                     raise ValueError(f"corrupt census record at {path}:{line_no}: {e}") from None
                 print(
@@ -286,7 +286,7 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
             else:
                 try:
                     records[_checked_key(rec)] = rec
-                except (AttributeError, KeyError, TypeError, ValueError) as e:
+                except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as e:
                     raise ValueError(
                         f"corrupt census record at {path}:{line_no}: {type(e).__name__}: {e}"
                     ) from None

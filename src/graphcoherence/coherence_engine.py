@@ -70,6 +70,8 @@ from .labeled_graph import (
     detect_flavor,
     is_chordal,
     is_induced_chordless_cycle,
+    label_two_masks,
+    mask_positions,
     positional_key,
     shape_classify,
     verify_peo,
@@ -314,8 +316,8 @@ def wise_gordon_check(G: LabeledGraph) -> Optional[WiseGordonViolation]:
 
 
 def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[WiseGordonViolation]:
-    """``wise_gordon_check(G)`` given ``ch = is_chordal(G)``, scanning
-    on the adjacency bitsets.
+    """``wise_gordon_check(G)`` given G's chordality ``ch`` (a chordal
+    G gets only the clique and square scan), on the adjacency bitsets.
 
     Cliques come from ``_cliques``, in the lexicographic order of their
     vertex positions: the order of ``itertools.combinations`` with the
@@ -337,21 +339,18 @@ def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[Wi
                 return WiseGordonViolation(
                     violation="clique_big_labels", vertices=tuple(ids[i] for i in clique)
                 )
-    two = _label_two_masks(G)
+    two = label_two_masks(G)
     for a, b, m in G.edges:
         if m <= 2:
             continue
-        square = rest = two[a] & two[b]
-        while rest:
-            low = rest & -rest
-            c = low.bit_length() - 1
+        square = two[a] & two[b]
+        for c in mask_positions(square):
             far = (square & ~adj[c]) >> (c + 1)
             if far:
                 d = c + (far & -far).bit_length()
                 return WiseGordonViolation(
                     violation="forbidden_square", vertices=(ids[a], ids[b], ids[c], ids[d])
                 )
-            rest ^= low
     return None
 
 
@@ -365,27 +364,12 @@ def _cliques(adj: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
         if len(clique) == size:
             yield clique
             return
-        last = clique[-1]
-        rest = common >> (last + 1)
-        while rest:
-            low = rest & -rest
-            v = last + low.bit_length()
+        above = clique[-1] + 1
+        for v in mask_positions(common >> above << above):
             yield from grow(clique + (v,), common & adj[v])
-            rest ^= low
 
     for a in range(len(adj)):
         yield from grow((a,), adj[a])
-
-
-def _label_two_masks(G: LabeledGraph) -> list[int]:
-    """Label-2 neighbour bitsets: bit j of entry i is set iff vertices
-    i and j (by position) are joined by a label-2 edge."""
-    two = [0] * G.n
-    for i, j, m in G.edges:
-        if m == 2:
-            two[i] |= 1 << j
-            two[j] |= 1 << i
-    return two
 
 
 def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
@@ -403,7 +387,7 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     two bits is skipped outright.
     """
     certs = list(f2_certificates(G))
-    two = _label_two_masks(G)
+    two = label_two_masks(G)
     masks = []
     joined = []
     for cert in certs:
@@ -855,24 +839,28 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     return _OK
 
 
-def _check_peo(sub, node, path) -> Optional[VerificationOutcome]:
-    """A failure if the node stores an elimination ordering that is not
-    a perfect elimination ordering of ``sub``, else None."""
+def _stored_chordality(sub, node) -> Optional[ChordalityResult]:
+    """``sub``'s chordality by the node's stored elimination ordering,
+    which proves it once it verifies (Fulkerson & Gross 1965), or by
+    ``is_chordal`` if none is stored; None if it does not verify."""
+    peo = node.data.get("peo")
+    if peo is None:
+        return is_chordal(sub)
     try:
-        peo = node.data.get("peo")
-        ok = peo is None or verify_peo(sub, peo)
+        if verify_peo(sub, peo):
+            return ChordalityResult(chordal=True, peo=tuple(peo))
     except TypeError:
-        ok = False
-    return None if ok else _fail(path, "stored elimination ordering does not verify")
+        pass
+    return None
 
 
 def _verify_droms_chordal(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not flavor.raag:
         return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
-    failure = _check_peo(sub, node, path)
-    if failure is not None:
-        return failure
-    if not is_chordal(sub):
+    ch = _stored_chordality(sub, node)
+    if ch is None:
+        return _fail(path, "stored elimination ordering does not verify")
+    if not ch:
         return _fail(path, "droms_chordal leaf on a non-chordal graph")
     return _OK
 
@@ -880,10 +868,10 @@ def _verify_droms_chordal(sub, node, flavor, clf, path) -> VerificationOutcome:
 def _verify_wise_gordon(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not flavor.artin:
         return _fail(path, "wise_gordon leaf requires an all-Z graph")
-    failure = _check_peo(sub, node, path)
-    if failure is not None:
-        return failure
-    if wise_gordon_check(sub) is not None:
+    ch = _stored_chordality(sub, node)
+    if ch is None:
+        return _fail(path, "stored elimination ordering does not verify")
+    if _wise_gordon_violation(sub, ch) is not None:
         return _fail(path, "decisive conditions fail on this subgraph")
     return _OK
 

@@ -39,6 +39,7 @@ from .labeled_graph import (
     canonical_key,
     detect_flavor,
     join_factors,
+    mask_positions,
 )
 
 # Pivots within EIG_TOL of 0 count as zero in :func:`_diagram_kind`.
@@ -443,14 +444,11 @@ def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
         for j in range(i + 1, n):
             if adj[i] >> j & 1:
                 continue
-            rest = (full & ~(adj[i] | adj[j])) >> (j + 1)
-            while rest:
-                low = rest & -rest
-                k = j + low.bit_length()
+            above = j + 1
+            for k in mask_positions((full & ~(adj[i] | adj[j])) >> above << above):
                 yield F2Certificate(
                     kind="independent_triple", vertices=(vs[i], vs[j], vs[k])
                 )
-                rest ^= low
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:

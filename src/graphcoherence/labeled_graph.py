@@ -4,19 +4,21 @@ A graph here carries a finitely generated abelian group on every vertex
 and an integer label >= 2 on every edge.  This module owns the data
 model, the two input formats (a JSON document and a small DOT subset),
 chordality testing with self-verifying evidence (one LexBFS pass on
-vertex positions gives the elimination ordering or the cycle; the
+the adjacency bitsets gives the elimination ordering or the cycle; the
 verifiers read vertex ids), coarse shape classification, join-factor
 decomposition, and a canonical form that is invariant under
 label-preserving isomorphism, with the one key codec: the key writer
 :func:`positional_key` and its reader :func:`graph_from_key`.
 
 It is also the one graph core.  Vertex sets can be int bitmasks over
-vertex positions (:func:`vertex_mask`, :func:`mask_vertices`); every
-graph carries its adjacency bitsets (``LabeledGraph.adjacency_masks``,
-built on first use), and :func:`mask_components` is the one components
-walk, used for graph components, join factors and the separator search
-alike.  The components of a Coxeter group's standard diagram are the
-join factors of its all-Z2 graph.
+vertex positions (:func:`vertex_mask`, :func:`mask_vertices`, and
+:func:`mask_positions` to step through one); every graph carries its
+adjacency bitsets (``LabeledGraph.adjacency_masks``, built on first
+use), :func:`label_two_masks` builds those of its label-2 edges, and
+:func:`mask_components` is the one components walk, used for graph
+components, join factors and the separator search alike.  The
+components of a Coxeter group's standard diagram are the join factors
+of its all-Z2 graph.
 """
 
 from __future__ import annotations
@@ -787,30 +789,20 @@ class ChordalityResult:
 
 
 def _lex_bfs_order(G: LabeledGraph) -> list[int]:
-    """Lexicographic BFS visit order over vertex indices.
+    """Lexicographic BFS visit order over vertex positions.
 
-    Implemented by partition refinement: repeatedly take the first
-    vertex of the first bucket, then split every bucket into the
-    visited vertex's neighbors (kept in front) and the rest.
+    Partition refinement on the adjacency bitsets: the next vertex is
+    the lowest bit of the first part, and every part splits into its
+    neighbours (kept in front) and the rest.
     """
-    buckets: list[list[int]] = [list(range(G.n))]
+    adj = G.adjacency_masks
+    parts = [(1 << G.n) - 1]
     order: list[int] = []
-    while buckets:
-        bucket = buckets[0]
-        v = bucket.pop(0)
-        if not bucket:
-            buckets.pop(0)
+    while parts:
+        v = (parts[0] & -parts[0]).bit_length() - 1
         order.append(v)
-        nbrs = set(G._adj[v])
-        refined: list[list[int]] = []
-        for b in buckets:
-            inside = [x for x in b if x in nbrs]
-            outside = [x for x in b if x not in nbrs]
-            if inside:
-                refined.append(inside)
-            if outside:
-                refined.append(outside)
-        buckets = refined
+        parts[0] ^= 1 << v
+        parts = [half for part in parts for half in (part & adj[v], part & ~adj[v]) if half]
     return order
 
 
@@ -855,13 +847,13 @@ def _cycle_through(G: LabeledGraph, v: int, p: int, w: int) -> Optional[tuple[st
     and w nonadjacent neighbours of v; None if no p--w path avoids
     N[v] - {p, w}.
 
-    A shortest such path (neighbours taken in ascending position) has no
+    A shortest such path (neighbours taken lowest bit first) has no
     chords, and the avoidance rules out chords through v.  The cycle is
     returned in ids from its smallest position, toward the smaller of
     that vertex's two cycle neighbours.
     """
-    adj = G._adj
-    banned = (set(adj[v]) | {v}) - {p, w}
+    adj = G.adjacency_masks
+    reached = (adj[v] | 1 << v) & ~(1 << w) | 1 << p
     prev: dict[int, Optional[int]] = {p: None}
     queue = deque([p])
     while queue:
@@ -876,9 +868,9 @@ def _cycle_through(G: LabeledGraph, v: int, p: int, w: int) -> Optional[tuple[st
             if cycle[-1] < cycle[1]:
                 cycle[1:] = cycle[:0:-1]
             return tuple(G.vertices[i] for i in cycle)
-        for y in sorted(adj[x]):
-            if y in banned or y in prev:
-                continue
+        fresh = adj[x] & ~reached
+        reached |= fresh
+        for y in mask_positions(fresh):
             prev[y] = x
             queue.append(y)
     return None
@@ -891,8 +883,9 @@ def is_chordal(G: LabeledGraph) -> ChordalityResult:
     Uses lexicographic BFS (Rose, Tarjan & Lueker 1976): the reverse
     visit order is a perfect elimination ordering iff G is chordal.
     Vertex v passes if each neighbour w visited before it is adjacent to
-    p, the last of them (Tarjan & Yannakakis 1984).  At the first w that
-    is not, ``_cycle_through(v, p, w)`` finds a cycle, by the lemma below
+    p, the last of them (Tarjan & Yannakakis 1984): the bitset
+    ``earlier & ~adj[p]`` less p is empty.  At the last-visited w in it,
+    ``_cycle_through(v, p, w)`` finds a cycle, by the lemma below
     with a = w, b = p and c = v.
 
     Lemma: in a LexBFS order let a < b < c, with ac an edge and ab not.
@@ -905,22 +898,26 @@ def is_chordal(G: LabeledGraph) -> ChordalityResult:
     before d and outside N(b), hence outside N(c); extend it by db.
 
     ``_lex_bfs_order`` keeps its parts ordered as the labels are, so the
-    lemma holds for its order.  The test runs on vertex positions, while
+    lemma holds for its order.  The test runs on the adjacency bitsets, while
     ``verify_peo`` and ``is_induced_chordless_cycle`` check the evidence
     through ids.
     """
     visit = _lex_bfs_order(G)
-    rank = {i: r for r, i in enumerate(visit)}
-    adj = G._adj
+    rank = {i: r for r, i in enumerate(visit)}.__getitem__
+    adj = G.adjacency_masks
+    before = (1 << G.n) - 1
     for v in reversed(visit):
-        earlier = sorted((u for u in adj[v] if rank[u] < rank[v]), key=rank.__getitem__)
-        for w in reversed(earlier[:-1]):
-            p = earlier[-1]
-            if w not in adj[p]:
-                cycle = _cycle_through(G, v, p, w)
-                if cycle is None:
-                    raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
-                return ChordalityResult(chordal=False, cycle=cycle)
+        before ^= 1 << v
+        earlier = adj[v] & before
+        if not earlier:
+            continue
+        p = max(mask_positions(earlier), key=rank)
+        missing = earlier & ~adj[p] & ~(1 << p)
+        if missing:
+            cycle = _cycle_through(G, v, p, max(mask_positions(missing), key=rank))
+            if cycle is None:
+                raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
+            return ChordalityResult(chordal=False, cycle=cycle)
     return ChordalityResult(chordal=True, peo=tuple(G.vertices[i] for i in reversed(visit)))
 
 
@@ -980,12 +977,19 @@ def join_factors(G: LabeledGraph) -> tuple[tuple[str, ...], ...]:
     order, ordered by smallest vertex position.
     """
     full = (1 << G.n) - 1
-    noncomm = [full & ~(1 << i) for i in range(G.n)]
+    noncomm = [full & ~(two | 1 << i) for i, two in enumerate(label_two_masks(G))]
+    return tuple(mask_vertices(G, c) for c in mask_components(noncomm, full))
+
+
+def label_two_masks(G: LabeledGraph) -> list[int]:
+    """Label-2 neighbour bitsets: bit j of entry i is set iff vertices
+    i and j (by position) are joined by a label-2 edge."""
+    two = [0] * G.n
     for i, j, m in G.edges:
         if m == 2:
-            noncomm[i] &= ~(1 << j)
-            noncomm[j] &= ~(1 << i)
-    return tuple(mask_vertices(G, c) for c in mask_components(noncomm, full))
+            two[i] |= 1 << j
+            two[j] |= 1 << i
+    return two
 
 
 # -- vertex bitmasks ------------------------------------------------------------
@@ -1002,6 +1006,14 @@ def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
 def mask_vertices(G: LabeledGraph, mask: int) -> tuple[str, ...]:
     """The vertices of a bitmask, in ambient order."""
     return tuple(v for i, v in enumerate(G.vertices) if mask >> i & 1)
+
+
+def mask_positions(mask: int) -> Iterator[int]:
+    """The positions of a bitmask's members, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_components(adj: Sequence[int], avail: int) -> tuple[int, ...]:

@@ -1,15 +1,18 @@
 """Shared oracles and graph builders for the test suite.
 
 Everything here is deliberately independent of the package internals:
-brute-force chordality, brute-force isomorphism, brute-force F2
-evidence, the Wise-Gordon scan tuple by tuple, concrete permutation
-models for reflection group orders, and random graph generators.
+brute-force chordality, the LexBFS chordality test on lists and dicts,
+brute-force isomorphism, brute-force F2 evidence, the Wise-Gordon scan
+tuple by tuple, concrete permutation models for reflection group
+orders, and random graph generators.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Optional
 
 from graphcoherence import (
     AbelianGroupLabel,
@@ -29,7 +32,13 @@ from graphcoherence import (
     racg,
 )
 from graphcoherence.coherence_engine import JoinEmbedding, WiseGordonViolation
-from graphcoherence.labeled_graph import canonical_relabel, is_chordal, mask_components
+from graphcoherence.labeled_graph import (
+    ChordalityResult,
+    InternalInvariantError,
+    canonical_relabel,
+    is_chordal,
+    mask_components,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force automorphism count over all vertex permutations.
@@ -146,6 +155,75 @@ def brute_force_chordless_cycle(G: LabeledGraph) -> tuple[str, ...] | None:
 
 def brute_force_is_chordal(G: LabeledGraph) -> bool:
     return brute_force_chordless_cycle(G) is None
+
+
+# ---------------------------------------------------------------------------
+# chordality on lists and dicts: the package's LexBFS, elimination test and
+# cycle search before they ran on the adjacency bitsets, kept as the oracle
+# for the evidence ``is_chordal`` returns, which must be the same.
+
+
+def reference_lex_bfs_order(G: LabeledGraph) -> list[int]:
+    buckets: list[list[int]] = [list(range(G.n))]
+    order: list[int] = []
+    while buckets:
+        bucket = buckets[0]
+        v = bucket.pop(0)
+        if not bucket:
+            buckets.pop(0)
+        order.append(v)
+        nbrs = set(G._adj[v])
+        refined: list[list[int]] = []
+        for b in buckets:
+            inside = [x for x in b if x in nbrs]
+            outside = [x for x in b if x not in nbrs]
+            if inside:
+                refined.append(inside)
+            if outside:
+                refined.append(outside)
+        buckets = refined
+    return order
+
+
+def reference_cycle_through(G: LabeledGraph, v: int, p: int, w: int) -> Optional[tuple[str, ...]]:
+    adj = G._adj
+    banned = (set(adj[v]) | {v}) - {p, w}
+    prev: dict[int, Optional[int]] = {p: None}
+    queue = deque([p])
+    while queue:
+        x = queue.popleft()
+        if x == w:
+            cycle = [v]
+            while x is not None:
+                cycle.append(x)
+                x = prev[x]
+            start = cycle.index(min(cycle))
+            cycle = cycle[start:] + cycle[:start]
+            if cycle[-1] < cycle[1]:
+                cycle[1:] = cycle[:0:-1]
+            return tuple(G.vertices[i] for i in cycle)
+        for y in sorted(adj[x]):
+            if y in banned or y in prev:
+                continue
+            prev[y] = x
+            queue.append(y)
+    return None
+
+
+def reference_is_chordal(G: LabeledGraph) -> ChordalityResult:
+    visit = reference_lex_bfs_order(G)
+    rank = {i: r for r, i in enumerate(visit)}
+    adj = G._adj
+    for v in reversed(visit):
+        earlier = sorted((u for u in adj[v] if rank[u] < rank[v]), key=rank.__getitem__)
+        for w in reversed(earlier[:-1]):
+            p = earlier[-1]
+            if w not in adj[p]:
+                cycle = reference_cycle_through(G, v, p, w)
+                if cycle is None:
+                    raise InternalInvariantError("non-chordal graph must contain a chordless cycle")
+                return ChordalityResult(chordal=False, cycle=cycle)
+    return ChordalityResult(chordal=True, peo=tuple(G.vertices[i] for i in reversed(visit)))
 
 
 # ---------------------------------------------------------------------------

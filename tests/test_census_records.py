@@ -1,7 +1,7 @@
 """A record file whose stored verdicts have fields of the wrong shape is
 refused cleanly on resume: exit 1 for a record that does not parse as a
-verdict, exit 2 for evidence that parses but does not verify, and never
-a traceback."""
+verdict, nested too deep to parse included, exit 2 for evidence that
+parses but does not verify, and never a traceback."""
 
 from __future__ import annotations
 
@@ -142,3 +142,34 @@ def test_a_verdict_of_an_unknown_status_is_a_corrupt_record(tmp_path):
     assert (status, err) == (
         1, f"error: corrupt census record at {where}: ValueError: unknown status 'MAYBE'\n"
     )
+
+
+def resume_with_second_line(tmp_path, lines: list[str], text: str) -> tuple[int, str, str]:
+    """Resume the raag sweep from ``lines`` with ``text`` as line 2: the
+    exit code, stderr, and the record file's path."""
+    out = str(tmp_path / "census.jsonl")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:1] + [text] + lines[1:])
+    status, err = run(census_argv("raag", out))
+    return status, err, out
+
+
+def test_a_key_nested_too_deep_to_parse_is_a_corrupt_record(tmp_path, record_files):
+    deep = '{"key": ' + "[" * 200_000 + "]" * 200_000 + "}\n"
+    status, err, out = resume_with_second_line(tmp_path, record_files["raag"], deep)
+    assert status == 1
+    assert err.startswith(f"error: corrupt census record at {out}:2: "), err
+
+
+def test_a_witness_nested_too_deep_to_read_is_a_corrupt_record(tmp_path, record_files):
+    lines = record_files["raag"]
+    line = next(k for k, text in enumerate(lines) if k and '"status": "INCOHERENT"' in text)
+    rec = json.loads(lines[line])
+    for _ in range(700):
+        rec["verdict"]["witness"] = {
+            "kind": "incoherent_factor", "vertices": [], "inner": rec["verdict"]["witness"]
+        }
+    rest = lines[:line] + lines[line + 1:]
+    status, err, out = resume_with_second_line(tmp_path, rest, json.dumps(rec) + "\n")
+    assert status == 1
+    assert err.startswith(f"error: corrupt census record at {out}:2: RecursionError: "), err

@@ -22,6 +22,7 @@ from graphcoherence import (
     cyclic,
     cycle_edges,
     graph_product_graph,
+    is_chordal,
     raag,
     racg,
     verify_proof,
@@ -29,6 +30,7 @@ from graphcoherence import (
     wise_gordon_check,
     witness_join_incoherence,
 )
+from graphcoherence import coherence_engine
 from graphcoherence.coherence_engine import (
     COHERENT,
     INCOHERENT,
@@ -536,6 +538,14 @@ class TestProofVerification:
         assert v.proof.rule in ("free_product", "mccammond_wise")
 
 
+def chordal_leaf_graph(rule: str, cycle: bool = False) -> LabeledGraph:
+    """The Artin path a-b-c-d that ``rule`` proves coherent: all labels 2
+    for droms_chordal, a heavy edge ab for wise_gordon.  With ``cycle``
+    the edge da closes it into a 4-cycle, which is not chordal."""
+    edges = [("a", "b", 3 if rule == "wise_gordon" else 2), ("b", "c", 2), ("c", "d", 2)]
+    return gc.artin_graph(list("abcd"), edges + [("d", "a", 2)] * cycle)
+
+
 class TestStoredEvidence:
     """verify_proof checks every evidence field a prover stores, not
     only the facts the rule itself rests on."""
@@ -545,13 +555,40 @@ class TestStoredEvidence:
         assert not out
         assert out.reason == reason
 
-    def test_wise_gordon_peo_must_verify(self):
-        G = gc.artin_graph(list("abcd"), [("a", "b", 3), ("b", "c", 2), ("c", "d", 2)])
+    @pytest.mark.parametrize("rule", ["droms_chordal", "wise_gordon"])
+    def test_stored_peo_must_verify(self, rule):
+        G = chordal_leaf_graph(rule)
         proof = classify(G).proof
-        assert proof.rule == "wise_gordon" and verify_proof(G, proof)
+        assert proof.rule == rule and verify_proof(G, proof)
         for peo in (["a", "a", "a", "a"], ["a", "b", "c", 1], 7):
             bad = dataclasses.replace(proof, data={"peo": peo})
             self.assert_rejected(G, bad, "stored elimination ordering does not verify")
+
+    @pytest.mark.parametrize("rule", ["droms_chordal", "wise_gordon"])
+    def test_a_stored_peo_spares_the_chordality_test(self, rule, monkeypatch):
+        """A stored perfect elimination ordering proves the leaf chordal,
+        so only a leaf without one runs ``is_chordal``."""
+        calls = []
+
+        def counted(G):
+            calls.append(G)
+            return is_chordal(G)
+
+        monkeypatch.setattr(coherence_engine, "is_chordal", counted)
+        G = chordal_leaf_graph(rule)
+        proof = classify(G).proof
+        assert proof.rule == rule
+        calls.clear()
+        assert verify_proof(G, proof) and calls == []
+        bare = dataclasses.replace(proof, data={})
+        assert verify_proof(G, bare) and len(calls) == 1
+        reason = {
+            "droms_chordal": "droms_chordal leaf on a non-chordal graph",
+            "wise_gordon": "decisive conditions fail on this subgraph",
+        }[rule]
+        C = chordal_leaf_graph(rule, cycle=True)
+        self.assert_rejected(C, dataclasses.replace(bare, key=Classifier().node_key(C)[0]), reason)
+        assert len(calls) == 2
 
     def test_free_product_components_must_match_the_factors(self):
         G = graph_product_graph([(x, cyclic(3)) for x in "ab"], [])
