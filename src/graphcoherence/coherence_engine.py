@@ -63,6 +63,7 @@ from .group_model import (
 from .labeled_graph import (
     ChordalityResult,
     DEFAULT_VERTEX_CAP,
+    GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
     canonical_form,
@@ -444,6 +445,22 @@ class Classifier:
     a key check against the memo is as strong as one that recomputes
     the key.  Both memos live as long as the classifier and hold no
     graph and no vertex id.
+
+    Classifying a canonical representative CG with key ``key`` also
+    enters CG's structure in that memo, with the identity order.
+    Lemma: the canonical order of CG is the identity.  CG is some G in
+    G's canonical order ``best``, and colour refinement reads only
+    structure, so CG's identity order has the rows of G's order
+    ``best``, the least row sequence of any order of G.  Every order of
+    CG is an order of G composed with ``best`` and has that order's
+    rows, so the identity attains CG's least rows too; and it is the
+    lexicographically smallest index tuple of all.  The entry is made
+    only when ``positional_key`` of CG is ``key``: CG then has the
+    structure that ``key`` names, so the entry is exact for any
+    canonical key, and a key written for another structure never enters
+    the memo.  A proof node lists its part's ids in the part's canonical
+    order, so the verifier, which induces each node in listed order,
+    checks its key by a memo hit.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -514,11 +531,15 @@ class Classifier:
 
     def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
         """The memo entry of ``CG`` as in :meth:`classify_canonical_jsonable`,
-        computed on a miss; its evidence may hold references."""
+        computed on a miss, which also enters CG's canonical form (see
+        :class:`Classifier`); its evidence may hold references."""
         cached = self._cache.get(key)
         if cached is None:
             cached = self._apply_rules(CG, key, big=False)
             self._cache[key] = cached
+            structure = (CG.groups, CG.edges)
+            if positional_key(*structure) == key:
+                self._forms[structure] = key, tuple(range(CG.n))
         return cached
 
     # G is a canonical representative (ids "0", "1", ...) whose canonical
@@ -609,7 +630,12 @@ def verify_proof(
     through a fresh classifier with cap ``cap``.  A memo hit is exactly
     what ``canonical_form`` returns for that subgraph (see
     :class:`Classifier`), so a warm memo checks keys as strictly as a
-    fresh one.  Failures name the offending node by its path from the
+    fresh one.  Each node is induced in the order it lists its vertices,
+    which for the classifier's evidence is its part's canonical order,
+    so on the classifier that wrote the proof every key check is a memo
+    hit; a node listed in another order still verifies, by a search.
+    A node, or a split's side or separator, that lists a vertex twice is
+    refused.  Failures name the offending node by its path from the
     root.
     """
     clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
@@ -623,10 +649,17 @@ def _verify_node(
     clf: Classifier,
     path: tuple[str, ...],
 ) -> VerificationOutcome:
-    if sorted(node.vertices) != sorted(expected):
+    """Verify ``node`` on G's subgraph induced in the node's listed
+    order, or on G itself when the node lists G's vertices in G's
+    order.  The node must list each vertex once, and the set that
+    ``expected`` lists."""
+    vertices = tuple(node.vertices)
+    if len(set(vertices)) != len(vertices):
+        return _fail(path, "node lists a vertex twice")
+    if sorted(vertices) != sorted(expected):
         return _fail(path, "node vertex set does not match its position in the proof")
     try:
-        sub = G.induced(node.vertices)
+        sub = G if vertices == G.vertices else _induced_as_listed(G, vertices)
     except Exception as e:
         return _fail(path, f"induced subgraph failed: {e}")
     if node.key != clf.node_key(sub)[0]:
@@ -638,6 +671,22 @@ def _verify_node(
     if rule.leaf and node.children:
         return _fail(path, f"leaf rule {node.rule} must not have children")
     return rule.verify(sub, node, flavor, clf, path)
+
+
+def _induced_as_listed(G: LabeledGraph, vertices: tuple[str, ...]) -> LabeledGraph:
+    """G's subgraph induced on ``vertices``, distinct ids of G, in the
+    order listed: one pass over their adjacencies."""
+    if not vertices:
+        raise GraphValidationError("induced subgraph needs at least one vertex")
+    index = [G.index(v) for v in vertices]
+    pos = {i: p for p, i in enumerate(index)}
+    edges = sorted(
+        (p, q, m)
+        for p, i in enumerate(index)
+        for j, m in G._adj[i].items()
+        if (q := pos.get(j, -1)) > p
+    )
+    return LabeledGraph(vertices, tuple(G.groups[i] for i in index), tuple(edges))
 
 
 def verify_witness(
@@ -923,6 +972,10 @@ def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, f"amalgam node missing field {e}")
     except ValueError as e:
         return _fail(path, f"amalgam node has a malformed field: {e}")
+    for name in ("left", "right", "separator"):
+        side = getattr(split, name)
+        if len(set(side)) != len(side):
+            return _fail(path, f"amalgam {name} lists a vertex twice")
     if set(split.left) | set(split.right) != set(node.vertices):
         return _fail(path, "amalgam sides do not cover the node")
     if not split.separator:

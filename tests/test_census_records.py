@@ -117,6 +117,17 @@ def test_a_mistyped_split_field_fails_verification(tmp_path, field, value, messa
     assert f"fails verification at root: amalgam node has a malformed field: {message}" in err
 
 
+def test_a_split_side_and_its_child_listing_a_vertex_twice_fail_verification(tmp_path):
+    def edit(rec):
+        proof = rec["verdict"]["proof"]
+        for listed in (proof["data"]["left"], proof["children"][0]["vertices"]):
+            listed.insert(0, listed[0])
+
+    status, err, _ = resume_edited(tmp_path, edit)
+    assert status == 2
+    assert "fails verification at root: amalgam left lists a vertex twice" in err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

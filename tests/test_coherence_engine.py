@@ -685,6 +685,78 @@ class TestStoredEvidence:
         self.assert_rejected(G, bad, "stored slender factors do not match the subgraph")
 
 
+def with_side(node, side: str, child=None):
+    """The amalgam ``node`` with its split's ``side`` listing its first
+    vertex twice, and with ``child`` as the child of that side if given."""
+    listed = list(node.data[side])
+    children = node.children
+    if child is not None:
+        at = ("left", "right").index(side)
+        children = children[:at] + (child,) + children[at + 1:]
+    return dataclasses.replace(
+        node, data={**node.data, side: listed[:1] + listed}, children=children
+    )
+
+
+class TestRepeatedVertices:
+    """A node, or a split's side or separator, that lists a vertex twice
+    is refused by a fresh check and by the classifier that wrote the
+    proof, though the vertex set it lists is right."""
+
+    def assert_rejected(self, G, clf, node, path, reason):
+        for out in (verify_proof(G, node), verify_proof(G, node, classifier=clf)):
+            assert (out.ok, out.path, out.reason) == (False, path, reason)
+
+    def test_an_amalgam_side_and_its_child(self):
+        G = path_racg(6)
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "amalgam" and verify_proof(G, proof, classifier=clf)
+        first = proof.children[0]
+        doubled = dataclasses.replace(first, vertices=first.vertices[:1] + first.vertices)
+        bad = with_side(proof, "left", doubled)
+        self.assert_rejected(G, clf, bad, ("root",), "amalgam left lists a vertex twice")
+
+    def test_a_slender_leaf_and_its_side(self):
+        G = path_racg(6)
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        outer = proof.children[1]
+        inner = outer.children[1]
+        leaf = inner.children[1]
+        assert leaf.rule == "slender" and list(leaf.vertices) == inner.data["right"]
+        doubled = dataclasses.replace(leaf, vertices=leaf.vertices + leaf.vertices[1:2])
+
+        def placed(bad_inner):
+            bad_outer = dataclasses.replace(outer, children=(outer.children[0], bad_inner))
+            return dataclasses.replace(proof, children=(proof.children[0], bad_outer))
+
+        path = ("root", "right", "right")
+        bad = placed(with_side(inner, "right", doubled))
+        self.assert_rejected(G, clf, bad, path, "amalgam right lists a vertex twice")
+        bad = placed(dataclasses.replace(inner, children=(inner.children[0], doubled)))
+        self.assert_rejected(G, clf, bad, path + ("right",), "node lists a vertex twice")
+
+    def test_an_amalgam_separator(self):
+        G = path_racg(6)
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        bad = with_side(proof, "separator")
+        self.assert_rejected(G, clf, bad, ("root",), "amalgam separator lists a vertex twice")
+
+    def test_a_free_factor(self):
+        G = graph_product_graph([(x, cyclic(3)) for x in "abc"], [("a", "b")])
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "free_product" and verify_proof(G, proof, classifier=clf)
+        at = next(i for i, c in enumerate(proof.children) if len(c.vertices) > 1)
+        factor = proof.children[at]
+        doubled = dataclasses.replace(factor, vertices=factor.vertices + factor.vertices[:1])
+        children = proof.children[:at] + (doubled,) + proof.children[at + 1:]
+        bad = dataclasses.replace(proof, children=children)
+        self.assert_rejected(G, clf, bad, ("root", f"factor[{at}]"), "node lists a vertex twice")
+
+
 class TestWitnessVerification:
     def test_all_named_witnesses_verify(self):
         for G in (

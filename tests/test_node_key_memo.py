@@ -1,19 +1,24 @@
 """The canonical-form memo each classifier keeps: it returns exactly what
 ``canonical_form`` returns, lives as long as its classifier, and a warm
-memo checks proof node keys as strictly as a fresh one."""
+memo checks proof node keys as strictly as a fresh one.  Each canonical
+representative the classifier classifies enters it, so verifying the
+classifier's own evidence makes no canonical search."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcoherence import AbelianGroupLabel, LabeledGraph, Z, Z2, cyclic
-from graphcoherence import coherence_engine, labeled_graph
+from graphcoherence import AbelianGroupLabel, LabeledGraph, Z, Z2, cyclic, path_edges, racg
+from graphcoherence import census, cli, coherence_engine, labeled_graph
 from graphcoherence.census import CensusConfig, _classes, _record_job, graph_from_key
 from graphcoherence.cli import main
 from graphcoherence.coherence_engine import (
@@ -24,7 +29,7 @@ from graphcoherence.coherence_engine import (
     verdict_from_jsonable,
     verify_proof,
 )
-from graphcoherence.labeled_graph import canonical_form
+from graphcoherence.labeled_graph import canonical_form, positional_key
 from helpers import prism_racg
 
 
@@ -51,9 +56,9 @@ PRODUCT_GROUPS = (Z, Z2, cyclic(3), cyclic(6), AbelianGroupLabel(rank=2))
 
 
 @st.composite
-def flavored_graphs(draw):
+def flavored_graphs(draw, max_n=8):
     flavor = draw(st.sampled_from(("racg", "raag", "coxeter", "artin", "graph_product")))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     groups = FLAVOR_GROUPS.get(flavor, PRODUCT_GROUPS)
     labels = (2, 3, 4, 5) if flavor in ("coxeter", "artin") else (2,)
     ids = [f"v{i}" for i in range(n)]
@@ -169,3 +174,108 @@ def test_a_warm_memo_rejects_tampered_keys_as_a_fresh_check_does(config, canonic
         assert warm == verify_proof(G, proof)
         assert warm.reason == "stored key does not match the induced subgraph"
 
+
+# -- canonical representatives enter the memo --------------------------------------
+
+
+@settings(max_examples=120)
+@given(G=flavored_graphs(max_n=9))
+def test_each_classified_canonical_representative_has_its_canonical_form(G):
+    """The lemma of :class:`Classifier`: the identity is the canonical
+    order of a canonical representative, so its memo entry is what a
+    fresh classifier computes."""
+    clf = Classifier()
+    clf.classify(G)
+    assert clf._cache
+    for key in clf._cache:
+        CG = graph_from_key(key)
+        assert (CG.groups, CG.edges) in clf._forms
+        assert clf.node_key(CG) == Classifier().node_key(CG) == (key, CG.vertices)
+
+
+def test_a_graph_passed_with_a_key_of_another_structure_enters_no_form():
+    ids = list("abcdef")
+    key = canonical_form(racg(ids, path_edges(ids)))[0]
+    CG = graph_from_key(key)
+    H = CG.permuted(CG.vertices[1:] + CG.vertices[:1])
+    assert positional_key(H.groups, H.edges) != key
+    clf = Classifier()
+    clf.classify_canonical_jsonable(H, key)
+    assert key in clf._cache
+    assert (H.groups, H.edges) not in clf._forms and (CG.groups, CG.edges) not in clf._forms
+
+
+# -- verification makes no canonical search on the classifier's own evidence -------
+
+
+@pytest.fixture
+def verify_searches(canonical_calls, monkeypatch):
+    """A list that gets one entry per ``canonical_form`` call made inside
+    ``check_verdict``, as the CLI and the census call it."""
+    inside = []
+    original = coherence_engine.check_verdict
+
+    def counting(*args, **kwargs):
+        before = len(canonical_calls)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.extend(canonical_calls[before:])
+
+    for module in (census, cli):
+        monkeypatch.setattr(module, "check_verdict", counting)
+    return inside
+
+
+def bench_operations(monkeypatch, workload: str, seed: int = 1):
+    """The benchmark's operations for ``workload``, from ``bench/workloads.py``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module.operations(workload, seed)
+
+
+def run_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_verifies_the_proof_gallery_with_no_search(
+    verify_searches, tmp_path, monkeypatch, fmt
+):
+    operations = bench_operations(monkeypatch, "classify-proofs")
+    assert len(operations) == 10
+    for op in operations:
+        (tmp_path / f"{op.name}.json").write_text(op.document)
+        assert run_main(["classify", "--format", fmt, *op.argv(str(tmp_path))[1:]]) == 0
+    assert verify_searches == []
+
+
+def test_census_verifies_its_records_with_no_search(verify_searches, canonical_calls):
+    assert run_main(["census", "--flavor", "racg", "--max-vertices", "6"]) == 0
+    assert canonical_calls and verify_searches == []
+
+
+def test_a_child_listed_in_another_order_verifies_by_a_search(canonical_calls):
+    ids = list("abcdef")
+    G = racg(ids, path_edges(ids))
+    clf = Classifier()
+    proof = clf.classify(G).proof
+    classified = len(canonical_calls)
+    assert verify_proof(G, proof, classifier=clf) and len(canonical_calls) == classified
+    child = proof.children[1]
+    reordered = dataclasses.replace(child, vertices=child.vertices[::-1])
+    tampered = dataclasses.replace(proof, children=(proof.children[0], reordered))
+    assert verify_proof(G, tampered, classifier=clf)
+    assert canonical_calls[classified:] == [len(child.vertices)]
+
+
+def test_resumed_records_verify_by_searches(verify_searches, tmp_path):
+    """A resumed run's classifier starts cold, as in a new process: it
+    classifies no stored class, so their keys are checked by searches."""
+    argv = ["census", "--flavor", "racg", "--max-vertices", "5", "--out", str(tmp_path / "c.jsonl")]
+    assert run_main(argv) == 0 and verify_searches == []
+    assert run_main(argv) == 0 and verify_searches
