@@ -5,8 +5,9 @@ Recognizing finite and affine reflection groups
 Every graph with order-2 vertex groups defines a reflection group.
 Splitting its defining graph on commuting (label-2) edges gives diagram
 components (the join factors of the graph); each is finite, affine or
-indefinite, read off the spectrum of its cosine matrix and matched to
-the classical tables.
+indefinite.  A component is matched to the classical tables of finite
+and affine diagrams, and one that matches none is indefinite by their
+classification theorem.
 
 Convention: a missing edge imposes no relation at all.  So to realize a
 classical diagram as a graph, every unbonded pair of diagram nodes gets

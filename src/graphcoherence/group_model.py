@@ -11,16 +11,15 @@ Coxeter conventions: the matrix entry of an edge is its label, and a
 missing edge means infinity.  The standard diagram joins two generators
 whenever their entry is 3 or more (including infinity), that is,
 whenever they do not commute, so its connected components are the
-graph's join factors (:func:`join_factors`).  A component of rank 3
-or more with an infinite bond or a label above 6 is indefinite by an
-elementary lemma (proved at :func:`_match_component`), with no
-arithmetic.  Any other component is typed by looking the canonical key
-of its bond graph up in a table of the finite and affine templates,
-whose spectra are checked once, when the table is built: a matched
-component is a relabelling of its template.  :func:`_diagram_kind`
-types a template or an unmatched complete component labelled 2..6
-from its position-labelled pairs, by one symmetric elimination in
-plain Python.
+graph's join factors (:func:`join_factors`).  Components are typed
+with no arithmetic.  One of rank 3 or more with an infinite bond or a
+label above 6 is indefinite by an elementary lemma (proved at
+:func:`_match_component`).  Any other is looked up by the canonical key
+of its bond graph in a table of the finite and affine templates, and
+one that matches no template is indefinite by the classification of
+the positive definite and positive semidefinite Coxeter graphs
+(Coxeter 1935; Humphreys, *Reflection Groups and Coxeter Groups*,
+1990, sections 2.5-2.7).
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from .labeled_graph import (
     mask_positions,
 )
 
-# Pivots within EIG_TOL of 0 count as zero in :func:`_diagram_kind`.
-EIG_TOL = 1e-9
-
 SLENDER = "slender"
 NOT_SLENDER = "not_slender"
 UNKNOWN = "unknown"
@@ -61,69 +57,6 @@ def require_group(G: LabeledGraph) -> Flavor:
     if not flavor.any:
         raise UnsupportedFlavorError("edge labels above 2 require all-Z or all-Z2 vertex groups")
     return flavor
-
-
-# -- diagram kinds -------------------------------------------------------------
-
-
-def _diagram_kind(r: int, labels: Sequence[tuple[int, int, int]]) -> str:
-    """Kind of the connected diagram on positions 0..r-1 (r >= 3):
-    "finite", "affine" or "indefinite".
-
-    Its cosine matrix B has 1 on the diagonal, -cos(pi/m) for each pair
-    (i, j, m) in ``labels`` and -1 (m infinite) for other pairs.  One
-    symmetric elimination B = L D L^T, without pivoting, stops at the
-    first pivot d_k not above ``EIG_TOL``: below -EIG_TOL, or within
-    EIG_TOL of 0 before the last step, is indefinite; within EIG_TOL of
-    0 at the last step is affine; all pivots positive is finite.  Write
-    B_k for the leading block on positions 0..k; B_{k-1} is positive
-    definite when d_k is reached.
-
-    1. Sylvester's law of inertia: L is unit lower triangular, so B and
-       D have as many negative, zero and positive eigenvalues as each
-       other.  The pivot signs give the eigenvalue signs.
-    2. Interlacing: d_k is the least x^T B_k x over x with x_k = 1.  An
-       eigenvector of lam = lam_min(B_k) scaled to x_k = 1 has
-       ||x|| >= 1, so lam <= d_k, and d_k <= lam <= 0 once d_k <= 0: the
-       first non-positive pivot is at least as large in magnitude as
-       the least eigenvalue of its block.  So an eigenvalue of B_k below
-       -EIG_TOL makes d_k negative (fact 1) and then below -EIG_TOL,
-       and a last pivot within EIG_TOL of 0 puts lam_min(B) within
-       EIG_TOL of 0 (it is positive if d_k is): the kind agrees with
-       counting eigenvalues below and within EIG_TOL of 0 wherever that
-       count's decision was clear.
-    3. A pivot within EIG_TOL of 0 before the last step puts lam_min(B_k)
-       within EIG_TOL of 0 or below (fact 2), for a block on fewer than
-       r positions.  A component of B_k with that least eigenvalue is
-       indefinite, affine, or finite with least eigenvalue
-       1 - cos(pi/h) <= EIG_TOL, so with Coxeter number h >= 70,249:
-       I2(m) with m >= 70,249 (or a type of rank 35,125 or more, far
-       beyond any diagram typed here).
-       In each case the connected diagram B, which properly contains it,
-       is indefinite:
-       - indefinite: B has the component's negative eigenvalue (Cauchy
-         interlacing);
-       - affine: its null vector z is positive (Perron-Frobenius), and a
-         generator v outside it bonded to it gives
-         (z + eps e_v)^T B (z + eps e_v) = 2 eps z^T B e_v + eps^2 < 0
-         for small eps > 0;
-       - I2(m) on a, b: a generator c bonded to a or b makes the
-         triangle {a, b, c} with labels m, p >= 3 and q >= 2, and
-         1/m + 1/p + 1/q <= 1/m + 1/3 + 1/2 < 1: it is hyperbolic, so
-         indefinite, and B contains it.
-    """
-    B = [[1.0 if i == j else -1.0 for j in range(r)] for i in range(r)]
-    for i, j, m in labels:
-        B[i][j] = B[j][i] = -math.cos(math.pi / m)
-    for k, pivot_row in enumerate(B):
-        d = pivot_row[k]
-        if d <= EIG_TOL:
-            return "affine" if k == r - 1 and d >= -EIG_TOL else "indefinite"
-        for row in B[k + 1 :]:
-            f = row[k] / d
-            for j in range(k + 1, r):
-                row[j] -= f * pivot_row[j]
-    return "finite"
 
 
 # -- irreducible types --------------------------------------------------------
@@ -293,32 +226,18 @@ def _template_bonds(r: int) -> list[tuple[IrreducibleType, Bonds]]:
 @functools.lru_cache(maxsize=None)
 def _templates(r: int) -> dict[str, IrreducibleType]:
     """The finite and affine diagram templates on r >= 3 vertices, keyed
-    by the canonical key of their bond graph.  Each template's spectrum
-    is checked here, once per rank: :func:`_diagram_kind` of its cosine
-    matrix (label 2 on every unbonded pair) must be the template's kind,
-    positive definite for a finite type and positive semidefinite of
-    corank one for an affine type.  Template labels are at most 6, so no
-    pivot but an affine template's last is near ``EIG_TOL``."""
-    table = {}
-    for t, bonds in _template_bonds(r):
-        pairs = itertools.combinations(range(r), 2)
-        kind = _diagram_kind(r, [(i, j, bonds.get((i, j), 2)) for i, j in pairs])
-        if kind != t.kind:
-            raise InternalInvariantError(
-                f"diagram template {t.name} has spectrum of kind {kind}"
-            )
-        table[_bond_key(r, bonds)] = t
-    return table
+    by the canonical key of their bond graph."""
+    return {_bond_key(r, bonds): t for t, bonds in _template_bonds(r)}
 
 
 def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
     """Type of the diagram component on the all-Z2 vertices ``comp``, a
-    join factor of ``G`` in ambient order: rank 1 and 2 directly.  A
-    larger component with a missing pair (an infinite bond) or a label
-    above 6 is indefinite by the lemma below, with no arithmetic; any
-    other is looked up by its bond key in :func:`_templates`, and one
-    that matches no template must be indefinite by
-    :func:`_diagram_kind` of its own cosine matrix.
+    join factor of ``G`` in ambient order, with no arithmetic: rank 1
+    and 2 directly.  A larger component with a missing pair (an
+    infinite bond) or a label above 6 is indefinite by the lemma below.
+    Any other is looked up by its bond key in :func:`_templates`, and
+    one that matches no template is indefinite by the classification
+    theorem below.
 
     Lemma: a connected diagram of rank >= 3 with a bond a-b whose label
     is m >= 7 or m infinite is indefinite.  Connectivity gives a vertex
@@ -330,7 +249,20 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
     m >= 7.  So B has a negative eigenvalue.  The bound 7 is sharp for
     this x, since cos(pi/6) < 7/8.  No finite or affine template of
     rank >= 3 has a missing pair or a label above 6, so the lemma
-    agrees with the table.
+    agrees with the table.  The lemma also guards the lookup: the bond
+    key has no edge for a missing pair, as for a label 2, so it cannot
+    tell an infinite bond from a commuting pair.
+
+    Theorem (Coxeter 1935; Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1990, sections 2.5-2.7): a connected Coxeter graph whose
+    cosine matrix is positive definite is of type A_n, B_n, D_n, E_6,
+    E_7, E_8, F_4, H_3, H_4 or I_2(m), and one whose cosine matrix is
+    positive semidefinite but not definite is of type ~A_n, ~B_n, ~C_n,
+    ~D_n, ~E_6, ~E_7, ~E_8, ~F_4 or ~G_2.  :func:`_template_bonds`
+    lists every one of these of rank r >= 3, and the bond key is an
+    isomorphism invariant of the labelled diagram, so a complete
+    component that matches no key of ``_templates(r)`` is neither: it
+    is indefinite.
     """
     r = len(comp)
     if r == 1:
@@ -351,8 +283,6 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
         t = _templates(r).get(_bond_key(r, {(i, j): m for i, j, m in labels if m != 2}))
         if t is not None:
             return t
-        if _diagram_kind(r, labels) != "indefinite":
-            raise InternalInvariantError("unmatched diagram component is not actually indefinite")
     return IrreducibleType("indefinite")
 
 
@@ -361,11 +291,12 @@ def classify_components(
 ) -> tuple[tuple[tuple[str, ...], IrreducibleType], ...]:
     """Type of every standard-diagram component of an all-Z2 graph, in
     the order of :func:`join_factors`, each typed by
-    :func:`_match_component`: indefinite by its lemma when a component
-    of rank 3 or more has an infinite bond or a label above 6, else a
-    key lookup in the spectrum-checked template table, or an indefinite
-    type backed by the elimination of :func:`_diagram_kind`.  Other
-    graphs raise :class:`UnsupportedFlavorError`."""
+    :func:`_match_component` with no arithmetic: indefinite by its lemma
+    when a component of rank 3 or more has an infinite bond or a label
+    above 6, else a key lookup in the table of finite and affine
+    templates, and indefinite, by the classification of the positive
+    definite and semidefinite Coxeter graphs, when no key matches.
+    Other graphs raise :class:`UnsupportedFlavorError`."""
     if not detect_flavor(G).coxeter:
         raise UnsupportedFlavorError(
             "a Coxeter matrix needs every vertex group of order two"

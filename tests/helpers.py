@@ -3,16 +3,18 @@
 Everything here is deliberately independent of the package internals:
 brute-force chordality, the LexBFS chordality test on lists and dicts,
 brute-force isomorphism, brute-force F2 evidence, the Wise-Gordon scan
-tuple by tuple, concrete permutation models for reflection group
+tuple by tuple, the kind of a Coxeter diagram by a float elimination of
+its cosine matrix, concrete permutation models for reflection group
 orders, and random graph generators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from graphcoherence import (
     AbelianGroupLabel,
@@ -515,6 +517,76 @@ def dihedral_order(m: int) -> int:
         return (sa * sb, (sa * tb + ta) % mod)
 
     return _closure_order([r1, r2], compose, identity)
+
+
+# ---------------------------------------------------------------------------
+# the kind of a connected Coxeter diagram by one float elimination of its
+# cosine matrix.  The package types components by its template table and the
+# classification theorem alone; this is the oracle the table is checked
+# against.
+
+# Pivots within EIG_TOL of 0 count as zero in :func:`diagram_kind`.
+EIG_TOL = 1e-9
+
+
+def diagram_kind(r: int, labels: Sequence[tuple[int, int, int]]) -> str:
+    """Kind of the connected diagram on positions 0..r-1 (r >= 3):
+    "finite", "affine" or "indefinite".
+
+    Its cosine matrix B has 1 on the diagonal, -cos(pi/m) for each pair
+    (i, j, m) in ``labels`` and -1 (m infinite) for other pairs.  One
+    symmetric elimination B = L D L^T, without pivoting, stops at the
+    first pivot d_k not above ``EIG_TOL``: below -EIG_TOL, or within
+    EIG_TOL of 0 before the last step, is indefinite; within EIG_TOL of
+    0 at the last step is affine; all pivots positive is finite.  Write
+    B_k for the leading block on positions 0..k; B_{k-1} is positive
+    definite when d_k is reached.
+
+    1. Sylvester's law of inertia: L is unit lower triangular, so B and
+       D have as many negative, zero and positive eigenvalues as each
+       other.  The pivot signs give the eigenvalue signs.
+    2. Interlacing: d_k is the least x^T B_k x over x with x_k = 1.  An
+       eigenvector of lam = lam_min(B_k) scaled to x_k = 1 has
+       ||x|| >= 1, so lam <= d_k, and d_k <= lam <= 0 once d_k <= 0: the
+       first non-positive pivot is at least as large in magnitude as
+       the least eigenvalue of its block.  So an eigenvalue of B_k below
+       -EIG_TOL makes d_k negative (fact 1) and then below -EIG_TOL,
+       and a last pivot within EIG_TOL of 0 puts lam_min(B) within
+       EIG_TOL of 0 (it is positive if d_k is): the kind agrees with
+       counting eigenvalues below and within EIG_TOL of 0 wherever that
+       count's decision was clear.
+    3. A pivot within EIG_TOL of 0 before the last step puts lam_min(B_k)
+       within EIG_TOL of 0 or below (fact 2), for a block on fewer than
+       r positions.  A component of B_k with that least eigenvalue is
+       indefinite, affine, or finite with least eigenvalue
+       1 - cos(pi/h) <= EIG_TOL, so with Coxeter number h >= 70,249:
+       I2(m) with m >= 70,249 (or a type of rank 35,125 or more, far
+       beyond any diagram typed here).
+       In each case the connected diagram B, which properly contains it,
+       is indefinite:
+       - indefinite: B has the component's negative eigenvalue (Cauchy
+         interlacing);
+       - affine: its null vector z is positive (Perron-Frobenius), and a
+         generator v outside it bonded to it gives
+         (z + eps e_v)^T B (z + eps e_v) = 2 eps z^T B e_v + eps^2 < 0
+         for small eps > 0;
+       - I2(m) on a, b: a generator c bonded to a or b makes the
+         triangle {a, b, c} with labels m, p >= 3 and q >= 2, and
+         1/m + 1/p + 1/q <= 1/m + 1/3 + 1/2 < 1: it is hyperbolic, so
+         indefinite, and B contains it.
+    """
+    B = [[1.0 if i == j else -1.0 for j in range(r)] for i in range(r)]
+    for i, j, m in labels:
+        B[i][j] = B[j][i] = -math.cos(math.pi / m)
+    for k, pivot_row in enumerate(B):
+        d = pivot_row[k]
+        if d <= EIG_TOL:
+            return "affine" if k == r - 1 and d >= -EIG_TOL else "indefinite"
+        for row in B[k + 1 :]:
+            f = row[k] / d
+            for j in range(k + 1, r):
+                row[j] -= f * pivot_row[j]
+    return "finite"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Coxeter diagram classification, finiteness, slenderness and
 presentation tests.
 
-Diagram types are cross-checked three independent ways: against numpy
+Diagram types are cross-checked four independent ways: against numpy
 eigenvalues of a cosine matrix built here from scratch, against its
-60-digit mpmath signature, and against orders computed from explicit
-permutation models.
+60-digit mpmath signature, against the float elimination
+``helpers.diagram_kind``, and against orders computed from explicit
+permutation models.  The package types components by its template table
+and the classification theorem alone, so the table is checked to be
+complete: every complete diagram labelled 2..6 of rank 3 and 4, and
+every connected finite or affine one of rank 5 and 6, gets the oracle's
+kind.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import graphcoherence as gc
 from graphcoherence import group_model
@@ -25,7 +31,6 @@ from graphcoherence import (
     AbelianGroupLabel,
     F2Certificate,
     IndefiniteComponent,
-    InternalInvariantError,
     LabeledGraph,
     UnsupportedFlavorError,
     Z,
@@ -47,6 +52,7 @@ from graphcoherence import (
 from helpers import (
     complete_bipartite_racg,
     cycle_racg,
+    diagram_kind,
     diamond_racg,
     dihedral_order,
     even_signed_permutation_order,
@@ -57,6 +63,7 @@ from helpers import (
     symmetric_coxeter_k4,
     triangle_coxeter_333,
 )
+from test_node_key_memo import flavored_graphs
 from test_separator_search import REGULAR_4_10
 
 # ---------------------------------------------------------------------------
@@ -83,15 +90,15 @@ def _path_bonds(labels: list[int]) -> dict[tuple[int, int], int]:
 
 def diagram_catalog() -> list[tuple[str, int, dict]]:
     """Independent construction of every finite and affine diagram of
-    rank <= 8 (plus the rank-9 affine one for margin)."""
+    rank <= 9."""
 
     cat: list[tuple[str, int, dict]] = []
     # finite families
-    for n in range(1, 9):
+    for n in range(1, 10):
         cat.append((f"A{n}", n, _path_bonds([3] * (n - 1))))
-    for n in range(2, 9):
+    for n in range(2, 10):
         cat.append((f"B{n}", n, _path_bonds([3] * (n - 2) + [4])))
-    for n in range(4, 9):
+    for n in range(4, 10):
         # chain c0..c_{n-2} with an extra leaf on c1
         bonds = _path_bonds([3] * (n - 2))
         bonds[(1, n - 1)] = 3
@@ -108,21 +115,21 @@ def diagram_catalog() -> list[tuple[str, int, dict]]:
         cat.append((f"E{n}", n, bonds))
     # affine families
     cat.append(("~A1", 2, {(0, 1): None}))
-    for n in range(2, 8):
+    for n in range(2, 9):
         bonds = _path_bonds([3] * (n - 1))
         bonds[(0, n)] = 3  # close the cycle through the extra node
         bonds[(n - 1, n)] = 3
         cat.append((f"~A{n}", n + 1, bonds))
-    for n in range(2, 8):
+    for n in range(2, 9):
         cat.append((f"~C{n}", n + 1, _path_bonds([4] + [3] * (n - 2) + [4])))
-    for n in range(3, 8):
+    for n in range(3, 9):
         # fork of two leaves, then a chain ending in a 4
         bonds = {(0, 2): 3, (1, 2): 3}
         for i in range(2, n):
             bonds[(i, i + 1)] = 3
         bonds[(n - 1, n)] = 4
         cat.append((f"~B{n}", n + 1, bonds))
-    for n in range(4, 8):
+    for n in range(4, 9):
         # two leaves on each end of the chain 2 .. n-2
         bonds = {(0, 2): 3, (1, 2): 3, (n - 1, n - 2): 3, (n, n - 2): 3}
         for i in range(2, n - 2):
@@ -141,6 +148,11 @@ def diagram_catalog() -> list[tuple[str, int, dict]]:
     bonds = _path_bonds([3] * 7)
     bonds[(2, 8)] = 3
     cat.append(("~E8", 9, bonds))
+    # The rank-9 types other than ~E8 go last, in a stable sort: the
+    # parametrized cases below are named by list position ("bondsN"), and
+    # the cases of rank <= 8 and ~E8 keep the names they had before rank 9
+    # was added.
+    cat.sort(key=lambda entry: entry[1] == 9 and entry[0] != "~E8")
     return cat
 
 
@@ -255,6 +267,13 @@ def test_component_types_survive_reorder_and_renaming(G, data):
 HUGE_LABELS = (70249, 10**6, 10**12, 2**60 + 1)
 
 
+def position_labels(G: LabeledGraph, comp: tuple[str, ...]) -> list[tuple[int, int, int]]:
+    """The labelled pairs of G inside ``comp``, on positions 0..len(comp)-1
+    in ``comp``'s order: the input of ``diagram_kind``."""
+    pos = {G.index(v): k for k, v in enumerate(comp)}
+    return [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
+
+
 class TestDiagramKind:
     @settings(max_examples=150)
     @given(
@@ -264,15 +283,13 @@ class TestDiagramKind:
         )
     )
     def test_kind_agrees_with_the_independent_oracle(self, G):
-        """On every join factor of rank 3 or more, ``_diagram_kind`` of
-        the factor's position-labelled pairs equals the kind read from
-        the eigenvalues of the test's own matrix."""
+        """On every join factor of rank 3 or more, the oracle
+        ``diagram_kind`` of the factor's position-labelled pairs equals
+        the kind read from the eigenvalues of the test's own matrix."""
         for comp in join_factors(G):
             if len(comp) < 3:
                 continue
-            pos = {G.index(v): k for k, v in enumerate(comp)}
-            labels = [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
-            assert group_model._diagram_kind(len(comp), labels) == spectrum_kind(
+            assert diagram_kind(len(comp), position_labels(G, comp)) == spectrum_kind(
                 G.induced(comp)
             )
 
@@ -579,9 +596,8 @@ class TestPresentations:
 
 class TestInternalConsistency:
     def test_template_sweep_never_raises(self):
-        # classify_components cross-checks every match against the
-        # spectrum; a full catalog sweep passing means table and oracle
-        # agree from the inside as well
+        # every catalog entry, templates of rank 1 and 2 included, is
+        # typed without an error
         for name, r, bonds in diagram_catalog():
             classify_components(realize_diagram(r, bonds))
 
@@ -600,8 +616,8 @@ class TestInternalConsistency:
 
 
 # ---------------------------------------------------------------------------
-# the checked template table: each template's spectrum is checked once, when
-# its rank is first built, and each component is typed by a key lookup
+# the template table: each component is typed by a key lookup, and one that
+# matches no key is indefinite by the classification theorem
 
 
 def disjoint_join(*graphs: LabeledGraph) -> LabeledGraph:
@@ -648,16 +664,49 @@ def graph_products(draw, max_vertices=8):
     return LabeledGraph.build(list(zip(ids, groups)), edges)
 
 
+def check_template_table() -> None:
+    """Assert that no two templates of a rank share a key, that up to
+    rank 9 the table names exactly the test's own catalog entries of
+    that rank, and that each template's kind is the kind of the float
+    elimination of its cosine matrix."""
+    for r in range(3, 12):
+        assert len(group_model._templates(r)) == len(group_model._template_bonds(r)), r
+    catalog = diagram_catalog()
+    for r in range(3, 10):
+        names = sorted(t.name for t in group_model._templates(r).values())
+        assert names == sorted(name for name, rank, _ in catalog if rank == r), r
+        for t, bonds in group_model._template_bonds(r):
+            pairs = itertools.combinations(range(r), 2)
+            labels = [(i, j, bonds.get((i, j), 2)) for i, j in pairs]
+            assert diagram_kind(r, labels) == t.kind, t.name
+
+
 @pytest.fixture
 def fresh_templates():
+    """Template tables built inside the test, and none kept after it."""
     group_model._templates.cache_clear()
     yield
     group_model._templates.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_templates")
+def no_cosine(x):
+    raise AssertionError("math.cos called")
+
+
 class TestTemplateTable:
-    def test_corrupted_template_raises(self, monkeypatch, tmp_path, capsys):
+    def test_one_key_per_template_named_as_the_catalog(self):
+        """The table passes :func:`check_template_table`, and each
+        template's kind is also the 60-digit signature's (checked last,
+        so that without mpmath the test skips only after the rest ran)."""
+        check_template_table()
+        for r in range(3, 10):
+            for t, bonds in group_model._template_bonds(r):
+                assert mpmath_kind(realize_diagram(r, bonds)) == t.kind, t.name
+
+    def test_corrupted_template_raises(self, fresh_templates, monkeypatch):
+        """A template with wrong bonds is not caught at run time any
+        more: H3 itself is then typed indefinite.  The table check must
+        name it."""
         real = group_model._template_bonds
 
         def corrupted(r):
@@ -667,14 +716,14 @@ class TestTemplateTable:
 
         monkeypatch.setattr(group_model, "_template_bonds", corrupted)
         H3 = realize_diagram(3, _path_bonds([5, 3]))
-        with pytest.raises(InternalInvariantError, match="diagram template H3 has spectrum"):
-            finiteness(H3)
-        path = tmp_path / "h3.json"
-        path.write_text(json.dumps(graph_to_jsonable(H3)))
-        assert main(["finiteness", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("internal error: diagram template H3 ")
+        assert [t.kind for _, t in classify_components(H3)] == ["indefinite"]
+        with pytest.raises(AssertionError, match="H3"):
+            check_template_table()
 
-    def test_deleted_template_raises(self, monkeypatch):
+    def test_deleted_template_raises(self, fresh_templates, monkeypatch):
+        """Without its template F4 is typed indefinite by the theorem,
+        while A4 still matches; the table check and the completeness
+        oracle must both fail."""
         real = group_model._template_bonds
         monkeypatch.setattr(
             group_model,
@@ -683,12 +732,13 @@ class TestTemplateTable:
         )
         assert classify_components(realize_diagram(4, _path_bonds([3, 3, 3])))[0][1].name == "A4"
         F4 = realize_diagram(4, _path_bonds([3, 4, 3]))
-        with pytest.raises(InternalInvariantError, match="not actually indefinite"):
-            classify_components(F4)
-        with pytest.raises(InternalInvariantError, match="not actually indefinite"):
-            is_slender(F4)
+        assert classify_components(F4)[0][1].kind == "indefinite"
+        assert is_slender(F4).verdict == "not_slender"
+        with pytest.raises(AssertionError):
+            check_template_table()
+        with pytest.raises(AssertionError):
+            assert_kinds_match_the_elimination(F4)
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(G=st.one_of(coxeter_graphs(), graph_products()))
     def test_component_kinds_agree_with_the_spectrum(self, G):
         typed = list(classify_components(G)) if detect_flavor(G).coxeter else []
@@ -699,48 +749,40 @@ class TestTemplateTable:
         if isinstance(cert.obstruction, IndefiniteComponent):
             assert spectrum_kind(G.induced(cert.obstruction.vertices)) == "indefinite"
 
-    def test_matched_components_run_no_eigensolver(self, monkeypatch):
-        calls = []
-        real = group_model._diagram_kind
-        monkeypatch.setattr(
-            group_model, "_diagram_kind", lambda r, labels: calls.append(r) or real(r, labels)
-        )
+    def test_matched_components_run_no_eigensolver(self, fresh_templates, monkeypatch, capsys):
+        """Components are typed by the lemma, the table and the theorem,
+        so no Coxeter verdict path calls ``math.cos``: not while a
+        template table is built, not on matched or unmatched components,
+        and not in a Coxeter census with labels 2..6."""
+        monkeypatch.setattr(math, "cos", no_cosine)
         A4 = realize_diagram(4, _path_bonds([3, 3, 3]))
-        G = disjoint_join(A4, triangle_coxeter_333())
-        for _ in range(2):
-            assert [t.name for _, t in classify_components(G)] == ["A4", "~A2"]
-            assert is_slender(G).affine_factor_count == 1
-            assert finiteness(G).order == math.inf
-        # Only the table build eliminates, once per template of rank 3 and 4.
-        assert sorted(calls) == [r for r in (3, 4) for _ in group_model._templates(r)]
-        calls.clear()
-        # A component with a missing pair is indefinite by the lemma alone.
-        assert classify_components(racg(["a", "b", "c"], []))[0][1].kind == "indefinite"
-        assert calls == []
-        # A complete unmatched component eliminates its own block.
         K4 = realize_diagram(4, dict.fromkeys(itertools.combinations(range(4), 2), 3))
-        assert classify_components(K4)[0][1].kind == "indefinite"
-        assert calls == [4]
+        cases = [
+            (disjoint_join(A4, triangle_coxeter_333()), ["A4", "~A2"], "slender"),
+            (K4, ["indefinite"], "not_slender"),
+            (racg(["a", "b", "c"], []), ["indefinite"], "not_slender"),
+        ]
+        for _ in range(2):
+            for G, names, verdict in cases:
+                assert [t.name for _, t in classify_components(G)] == names
+                assert is_slender(G).verdict == verdict
+                assert finiteness(G).order == math.inf
+        argv = ["census", "--flavor", "coxeter", "--max-vertices", "4", "--labels", "2,3,4,5,6"]
+        assert main(argv) == 0
+        assert "graphs: 46879  classes: 2514" in capsys.readouterr().out
 
 
-def test_right_angled_passes_run_no_elimination(tmp_path, monkeypatch, capsys):
-    """Once the template tables are built, a RACG census and a search on
-    a 4-regular RACG of the classify-search workload type every
-    component by the lemma or the table."""
-    for r in range(3, 11):
-        group_model._templates(r)
-    calls = []
-    real = group_model._diagram_kind
-    monkeypatch.setattr(
-        group_model, "_diagram_kind", lambda r, labels: calls.append(r) or real(r, labels)
-    )
+def test_right_angled_passes_run_no_elimination(fresh_templates, tmp_path, monkeypatch, capsys):
+    """A RACG census and a search on a 4-regular RACG of the
+    classify-search workload type every component, template tables
+    included, without calling ``math.cos``."""
+    monkeypatch.setattr(math, "cos", no_cosine)
     assert main(["census", "--flavor", "racg", "--max-vertices", "5"]) == 0
     path = tmp_path / "regular.json"
     G = racg(10, [(f"v{i}", f"v{j}") for i, j in REGULAR_4_10[0]])
     path.write_text(json.dumps(graph_to_jsonable(G)))
     assert main(["classify", str(path)]) == 0
     assert "verdict: UNKNOWN" in capsys.readouterr().out
-    assert calls == []
 
 
 def mpmath_kind(G: LabeledGraph) -> str:
@@ -766,7 +808,134 @@ def mpmath_kind(G: LabeledGraph) -> str:
 )
 def test_component_kinds_agree_with_a_60_digit_signature(G):
     """Every component kind, whether from the lemma, the table or the
-    elimination, is the kind of the component's own cosine matrix,
-    computed in 60-digit arithmetic without ``_diagram_kind``."""
+    theorem, is the kind of the component's own cosine matrix, computed
+    in 60-digit arithmetic."""
     for vertices, t in classify_components(G):
         assert t.kind == mpmath_kind(G.induced(vertices))
+
+
+# ---------------------------------------------------------------------------
+# completeness of the template table: a complete component labelled 2..6
+# that matches no template is typed indefinite by the classification theorem
+# alone, so the table must list every finite and affine diagram.  The
+# float elimination and the 60-digit signature check that it does.
+
+LABELS_2_TO_6 = (2, 3, 4, 5, 6)
+
+
+def complete_diagram(r: int, labels) -> LabeledGraph:
+    """The complete Coxeter graph on r vertices whose pairs, in
+    ``itertools.combinations`` order, carry ``labels``."""
+    return realize_diagram(r, dict(zip(itertools.combinations(range(r), 2), labels)))
+
+
+def assert_kinds_match_the_elimination(G: LabeledGraph) -> list[str]:
+    """Check every component of rank 3 or more against
+    ``diagram_kind``; return the names of all of G's components."""
+    comps = classify_components(G)
+    for comp, t in comps:
+        if len(comp) >= 3:
+            assert t.kind == diagram_kind(len(comp), position_labels(G, comp)), (G, t.name)
+    return [t.name for _, t in comps]
+
+
+def test_every_complete_rank_3_diagram_gets_its_signature_kind():
+    graphs = [complete_diagram(3, labels) for labels in itertools.product(LABELS_2_TO_6, repeat=3)]
+    for G in graphs:
+        assert_kinds_match_the_elimination(G)
+    for G in graphs:
+        for comp, t in classify_components(G):
+            assert t.kind == mpmath_kind(G.induced(comp)), G
+
+
+def test_every_complete_rank_4_diagram_gets_the_elimination_kind():
+    for labels in itertools.product(LABELS_2_TO_6, repeat=6):
+        assert_kinds_match_the_elimination(complete_diagram(4, labels))
+
+
+def test_one_complete_rank_4_diagram_per_class_gets_its_signature_kind():
+    """The least labelling of each orbit of the 24 vertex permutations
+    on the 15,625 labellings of K4: 900 classes, by Burnside's lemma."""
+    pairs = list(itertools.combinations(range(4), 2))
+    moved = [
+        [pairs.index(tuple(sorted((p[i], p[j])))) for i, j in pairs]
+        for p in itertools.permutations(range(4))
+    ]
+    classes = 0
+    for labels in itertools.product(LABELS_2_TO_6, repeat=6):
+        if any(tuple(labels[k] for k in perm) < labels for perm in moved):
+            continue
+        classes += 1
+        G = complete_diagram(4, labels)
+        for comp, t in classify_components(G):
+            assert t.kind == mpmath_kind(G.induced(comp)), labels
+    assert classes == 900
+
+
+def test_every_connected_finite_or_affine_diagram_of_rank_5_and_6_is_found():
+    """Each connected extension, by one vertex joined with labels 2..6,
+    of a finite template of rank 4 or 5.  Deleting a non-cut vertex of
+    a connected finite or affine diagram of rank 5 or 6 leaves a
+    connected finite one, so this covers every such diagram: each gets
+    the elimination's kind, and each template of rank 5 and 6 is met."""
+    seen: dict[int, set[str]] = {5: set(), 6: set()}
+    count = 0
+    for r in (4, 5):
+        for t, bonds in group_model._template_bonds(r):
+            if t.kind != "finite":
+                continue
+            for ext in itertools.product(LABELS_2_TO_6, repeat=r):
+                if set(ext) == {2}:
+                    continue
+                count += 1
+                G = realize_diagram(r + 1, {**bonds, **{(i, r): m for i, m in enumerate(ext)}})
+                (name,) = assert_kinds_match_the_elimination(G)
+                seen[r + 1].add(name)
+    assert count == 12_492
+    for r, names in seen.items():
+        assert {t.name for t in group_model._templates(r).values()} <= names, r
+
+
+def test_sampled_diagrams_of_rank_7_to_9_get_the_elimination_kind():
+    """Every template under a shuffled vertex order, two one-pair
+    changes of it, and 40 labellings drawn with label 2 weighted up,
+    at each rank 7..9."""
+    rng = random.Random(27)
+    weighted = (2, 2, 2, 2, 3, 3, 4, 5, 6)
+    for r in (7, 8, 9):
+        pairs = list(itertools.combinations(range(r), 2))
+        cases = []
+        for t, bonds in group_model._template_bonds(r):
+            p = rng.sample(range(r), r)
+            moved = {tuple(sorted((p[i], p[j]))): m for (i, j), m in bonds.items()}
+            cases.append((t.name, moved))
+            for _ in range(2):
+                changed = dict(moved)
+                changed[rng.choice(pairs)] = rng.choice(LABELS_2_TO_6)
+                cases.append((None, changed))
+        cases += [(None, {q: rng.choice(weighted) for q in pairs}) for _ in range(40)]
+        for name, bonds in cases:
+            names = assert_kinds_match_the_elimination(realize_diagram(r, bonds))
+            if name is not None:
+                assert names == [name]
+
+
+# ---------------------------------------------------------------------------
+# down-closure: a special subgroup of a slender group is slender, and the
+# implementation's verdicts, UNKNOWN ones included, must agree.
+
+
+@settings(max_examples=150)
+@given(G=flavored_graphs(max_n=7))
+def test_slender_vertex_sets_are_closed_under_deleting_a_vertex(G):
+    """Over every nonempty vertex set S of G: if G[S] is SLENDER, so is
+    G[S - v] for each v in S."""
+    verdicts = {
+        S: is_slender(G.induced(S)).verdict
+        for k in range(1, G.n + 1)
+        for S in itertools.combinations(G.vertices, k)
+    }
+    for S, verdict in verdicts.items():
+        if verdict == "slender" and len(S) > 1:
+            for v in S:
+                assert verdicts[tuple(u for u in S if u != v)] == "slender", (S, v)
