@@ -56,19 +56,17 @@ from .group_model import (
     F2Certificate,
     IrreducibleType,
     f2_certificate_valid,
-    f2_certificates,
     is_slender,
     require_group,
 )
 from .labeled_graph import (
     ChordalityResult,
     DEFAULT_VERTEX_CAP,
-    GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
     canonical_form,
-    canonical_relabel,
     detect_flavor,
+    induced_as_listed,
     is_chordal,
     is_induced_chordless_cycle,
     label_two_masks,
@@ -378,39 +376,93 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     label-2 edges, if any; the group then contains F2 x F2, which is
     incoherent.
 
-    Pairs (A, B) of ``f2_certificates(G)`` are scanned in the order of
-    ``itertools.combinations``: A in scan order, B over the later
-    certificates.  With ``two[i]`` the bitset of label-2 neighbours of
-    vertex i and ``joined(A)`` the AND of ``two`` over A's vertices, B
-    pairs with A iff ``mask(B) & ~joined(A) == 0``; that also makes the
-    two disjoint, since ``two[i]`` never holds i.  Every certificate
-    has at least two vertices, so an A whose ``joined`` has fewer than
-    two bits is skipped outright.
+    "First" is the first pair (A, B) of ``f2_certificates(G)`` in the
+    order of ``itertools.combinations``: A in scan order, B over the
+    later certificates.  The scan runs on positions: with ``two[i]``
+    the bitset of label-2 neighbours of vertex i and ``joined(A)`` the
+    AND of ``two`` over A's vertices, B pairs with A iff
+    ``mask(B) & ~joined(A) == 0``, which also makes the two disjoint,
+    since ``two[i]`` never holds i.  Certificates A are walked as
+    position tuples in scan order, and for each the first certificate
+    inside ``joined(A)`` in scan order (free pairs, then triples) is
+    its partner; only the pair returned is built as certificates.
+
+    Lemma: this is the first ``combinations`` pair.  "B pairs with A"
+    says every vertex of B is label-2 joined to every vertex of A, so
+    the relation is symmetric.  Let A be the first certificate that has
+    any partner.  A partner B before A would have A as a partner and
+    so contradict A's choice; so every partner of A comes after A, and
+    A is also the first certificate with a later partner, the first A
+    of ``combinations``.  Its least partner is then its least later
+    partner, the B of ``combinations``.
+
+    Every certificate has at least two vertices, so an A whose
+    ``joined`` has fewer than two bits has no partner.  Hence no
+    certificate with a partner holds a vertex v with fewer than two
+    label-2 neighbours, since ``joined(A)`` lies inside ``two[v]`` for
+    every v of A: the scan walks only the other vertices, and returns at
+    once when there are none.  For the same reason a triple (i, j, k)
+    has no partner when ``two[i] & two[j]`` already has fewer than two
+    bits, and every k after that pair is skipped.
     """
-    certs = list(f2_certificates(G))
     two = label_two_masks(G)
-    masks = []
-    joined = []
-    for cert in certs:
-        mask = 0
-        common = -1
-        for v in cert.vertices:
-            i = G.index(v)
-            mask |= 1 << i
-            common &= two[i]
-        masks.append(mask)
-        joined.append(common)
-    for a, ca in enumerate(certs):
-        common = joined[a]
-        if common.bit_count() < 2:
+    rich = 0
+    for i, t in enumerate(two):
+        if t.bit_count() >= 2:
+            rich |= 1 << i
+    if not rich:
+        return None
+    adj = G.adjacency_masks
+    order_two = 0
+    for i, g in enumerate(G.groups):
+        if g.is_order_two:
+            order_two |= 1 << i
+
+    def sides() -> Iterator[tuple[tuple[int, ...], int]]:
+        for i, j in _free_pairs(adj, order_two, rich):
+            yield (i, j), two[i] & two[j]
+        for i in mask_positions(rich):
+            for j in mask_positions(rich & ~adj[i] & -1 << i + 1):
+                prefix = two[i] & two[j]
+                if prefix.bit_count() < 2:
+                    continue
+                for k in mask_positions(rich & ~(adj[i] | adj[j]) & -1 << j + 1):
+                    yield (i, j, k), prefix & two[k]
+
+    for a, joined in sides():
+        if joined.bit_count() < 2:
             continue
-        for b in range(a + 1, len(certs)):
-            if masks[b] & ~common == 0:
-                cb = certs[b]
-                return JoinEmbedding(
-                    side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb
-                )
+        b = next(_free_pairs(adj, order_two, joined), None) or _first_triple(adj, joined)
+        if b is not None:
+            ca, cb = (_f2_certificate(G.vertices, side) for side in (a, b))
+            return JoinEmbedding(side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb)
     return None
+
+
+def _free_pairs(adj: Sequence[int], order_two: int, within: int) -> Iterator[tuple[int, int]]:
+    """The free pairs i < j inside the vertex mask ``within``, in
+    lexicographic order: nonadjacent, and not both of order two."""
+    for i in mask_positions(within):
+        partners = within & ~adj[i] & -1 << i + 1
+        if order_two >> i & 1:
+            partners &= ~order_two
+        for j in mask_positions(partners):
+            yield i, j
+
+
+def _first_triple(adj: Sequence[int], within: int) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first independent triple inside ``within``."""
+    for i in mask_positions(within):
+        for j in mask_positions(within & ~adj[i] & -1 << i + 1):
+            third = within & ~(adj[i] | adj[j]) & -1 << j + 1
+            if third:
+                return i, j, (third & -third).bit_length() - 1
+    return None
+
+
+def _f2_certificate(vertices: tuple[str, ...], positions: tuple[int, ...]) -> F2Certificate:
+    kind = "free_pair" if len(positions) == 2 else "independent_triple"
+    return F2Certificate(kind=kind, vertices=tuple(vertices[p] for p in positions))
 
 
 # -- the classifier ------------------------------------------------------------
@@ -461,6 +513,12 @@ class Classifier:
     the memo.  A proof node lists its part's ids in the part's canonical
     order, so the verifier, which induces each node in listed order,
     checks its key by a memo hit.
+
+    The form memo holds G's canonical order as G's positions, so a
+    verdict-memo miss builds CG from them in one pass of
+    :func:`induced_as_listed`: G's vertices in canonical order, named
+    "0", "1", ..., which is ``canonical_relabel(G, placement)`` with no
+    vertex id looked up.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -496,18 +554,28 @@ class Classifier:
         and the placement that maps them to G's; above the search cap,
         G's verdict in its own ids and None."""
         require_group(G)
-        key, placement = self.node_key(G)
-        if placement is None:
+        key, order = self._form(G)
+        if order is None:
             return self._apply_rules(G, key, big=True), None
         verdict = self._cache.get(key)
         if verdict is None:
-            verdict = self._canonical(canonical_relabel(G, placement), key)
-        return verdict, placement
+            CG = induced_as_listed(G, order, tuple(map(str, range(G.n))))
+            verdict = self._canonical(CG, key)
+        ids = G.vertices
+        return verdict, tuple(ids[i] for i in order)
 
     def node_key(self, G: LabeledGraph) -> tuple[str, Optional[tuple[str, ...]]]:
         """The key that G's proof nodes carry, with the placement that
         realizes it: ``canonical_form(G)``, computed once per positional
         structure, or the raw key and None above the search cap."""
+        key, order = self._form(G)
+        if order is None:
+            return key, None
+        ids = G.vertices
+        return key, tuple(ids[i] for i in order)
+
+    def _form(self, G: LabeledGraph) -> tuple[str, Optional[tuple[int, ...]]]:
+        """:meth:`node_key` with the placement as G's positions."""
         cap = self.config.max_search_vertices
         if G.n > cap:
             return _raw_key(G), None
@@ -516,8 +584,7 @@ class Classifier:
         if form is None:
             key, placement = canonical_form(G, cap=cap)
             form = self._forms[structure] = key, tuple(map(G.index, placement))
-        ids = G.vertices
-        return form[0], tuple(ids[i] for i in form[1])
+        return form
 
     def classify_canonical_jsonable(self, CG: LabeledGraph, key: str) -> dict:
         """JSON form of the verdict of a canonical representative whose
@@ -659,7 +726,10 @@ def _verify_node(
     if sorted(vertices) != sorted(expected):
         return _fail(path, "node vertex set does not match its position in the proof")
     try:
-        sub = G if vertices == G.vertices else _induced_as_listed(G, vertices)
+        if vertices == G.vertices:
+            sub = G
+        else:
+            sub = induced_as_listed(G, [G.index(v) for v in vertices], vertices)
     except Exception as e:
         return _fail(path, f"induced subgraph failed: {e}")
     if node.key != clf.node_key(sub)[0]:
@@ -671,22 +741,6 @@ def _verify_node(
     if rule.leaf and node.children:
         return _fail(path, f"leaf rule {node.rule} must not have children")
     return rule.verify(sub, node, flavor, clf, path)
-
-
-def _induced_as_listed(G: LabeledGraph, vertices: tuple[str, ...]) -> LabeledGraph:
-    """G's subgraph induced on ``vertices``, distinct ids of G, in the
-    order listed: one pass over their adjacencies."""
-    if not vertices:
-        raise GraphValidationError("induced subgraph needs at least one vertex")
-    index = [G.index(v) for v in vertices]
-    pos = {i: p for p, i in enumerate(index)}
-    edges = sorted(
-        (p, q, m)
-        for p, i in enumerate(index)
-        for j, m in G._adj[i].items()
-        if (q := pos.get(j, -1)) > p
-    )
-    return LabeledGraph(vertices, tuple(G.groups[i] for i in index), tuple(edges))
 
 
 def verify_witness(

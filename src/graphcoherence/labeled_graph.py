@@ -16,7 +16,9 @@ vertex positions (:func:`vertex_mask`, :func:`mask_vertices`, and
 adjacency bitsets (``LabeledGraph.adjacency_masks``, built on first
 use), :func:`label_two_masks` builds those of its label-2 edges, and
 :func:`mask_components` is the one components walk, used for graph
-components, join factors and the separator search alike.  The
+components, join factors and the separator search alike.
+:func:`induced_as_listed` is the one builder of a graph in a given
+vertex order, for canonical representatives and verified proof nodes.  The
 components of a Coxeter group's standard diagram are the join factors
 of its all-Z2 graph.
 """
@@ -1320,11 +1322,32 @@ def canonical_key(G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP) -> str:
     return canonical_form(G, cap)[0]
 
 
+def induced_as_listed(
+    G: LabeledGraph, positions: Sequence[int], ids: tuple[str, ...]
+) -> LabeledGraph:
+    """G's subgraph induced on the distinct vertex ``positions``, in the
+    order listed, with the vertex at ``positions[p]`` named ``ids[p]``:
+    one pass over their adjacencies, with no other validation."""
+    if not positions:
+        raise GraphValidationError("induced subgraph needs at least one vertex")
+    pos = {i: p for p, i in enumerate(positions)}
+    edges = sorted(
+        (p, q, m)
+        for p, i in enumerate(positions)
+        for j, m in G._adj[i].items()
+        if (q := pos.get(j, -1)) > p
+    )
+    return LabeledGraph(ids, tuple(G.groups[i] for i in positions), tuple(edges))
+
+
 def canonical_relabel(G: LabeledGraph, placement: Sequence[str]) -> LabeledGraph:
     """G in the vertex order ``placement`` (as computed by
-    :func:`canonical_form`), with vertices renamed "0", "1", ... in
-    that order."""
-    return G.permuted(placement).relabeled({v: str(i) for i, v in enumerate(placement)})
+    :func:`canonical_form`), which lists every vertex of G once, with
+    vertices renamed "0", "1", ... in that order."""
+    positions = [G.index(v) for v in placement]
+    if sorted(positions) != list(range(G.n)):
+        raise GraphValidationError("permutation must list every vertex once")
+    return induced_as_listed(G, positions, tuple(map(str, range(G.n))))
 
 
 def canonical_graph(

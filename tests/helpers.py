@@ -4,8 +4,9 @@ Everything here is deliberately independent of the package internals:
 brute-force chordality, the LexBFS chordality test on lists and dicts,
 brute-force isomorphism, brute-force F2 evidence, the Wise-Gordon scan
 tuple by tuple, the kind of a Coxeter diagram by a float elimination of
-its cosine matrix, concrete permutation models for reflection group
-orders, and random graph generators.
+its cosine matrix, the canonical representative in two builds, concrete
+permutation models for reflection group orders, and random graph
+generators.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ def dedupe_next_level(parents, edge_labels, max_edges=None) -> dict[str, Labeled
             if key not in classes:
                 classes[key] = canonical_relabel(child, placement)
     return classes
+
+
+# ---------------------------------------------------------------------------
+# the canonical representative in two builds: G reordered by ``permuted``,
+# then renamed by ``relabeled`` (the package's canonical_relabel before it
+# built the representative in one pass).
+
+
+def reference_canonical_relabel(G: LabeledGraph, placement) -> LabeledGraph:
+    """G in the vertex order ``placement`` (as computed by
+    :func:`canonical_form`), with vertices renamed "0", "1", ... in
+    that order."""
+    return G.permuted(placement).relabeled({v: str(i) for i, v in enumerate(placement)})
 
 
 # ---------------------------------------------------------------------------

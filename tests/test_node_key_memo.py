@@ -30,7 +30,7 @@ from graphcoherence.coherence_engine import (
     verify_proof,
 )
 from graphcoherence.labeled_graph import canonical_form, positional_key
-from helpers import prism_racg
+from helpers import prism_racg, reference_canonical_relabel
 
 
 @pytest.fixture
@@ -191,6 +191,39 @@ def test_each_classified_canonical_representative_has_its_canonical_form(G):
         CG = graph_from_key(key)
         assert (CG.groups, CG.edges) in clf._forms
         assert clf.node_key(CG) == Classifier().node_key(CG) == (key, CG.vertices)
+
+
+@settings(max_examples=150)
+@given(G=flavored_graphs(max_n=9), data=st.data())
+def test_a_memo_miss_classifies_the_canonical_representative(G, data):
+    """Each verdict-memo miss, of the input or of a part, classifies the
+    graph that the two-build relabeling gives for the graph missed, and
+    that is the graph its key names."""
+    order = data.draw(st.permutations(G.vertices))
+    names = data.draw(st.permutations([f"x{i}" for i in range(G.n)]))
+    H = G.permuted(order).relabeled(dict(zip(order, names)))
+    clf = Classifier()
+    entered, missed = [], []
+    memo_entry, canonical = clf._memo_entry, clf._canonical
+
+    def recording_entry(part):
+        entered.append(part)
+        return memo_entry(part)
+
+    def recording_miss(CG, key):
+        missed.append((CG, key))
+        return canonical(CG, key)
+
+    clf._memo_entry, clf._canonical = recording_entry, recording_miss
+    clf.classify(H)
+    expected = {}
+    for part in entered:
+        key, placement = canonical_form(part)
+        expected.setdefault(key, reference_canonical_relabel(part, placement))
+    assert entered[0] is H and missed[0][1] == canonical_form(H)[0]
+    assert len({key for _, key in missed}) == len(missed)
+    for CG, key in missed:
+        assert CG == expected[key] == graph_from_key(key)
 
 
 def test_a_graph_passed_with_a_key_of_another_structure_enters_no_form():
