@@ -32,8 +32,9 @@ as it writes; :func:`from_jsonable` is the one reader.  The census
 writes that JSON, and :meth:`Classifier.classify` returns it parsed
 back, so every verdict that leaves the classifier is the parsed form
 of the JSON the engine writes.  A second memo canonicalizes each
-subgraph structure once for both classification and the proof checks
-run through the same classifier.
+subgraph structure once, and a third decides its slenderness once, for
+both classification and the proof checks run through the same
+classifier.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ from .group_model import (
     SLENDER,
     F2Certificate,
     IrreducibleType,
+    SlenderCertificate,
+    SlenderFactor,
     f2_certificate_valid,
     is_slender,
     require_group,
@@ -495,8 +498,8 @@ class Classifier:
     reads nothing else of a graph, so a hit returns exactly the key it
     would compute and the placement is the graph's ids at that order:
     a key check against the memo is as strong as one that recomputes
-    the key.  Both memos live as long as the classifier and hold no
-    graph and no vertex id.
+    the key.  Each memo of the classifier lives as long as it and holds
+    no graph and no vertex id.
 
     Classifying a canonical representative CG with key ``key`` also
     enters CG's structure in that memo, with the identity order.
@@ -506,25 +509,46 @@ class Classifier:
     ``best``, the least row sequence of any order of G.  Every order of
     CG is an order of G composed with ``best`` and has that order's
     rows, so the identity attains CG's least rows too; and it is the
-    lexicographically smallest index tuple of all.  The entry is made
-    only when ``positional_key`` of CG is ``key``: CG then has the
-    structure that ``key`` names, so the entry is exact for any
-    canonical key, and a key written for another structure never enters
-    the memo.  A proof node lists its part's ids in the part's canonical
-    order, so the verifier, which induces each node in listed order,
-    checks its key by a memo hit.
+    lexicographically smallest index tuple of all.  A proof node lists
+    its part's ids in the part's canonical order, so the verifier, which
+    induces each node in listed order, checks its key by a memo hit.
 
     The form memo holds G's canonical order as G's positions, so a
-    verdict-memo miss builds CG from them in one pass of
-    :func:`induced_as_listed`: G's vertices in canonical order, named
-    "0", "1", ..., which is ``canonical_relabel(G, placement)`` with no
-    vertex id looked up.
+    verdict-memo miss of :meth:`_memo_entry` builds CG from them in one
+    pass of :func:`induced_as_listed`: G's vertices in canonical order,
+    named "0", "1", ..., which is ``canonical_relabel(G, placement)``
+    with no vertex id looked up.  ``canonical_form`` defines ``key`` as
+    ``positional_key`` of G in that order, so CG has the structure that
+    ``key`` names and its entry is made with no check.  Only
+    :meth:`classify_canonical_jsonable` takes CG and ``key`` from its
+    caller; it makes the entry only when ``positional_key`` of CG is
+    ``key``, so the entry is exact for any canonical key, and a key
+    written for another structure never enters the memo.
+
+    A third memo, :meth:`slender`, maps a graph's positional structure
+    to ``is_slender``'s certificate for it, with each vertex replaced by
+    its position.  It decides the premises the proofs rest on: a slender
+    leaf and a dirac split's separator in the provers, and a slender
+    leaf and an amalgam's separator in the verifier.  Lemma: a hit, its
+    positions named by ``G.vertices``, is exactly ``is_slender(G)``.
+    ``is_slender`` reads only G's groups, edges and vertex positions, as
+    do ``detect_flavor``, ``f2_certificates``, ``join_factors`` and
+    ``_match_component``, which it calls, and it uses ``G.vertices``
+    only to name the vertices it returns.  So two graphs of one
+    structure get certificates that differ only in those names, position
+    for position.  Only ``is_slender``'s own output enters the memo,
+    never a value read from evidence, so a tampered proof cannot poison
+    it; and every comparison the verifier makes still runs, against a
+    certificate equal to a fresh one.  The memo spares computations,
+    not checks.  The amalgam search's separator walk, which meets each
+    separator once per graph, calls ``is_slender`` directly.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config or EngineConfig()
         self._cache: dict[str, Verdict] = {}
         self._forms: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+        self._slender: dict[tuple, SlenderCertificate] = {}
 
     def classify(self, G: LabeledGraph) -> Verdict:
         """G's verdict, with its evidence in G's ids: the parsed form of
@@ -561,6 +585,9 @@ class Classifier:
         if verdict is None:
             CG = induced_as_listed(G, order, tuple(map(str, range(G.n))))
             verdict = self._canonical(CG, key)
+            # CG is G listed in the order that gave ``key``, so its
+            # positional key is ``key`` (see :class:`Classifier`).
+            self._forms[CG.groups, CG.edges] = key, tuple(range(G.n))
         ids = G.vertices
         return verdict, tuple(ids[i] for i in order)
 
@@ -593,21 +620,34 @@ class Classifier:
         canonical_form(G)``, with at most ``max_search_vertices``
         vertices.  It is written in CG's ids, in one walk of
         :func:`to_jsonable` through the identity map, which copies every
-        memo dict it writes."""
-        return to_jsonable(self._canonical(CG, key), {v: v for v in CG.vertices})
-
-    def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
-        """The memo entry of ``CG`` as in :meth:`classify_canonical_jsonable`,
-        computed on a miss, which also enters CG's canonical form (see
-        :class:`Classifier`); its evidence may hold references."""
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._apply_rules(CG, key, big=False)
-            self._cache[key] = cached
+        memo dict it writes.  A miss enters CG's canonical form only if
+        CG's positional key is ``key`` (see :class:`Classifier`)."""
+        verdict = self._cache.get(key)
+        if verdict is None:
+            verdict = self._canonical(CG, key)
             structure = (CG.groups, CG.edges)
             if positional_key(*structure) == key:
                 self._forms[structure] = key, tuple(range(CG.n))
-        return cached
+        return to_jsonable(verdict, {v: v for v in CG.vertices})
+
+    def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
+        """The memo entry of a canonical representative ``CG`` with key
+        ``key`` that the verdict memo misses, computed and entered; its
+        evidence may hold references."""
+        verdict = self._cache[key] = self._apply_rules(CG, key, big=False)
+        return verdict
+
+    def slender(self, G: LabeledGraph) -> SlenderCertificate:
+        """``is_slender(G)``, computed once per positional structure
+        ``(G.groups, G.edges)``: a hit is the stored certificate with its
+        positions named by ``G.vertices`` (see :class:`Classifier`)."""
+        structure = (G.groups, G.edges)
+        stored = self._slender.get(structure)
+        if stored is None:
+            cert = is_slender(G)
+            self._slender[structure] = _renamed_certificate(cert, G.index)
+            return cert
+        return _renamed_certificate(stored, G.vertices.__getitem__)
 
     # G is a canonical representative (ids "0", "1", ...) whose canonical
     # key is ``key``, unless big is set: then ``key`` is the raw key and
@@ -657,6 +697,22 @@ class Classifier:
         return Verdict(UNKNOWN, notes=tuple(notes))
 
 
+def _renamed_certificate(cert: SlenderCertificate, name: Callable) -> SlenderCertificate:
+    """``cert`` with each vertex v of its factors and its obstruction
+    replaced by ``name(v)``."""
+    factors = cert.factors
+    if factors is not None:
+        factors = tuple(
+            SlenderFactor(tuple(map(name, f.vertices)), f.kind, f.type) for f in factors
+        )
+    obstruction = cert.obstruction
+    if obstruction is not None:
+        obstruction = dataclasses.replace(
+            obstruction, vertices=tuple(map(name, obstruction.vertices))
+        )
+    return SlenderCertificate(cert.verdict, cert.reason, factors, obstruction)
+
+
 def classify(G: LabeledGraph, config: Optional[EngineConfig] = None) -> Verdict:
     """One-shot classification with a fresh memo."""
     return Classifier(config).classify(G)
@@ -691,19 +747,22 @@ def verify_proof(
     """Recheck every node of a coherence proof against the graph.
 
     The root must cover the whole vertex set; every leaf premise and
-    every split invariant is recomputed from scratch.  Each node's key
-    is compared with :meth:`Classifier.node_key` of its induced
-    subgraph, under ``classifier``'s cap and through its memo, or else
-    through a fresh classifier with cap ``cap``.  A memo hit is exactly
-    what ``canonical_form`` returns for that subgraph (see
-    :class:`Classifier`), so a warm memo checks keys as strictly as a
-    fresh one.  Each node is induced in the order it lists its vertices,
-    which for the classifier's evidence is its part's canonical order,
-    so on the classifier that wrote the proof every key check is a memo
-    hit; a node listed in another order still verifies, by a search.
-    A node, or a split's side or separator, that lists a vertex twice is
-    refused.  Failures name the offending node by its path from the
-    root.
+    every split invariant is checked again.  Each node's key is compared
+    with :meth:`Classifier.node_key` of its induced subgraph, and each
+    slenderness premise (a slender or abelian leaf's certificate, an
+    amalgam's separator) is decided by :meth:`Classifier.slender`, both
+    through ``classifier``'s memos (keys under its cap), or else through
+    a fresh classifier with cap ``cap``, whose memos start cold.  A hit is
+    exactly what ``canonical_form`` or ``is_slender`` returns for that
+    subgraph (see :class:`Classifier`), so a warm memo checks as
+    strictly as a fresh one: it spares a computation, and every
+    comparison still runs.  Each node is induced in the order it lists
+    its vertices, which for the classifier's evidence is its part's
+    canonical order, so on the classifier that wrote the proof every key
+    check and slenderness premise is a memo hit; a node listed in
+    another order still verifies, by a search.  A node, or a split's
+    side or separator, that lists a vertex twice is refused.  Failures
+    name the offending node by its path from the root.
     """
     clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
     return _verify_node(G, node, tuple(G.vertices), clf, path=("root",))
@@ -810,7 +869,7 @@ def _prove_witness_scan(clf, G, key, flavor, notes) -> Optional[Verdict]:
 
 
 def _prove_slender(clf, G, key, flavor, notes) -> Optional[Verdict]:
-    cert = is_slender(G)
+    cert = clf.slender(G)
     if cert.verdict != SLENDER:
         return None
     rule = "abelian" if flavor.graph_product and G.is_complete() else "slender"
@@ -855,7 +914,7 @@ def _prove_dirac_split(clf, G, key, flavor, notes) -> Optional[Verdict]:
     if G.is_complete() or not G.is_connected() or not is_chordal(G):
         return None
     split = dirac_split(G)
-    if is_slender(G.induced(split.separator)).verdict != SLENDER:
+    if clf.slender(G.induced(split.separator)).verdict != SLENDER:
         return None
     return _amalgam(clf, G, key, split)
 
@@ -925,7 +984,7 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     """A stored certificate must give the reason ``is_slender`` gives and
     the same factors, compared as a set of (vertex set, kind, type)
     since renaming can reorder them."""
-    cert = is_slender(sub)
+    cert = clf.slender(sub)
     if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
     stored = node.data.get("certificate")
@@ -1036,7 +1095,7 @@ def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "amalgam separator is empty")
     if not verify_split(sub, split):
         return _fail(path, "split invariants fail")
-    if is_slender(sub.induced(split.separator)).verdict != SLENDER:
+    if clf.slender(sub.induced(split.separator)).verdict != SLENDER:
         return _fail(path, "separator subgroup is not slender")
     if len(node.children) != 2:
         return _fail(path, "amalgam needs exactly two children")

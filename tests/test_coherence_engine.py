@@ -685,6 +685,92 @@ class TestStoredEvidence:
         self.assert_rejected(G, bad, "stored slender factors do not match the subgraph")
 
 
+class TestWarmSlenderMemo:
+    """A slenderness premise whose structure the classifier's slender
+    memo already holds is decided by a hit, with no ``is_slender`` run,
+    and is still refused as a fresh check refuses it."""
+
+    @pytest.fixture(autouse=True)
+    def computed(self, monkeypatch):
+        self.computed = []
+        original = coherence_engine.is_slender
+
+        def counting(G):
+            self.computed.append(G)
+            return original(G)
+
+        monkeypatch.setattr(coherence_engine, "is_slender", counting)
+
+    def assert_rejected_by_a_hit(self, G, clf, node, path, reason):
+        before = len(self.computed)
+        warm = verify_proof(G, node, classifier=clf)
+        assert len(self.computed) == before
+        assert (warm.ok, warm.path, warm.reason) == (False, path, reason)
+        assert warm == verify_proof(G, node)
+
+    def test_a_slender_leaf_on_a_non_slender_subgraph(self):
+        G = cycle_racg(5)
+        clf = Classifier()
+        assert clf.classify(G).proof.rule == "amalgam"
+        key, placement = clf.node_key(G)
+        sub = G.permuted(placement)
+        assert clf._slender[sub.groups, sub.edges].verdict == "not_slender"
+        node = ProofNode("slender", placement, key)
+        self.assert_rejected_by_a_hit(
+            G, clf, node, ("root",), "slender leaf on a non-slender subgraph"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (
+                lambda cert: {**cert, "reason": "direct-product-of-slender-factors"},
+                "stored slenderness reason does not match the subgraph",
+            ),
+            (
+                lambda cert: {**cert, "factors": cert["factors"][:1]},
+                "stored slender factors do not match the subgraph",
+            ),
+            (
+                lambda cert: {**cert, "factors": [{**f, "kind": "finite"} for f in cert["factors"]]},
+                "stored slender factors do not match the subgraph",
+            ),
+        ],
+    )
+    def test_an_altered_stored_certificate(self, edit, reason):
+        G = cycle_racg(4)
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "slender" and verify_proof(G, proof, classifier=clf)
+        cert = proof.data["certificate"]
+        bad = dataclasses.replace(proof, data={"certificate": edit(cert)})
+        self.assert_rejected_by_a_hit(G, clf, bad, ("root",), reason)
+
+    def test_an_amalgam_over_a_non_slender_separator(self):
+        G = complete_bipartite_racg()
+        clf = Classifier()
+        # Three isolated vertices under other ids: the separator's structure.
+        assert clf.classify(racg(["x", "y", "z"], [])).status == COHERENT
+        sep = G.induced(("a", "b", "c"))
+        assert clf._slender[sep.groups, sep.edges].verdict == "not_slender"
+        leaf = lambda vs: ProofNode("slender", vs, "x")
+        root = ProofNode(
+            "amalgam",
+            tuple(G.vertices),
+            clf.node_key(G)[0],
+            {
+                "separator": ["a", "b", "c"],
+                "left": ["a", "b", "c", "d"],
+                "right": ["a", "b", "c", "e", "f"],
+                "method": "search",
+            },
+            (leaf(("a", "b", "c", "d")), leaf(("a", "b", "c", "e", "f"))),
+        )
+        self.assert_rejected_by_a_hit(
+            G, clf, root, ("root",), "separator subgroup is not slender"
+        )
+
+
 def with_side(node, side: str, child=None):
     """The amalgam ``node`` with its split's ``side`` listing its first
     vertex twice, and with ``child`` as the child of that side if given."""

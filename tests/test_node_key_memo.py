@@ -2,7 +2,9 @@
 ``canonical_form`` returns, lives as long as its classifier, and a warm
 memo checks proof node keys as strictly as a fresh one.  Each canonical
 representative the classifier classifies enters it, so verifying the
-classifier's own evidence makes no canonical search."""
+classifier's own evidence makes no canonical search.  The slender memo
+beside it returns exactly what ``is_slender`` returns, and decides each
+structure's slenderness once per classifier."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import dataclasses
 import importlib.util
 import io
 import itertools
+import json
 import pathlib
 import sys
 
@@ -26,9 +29,11 @@ from graphcoherence.coherence_engine import (
     Classifier,
     EngineConfig,
     _raw_key,
+    check_verdict,
     verdict_from_jsonable,
     verify_proof,
 )
+from graphcoherence.group_model import is_slender
 from graphcoherence.labeled_graph import canonical_form, positional_key
 from helpers import prism_racg, reference_canonical_relabel
 
@@ -236,6 +241,68 @@ def test_a_graph_passed_with_a_key_of_another_structure_enters_no_form():
     clf.classify_canonical_jsonable(H, key)
     assert key in clf._cache
     assert (H.groups, H.edges) not in clf._forms and (CG.groups, CG.edges) not in clf._forms
+
+
+# -- the slender memo ----------------------------------------------------------------
+
+
+def assert_same_certificate(got, expected):
+    for f in dataclasses.fields(expected):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
+@settings(max_examples=150)
+@given(G=flavored_graphs(), data=st.data())
+def test_the_slender_memo_returns_what_is_slender_returns(G, data):
+    """Cold, warm from the same structure under other ids, and warm
+    from classifying G, ``slender`` gives ``is_slender(G)`` field by
+    field; a warm call computes nothing."""
+    expected = is_slender(G)
+    assert_same_certificate(Classifier().slender(G), expected)
+
+    names = data.draw(st.permutations([f"x{i}" for i in range(G.n)]))
+    H = G.relabeled(dict(zip(G.vertices, names)))
+    clf = Classifier()
+    assert_same_certificate(clf.slender(H), is_slender(H))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coherence_engine, "is_slender", None)
+        assert_same_certificate(clf.slender(G), expected)
+
+    clf = Classifier()
+    clf.classify(G)
+    assert_same_certificate(clf.slender(G), expected)
+    for stored in clf._slender.values():
+        for part in (stored.factors or ()) + ((stored.obstruction,) if stored.obstruction else ()):
+            assert all(type(i) is int for i in part.vertices)
+
+
+def test_a_census_decides_each_slenderness_premise_once(tmp_path, monkeypatch):
+    """One classifier classifies and verifies the coxeter census, and it
+    runs ``is_slender`` at most once per structure; its records still
+    pass ``check_verdict`` with a fresh classifier each."""
+    classifiers, computed = [], []
+    original = coherence_engine.is_slender
+
+    def counting(G):
+        computed.append((G.groups, G.edges))
+        return original(G)
+
+    def recording(*args, **kwargs):
+        classifiers.append(Classifier(*args, **kwargs))
+        return classifiers[-1]
+
+    monkeypatch.setattr(coherence_engine, "is_slender", counting)
+    monkeypatch.setattr(census, "Classifier", recording)
+    out = tmp_path / "coxeter.jsonl"
+    argv = "census --flavor coxeter --max-vertices 4 --labels 2,3,4 --max-edges 4 --out"
+    assert run_main([*argv.split(), str(out)]) == 0
+    assert len(classifiers) == 1 and computed
+    assert len(computed) == len(set(computed)) == len(classifiers[0]._slender)
+    monkeypatch.setattr(coherence_engine, "is_slender", original)
+    header, *records = map(json.loads, out.read_text().splitlines())
+    assert "header" in header and len(records) == 154
+    for rec in records:
+        check_verdict(graph_from_key(rec["key"]), verdict_from_jsonable(rec["verdict"]))
 
 
 # -- verification makes no canonical search on the classifier's own evidence -------
