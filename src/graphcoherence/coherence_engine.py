@@ -58,8 +58,12 @@ from .group_model import (
     IrreducibleType,
     SlenderCertificate,
     SlenderFactor,
+    f2_certificate,
     f2_certificate_valid,
+    first_f2_certificate,
+    free_pairs,
     is_slender,
+    order_two_mask,
     require_group,
 )
 from .labeled_graph import (
@@ -379,16 +383,17 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     label-2 edges, if any; the group then contains F2 x F2, which is
     incoherent.
 
-    "First" is the first pair (A, B) of ``f2_certificates(G)`` in the
-    order of ``itertools.combinations``: A in scan order, B over the
-    later certificates.  The scan runs on positions: with ``two[i]``
-    the bitset of label-2 neighbours of vertex i and ``joined(A)`` the
-    AND of ``two`` over A's vertices, B pairs with A iff
+    "First" is the first pair (A, B), in ``itertools.combinations``
+    order, of the F2 certificates in scan order: free pairs, then
+    independent triples, each lexicographic by position; A in scan
+    order, B over the later certificates.  The scan runs on positions:
+    with ``two[i]`` the bitset of label-2 neighbours of vertex i and
+    ``joined(A)`` the AND of ``two`` over A's vertices, B pairs with A iff
     ``mask(B) & ~joined(A) == 0``, which also makes the two disjoint,
     since ``two[i]`` never holds i.  Certificates A are walked as
     position tuples in scan order, and for each the first certificate
-    inside ``joined(A)`` in scan order (free pairs, then triples) is
-    its partner; only the pair returned is built as certificates.
+    inside ``joined(A)`` (``first_f2_certificate``) is its partner;
+    only the pair returned is built as certificates.
 
     Lemma: this is the first ``combinations`` pair.  "B pairs with A"
     says every vertex of B is label-2 joined to every vertex of A, so
@@ -416,13 +421,10 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     if not rich:
         return None
     adj = G.adjacency_masks
-    order_two = 0
-    for i, g in enumerate(G.groups):
-        if g.is_order_two:
-            order_two |= 1 << i
+    order_two = order_two_mask(G)
 
     def sides() -> Iterator[tuple[tuple[int, ...], int]]:
-        for i, j in _free_pairs(adj, order_two, rich):
+        for i, j in free_pairs(adj, order_two, rich):
             yield (i, j), two[i] & two[j]
         for i in mask_positions(rich):
             for j in mask_positions(rich & ~adj[i] & -1 << i + 1):
@@ -435,37 +437,11 @@ def witness_join_incoherence(G: LabeledGraph) -> Optional[JoinEmbedding]:
     for a, joined in sides():
         if joined.bit_count() < 2:
             continue
-        b = next(_free_pairs(adj, order_two, joined), None) or _first_triple(adj, joined)
+        b = first_f2_certificate(adj, order_two, joined)
         if b is not None:
-            ca, cb = (_f2_certificate(G.vertices, side) for side in (a, b))
+            ca, cb = (f2_certificate(G.vertices, side) for side in (a, b))
             return JoinEmbedding(side_a=ca.vertices, side_b=cb.vertices, cert_a=ca, cert_b=cb)
     return None
-
-
-def _free_pairs(adj: Sequence[int], order_two: int, within: int) -> Iterator[tuple[int, int]]:
-    """The free pairs i < j inside the vertex mask ``within``, in
-    lexicographic order: nonadjacent, and not both of order two."""
-    for i in mask_positions(within):
-        partners = within & ~adj[i] & -1 << i + 1
-        if order_two >> i & 1:
-            partners &= ~order_two
-        for j in mask_positions(partners):
-            yield i, j
-
-
-def _first_triple(adj: Sequence[int], within: int) -> Optional[tuple[int, int, int]]:
-    """The lexicographically first independent triple inside ``within``."""
-    for i in mask_positions(within):
-        for j in mask_positions(within & ~adj[i] & -1 << i + 1):
-            third = within & ~(adj[i] | adj[j]) & -1 << j + 1
-            if third:
-                return i, j, (third & -third).bit_length() - 1
-    return None
-
-
-def _f2_certificate(vertices: tuple[str, ...], positions: tuple[int, ...]) -> F2Certificate:
-    kind = "free_pair" if len(positions) == 2 else "independent_triple"
-    return F2Certificate(kind=kind, vertices=tuple(vertices[p] for p in positions))
 
 
 # -- the classifier ------------------------------------------------------------
@@ -532,7 +508,7 @@ class Classifier:
     leaf and an amalgam's separator in the verifier.  Lemma: a hit, its
     positions named by ``G.vertices``, is exactly ``is_slender(G)``.
     ``is_slender`` reads only G's groups, edges and vertex positions, as
-    do ``detect_flavor``, ``f2_certificates``, ``join_factors`` and
+    do ``detect_flavor``, ``first_f2_certificate``, ``join_factors`` and
     ``_match_component``, which it calls, and it uses ``G.vertices``
     only to name the vertices it returns.  So two graphs of one
     structure get certificates that differ only in those names, position

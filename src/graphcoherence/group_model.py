@@ -355,31 +355,45 @@ class F2Certificate:
     vertices: tuple[str, ...]
 
 
-def f2_certificates(G: LabeledGraph) -> Iterator[F2Certificate]:
-    """Every F2 certificate in scan order: free pairs, then independent
-    triples, each in the lexicographic order of their vertex positions
-    (the order of ``itertools.combinations``).
+def order_two_mask(G: LabeledGraph) -> int:
+    """The positions of G's vertices of order two, as a bitmask."""
+    mask = 0
+    for i, g in enumerate(G.groups):
+        if g.is_order_two:
+            mask |= 1 << i
+    return mask
 
-    Triples are walked on the adjacency bitsets: for each nonadjacent
-    pair i < j, the third vertices k > j are the bits of
-    ``~(adj[i] | adj[j]) >> (j + 1)``, lowest first.
-    """
-    for u, v in G.nonadjacent_pairs():
-        if not (G.group(u).is_order_two and G.group(v).is_order_two):
-            yield F2Certificate(kind="free_pair", vertices=(u, v))
-    adj = G.adjacency_masks
-    vs = G.vertices
-    n = G.n
-    full = (1 << n) - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i] >> j & 1:
-                continue
-            above = j + 1
-            for k in mask_positions((full & ~(adj[i] | adj[j])) >> above << above):
-                yield F2Certificate(
-                    kind="independent_triple", vertices=(vs[i], vs[j], vs[k])
-                )
+
+def free_pairs(adj: Sequence[int], order_two: int, within: int) -> Iterator[tuple[int, int]]:
+    """The free pairs i < j inside the vertex mask ``within``, in
+    lexicographic order: nonadjacent, and not both in ``order_two``."""
+    for i in mask_positions(within):
+        partners = within & ~adj[i] & -1 << i + 1
+        if order_two >> i & 1:
+            partners &= ~order_two
+        for j in mask_positions(partners):
+            yield i, j
+
+
+def first_f2_certificate(adj: Sequence[int], order_two: int, within: int) -> Optional[tuple]:
+    """The positions of the first F2 certificate inside the vertex mask
+    ``within`` in scan order: free pairs, then independent triples, each
+    in lexicographic order (the order of ``itertools.combinations``)."""
+    pair = next(free_pairs(adj, order_two, within), None)
+    if pair is not None:
+        return pair
+    for i in mask_positions(within):
+        for j in mask_positions(within & ~adj[i] & -1 << i + 1):
+            third = within & ~(adj[i] | adj[j]) & -1 << j + 1
+            if third:
+                return i, j, (third & -third).bit_length() - 1
+    return None
+
+
+def f2_certificate(vertices: Sequence[str], positions: tuple[int, ...]) -> F2Certificate:
+    """The certificate on the vertices at ``positions``."""
+    kind = "free_pair" if len(positions) == 2 else "independent_triple"
+    return F2Certificate(kind=kind, vertices=tuple(vertices[p] for p in positions))
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
@@ -460,15 +474,17 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
     pieces) is slender, and direct products of slender groups are
     slender.  One loop types the join factors in place.  Coxeter graphs
     are decided completely: every factor is a diagram component.  Other
-    graph products first scan for an F2 certificate; failing that, a
-    one-vertex factor is abelian and every multi-vertex factor is
-    forced to be all-Z2 and is typed as a diagram component.  Artin
-    graphs with a label >= 3 stay unknown.
+    graph products first take the first F2 certificate in scan order,
+    from :func:`first_f2_certificate`; failing that, a one-vertex factor
+    is abelian and every multi-vertex factor is forced to be all-Z2 and
+    is typed as a diagram component.  Artin graphs with a label >= 3
+    stay unknown.
     """
     flavor = require_group(G)
     if not flavor.coxeter:
-        cert = next(f2_certificates(G), None)
-        if cert is not None:
+        pos = first_f2_certificate(G.adjacency_masks, order_two_mask(G), (1 << G.n) - 1)
+        if pos is not None:
+            cert = f2_certificate(G.vertices, pos)
             return SlenderCertificate(
                 verdict=NOT_SLENDER, reason="f2-certificate", obstruction=cert
             )

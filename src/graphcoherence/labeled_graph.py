@@ -2,13 +2,14 @@
 
 A graph here carries a finitely generated abelian group on every vertex
 and an integer label >= 2 on every edge.  This module owns the data
-model, the two input formats (a JSON document and a small DOT subset),
-chordality testing with self-verifying evidence (one LexBFS pass on
-the adjacency bitsets gives the elimination ordering or the cycle; the
-verifiers read vertex ids), coarse shape classification, join-factor
-decomposition, and a canonical form that is invariant under
-label-preserving isomorphism, with the one key codec: the key writer
-:func:`positional_key` and its reader :func:`graph_from_key`.
+model, the two input formats (a JSON document and a small DOT subset,
+whose tokens are plain tuples), chordality testing with self-verifying
+evidence (one LexBFS pass on the adjacency bitsets gives the elimination
+ordering or the cycle; the verifiers read vertex ids), coarse shape
+classification, join-factor decomposition, and a canonical form that is
+invariant under label-preserving isomorphism, with the one key codec:
+the key writer :func:`positional_key` and its reader
+:func:`graph_from_key`.
 
 It is also the one graph core.  Vertex sets can be int bitmasks over
 vertex positions (:func:`vertex_mask`, :func:`mask_vertices`, and
@@ -127,13 +128,14 @@ class AbelianGroupLabel:
         s = text.strip()
         if s == "Z":
             return cls(rank=1)
-        m = re.fullmatch(r"Z\^(\d+)", s)
-        if m:
-            return cls(rank=int(m.group(1)))
-        m = re.fullmatch(r"Z_?(\d+)", s)
-        if m:
-            return cls(torsion=(int(m.group(1)),))
-        raise GraphValidationError(f"cannot parse group label {text!r}")
+        m = re.fullmatch(r"Z(\^|_?)(\d+)", s)
+        if not m:
+            raise GraphValidationError(f"cannot parse group label {text!r}")
+        try:
+            k = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise GraphValidationError("group label has an integer too long to read") from None
+        return cls(rank=k) if m.group(1) == "^" else cls(torsion=(k,))
 
     @classmethod
     def from_jsonable(cls, obj: object) -> "AbelianGroupLabel":
@@ -497,6 +499,8 @@ def _parse_json(text: str) -> LabeledGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphValidationError(f"invalid JSON: {e}") from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise GraphValidationError("invalid JSON: an integer too long to read") from None
     if not isinstance(doc, dict):
         raise GraphValidationError("top-level JSON value must be an object")
     extra = set(doc) - {"flavor", "vertices", "edges"}
@@ -547,48 +551,20 @@ def _parse_json(text: str) -> LabeledGraph:
 # character, which no statement accepts.
 _DOT_TOKEN = re.compile(
     r'(?P<skip>\s+|//[^\n]*|#[^\n]*|/\*.*?\*/)'
-    r'|(?P<quoted>"(?:[^"\\]|\\.)*")'
+    r'|"(?P<quoted>(?:[^"\\]|\\.)*)"'
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))"
     r"|(?P<op>--|[;\[\]=,{}])"
     r"|(?P<other>.)",
     re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class _DotToken:
-    kind: str  # quoted, id, op or other
-    text: str
-    start: int
-    end: int
-
-    @property
-    def is_id(self) -> bool:
-        return self.kind in ("id", "quoted")
-
-    def value(self) -> str:
-        """The ID a quoted string or identifier stands for."""
-        if self.kind == "quoted":
-            return self.text[1:-1].replace('\\"', '"')
-        return self.text
-
-    def is_op(self, text: str) -> bool:
-        return self.kind == "op" and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind == "id" and self.text == text
-
-
-def _dot_tokens(text: str) -> list[_DotToken]:
-    return [
-        _DotToken(m.lastgroup, m.group(), m.start(), m.end())
-        for m in _DOT_TOKEN.finditer(text)
-        if m.lastgroup != "skip"
-    ]
+_DOT_IDS = ("id", "quoted")
+# The token kinds of an ``ID = ID`` pair.
+_DOT_PAIRS = {(a, "=", b) for a in _DOT_IDS for b in _DOT_IDS}
 
 
 def _dot_attrs(
-    tokens: Sequence[_DotToken], text: str, kind: str, allowed: Iterable[str]
+    tokens: Sequence[tuple], text: str, kind: str, allowed: Iterable[str]
 ) -> dict[str, str]:
     """The ``ID = ID`` pairs, each with an optional comma or semicolon,
     of the attribute list ``tokens`` (whose source is ``text``), each
@@ -597,11 +573,11 @@ def _dot_attrs(
     k = 0
     while k < len(tokens):
         pair = tokens[k : k + 3]
-        if len(pair) < 3 or not (pair[0].is_id and pair[1].is_op("=") and pair[2].is_id):
+        if tuple(t[0] for t in pair) not in _DOT_PAIRS:
             raise GraphValidationError(f"malformed attribute list [{text.strip()}]")
-        attrs[pair[0].value()] = pair[2].value()
+        attrs[pair[0][1]] = pair[2][1]
         k += 3
-        if k < len(tokens) and (tokens[k].is_op(",") or tokens[k].is_op(";")):
+        if k < len(tokens) and tokens[k][0] in (",", ";"):
             k += 1
     extra = set(attrs) - set(allowed)
     if extra:
@@ -609,13 +585,15 @@ def _dot_attrs(
     return attrs
 
 
-def _dot_statements(
-    text: str,
-) -> Iterator[tuple[list[_DotToken], Optional[list[_DotToken]], str, str]]:
+def _dot_statements(text: str) -> Iterator[tuple[list[tuple], Optional[list[tuple]], str, str]]:
     """``(head, attrs, attr_text, source)`` for each statement of a DOT
     document's body: its tokens before a trailing attribute list, that
     list's tokens (None without a list) and source, and the statement's
     source.
+
+    A token is a tuple ``(kind, value, start, end)`` locating its text:
+    ``kind`` is ``id``, ``quoted``, an operator's own text or ``other``,
+    and ``value`` is the text, unquoted for a quoted ID, each \\" a quote.
 
     Outside an attribute list a statement ends at a ``;`` or, as the
     ``;`` is optional in DOT, where the next one can only start: at a
@@ -623,44 +601,51 @@ def _dot_statements(
     line stays one malformed statement, a line break before ``--``,
     ``=`` or ``[`` continues the statement, and only the end of the
     body ends an unclosed ``[``, as a malformed statement."""
-    tokens = _dot_tokens(text)
+    tokens = []
+    for m in _DOT_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "quoted":
+            tokens.append((kind, m.group(kind).replace('\\"', '"'), m.start(), m.end()))
+        elif kind != "skip":
+            tokens.append((m.group() if kind == "op" else kind, m.group(), m.start(), m.end()))
     # The header: [strict] graph [ID] {
-    k = 1 if tokens and tokens[0].is_keyword("strict") else 0
-    is_graph = k < len(tokens) and tokens[k].is_keyword("graph")
+    k = 1 if tokens and tokens[0][:2] == ("id", "strict") else 0
+    is_graph = k < len(tokens) and tokens[k][:2] == ("id", "graph")
     k += 1
-    if k < len(tokens) and tokens[k].is_id:
+    if k < len(tokens) and tokens[k][0] in _DOT_IDS:
         k += 1
-    if not (is_graph and k < len(tokens) and tokens[k].is_op("{")):
+    if not (is_graph and k < len(tokens) and tokens[k][0] == "{"):
         raise GraphValidationError(
             "unrecognized document: expected JSON or 'graph ... { ... }'"
         )
-    if not tokens[-1].is_op("}"):
+    if tokens[-1][0] != "}":
         raise GraphValidationError("DOT document does not end with '}'")
-    stmt: list[_DotToken] = []
+    stmt: list[tuple] = []
     depth = 0
-    end = _DotToken("op", ";", 0, 0)
-    for tok in tokens[k + 1 : -1] + [end]:
+    # The body's tokens, then an end marker of its own kind.
+    for tok in tokens[k + 1 : -1] + [("end", "", 0, 0)]:
+        kind = tok[0]
         line_break = (
             depth == 0
-            and tok.is_id
+            and kind in _DOT_IDS
             and bool(stmt)
-            and (stmt[-1].is_id or stmt[-1].is_op("]"))
-            and "\n" in text[stmt[-1].end : tok.start]
+            and stmt[-1][0] in ("id", "quoted", "]")
+            and "\n" in text[stmt[-1][3] : tok[2]]
         )
-        if not (tok is end or (depth == 0 and tok.is_op(";")) or line_break):
-            depth = max(depth + tok.is_op("[") - tok.is_op("]"), 0)
+        if not (kind == "end" or (depth == 0 and kind == ";") or line_break):
+            depth = max(depth + (kind == "[") - (kind == "]"), 0)
             stmt.append(tok)
             continue
         if not stmt:
             continue
-        source = text[stmt[0].start : stmt[-1].end]
+        source = text[stmt[0][2] : stmt[-1][3]]
         head, attrs, attr_text = stmt, None, ""
-        if stmt[-1].is_op("]"):
-            opening = max((i for i, t in enumerate(stmt) if t.is_op("[")), default=None)
+        if stmt[-1][0] == "]":
+            opening = max((i for i, t in enumerate(stmt) if t[0] == "["), default=None)
             if opening is not None:
                 head, attrs = stmt[:opening], stmt[opening + 1 : -1]
-                attr_text = text[stmt[opening].end : stmt[-1].start]
-        if any(t.is_op("[") or t.is_op("]") for t in head):
+                attr_text = text[stmt[opening][3] : stmt[-1][2]]
+        if any(t[0] in ("[", "]") for t in head):
             raise GraphValidationError(f"malformed statement {source!r}")
         yield head, attrs, attr_text, source
         stmt = [tok] if line_break else []
@@ -668,43 +653,36 @@ def _dot_statements(
 
 def _parse_dot(text: str) -> LabeledGraph:
     flavor = None
+    # Each vertex's group, None while undeclared, in order of first mention.
     declared: dict[str, AbelianGroupLabel | None] = {}
-    vertex_order: list[str] = []
     edge_items: list[tuple[str, str, int]] = []
-
-    def note_vertex(vid: str, group: AbelianGroupLabel | None) -> None:
-        if vid not in declared:
-            declared[vid] = group
-            vertex_order.append(vid)
-        elif group is not None:
-            if declared[vid] is not None and declared[vid] != group:
-                raise GraphValidationError(f"vertex {vid!r} declared with two groups")
-            declared[vid] = group
-
     for head, attr_tokens, attr_text, source in _dot_statements(text):
-        listed = attr_tokens is not None
-        attr_tokens = attr_tokens or []
-        if len(head) == 1 and head[0].is_keyword("graph"):
-            flavor = _dot_attrs(attr_tokens, attr_text, "graph", ("flavor",)).get("flavor", flavor)
-            continue
-        if len(head) == 1 and (head[0].is_keyword("node") or head[0].is_keyword("edge")):
-            if attr_tokens:
-                raise GraphValidationError(f"{head[0].text} default attributes are not supported")
-            continue
-        if len(head) == 3 and not listed and head[0].is_id and head[1].is_op("=") and head[2].is_id:
-            name = head[0].value()
+        kinds = tuple(t[0] for t in head)
+        if attr_tokens is None and kinds in _DOT_PAIRS:
+            name = head[0][1]
             if name != "flavor":
                 raise GraphValidationError(f"unknown graph attribute {name!r}")
-            flavor = head[2].value()
+            flavor = head[2][1]
             continue
-        ids, ops = head[::2], head[1::2]
-        if not (len(head) % 2 and all(t.is_id for t in ids) and all(t.is_op("--") for t in ops)):
+        attr_tokens = attr_tokens or []
+        if len(head) == 1 and head[0][:2] == ("id", "graph"):
+            flavor = _dot_attrs(attr_tokens, attr_text, "graph", ("flavor",)).get("flavor", flavor)
+            continue
+        if len(head) == 1 and head[0][:2] in (("id", "node"), ("id", "edge")):
+            if attr_tokens:
+                raise GraphValidationError(f"{head[0][1]} default attributes are not supported")
+            continue
+        ids, ops = kinds[::2], kinds[1::2]
+        if not (len(head) % 2 and all(k in _DOT_IDS for k in ids) and all(k == "--" for k in ops)):
             raise GraphValidationError(f"malformed statement {source!r}")
-        chain = [t.value() for t in ids]
+        chain = [t[1] for t in head[::2]]
         if len(chain) == 1:
             attrs = _dot_attrs(attr_tokens, attr_text, "vertex", ("group",))
             group = AbelianGroupLabel.parse(attrs["group"]) if "group" in attrs else None
-            note_vertex(chain[0], group)
+            if declared.get(chain[0]) is None:
+                declared[chain[0]] = group
+            elif group not in (None, declared[chain[0]]):
+                raise GraphValidationError(f"vertex {chain[0]!r} declared with two groups")
         else:
             label = 2
             attrs = _dot_attrs(attr_tokens, attr_text, "edge", ("label",))
@@ -716,11 +694,11 @@ def _parse_dot(text: str) -> LabeledGraph:
                         f"edge label must be an integer, got {attrs['label']!r}"
                     ) from None
             for vid in chain:
-                note_vertex(vid, None)
+                declared.setdefault(vid, None)
             for u, v in zip(chain, chain[1:]):
                 edge_items.append((u, v, label))
 
-    return _flavored_graph(flavor, [(vid, declared[vid]) for vid in vertex_order], edge_items)
+    return _flavored_graph(flavor, list(declared.items()), edge_items)
 
 
 def _flavored_graph(

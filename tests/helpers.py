@@ -3,10 +3,10 @@
 Everything here is deliberately independent of the package internals:
 brute-force chordality, the LexBFS chordality test on lists and dicts,
 brute-force isomorphism, brute-force F2 evidence, the Wise-Gordon scan
-tuple by tuple, the kind of a Coxeter diagram by a float elimination of
-its cosine matrix, the canonical representative in two builds, concrete
-permutation models for reflection group orders, and random graph
-generators.
+tuple by tuple, the DOT reader with token objects, the kind of a Coxeter
+diagram by a float elimination of its cosine matrix, the canonical
+representative in two builds, concrete permutation models for
+reflection group orders, and random graph generators.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import deque
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 from graphcoherence import (
     AbelianGroupLabel,
@@ -37,7 +39,9 @@ from graphcoherence import (
 from graphcoherence.coherence_engine import JoinEmbedding, WiseGordonViolation
 from graphcoherence.labeled_graph import (
     ChordalityResult,
+    GraphValidationError,
     InternalInvariantError,
+    _flavored_graph,
     canonical_relabel,
     is_chordal,
     mask_components,
@@ -425,6 +429,195 @@ def dot_document(G: LabeledGraph, flavor: str | None = None) -> str:
         lines.append(f"  {dot_quote(u)} -- {dot_quote(v)} [label={m}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the DOT reader as the package had it before its tokens became tuples: a
+# frozen token object per token, the statement splitter and the statement
+# rules, kept verbatim as the reference for the differential test.  It calls
+# the package's own _flavored_graph and AbelianGroupLabel.parse.
+
+
+# One token of the DOT subset, at each position the first of: whitespace
+# or a comment (skipped), a quoted string with \" escapes, an identifier
+# or numeral, the edge operator, one punctuation character, or any other
+# character, which no statement accepts.
+_DOT_TOKEN = re.compile(
+    r'(?P<skip>\s+|//[^\n]*|#[^\n]*|/\*.*?\*/)'
+    r'|(?P<quoted>"(?:[^"\\]|\\.)*")'
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))"
+    r"|(?P<op>--|[;\[\]=,{}])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
+
+@dataclass(frozen=True)
+class _DotToken:
+    kind: str  # quoted, id, op or other
+    text: str
+    start: int
+    end: int
+
+    @property
+    def is_id(self) -> bool:
+        return self.kind in ("id", "quoted")
+
+    def value(self) -> str:
+        """The ID a quoted string or identifier stands for."""
+        if self.kind == "quoted":
+            return self.text[1:-1].replace('\\"', '"')
+        return self.text
+
+    def is_op(self, text: str) -> bool:
+        return self.kind == "op" and self.text == text
+
+    def is_keyword(self, text: str) -> bool:
+        return self.kind == "id" and self.text == text
+
+
+def _dot_tokens(text: str) -> list[_DotToken]:
+    return [
+        _DotToken(m.lastgroup, m.group(), m.start(), m.end())
+        for m in _DOT_TOKEN.finditer(text)
+        if m.lastgroup != "skip"
+    ]
+
+
+def _dot_attrs(
+    tokens: Sequence[_DotToken], text: str, kind: str, allowed: Iterable[str]
+) -> dict[str, str]:
+    """The ``ID = ID`` pairs, each with an optional comma or semicolon,
+    of the attribute list ``tokens`` (whose source is ``text``), each
+    key one of ``allowed``."""
+    attrs = {}
+    k = 0
+    while k < len(tokens):
+        pair = tokens[k : k + 3]
+        if len(pair) < 3 or not (pair[0].is_id and pair[1].is_op("=") and pair[2].is_id):
+            raise GraphValidationError(f"malformed attribute list [{text.strip()}]")
+        attrs[pair[0].value()] = pair[2].value()
+        k += 3
+        if k < len(tokens) and (tokens[k].is_op(",") or tokens[k].is_op(";")):
+            k += 1
+    extra = set(attrs) - set(allowed)
+    if extra:
+        raise GraphValidationError(f"unknown {kind} attributes: {sorted(extra)}")
+    return attrs
+
+
+def _dot_statements(
+    text: str,
+) -> Iterator[tuple[list[_DotToken], Optional[list[_DotToken]], str, str]]:
+    """``(head, attrs, attr_text, source)`` for each statement of a DOT
+    document's body: its tokens before a trailing attribute list, that
+    list's tokens (None without a list) and source, and the statement's
+    source.
+
+    Outside an attribute list a statement ends at a ``;`` or, as the
+    ``;`` is optional in DOT, where the next one can only start: at a
+    line break between an ID or ``]`` and an ID.  So ``a b`` on one
+    line stays one malformed statement, a line break before ``--``,
+    ``=`` or ``[`` continues the statement, and only the end of the
+    body ends an unclosed ``[``, as a malformed statement."""
+    tokens = _dot_tokens(text)
+    # The header: [strict] graph [ID] {
+    k = 1 if tokens and tokens[0].is_keyword("strict") else 0
+    is_graph = k < len(tokens) and tokens[k].is_keyword("graph")
+    k += 1
+    if k < len(tokens) and tokens[k].is_id:
+        k += 1
+    if not (is_graph and k < len(tokens) and tokens[k].is_op("{")):
+        raise GraphValidationError(
+            "unrecognized document: expected JSON or 'graph ... { ... }'"
+        )
+    if not tokens[-1].is_op("}"):
+        raise GraphValidationError("DOT document does not end with '}'")
+    stmt: list[_DotToken] = []
+    depth = 0
+    end = _DotToken("op", ";", 0, 0)
+    for tok in tokens[k + 1 : -1] + [end]:
+        line_break = (
+            depth == 0
+            and tok.is_id
+            and bool(stmt)
+            and (stmt[-1].is_id or stmt[-1].is_op("]"))
+            and "\n" in text[stmt[-1].end : tok.start]
+        )
+        if not (tok is end or (depth == 0 and tok.is_op(";")) or line_break):
+            depth = max(depth + tok.is_op("[") - tok.is_op("]"), 0)
+            stmt.append(tok)
+            continue
+        if not stmt:
+            continue
+        source = text[stmt[0].start : stmt[-1].end]
+        head, attrs, attr_text = stmt, None, ""
+        if stmt[-1].is_op("]"):
+            opening = max((i for i, t in enumerate(stmt) if t.is_op("[")), default=None)
+            if opening is not None:
+                head, attrs = stmt[:opening], stmt[opening + 1 : -1]
+                attr_text = text[stmt[opening].end : stmt[-1].start]
+        if any(t.is_op("[") or t.is_op("]") for t in head):
+            raise GraphValidationError(f"malformed statement {source!r}")
+        yield head, attrs, attr_text, source
+        stmt = [tok] if line_break else []
+
+
+def reference_parse_dot(text: str) -> LabeledGraph:
+    flavor = None
+    declared: dict[str, AbelianGroupLabel | None] = {}
+    vertex_order: list[str] = []
+    edge_items: list[tuple[str, str, int]] = []
+
+    def note_vertex(vid: str, group: AbelianGroupLabel | None) -> None:
+        if vid not in declared:
+            declared[vid] = group
+            vertex_order.append(vid)
+        elif group is not None:
+            if declared[vid] is not None and declared[vid] != group:
+                raise GraphValidationError(f"vertex {vid!r} declared with two groups")
+            declared[vid] = group
+
+    for head, attr_tokens, attr_text, source in _dot_statements(text):
+        listed = attr_tokens is not None
+        attr_tokens = attr_tokens or []
+        if len(head) == 1 and head[0].is_keyword("graph"):
+            flavor = _dot_attrs(attr_tokens, attr_text, "graph", ("flavor",)).get("flavor", flavor)
+            continue
+        if len(head) == 1 and (head[0].is_keyword("node") or head[0].is_keyword("edge")):
+            if attr_tokens:
+                raise GraphValidationError(f"{head[0].text} default attributes are not supported")
+            continue
+        if len(head) == 3 and not listed and head[0].is_id and head[1].is_op("=") and head[2].is_id:
+            name = head[0].value()
+            if name != "flavor":
+                raise GraphValidationError(f"unknown graph attribute {name!r}")
+            flavor = head[2].value()
+            continue
+        ids, ops = head[::2], head[1::2]
+        if not (len(head) % 2 and all(t.is_id for t in ids) and all(t.is_op("--") for t in ops)):
+            raise GraphValidationError(f"malformed statement {source!r}")
+        chain = [t.value() for t in ids]
+        if len(chain) == 1:
+            attrs = _dot_attrs(attr_tokens, attr_text, "vertex", ("group",))
+            group = AbelianGroupLabel.parse(attrs["group"]) if "group" in attrs else None
+            note_vertex(chain[0], group)
+        else:
+            label = 2
+            attrs = _dot_attrs(attr_tokens, attr_text, "edge", ("label",))
+            if "label" in attrs:
+                try:
+                    label = int(attrs["label"])
+                except ValueError:
+                    raise GraphValidationError(
+                        f"edge label must be an integer, got {attrs['label']!r}"
+                    ) from None
+            for vid in chain:
+                note_vertex(vid, None)
+            for u, v in zip(chain, chain[1:]):
+                edge_items.append((u, v, label))
+
+    return _flavored_graph(flavor, [(vid, declared[vid]) for vid in vertex_order], edge_items)
 
 
 # ---------------------------------------------------------------------------

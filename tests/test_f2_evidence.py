@@ -1,10 +1,11 @@
 """The F2 evidence layer against brute force.
 
-``f2_certificates`` walks independent triples on adjacency bitsets and
-``witness_join_incoherence`` pairs certificates through label-2
-bitsets; both must return exactly what the plain scans in
-``helpers.py`` return: the same certificates in the same order, and the
-same first join witness.  Graphs come from every flavor, often built as
+``first_f2_certificate`` walks free pairs and independent triples on
+adjacency bitsets, and ``witness_join_incoherence`` pairs certificates
+through label-2 bitsets; both must return exactly what the plain scans
+in ``helpers.py`` return: the same first certificate, inside any vertex
+mask and as ``is_slender``'s obstruction, and the same first join
+witness.  Graphs come from every flavor, often built as
 a label-2 join of two random graphs with a few cross edges removed or
 relabeled, so that witnesses and near misses are both common; up to 12
 vertices, they reach every outcome of the join scan.  The benchmark's
@@ -34,7 +35,13 @@ from graphcoherence import (
     verify_witness,
     witness_join_incoherence,
 )
-from graphcoherence.group_model import f2_certificates
+from graphcoherence.group_model import (
+    f2_certificate,
+    first_f2_certificate,
+    is_slender,
+    order_two_mask,
+)
+from graphcoherence.labeled_graph import detect_flavor, mask_vertices
 from helpers import brute_force_f2_certificates, brute_force_join_witness
 from test_node_key_memo import bench_operations
 
@@ -90,11 +97,25 @@ def random_evidence_graph(
 
 
 @settings(max_examples=600)
-@given(evidence_graphs())
-def test_f2_evidence_matches_brute_force(G):
+@given(evidence_graphs(), st.integers(1, 2**9 - 1))
+def test_f2_evidence_matches_brute_force(G, within):
+    """The first certificate inside a vertex mask is the brute force's
+    first on the induced subgraph; on the whole graph it is also
+    ``is_slender``'s obstruction, unless G is Coxeter (decided by its
+    diagram alone)."""
+    within &= (1 << G.n) - 1
+    if within:
+        certs = brute_force_f2_certificates(G.induced(mask_vertices(G, within)))
+        first = first_f2_certificate(G.adjacency_masks, order_two_mask(G), within)
+        cert = None if first is None else f2_certificate(G.vertices, first)
+        assert cert == (certs[0] if certs else None)
     certs = brute_force_f2_certificates(G)
-    assert list(f2_certificates(G)) == certs
-    assert next(f2_certificates(G), None) == (certs[0] if certs else None)
+    if not detect_flavor(G).coxeter:
+        slender = is_slender(G)
+        if certs:
+            assert (slender.reason, slender.obstruction) == ("f2-certificate", certs[0])
+        else:
+            assert slender.reason != "f2-certificate"
     witness = witness_join_incoherence(G)
     assert witness == brute_force_join_witness(G)
     if witness is not None:

@@ -49,6 +49,9 @@ from helpers import (
     random_labeled_graph,
 )
 
+# A decimal integer longer than int() converts by default (4,300 digits).
+LONG = "9" * 5000
+
 
 class TestAbelianGroupLabel:
     def test_infinite_cyclic_and_order_two(self):
@@ -476,6 +479,33 @@ class TestParsing:
         assert errors[0] == errors[1]
         assert message in errors[0]
 
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"flavor": "coxeter", "vertices": [{"id": "a"}, {"id": "b"}],'
+            ' "edges": [{"u": "a", "v": "b", "label": %s}]}' % LONG,
+            '{"vertices": [{"id": "a", "group": {"torsion": [%s]}}]}' % LONG,
+            '{"vertices": [{"id": "a", "group": "Z_%s"}]}' % LONG,
+            'graph { a [group="Z_%s"]; }' % LONG,
+            'graph { a [group="Z^%s"]; }' % LONG,
+        ],
+        ids=["json-label", "json-torsion", "json-group-string", "dot-torsion", "dot-rank"],
+    )
+    def test_integers_too_long_to_read_are_validation_errors(self, tmp_path, capsys, doc):
+        """Python's int() refuses more than 4,300 digits; such a number
+        is malformed input, reported in one line without its digits."""
+        with pytest.raises(GraphValidationError) as excinfo:
+            parse_graph(doc)
+        assert LONG not in str(excinfo.value)
+        path = tmp_path / "long.txt"
+        path.write_text(doc)
+        assert main(["classify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "9" * 100 not in lines[0] and "set_int_max_str_digits" not in lines[0]
 
 class TestChordality:
     def test_named_graphs(self):
