@@ -34,7 +34,8 @@ back, so every verdict that leaves the classifier is the parsed form
 of the JSON the engine writes.  A second memo canonicalizes each
 subgraph structure once, and a third decides its slenderness once, for
 both classification and the proof checks run through the same
-classifier.
+classifier.  Parts and separators are looked up in the memos by their
+vertex positions, so a hit builds no graph.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .labeled_graph import (
     mask_positions,
     positional_key,
     shape_classify,
+    substructure,
     verify_peo,
 )
 
@@ -501,12 +503,42 @@ class Classifier:
     ``key``, so the entry is exact for any canonical key, and a key
     written for another structure never enters the memo.
 
-    A third memo, :meth:`slender`, maps a graph's positional structure
-    to ``is_slender``'s certificate for it, with each vertex replaced by
+    Parts are looked up by position.  Lemma: the subgraph of G induced
+    on distinct positions P, in the order listed, has the structure
+    ``substructure(G, P)``, since :func:`induced_as_listed` builds every
+    such graph from exactly that structure.  So a memo keyed by
+    structure is read for a part with no graph built.  A prover's part
+    is classified by :meth:`_classify_part` from its positions P in the
+    graph holding it.  When the form memo holds the part's structure
+    with ``(key, order)`` and the verdict memo holds ``key``, the hook
+    returns what :meth:`_memo_entry` returns for the built part: its
+    ``_form`` is that stored form, its entry is the stored verdict, and
+    its placement, the part's ids at ``order``, is ``G.vertices[P[i]]``
+    for i in ``order``.  ``require_group`` would pass on the part too.
+    Every induced subgraph of a graph whose labels define a group
+    defines one, since each of the three ways to define one is a
+    condition on every vertex group (all Z, or all Z/2) or on every
+    edge label (all 2), and the part's groups and labels are some of
+    G's.  The provers run only on such graphs: :meth:`_memo_entry`
+    checks each graph it classifies, and
+    :meth:`classify_canonical_jsonable` takes the canonical
+    representative of such a graph.  So a hit builds no graph and makes
+    no check, and any miss builds the part and goes through
+    :meth:`_memo_entry`, the one miss path.
+
+    A third memo maps a graph's positional structure to
+    ``is_slender``'s certificate for it, with each vertex replaced by
     its position.  It decides the premises the proofs rest on: a slender
     leaf and a dirac split's separator in the provers, and a slender
-    leaf and an amalgam's separator in the verifier.  Lemma: a hit, its
-    positions named by ``G.vertices``, is exactly ``is_slender(G)``.
+    leaf and an amalgam's separator in the verifier.  Its one lookup,
+    :meth:`_stored_slender`, returns the stored certificate of G or of
+    G's subgraph induced on given positions, and builds that subgraph
+    only on a miss.  The separator checks read only its verdict, the
+    slender-leaf verifier maps the stored factors' ids to positions and
+    compares them with it, and only the slender-leaf prover, whose
+    certificate is evidence, renames it (:meth:`slender`).  Lemma: a
+    hit, its positions named by ``G.vertices``, is exactly
+    ``is_slender(G)``.
     ``is_slender`` reads only G's groups, edges and vertex positions, as
     do ``detect_flavor``, ``first_f2_certificate``, ``join_factors`` and
     ``_match_component``, which it calls, and it uses ``G.vertices``
@@ -536,13 +568,23 @@ class Classifier:
         mapping = None if placement is None else _id_map(placement)
         return from_jsonable(Verdict, to_jsonable(verdict, mapping))
 
-    def _classify_part(self, G: LabeledGraph) -> Verdict:
-        """G's verdict as a part of a larger graph's evidence: its
-        evidence holds G's memo entry by reference, with the placement
-        into G's ids, so nothing is renamed until a public method
-        resolves the whole tree.  The provers call this hook only, and
-        only below the search cap, so G has a placement."""
-        verdict, placement = self._memo_entry(G)
+    def _classify_part(self, G: LabeledGraph, positions: Sequence[int]) -> Verdict:
+        """The verdict of the part of G induced on the increasing vertex
+        ``positions``, as a part of G's evidence: its evidence holds the
+        part's memo entry by reference, with the placement into G's ids,
+        so nothing is renamed until a public method resolves the whole
+        tree.  The provers call this hook only, and only below the
+        search cap, so the part has a placement.  When the form memo and
+        the verdict memo both hold the part's structure, no graph is
+        built (see :class:`Classifier`); any miss builds the part and
+        takes it through :meth:`_memo_entry`."""
+        form = self._forms.get(substructure(G, positions))
+        verdict = None if form is None else self._cache.get(form[0])
+        if verdict is None:
+            verdict, placement = self._memo_entry(induced_as_listed(G, positions))
+        else:
+            ids = G.vertices
+            placement = tuple(ids[positions[i]] for i in form[1])
         if verdict.status == COHERENT:
             return Verdict(COHERENT, proof=_Ref(verdict.proof, placement))
         if verdict.status == INCOHERENT:
@@ -564,18 +606,14 @@ class Classifier:
             # CG is G listed in the order that gave ``key``, so its
             # positional key is ``key`` (see :class:`Classifier`).
             self._forms[CG.groups, CG.edges] = key, tuple(range(G.n))
-        ids = G.vertices
-        return verdict, tuple(ids[i] for i in order)
+        return verdict, tuple(G.vertices[i] for i in order)
 
     def node_key(self, G: LabeledGraph) -> tuple[str, Optional[tuple[str, ...]]]:
         """The key that G's proof nodes carry, with the placement that
         realizes it: ``canonical_form(G)``, computed once per positional
         structure, or the raw key and None above the search cap."""
         key, order = self._form(G)
-        if order is None:
-            return key, None
-        ids = G.vertices
-        return key, tuple(ids[i] for i in order)
+        return key, None if order is None else tuple(G.vertices[i] for i in order)
 
     def _form(self, G: LabeledGraph) -> tuple[str, Optional[tuple[int, ...]]]:
         """:meth:`node_key` with the placement as G's positions."""
@@ -615,15 +653,23 @@ class Classifier:
 
     def slender(self, G: LabeledGraph) -> SlenderCertificate:
         """``is_slender(G)``, computed once per positional structure
-        ``(G.groups, G.edges)``: a hit is the stored certificate with its
+        ``(G.groups, G.edges)``: the stored certificate with its
         positions named by ``G.vertices`` (see :class:`Classifier`)."""
-        structure = (G.groups, G.edges)
+        return _renamed_certificate(self._stored_slender(G), G.vertices.__getitem__)
+
+    def _stored_slender(
+        self, G: LabeledGraph, positions: Optional[Sequence[int]] = None
+    ) -> SlenderCertificate:
+        """The slender memo's one lookup: ``is_slender`` of G, or of G's
+        subgraph induced on the vertex ``positions`` in the order listed,
+        with each vertex replaced by its position in that graph.  Only a
+        miss builds the subgraph."""
+        structure = (G.groups, G.edges) if positions is None else substructure(G, positions)
         stored = self._slender.get(structure)
         if stored is None:
-            cert = is_slender(G)
-            self._slender[structure] = _renamed_certificate(cert, G.index)
-            return cert
-        return _renamed_certificate(stored, G.vertices.__getitem__)
+            sub = G if positions is None else induced_as_listed(G, positions)
+            stored = self._slender[structure] = _renamed_certificate(is_slender(sub), sub.index)
+        return stored
 
     # G is a canonical representative (ids "0", "1", ...) whose canonical
     # key is ``key``, unless big is set: then ``key`` is the raw key and
@@ -676,17 +722,12 @@ class Classifier:
 def _renamed_certificate(cert: SlenderCertificate, name: Callable) -> SlenderCertificate:
     """``cert`` with each vertex v of its factors and its obstruction
     replaced by ``name(v)``."""
-    factors = cert.factors
-    if factors is not None:
-        factors = tuple(
-            SlenderFactor(tuple(map(name, f.vertices)), f.kind, f.type) for f in factors
-        )
-    obstruction = cert.obstruction
-    if obstruction is not None:
-        obstruction = dataclasses.replace(
-            obstruction, vertices=tuple(map(name, obstruction.vertices))
-        )
-    return SlenderCertificate(cert.verdict, cert.reason, factors, obstruction)
+    parts, obs = cert.factors, cert.obstruction
+    if parts is not None:
+        parts = tuple(SlenderFactor(tuple(map(name, f.vertices)), f.kind, f.type) for f in parts)
+    if obs is not None:
+        obs = dataclasses.replace(obs, vertices=tuple(map(name, obs.vertices)))
+    return SlenderCertificate(cert.verdict, cert.reason, parts, obs)
 
 
 def classify(G: LabeledGraph, config: Optional[EngineConfig] = None) -> Verdict:
@@ -726,7 +767,7 @@ def verify_proof(
     every split invariant is checked again.  Each node's key is compared
     with :meth:`Classifier.node_key` of its induced subgraph, and each
     slenderness premise (a slender or abelian leaf's certificate, an
-    amalgam's separator) is decided by :meth:`Classifier.slender`, both
+    amalgam's separator) by the classifier's slender memo, both
     through ``classifier``'s memos (keys under its cap), or else through
     a fresh classifier with cap ``cap``, whose memos start cold.  A hit is
     exactly what ``canonical_form`` or ``is_slender`` returns for that
@@ -736,9 +777,10 @@ def verify_proof(
     its vertices, which for the classifier's evidence is its part's
     canonical order, so on the classifier that wrote the proof every key
     check and slenderness premise is a memo hit; a node listed in
-    another order still verifies, by a search.  A node, or a split's
-    side or separator, that lists a vertex twice is refused.  Failures
-    name the offending node by its path from the root.
+    another order still verifies, by a search.  A node, a split's side
+    or separator, a free product's stored components, or a slender
+    leaf's stored factors, that lists a vertex twice is refused.
+    Failures name the offending node by its path from the root.
     """
     clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
     return _verify_node(G, node, tuple(G.vertices), clf, path=("root",))
@@ -890,7 +932,7 @@ def _prove_dirac_split(clf, G, key, flavor, notes) -> Optional[Verdict]:
     if G.is_complete() or not G.is_connected() or not is_chordal(G):
         return None
     split = dirac_split(G)
-    if clf.slender(G.induced(split.separator)).verdict != SLENDER:
+    if clf._stored_slender(G, list(map(G.index, split.separator))).verdict != SLENDER:
         return None
     return _amalgam(clf, G, key, split)
 
@@ -938,7 +980,7 @@ def _classify_parts(clf, G: LabeledGraph, parts) -> Union[Verdict, list[Verdict]
     as G's incoherent_factor verdict instead."""
     verdicts = []
     for members in parts:
-        v = clf._classify_part(G.induced(members))
+        v = clf._classify_part(G, sorted(map(G.index, members)))
         if v.status == INCOHERENT:
             return Verdict(INCOHERENT, witness=IncoherentFactor(vertices=members, inner=v.witness))
         verdicts.append(v)
@@ -958,9 +1000,13 @@ def _verify_abelian(sub, node, flavor, clf, path) -> VerificationOutcome:
 
 def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     """A stored certificate must give the reason ``is_slender`` gives and
-    the same factors, compared as a set of (vertex set, kind, type)
-    since renaming can reorder them."""
-    cert = clf.slender(sub)
+    the same factors.  Each stored factor's ids become positions in
+    ``sub``, and the factors are compared with the classifier's
+    positional certificate as a set of (position set, kind, type), since
+    renaming can reorder them.  The certificate's factors partition the
+    vertices, so once the sets agree, stored factors that list more than
+    ``sub.n`` vertices in all list some vertex twice."""
+    cert = clf._stored_slender(sub)
     if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
     stored = node.data.get("certificate")
@@ -969,11 +1015,14 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     if not isinstance(stored, dict) or stored.get("reason") != cert.reason:
         return _fail(path, "stored slenderness reason does not match the subgraph")
     try:
-        factors = {(frozenset(f["vertices"]), f["kind"], f["type"]) for f in stored["factors"]}
-    except (KeyError, TypeError):
+        listed = [(f["vertices"], f["kind"], f["type"]) for f in stored["factors"]]
+        factors = {(frozenset(map(sub.index, vs)), kind, t) for vs, kind, t in listed}
+    except (KeyError, TypeError, ValueError):
         factors = None
     if factors != {(frozenset(f.vertices), f.kind, f.type and f.type.name) for f in cert.factors}:
         return _fail(path, "stored slender factors do not match the subgraph")
+    if sum(len(vs) for vs, _, _ in listed) != sub.n:
+        return _fail(path, "stored slender factors list a vertex twice")
     return _OK
 
 
@@ -1040,6 +1089,8 @@ def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "free factors do not cover the node")
     try:
         comps = node.data.get("components")
+        if comps is not None and any(len(set(c)) != len(c) for c in comps):
+            return _fail(path, "stored components list a vertex twice")
         same = comps is None or [set(c) for c in comps] == sets
     except TypeError:
         same = False
@@ -1071,7 +1122,8 @@ def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "amalgam separator is empty")
     if not verify_split(sub, split):
         return _fail(path, "split invariants fail")
-    if clf.slender(sub.induced(split.separator)).verdict != SLENDER:
+    separator = sorted(map(sub.index, split.separator))
+    if clf._stored_slender(sub, separator).verdict != SLENDER:
         return _fail(path, "separator subgroup is not slender")
     if len(node.children) != 2:
         return _fail(path, "amalgam needs exactly two children")

@@ -18,8 +18,11 @@ adjacency bitsets (``LabeledGraph.adjacency_masks``, built on first
 use), :func:`label_two_masks` builds those of its label-2 edges, and
 :func:`mask_components` is the one components walk, used for graph
 components, join factors and the separator search alike.
-:func:`induced_as_listed` is the one builder of a graph in a given
-vertex order, for canonical representatives and verified proof nodes.  The
+:func:`substructure` reads the groups and edges a graph induces on
+vertex positions in a given order, with no graph built, and
+:func:`induced_as_listed`, built on it, is the one builder of a graph in
+a given vertex order, for induced subgraphs, reorderings, canonical
+representatives and verified proof nodes.  The
 components of a Coxeter group's standard diagram are the join factors
 of its all-Z2 graph.
 """
@@ -79,9 +82,14 @@ class AbelianGroupLabel:
                 raise GraphValidationError(
                     "torsion invariants must form a divisibility chain"
                 )
-        # Kept outside the fields, so eq, hash, order and repr ignore it;
+        # Kept outside the fields, so eq, order and repr ignore it;
         # canonical labeling reads it once per vertex per call.
         object.__setattr__(self, "_key", f"{self.rank}|{','.join(map(str, self.torsion))}")
+
+    def __hash__(self) -> int:
+        # ``_key`` names (rank, torsion) one to one, so this agrees with
+        # eq; a str caches its hash, so each label is hashed once.
+        return hash(self._key)
 
     @property
     def is_infinite(self) -> bool:
@@ -300,21 +308,7 @@ class LabeledGraph:
 
     def induced(self, subset: Iterable[str]) -> "LabeledGraph":
         """Induced subgraph on ``subset``, keeping the ambient vertex order."""
-        chosen = set()
-        for v in subset:
-            self.index(v)
-            chosen.add(v)
-        if not chosen:
-            raise GraphValidationError("induced subgraph needs at least one vertex")
-        keep = [i for i, v in enumerate(self.vertices) if v in chosen]
-        pos = {i: p for p, i in enumerate(keep)}
-        return LabeledGraph(
-            vertices=tuple(self.vertices[i] for i in keep),
-            groups=tuple(self.groups[i] for i in keep),
-            edges=tuple(
-                (pos[i], pos[j], m) for i, j, m in self.edges if i in pos and j in pos
-            ),
-        )
+        return induced_as_listed(self, sorted({self.index(v) for v in subset}))
 
     def relabeled(self, mapping: dict[str, str]) -> "LabeledGraph":
         """Rename vertex ids, keeping order and structure."""
@@ -327,17 +321,7 @@ class LabeledGraph:
         """The same graph with its ambient vertex order changed."""
         if sorted(order) != sorted(self.vertices) or len(order) != self.n:
             raise GraphValidationError("permutation must list every vertex once")
-        old = [self.index(v) for v in order]
-        newpos = {o: p for p, o in enumerate(old)}
-        edges = sorted(
-            (min(newpos[i], newpos[j]), max(newpos[i], newpos[j]), m)
-            for i, j, m in self.edges
-        )
-        return LabeledGraph(
-            vertices=tuple(order),
-            groups=tuple(self.groups[o] for o in old),
-            edges=tuple(edges),
-        )
+        return induced_as_listed(self, [self.index(v) for v in order], tuple(order))
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -399,16 +383,21 @@ class Flavor:
         return tuple(out)
 
 
+# The eight flavors, by (graph_product, artin, coxeter), made once.
+_FLAVORS = {bits: Flavor(*bits) for bits in itertools.product((False, True), repeat=3)}
+
+
 def detect_flavor(G: LabeledGraph) -> Flavor:
     """The flavor of ``G``, computed on first use and kept on the graph
     like its adjacency bitsets."""
     flavor = G._flavor
     if flavor is None:
-        flavor = Flavor(
-            graph_product=all(m == 2 for _, _, m in G.edges),
-            artin=all(g.is_infinite_cyclic for g in G.groups),
-            coxeter=all(g.is_order_two for g in G.groups),
-        )
+        groups = G.groups
+        flavor = _FLAVORS[
+            all(m == 2 for _, _, m in G.edges),
+            all(g.is_infinite_cyclic for g in groups),
+            all(g.is_order_two for g in groups),
+        ]
         object.__setattr__(G, "_flavor", flavor)
     return flavor
 
@@ -501,6 +490,8 @@ def _parse_json(text: str) -> LabeledGraph:
         raise GraphValidationError(f"invalid JSON: {e}") from None
     except ValueError:  # an integer with more digits than int() converts
         raise GraphValidationError("invalid JSON: an integer too long to read") from None
+    except RecursionError:
+        raise GraphValidationError("invalid JSON: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise GraphValidationError("top-level JSON value must be an object")
     extra = set(doc) - {"flavor", "vertices", "edges"}
@@ -687,11 +678,14 @@ def _parse_dot(text: str) -> LabeledGraph:
             label = 2
             attrs = _dot_attrs(attr_tokens, attr_text, "edge", ("label",))
             if "label" in attrs:
+                raw = attrs["label"]
                 try:
-                    label = int(attrs["label"])
+                    label = int(raw)
                 except ValueError:
+                    # A long label is named by its length, so the error stays one short line.
+                    got = repr(raw) if len(raw) <= 40 else f"a label of {len(raw)} characters"
                     raise GraphValidationError(
-                        f"edge label must be an integer, got {attrs['label']!r}"
+                        f"edge label must be an integer, got {got}"
                     ) from None
             for vid in chain:
                 declared.setdefault(vid, None)
@@ -1300,22 +1294,39 @@ def canonical_key(G: LabeledGraph, cap: int = DEFAULT_VERTEX_CAP) -> str:
     return canonical_form(G, cap)[0]
 
 
-def induced_as_listed(
-    G: LabeledGraph, positions: Sequence[int], ids: tuple[str, ...]
-) -> LabeledGraph:
-    """G's subgraph induced on the distinct vertex ``positions``, in the
-    order listed, with the vertex at ``positions[p]`` named ``ids[p]``:
-    one pass over their adjacencies, with no other validation."""
-    if not positions:
-        raise GraphValidationError("induced subgraph needs at least one vertex")
-    pos = {i: p for p, i in enumerate(positions)}
-    edges = sorted(
+def substructure(
+    G: LabeledGraph, positions: Sequence[int]
+) -> tuple[tuple[AbelianGroupLabel, ...], tuple[tuple[int, int, int], ...]]:
+    """The ``(groups, edges)`` of G's subgraph induced on the distinct
+    vertex ``positions``, in the order listed: the vertex at
+    ``positions[p]`` is position p, and the edges are sorted (p, q,
+    label) triples with p < q, read from G's adjacency dicts in one
+    pass and building no graph."""
+    at = {i: p for p, i in enumerate(positions)}.get
+    adj = G._adj
+    edges = [
         (p, q, m)
         for p, i in enumerate(positions)
-        for j, m in G._adj[i].items()
-        if (q := pos.get(j, -1)) > p
-    )
-    return LabeledGraph(ids, tuple(G.groups[i] for i in positions), tuple(edges))
+        for j, m in adj[i].items()
+        if (q := at(j, -1)) > p
+    ]
+    edges.sort()
+    groups = G.groups
+    return tuple([groups[i] for i in positions]), tuple(edges)
+
+
+def induced_as_listed(
+    G: LabeledGraph, positions: Sequence[int], ids: Optional[tuple[str, ...]] = None
+) -> LabeledGraph:
+    """G's subgraph induced on the distinct vertex ``positions``, in the
+    order listed, with the vertex at ``positions[p]`` named ``ids[p]``,
+    or by its id in G without ``ids``: the graph of
+    :func:`substructure`, with no other validation."""
+    if not positions:
+        raise GraphValidationError("induced subgraph needs at least one vertex")
+    if ids is None:
+        ids = tuple([G.vertices[i] for i in positions])
+    return LabeledGraph(ids, *substructure(G, positions))
 
 
 def canonical_relabel(G: LabeledGraph, placement: Sequence[str]) -> LabeledGraph:

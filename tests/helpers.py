@@ -349,8 +349,8 @@ class EagerClassifier(Classifier):
     parts by reference, kept as the oracle for resolving references
     through composed id maps."""
 
-    def _classify_part(self, G):
-        return self.classify(G)
+    def _classify_part(self, G, positions):
+        return self.classify(G.induced([G.vertices[i] for i in positions]))
 
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,21 @@ class TestErrors:
         assert main([command, "--format", fmt, str(path)]) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply to read"),
+            (
+                "graph { a -- b [label=" + "9" * 5000 + "]; }",
+                "edge label must be an integer, got a label of 5000 characters",
+            ),
+        ],
+        ids=["deeply-nested-json", "5000-digit-dot-label"],
+    )
+    def test_a_huge_document_part_gives_one_short_error_line(self, doc, message):
+        proc = _assert_exits_1_without_traceback(["classify", "-"], doc, message)
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 300
+
     def test_census_with_a_huge_label_exits_0(self, capsys):
         argv = ["census", "--flavor", "coxeter", "--max-vertices", "2", "--labels", "2,70249"]
         assert main(argv) == 0
@@ -698,6 +713,7 @@ def _assert_exits_1_without_traceback(argv, stdin, message):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+    return proc
 
 
 # The runtime needs no numpy: these runs block its import.

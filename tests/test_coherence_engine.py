@@ -842,6 +842,42 @@ class TestRepeatedVertices:
         bad = dataclasses.replace(proof, children=children)
         self.assert_rejected(G, clf, bad, ("root", f"factor[{at}]"), "node lists a vertex twice")
 
+    def test_stored_free_product_components(self):
+        G = graph_product_graph([(x, cyclic(3)) for x in "abc"], [("a", "b")])
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "free_product" and verify_proof(G, proof, classifier=clf)
+        first, *rest = proof.data["components"]
+        doubled = [first + first[:1], *rest]
+        bad = dataclasses.replace(proof, data={**proof.data, "components": doubled})
+        self.assert_rejected(G, clf, bad, ("root",), "stored components list a vertex twice")
+
+    @pytest.mark.parametrize(
+        "G, rule",
+        [
+            (cycle_racg(4), "slender"),
+            (graph_product_graph([(x, cyclic(3)) for x in "abc"], cycle_edges("abc")), "abelian"),
+        ],
+        ids=["slender", "abelian"],
+    )
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda first, rest: [{**first, "vertices": first["vertices"] * 2}, *rest],
+            lambda first, rest: [first, *rest, first],
+        ],
+        ids=["a-factor-repeats-a-vertex", "a-factor-listed-twice"],
+    )
+    def test_a_stored_certificate_factor(self, G, rule, edit):
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == rule and verify_proof(G, proof, classifier=clf)
+        cert = proof.data["certificate"]
+        first, *rest = cert["factors"]
+        data = {"certificate": {**cert, "factors": edit(first, rest)}}
+        bad = dataclasses.replace(proof, data=data)
+        self.assert_rejected(G, clf, bad, ("root",), "stored slender factors list a vertex twice")
+
 
 class TestWitnessVerification:
     def test_all_named_witnesses_verify(self):

@@ -153,7 +153,7 @@ class _Unresolved:
     def classify(self, G):
         return Verdict(UNKNOWN, notes=(UnknownNote(code="no-rule-applied"),))
 
-    def _classify_part(self, G):
+    def _classify_part(self, G, positions):
         return self.classify(G)
 
 
