@@ -538,7 +538,10 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     paired with its stored record, or None: the stored record, or else a
     new one classifying the canonical representative.  With ``verify``
     set, the record's verdict, parsed back from its JSON form, is
-    re-verified on that representative."""
+    re-verified on that representative; an UNKNOWN verdict has no
+    evidence to check, so a stored one must be the verdict that
+    classifying the representative again writes, or the record is
+    refused with a ``ValueError``."""
     n, e, key, CG, weight, rec = job
     if rec is None:
         verdict_obj = classifier.classify_canonical_jsonable(CG, key)
@@ -552,6 +555,12 @@ def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
             "notes": [note["code"] for note in verdict_obj["notes"]],
             "verdict": verdict_obj,
         }
+    elif verify and rec["status"] == UNKNOWN:
+        if classifier.classify_canonical_jsonable(CG, key) != rec["verdict"]:
+            raise ValueError(
+                f"corrupt census record for class {key}: its UNKNOWN verdict "
+                "is not the one this engine gives"
+            )
     if verify:
         check_verdict(CG, verdict_from_jsonable(rec["verdict"]), subject=key, classifier=classifier)
     return n, e, key, rec, weight
@@ -585,7 +594,8 @@ def run_census(
     class's record is appended as it is tallied, after a header line in
     a new file; re-running with the same path skips keys that already
     have records (their stored verdicts are still counted and, when
-    configured, re-verified as new ones are).  A file whose header
+    configured, re-verified as new ones are, an UNKNOWN one by
+    classifying its class again).  A file whose header
     names another engine configuration or package version is refused
     with a ``ValueError``, and so is a file that another census holds:
     the run keeps an exclusive lock on it from before reading it to its

@@ -58,7 +58,6 @@ from .group_model import (
     F2Certificate,
     IrreducibleType,
     SlenderCertificate,
-    SlenderFactor,
     f2_certificate,
     f2_certificate_valid,
     first_f2_certificate,
@@ -479,29 +478,27 @@ class Classifier:
     the key.  Each memo of the classifier lives as long as it and holds
     no graph and no vertex id.
 
-    Classifying a canonical representative CG with key ``key`` also
-    enters CG's structure in that memo, with the identity order.
-    Lemma: the canonical order of CG is the identity.  CG is some G in
-    G's canonical order ``best``, and colour refinement reads only
-    structure, so CG's identity order has the rows of G's order
-    ``best``, the least row sequence of any order of G.  Every order of
-    CG is an order of G composed with ``best`` and has that order's
-    rows, so the identity attains CG's least rows too; and it is the
-    lexicographically smallest index tuple of all.  A proof node lists
-    its part's ids in the part's canonical order, so the verifier, which
-    induces each node in listed order, checks its key by a memo hit.
-
-    The form memo holds G's canonical order as G's positions, so a
-    verdict-memo miss of :meth:`_memo_entry` builds CG from them in one
-    pass of :func:`induced_as_listed`: G's vertices in canonical order,
-    named "0", "1", ..., which is ``canonical_relabel(G, placement)``
-    with no vertex id looked up.  ``canonical_form`` defines ``key`` as
-    ``positional_key`` of G in that order, so CG has the structure that
-    ``key`` names and its entry is made with no check.  Only
-    :meth:`classify_canonical_jsonable` takes CG and ``key`` from its
-    caller; it makes the entry only when ``positional_key`` of CG is
-    ``key``, so the entry is exact for any canonical key, and a key
-    written for another structure never enters the memo.
+    Every verdict-memo miss goes through :meth:`_canonical`, the one
+    miss path, with a canonical representative CG and its key ``key``:
+    :meth:`_memo_entry` builds CG from the canonical order the form
+    memo holds as G's positions, in one pass of
+    :func:`induced_as_listed` (G's vertices in canonical order, named
+    "0", "1", ..., which is ``canonical_relabel(G, placement)`` with no
+    vertex id looked up), and :meth:`classify_canonical_jsonable` takes
+    CG and ``key`` from its caller.  The miss enters CG's structure in
+    the form memo, with the identity order, whenever ``positional_key``
+    of CG is ``key``; so a key written for another structure never
+    enters the memo.  Lemma: the entry is exact.  ``canonical_form``
+    defines ``key`` as ``positional_key`` of G in G's canonical order
+    ``best``, so CG has the structure of G listed in order ``best``.
+    Colour refinement reads only structure, so CG's identity order has
+    the rows of G's order ``best``, the least row sequence of any order
+    of G.  Every order of CG is an order of G composed with ``best`` and
+    has that order's rows, so the identity attains CG's least rows too;
+    and it is the lexicographically smallest index tuple of all.  A
+    proof node lists its part's ids in the part's canonical order, so
+    the verifier, which induces each node in listed order, checks its
+    key by a memo hit.
 
     Parts are looked up by position.  Lemma: the subgraph of G induced
     on distinct positions P, in the order listed, has the structure
@@ -524,32 +521,35 @@ class Classifier:
     :meth:`classify_canonical_jsonable` takes the canonical
     representative of such a graph.  So a hit builds no graph and makes
     no check, and any miss builds the part and goes through
-    :meth:`_memo_entry`, the one miss path.
+    :meth:`_memo_entry`.
 
-    A third memo maps a graph's positional structure to
-    ``is_slender``'s certificate for it, with each vertex replaced by
-    its position.  It decides the premises the proofs rest on: a slender
-    leaf and a dirac split's separator in the provers, and a slender
-    leaf and an amalgam's separator in the verifier.  Its one lookup,
-    :meth:`_stored_slender`, returns the stored certificate of G or of
-    G's subgraph induced on given positions, and builds that subgraph
-    only on a miss.  The separator checks read only its verdict, the
-    slender-leaf verifier maps the stored factors' ids to positions and
-    compares them with it, and only the slender-leaf prover, whose
-    certificate is evidence, renames it (:meth:`slender`).  Lemma: a
-    hit, its positions named by ``G.vertices``, is exactly
-    ``is_slender(G)``.
-    ``is_slender`` reads only G's groups, edges and vertex positions, as
-    do ``detect_flavor``, ``first_f2_certificate``, ``join_factors`` and
-    ``_match_component``, which it calls, and it uses ``G.vertices``
-    only to name the vertices it returns.  So two graphs of one
-    structure get certificates that differ only in those names, position
-    for position.  Only ``is_slender``'s own output enters the memo,
-    never a value read from evidence, so a tampered proof cannot poison
-    it; and every comparison the verifier makes still runs, against a
-    certificate equal to a fresh one.  The memo spares computations,
-    not checks.  The amalgam search's separator walk, which meets each
-    separator once per graph, calls ``is_slender`` directly.
+    A third memo maps a graph's positional structure to ``is_slender``
+    of the graph with that structure whose vertices are named "0", "1",
+    ... by position.  It decides the premises the proofs rest on: a
+    slender leaf and a dirac split's separator in the provers, and a
+    slender leaf and an amalgam's separator in the verifier.  Its one
+    lookup, :meth:`_stored_slender`, returns the stored certificate of
+    G or of G's subgraph induced on given positions, and builds a graph
+    only on a miss, and none when G's own ids are those names, as a
+    canonical representative's are.  The separator checks read only its
+    verdict.  The slender-leaf prover writes its factors in G's ids
+    through ``to_jsonable(cert.factors, _id_map(G.vertices))``, the one
+    renamer, and the slender-leaf verifier writes them the same way and
+    compares.  Lemma: ``to_jsonable(stored, _id_map(G.vertices))`` is
+    ``to_jsonable(is_slender(G))``.  ``is_slender`` reads only G's
+    groups, edges and vertex positions, as do ``detect_flavor``,
+    ``first_f2_certificate``, ``join_factors`` and ``_match_component``,
+    which it calls, and it uses ``G.vertices`` only to name the
+    vertices it returns.  So two graphs of one structure get
+    certificates that differ only in those names, position for
+    position: the stored one names position i "i", and
+    ``_id_map(G.vertices)`` maps "i" to ``G.vertices[i]``.  Only
+    ``is_slender``'s own output enters the memo, never a value read from
+    evidence, so a tampered proof cannot poison it; and every comparison
+    the verifier makes still runs, against a certificate equal to a
+    fresh one.  The memo spares computations, not checks.  The amalgam
+    search's separator walk, which meets each separator once per graph,
+    calls ``is_slender`` directly.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -603,9 +603,6 @@ class Classifier:
         if verdict is None:
             CG = induced_as_listed(G, order, tuple(map(str, range(G.n))))
             verdict = self._canonical(CG, key)
-            # CG is G listed in the order that gave ``key``, so its
-            # positional key is ``key`` (see :class:`Classifier`).
-            self._forms[CG.groups, CG.edges] = key, tuple(range(G.n))
         return verdict, tuple(G.vertices[i] for i in order)
 
     def node_key(self, G: LabeledGraph) -> tuple[str, Optional[tuple[str, ...]]]:
@@ -634,42 +631,37 @@ class Classifier:
         canonical_form(G)``, with at most ``max_search_vertices``
         vertices.  It is written in CG's ids, in one walk of
         :func:`to_jsonable` through the identity map, which copies every
-        memo dict it writes.  A miss enters CG's canonical form only if
-        CG's positional key is ``key`` (see :class:`Classifier`)."""
-        verdict = self._cache.get(key)
-        if verdict is None:
-            verdict = self._canonical(CG, key)
-            structure = (CG.groups, CG.edges)
-            if positional_key(*structure) == key:
-                self._forms[structure] = key, tuple(range(CG.n))
+        memo dict it writes."""
+        verdict = self._cache.get(key) or self._canonical(CG, key)
         return to_jsonable(verdict, {v: v for v in CG.vertices})
 
     def _canonical(self, CG: LabeledGraph, key: str) -> Verdict:
-        """The memo entry of a canonical representative ``CG`` with key
-        ``key`` that the verdict memo misses, computed and entered; its
-        evidence may hold references."""
+        """The one miss path: the memo entry of a canonical
+        representative ``CG`` with key ``key`` that the verdict memo
+        misses, computed and entered; its evidence may hold references.
+        CG's structure enters the form memo with the identity order
+        whenever CG's positional key is ``key`` (see :class:`Classifier`)."""
         verdict = self._cache[key] = self._apply_rules(CG, key, big=False)
+        structure = (CG.groups, CG.edges)
+        if positional_key(*structure) == key:
+            self._forms[structure] = key, tuple(range(CG.n))
         return verdict
-
-    def slender(self, G: LabeledGraph) -> SlenderCertificate:
-        """``is_slender(G)``, computed once per positional structure
-        ``(G.groups, G.edges)``: the stored certificate with its
-        positions named by ``G.vertices`` (see :class:`Classifier`)."""
-        return _renamed_certificate(self._stored_slender(G), G.vertices.__getitem__)
 
     def _stored_slender(
         self, G: LabeledGraph, positions: Optional[Sequence[int]] = None
     ) -> SlenderCertificate:
-        """The slender memo's one lookup: ``is_slender`` of G, or of G's
-        subgraph induced on the vertex ``positions`` in the order listed,
-        with each vertex replaced by its position in that graph.  Only a
-        miss builds the subgraph."""
+        """The slender memo's one lookup: ``is_slender`` of the graph
+        with G's structure, or with the structure G induces on the
+        vertex ``positions`` in the order listed, whose vertices are
+        named "0", "1", ... by position.  Only a miss builds that graph,
+        and none when G is it."""
         structure = (G.groups, G.edges) if positions is None else substructure(G, positions)
-        stored = self._slender.get(structure)
-        if stored is None:
-            sub = G if positions is None else induced_as_listed(G, positions)
-            stored = self._slender[structure] = _renamed_certificate(is_slender(sub), sub.index)
-        return stored
+        cert = self._slender.get(structure)
+        if cert is None:
+            ids = tuple(map(str, range(len(structure[0]))))
+            sub = G if positions is None and G.vertices == ids else LabeledGraph(ids, *structure)
+            cert = self._slender[structure] = is_slender(sub)
+        return cert
 
     # G is a canonical representative (ids "0", "1", ...) whose canonical
     # key is ``key``, unless big is set: then ``key`` is the raw key and
@@ -717,17 +709,6 @@ class Classifier:
                 UnknownNote(code="no-rule-applied", detail="no applicable rule resolved the graph")
             )
         return Verdict(UNKNOWN, notes=tuple(notes))
-
-
-def _renamed_certificate(cert: SlenderCertificate, name: Callable) -> SlenderCertificate:
-    """``cert`` with each vertex v of its factors and its obstruction
-    replaced by ``name(v)``."""
-    parts, obs = cert.factors, cert.obstruction
-    if parts is not None:
-        parts = tuple(SlenderFactor(tuple(map(name, f.vertices)), f.kind, f.type) for f in parts)
-    if obs is not None:
-        obs = dataclasses.replace(obs, vertices=tuple(map(name, obs.vertices)))
-    return SlenderCertificate(cert.verdict, cert.reason, parts, obs)
 
 
 def classify(G: LabeledGraph, config: Optional[EngineConfig] = None) -> Verdict:
@@ -779,7 +760,9 @@ def verify_proof(
     check and slenderness premise is a memo hit; a node listed in
     another order still verifies, by a search.  A node, a split's side
     or separator, a free product's stored components, or a slender
-    leaf's stored factors, that lists a vertex twice is refused.
+    leaf's stored factors, that lists a vertex twice is refused, and so
+    is a string in place of an array of ids there or in an elimination
+    ordering.
     Failures name the offending node by its path from the root.
     """
     clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
@@ -887,11 +870,12 @@ def _prove_witness_scan(clf, G, key, flavor, notes) -> Optional[Verdict]:
 
 
 def _prove_slender(clf, G, key, flavor, notes) -> Optional[Verdict]:
-    cert = clf.slender(G)
+    cert = clf._stored_slender(G)
     if cert.verdict != SLENDER:
         return None
     rule = "abelian" if flavor.graph_product and G.is_complete() else "slender"
-    data = {"certificate": {"reason": cert.reason, "factors": to_jsonable(cert.factors)}}
+    factors = to_jsonable(cert.factors, _id_map(G.vertices))
+    data = {"certificate": {"reason": cert.reason, "factors": factors}}
     return Verdict(COHERENT, proof=ProofNode(rule, G.vertices, key, data))
 
 
@@ -1000,12 +984,13 @@ def _verify_abelian(sub, node, flavor, clf, path) -> VerificationOutcome:
 
 def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     """A stored certificate must give the reason ``is_slender`` gives and
-    the same factors.  Each stored factor's ids become positions in
-    ``sub``, and the factors are compared with the classifier's
-    positional certificate as a set of (position set, kind, type), since
-    renaming can reorder them.  The certificate's factors partition the
-    vertices, so once the sets agree, stored factors that list more than
-    ``sub.n`` vertices in all list some vertex twice."""
+    the same factors.  The classifier's certificate is written in
+    ``sub``'s ids, as the prover writes it, and the factors are compared
+    as a set of (vertex set, kind, type), since renaming can reorder
+    them; a factor whose vertices are not an array matches none.  The
+    certificate's factors partition the vertices, so once the sets
+    agree, stored factors that list more than ``sub.n`` vertices in all
+    list some vertex twice."""
     cert = clf._stored_slender(sub)
     if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
@@ -1016,10 +1001,12 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "stored slenderness reason does not match the subgraph")
     try:
         listed = [(f["vertices"], f["kind"], f["type"]) for f in stored["factors"]]
-        factors = {(frozenset(map(sub.index, vs)), kind, t) for vs, kind, t in listed}
-    except (KeyError, TypeError, ValueError):
+        arrays = all(isinstance(vs, list) for vs, _, _ in listed)
+        factors = arrays and {(frozenset(vs), kind, t) for vs, kind, t in listed}
+    except (KeyError, TypeError):
         factors = None
-    if factors != {(frozenset(f.vertices), f.kind, f.type and f.type.name) for f in cert.factors}:
+    written = to_jsonable(cert.factors, _id_map(sub.vertices))
+    if factors != {(frozenset(f["vertices"]), f["kind"], f["type"]) for f in written}:
         return _fail(path, "stored slender factors do not match the subgraph")
     if sum(len(vs) for vs, _, _ in listed) != sub.n:
         return _fail(path, "stored slender factors list a vertex twice")
@@ -1033,6 +1020,8 @@ def _stored_chordality(sub, node) -> Optional[ChordalityResult]:
     peo = node.data.get("peo")
     if peo is None:
         return is_chordal(sub)
+    if not isinstance(peo, list):
+        return None
     try:
         if verify_peo(sub, peo):
             return ChordalityResult(chordal=True, peo=tuple(peo))
@@ -1088,10 +1077,13 @@ def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
     if union != set(node.vertices):
         return _fail(path, "free factors do not cover the node")
     try:
+        # Components must be arrays of ids; anything else matches no factor.
         comps = node.data.get("components")
-        if comps is not None and any(len(set(c)) != len(c) for c in comps):
-            return _fail(path, "stored components list a vertex twice")
-        same = comps is None or [set(c) for c in comps] == sets
+        if comps is not None and all(isinstance(c, list) for c in comps):
+            if any(len(set(c)) != len(c) for c in comps):
+                return _fail(path, "stored components list a vertex twice")
+            comps = [set(c) for c in comps]
+        same = comps is None or comps == sets
     except TypeError:
         same = False
     if not same:

@@ -32,7 +32,9 @@ from .labeled_graph import (
     GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
+    induced_as_listed,
     mask_components,
+    mask_positions,
     mask_vertices,
     vertex_mask,
 )
@@ -271,7 +273,7 @@ def slender_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...], 
                 yield sep, comps, False
                 break
         else:
-            cert = is_slender(G.induced(mask_vertices(G, sep)))
+            cert = is_slender(induced_as_listed(G, list(mask_positions(sep))))
             if cert.verdict == NOT_SLENDER:
                 obstructions.append(vertex_mask(G, cert.obstruction.vertices))
             yield sep, comps, cert.verdict == SLENDER

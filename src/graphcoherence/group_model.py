@@ -39,6 +39,7 @@ from .labeled_graph import (
     detect_flavor,
     join_factors,
     mask_positions,
+    substructure,
 )
 
 SLENDER = "slender"
@@ -267,8 +268,7 @@ def _match_component(G: LabeledGraph, comp: tuple[str, ...]) -> IrreducibleType:
     r = len(comp)
     if r == 1:
         return IrreducibleType("finite", "A", 1, order=2)
-    pos = {G.index(v): k for k, v in enumerate(comp)}
-    labels = [(pos[i], pos[j], m) for i, j, m in G.edges if i in pos and j in pos]
+    _, labels = substructure(G, list(map(G.index, comp)))
     complete = len(labels) == r * (r - 1) // 2
     if r == 2:
         if not complete:

@@ -16,10 +16,13 @@ vertex positions (:func:`vertex_mask`, :func:`mask_vertices`, and
 :func:`mask_positions` to step through one); every graph carries its
 adjacency bitsets (``LabeledGraph.adjacency_masks``, built on first
 use), :func:`label_two_masks` builds those of its label-2 edges, and
-:func:`mask_components` is the one components walk, used for graph
-components, join factors and the separator search alike.
+:func:`mask_components` is the one components walk for one-off calls,
+used for graph components, join factors, clique-separator checks and
+the dirac split; the separator search grows its components from its
+own neighbourhood tables.
 :func:`substructure` reads the groups and edges a graph induces on
-vertex positions in a given order, with no graph built, and
+vertex positions in a given order, with no graph built; canonical keys,
+diagram components and memo lookups read edges through it.
 :func:`induced_as_listed`, built on it, is the one builder of a graph in
 a given vertex order, for induced subgraphs, reorderings, canonical
 representatives and verified proof nodes.  The
@@ -909,32 +912,22 @@ class Shape:
 
     tag: str
     length: Optional[int] = None
-    is_tree: bool = False
-    is_discrete: bool = False
-    is_complete: bool = False
 
 
 def shape_classify(G: LabeledGraph) -> Shape:
     n, m = G.n, G.m
-    discrete = m == 0
-    complete = G.is_complete()
-    if complete:
-        return Shape(
-            tag="complete",
-            is_tree=n <= 2,
-            is_discrete=discrete,
-            is_complete=True,
-        )
+    if G.is_complete():
+        return Shape(tag="complete")
     connected = G.is_connected()
     degrees = [G.degree(v) for v in G.vertices]
     if connected and n >= 3 and all(d == 2 for d in degrees):
         return Shape(tag="cycle", length=n)
     if connected and m == n - 1:
         if all(d <= 2 for d in degrees):
-            return Shape(tag="path", length=m, is_tree=True)
-        return Shape(tag="tree", is_tree=True)
-    if discrete:
-        return Shape(tag="discrete", is_discrete=True)
+            return Shape(tag="path", length=m)
+        return Shape(tag="tree")
+    if m == 0:
+        return Shape(tag="discrete")
     return Shape(tag="other")
 
 
@@ -1242,14 +1235,7 @@ def canonical_form(
     if G.n > cap:
         raise VertexCapError(f"graph has {G.n} vertices, above the cap of {cap}")
     order, _ = _canonical_order(G.n, [g.key() for g in G.groups], G._adj)
-    placement = tuple(G.vertices[i] for i in order)
-    pos = [0] * G.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    edges = sorted(
-        [(pos[a], pos[b], m) if pos[a] < pos[b] else (pos[b], pos[a], m) for a, b, m in G.edges]
-    )
-    return positional_key([G.groups[i] for i in order], edges), placement
+    return positional_key(*substructure(G, order)), tuple(G.vertices[i] for i in order)
 
 
 # Version of the key format that census records are keyed by; bump it

@@ -38,7 +38,7 @@ from graphcoherence.census import (
     records_header,
 )
 from graphcoherence.cli import main
-from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES
+from graphcoherence.coherence_engine import COHERENT, INCOHERENT, STEP_NAMES, UNKNOWN
 from helpers import (
     brute_force_automorphism_count,
     brute_force_is_chordal,
@@ -460,6 +460,44 @@ class TestRecordsAndResume:
             report = json.loads(capsys.readouterr().out)
         # The stored statuses are tallied, and nothing is rewritten.
         assert report == clean
+        assert out.read_text() == tampered
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_resumed_unknown_record_classified_again(self, tmp_path, capsys, workers):
+        """An UNKNOWN verdict carries no evidence, so a resumed UNKNOWN
+        record is checked by classifying its class again, where a new
+        one would be classified.  A COHERENT record rewritten as UNKNOWN
+        is refused with one error line and exit 1, and the file is kept
+        as it is; with ``--no-verify`` it is tallied as stored."""
+        out = tmp_path / "census.jsonl"
+        config = CensusConfig(flavor="racg", max_vertices=4)
+        clean = run_census(config, out_path=str(out)).to_jsonable()
+        header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+        victim = next(r for r in records if (r["n"], r["e"]) == (4, 0))
+        assert victim["status"] == COHERENT
+        note = {"code": "no-rule-applied", "vertices": [], "detail": "no rule"}
+        victim.update(
+            status=UNKNOWN,
+            rule=None,
+            notes=[note["code"]],
+            verdict={"status": UNKNOWN, "proof": None, "witness": None, "notes": [note]},
+        )
+        tampered = "".join(json.dumps(r) + "\n" for r in [header, *records])
+        out.write_text(tampered)
+        argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]
+        argv += ["--out", str(out), "--workers", str(workers)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
+        assert f"corrupt census record for class {victim['key']}" in captured.err
+        assert out.read_text() == tampered
+        assert main(argv + ["--no-verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["unknown"] == clean["unknown"] + [
+            {"n": 4, "e": 0, "key": victim["key"], "codes": ["no-rule-applied"]}
+        ]
         assert out.read_text() == tampered
 
     @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from graphcoherence.coherence_engine import (
     verdict_from_jsonable,
     verdict_to_jsonable,
 )
+from graphcoherence.labeled_graph import canonical_form, graph_from_key
 from helpers import (
     braid_like_artin_k4,
     complete_bipartite_racg,
@@ -877,6 +878,59 @@ class TestRepeatedVertices:
         data = {"certificate": {**cert, "factors": edit(first, rest)}}
         bad = dataclasses.replace(proof, data=data)
         self.assert_rejected(G, clf, bad, ("root",), "stored slender factors list a vertex twice")
+
+
+class TestIdListsGivenAsStrings:
+    """Where evidence lists vertex ids, it must list them in an array.
+    On a canonical representative every id is one character, so a
+    string of ids would name the right vertices one character at a time;
+    it is refused by a fresh check and by the classifier that wrote the
+    proof."""
+
+    def assert_rejected(self, G, clf, node, reason):
+        for out in (verify_proof(G, node), verify_proof(G, node, classifier=clf)):
+            assert (out.ok, out.path, out.reason) == (False, ("root",), reason)
+
+    @staticmethod
+    def canonical(G):
+        return graph_from_key(canonical_form(G)[0])
+
+    @pytest.mark.parametrize(
+        "G, rule",
+        [
+            (cycle_racg(4), "slender"),
+            (graph_product_graph([(x, cyclic(3)) for x in "abc"], cycle_edges("abc")), "abelian"),
+        ],
+        ids=["slender", "abelian"],
+    )
+    def test_slender_certificate_factor_vertices(self, G, rule):
+        G = self.canonical(G)
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == rule and verify_proof(G, proof, classifier=clf)
+        cert = proof.data["certificate"]
+        factors = [{**f, "vertices": "".join(f["vertices"])} for f in cert["factors"]]
+        bad = dataclasses.replace(proof, data={"certificate": {**cert, "factors": factors}})
+        self.assert_rejected(G, clf, bad, "stored slender factors do not match the subgraph")
+
+    def test_free_product_components(self):
+        G = self.canonical(graph_product_graph([(x, cyclic(3)) for x in "abc"], [("a", "b")]))
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "free_product" and verify_proof(G, proof, classifier=clf)
+        components = ["".join(c) for c in proof.data["components"]]
+        assert sorted(components) == ["0", "12"]
+        for bad_components in (components, "".join(components)):
+            bad = dataclasses.replace(proof, data={"components": bad_components})
+            self.assert_rejected(G, clf, bad, "stored components do not match the factors")
+
+    def test_elimination_ordering(self):
+        G = self.canonical(chordal_leaf_graph("droms_chordal"))
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert proof.rule == "droms_chordal" and verify_proof(G, proof, classifier=clf)
+        bad = dataclasses.replace(proof, data={"peo": "".join(proof.data["peo"])})
+        self.assert_rejected(G, clf, bad, "stored elimination ordering does not verify")
 
 
 class TestWitnessVerification:

@@ -576,21 +576,19 @@ class TestChordality:
 class TestShape:
     def test_single_vertex_is_complete_and_discrete(self):
         s = shape_classify(racg(["a"], []))
-        assert s.tag == "complete"
-        assert s.is_complete and s.is_discrete and s.is_tree
+        assert s.tag == "complete" and s.length is None
 
     def test_cycle(self):
         s = shape_classify(cycle_racg(4))
         assert s.tag == "cycle" and s.length == 4
-        assert not s.is_tree and not s.is_complete
 
     def test_path_and_tree(self):
         s = shape_classify(path_racg(4))
-        assert s.tag == "path" and s.length == 3 and s.is_tree
+        assert s.tag == "path" and s.length == 3
         star = shape_classify(
             racg(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
         )
-        assert star.tag == "tree" and star.is_tree
+        assert star.tag == "tree" and star.length is None
 
     def test_discrete_and_other(self):
         assert shape_classify(racg(["a", "b", "c"], [])).tag == "discrete"
@@ -599,11 +597,11 @@ class TestShape:
     def test_complete_beats_cycle(self):
         k3 = racg(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         s = shape_classify(k3)
-        assert s.tag == "complete" and s.is_complete
+        assert s.tag == "complete" and s.length is None
 
     def test_two_vertices_with_edge(self):
         s = shape_classify(racg(["a", "b"], [("a", "b")]))
-        assert s.tag == "complete" and s.is_tree
+        assert s.tag == "complete" and s.length is None
 
 
 class TestJoinFactors:

@@ -28,8 +28,10 @@ from graphcoherence.coherence_engine import (
     COHERENT,
     Classifier,
     EngineConfig,
+    _id_map,
     _raw_key,
     check_verdict,
+    to_jsonable,
     verdict_from_jsonable,
     verify_proof,
 )
@@ -246,34 +248,37 @@ def test_a_graph_passed_with_a_key_of_another_structure_enters_no_form():
 # -- the slender memo ----------------------------------------------------------------
 
 
-def assert_same_certificate(got, expected):
-    for f in dataclasses.fields(expected):
-        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+def certificate_in(clf, G):
+    """The slender memo's certificate of G, written in G's ids as the
+    slender-leaf prover writes it."""
+    return to_jsonable(clf._stored_slender(G), _id_map(G.vertices))
 
 
 @settings(max_examples=150)
 @given(G=flavored_graphs(), data=st.data())
 def test_the_slender_memo_returns_what_is_slender_returns(G, data):
     """Cold, warm from the same structure under other ids, and warm
-    from classifying G, ``slender`` gives ``is_slender(G)`` field by
-    field; a warm call computes nothing."""
-    expected = is_slender(G)
-    assert_same_certificate(Classifier().slender(G), expected)
+    from classifying G, the stored certificate written through
+    ``_id_map(G.vertices)`` is ``is_slender(G)``, field by field; a warm
+    lookup computes nothing, and the memo names positions "0", "1", ..."""
+    expected = to_jsonable(is_slender(G))
+    assert certificate_in(Classifier(), G) == expected
 
     names = data.draw(st.permutations([f"x{i}" for i in range(G.n)]))
     H = G.relabeled(dict(zip(G.vertices, names)))
     clf = Classifier()
-    assert_same_certificate(clf.slender(H), is_slender(H))
+    assert certificate_in(clf, H) == to_jsonable(is_slender(H))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coherence_engine, "is_slender", None)
-        assert_same_certificate(clf.slender(G), expected)
+        assert certificate_in(clf, G) == expected
 
     clf = Classifier()
     clf.classify(G)
-    assert_same_certificate(clf.slender(G), expected)
-    for stored in clf._slender.values():
+    assert certificate_in(clf, G) == expected
+    for (groups, _), stored in clf._slender.items():
+        names = {str(i) for i in range(len(groups))}
         for part in (stored.factors or ()) + ((stored.obstruction,) if stored.obstruction else ()):
-            assert all(type(i) is int for i in part.vertices)
+            assert set(part.vertices) <= names
 
 
 def test_a_census_decides_each_slenderness_premise_once(tmp_path, monkeypatch):
