@@ -17,9 +17,15 @@ subsets of one graph, so it steps through the subsets by bit arithmetic
 (:func:`_subset_masks`) and grows each component by lookups in
 neighbourhood tables of at most 256 entries, built once per walk
 (:func:`_neighbourhood_table`).  :func:`slender_separators` adds each
-separator's slenderness, deciding it at most once per separator and not
-at all for a separator that contains an obstruction found earlier in
-the walk (a special subgroup of a slender group is slender).
+separator's slenderness, calling ``is_slender`` at most once per
+separator.  A separator that contains an obstruction found earlier in
+the walk skips the call (a special subgroup of a slender group is
+slender), and so does one holding an F2 certificate, found by one scan
+of the graph's own bitsets with no induced graph built.  The flags stay
+exactly ``is_slender``'s: it makes the same scan first on any graph
+that is not all-Z2, and on an all-Z2 graph a certificate is an
+independent triple inside an indefinite diagram component (proved at
+:func:`slender_separators`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .group_model import NOT_SLENDER, SLENDER, is_slender
+from .group_model import (
+    NOT_SLENDER,
+    SLENDER,
+    first_f2_certificate,
+    is_slender,
+    order_two_mask,
+    require_group,
+)
 from .labeled_graph import (
     GraphValidationError,
     InternalInvariantError,
@@ -260,12 +273,40 @@ def slender_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...], 
     """:func:`walk_separators` with a flag telling whether the
     separator subgroup is slender.
 
-    ``is_slender`` runs at most once per separator.  Its not-slender
-    obstructions (the vertices of an F2 certificate or an indefinite
-    component) are kept, and a later separator containing one is
-    flagged False without a check: a special subgroup of a slender
-    group is slender, so no group containing a non-slender one is.
+    The flag is ``is_slender(G[S]).verdict == SLENDER`` for the
+    separator S, decided without building ``G[S]`` where possible.  A
+    graph whose labels define no group raises
+    :class:`~.group_model.UnsupportedFlavorError`, as ``is_slender``
+    does; each flavor that defines one (all labels 2, all-Z, all-Z2)
+    passes to every ``G[S]``.
+
+    A separator containing an obstruction found earlier in the walk is
+    flagged False at once: a special subgroup of a slender group is
+    slender, so no group containing a non-slender one is.  Any other
+    separator is first scanned for an F2 certificate on G's own
+    bitsets (:func:`~.group_model.first_f2_certificate`).  One found
+    flags it False and joins the obstructions as its 2- or 3-vertex
+    mask.  Only a separator without one is induced and decided by
+    ``is_slender``, whose not-slender obstructions (the vertices of an
+    indefinite component) are kept too, so ``is_slender`` runs at most
+    once per separator.
+
+    The scan's False is exactly ``is_slender``'s verdict on ``G[S]``.
+    The certificate is one of ``G[S]`` too: its vertices are pairwise
+    nonadjacent in S as in G, with the same vertex groups.  If ``G[S]``
+    is not all-Z2, ``is_slender`` runs this scan first and returns
+    NOT_SLENDER on a certificate.  If ``G[S]`` is all-Z2 (a Coxeter
+    graph, or a graph product whose vertices in S all have order two),
+    no pair is free, so the certificate is an independent triple
+    a, b, c.  Each of its pairs is an infinite bond, so a, b and c lie
+    in one standard-diagram component, a join factor of rank >= 3 with
+    a missing pair.  That component is indefinite by the lemma at
+    :func:`~.group_model._match_component`, so ``is_slender``, which
+    types the join factors until one is indefinite, returns NOT_SLENDER.
     """
+    require_group(G)
+    adj = G.adjacency_masks
+    order_two = order_two_mask(G)
     obstructions: list[int] = []
     for sep, comps in walk_separators(G):
         for obs in obstructions:
@@ -273,6 +314,11 @@ def slender_separators(G: LabeledGraph) -> Iterator[tuple[int, tuple[int, ...], 
                 yield sep, comps, False
                 break
         else:
+            pos = first_f2_certificate(adj, order_two, sep)
+            if pos is not None:
+                obstructions.append(sum(1 << p for p in pos))
+                yield sep, comps, False
+                continue
             cert = is_slender(induced_as_listed(G, list(mask_positions(sep))))
             if cert.verdict == NOT_SLENDER:
                 obstructions.append(vertex_mask(G, cert.obstruction.vertices))

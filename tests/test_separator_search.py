@@ -16,6 +16,7 @@ from graphcoherence import (
     Z2,
     canonical_key,
     classify,
+    cyclic,
     detect_flavor,
     enumerate_graphs,
     enumerate_separator_splits,
@@ -26,7 +27,13 @@ from graphcoherence import (
 )
 from graphcoherence.coherence_engine import STEPS, UNKNOWN, UnknownNote, Verdict, to_jsonable
 from graphcoherence.decomposition import mask_vertices, vertex_mask
-from graphcoherence.group_model import NOT_SLENDER, SLENDER
+from graphcoherence.group_model import (
+    NOT_SLENDER,
+    SLENDER,
+    UnsupportedFlavorError,
+    first_f2_certificate,
+    order_two_mask,
+)
 
 # The five random 4-regular 10-vertex graphs of the classify-search
 # benchmark workload at its default seed (pairing model), as edge lists
@@ -49,19 +56,31 @@ def _racg(n: int, edges) -> LabeledGraph:
     return racg(n, [(f"v{i}", f"v{j}") for i, j in edges])
 
 
+# The vertex groups of the graph-product graphs below: Z2 and Z3 make
+# free pairs between finite groups, Z free pairs with anything.
+Z3 = cyclic(3)
+_PRODUCT_GROUPS = (Z2, Z3, Z)
+
+
 @st.composite
-def connected_graphs(draw, max_n: int, flavors=("racg", "raag", "coxeter", "artin")):
+def connected_graphs(
+    draw, max_n: int, flavors=("racg", "raag", "coxeter", "artin", "graph_product")
+):
     """Connected graphs of every flavor: a random spanning tree plus
-    random extra edges, labeled 2 in right-angled flavors and 2..5
-    otherwise."""
+    random extra edges, labeled 2 in right-angled flavors and graph
+    products and 2..5 otherwise.  A graph product draws each vertex
+    group from Z2, Z3 and Z."""
     n = draw(st.integers(2, max_n))
     flavor = draw(st.sampled_from(flavors))
     pairs = {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
     pairs |= {p for p in itertools.combinations(range(n), 2) if draw(st.booleans())}
-    labels = (2,) if flavor in ("racg", "raag") else (2, 3, 4, 5)
-    group = Z if flavor in ("raag", "artin") else Z2
+    labels = (2, 3, 4, 5) if flavor in ("coxeter", "artin") else (2,)
+    if flavor == "graph_product":
+        groups = [draw(st.sampled_from(_PRODUCT_GROUPS)) for _ in range(n)]
+    else:
+        groups = [Z if flavor in ("raag", "artin") else Z2] * n
     return LabeledGraph.build(
-        [(f"v{i}", group) for i in range(n)],
+        [(f"v{i}", group) for i, group in enumerate(groups)],
         [(f"v{i}", f"v{j}", draw(st.sampled_from(labels))) for i, j in sorted(pairs)],
     )
 
@@ -113,6 +132,19 @@ def _artin_with_label_3(max_n: int):
                 )
 
 
+def _graph_products(max_n: int):
+    """Every graph with vertex groups Z2, Z3 and Z, all labels 2, on
+    1..``max_n`` vertices."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for groups in itertools.product(_PRODUCT_GROUPS, repeat=n):
+            for present in itertools.product((False, True), repeat=len(pairs)):
+                yield LabeledGraph.build(
+                    [(f"v{i}", g) for i, g in enumerate(groups)],
+                    [(f"v{i}", f"v{j}", 2) for (i, j), e in zip(pairs, present) if e],
+                )
+
+
 OBSTRUCTION_CLASSES = {
     "racg-5": lambda: enumerate_graphs(CensusConfig(flavor="racg", max_vertices=5)),
     "raag-5": lambda: enumerate_graphs(CensusConfig(flavor="raag", max_vertices=5)),
@@ -120,6 +152,7 @@ OBSTRUCTION_CLASSES = {
         CensusConfig(flavor="coxeter", max_vertices=4, edge_labels=(2, 3, 4, 5))
     ),
     "artin-3-4": lambda: _artin_with_label_3(4),
+    "graph-product-4": lambda: _graph_products(4),
 }
 
 
@@ -141,6 +174,35 @@ def test_no_superset_of_an_obstruction_is_slender(name):
                 if sup & obs == obs:
                     assert verdicts[sup].verdict != SLENDER, (G, mask_vertices(G, sup))
     assert obstructions > 0
+
+
+@pytest.mark.parametrize("name", sorted(OBSTRUCTION_CLASSES))
+def test_no_vertex_set_with_an_f2_certificate_is_slender(name):
+    """The fact the walk's certificate scan rests on: a vertex set in
+    which ``first_f2_certificate`` finds a free pair or an independent
+    triple on the ambient bitsets is not slender, whatever the flavor of
+    the graph it induces."""
+    certified = 0
+    for G in _classes(OBSTRUCTION_CLASSES[name]()):
+        order_two = order_two_mask(G)
+        for mask in range(1, 1 << G.n):
+            if first_f2_certificate(G.adjacency_masks, order_two, mask) is None:
+                continue
+            certified += 1
+            H = G.induced(mask_vertices(G, mask))
+            assert is_slender(H).verdict == NOT_SLENDER, H
+    assert certified > 0
+
+
+def test_slender_separators_refuse_labels_that_define_no_group():
+    """Mixed vertex groups with a label 3 define no group, even where
+    every separator the walk meets holds an F2 certificate."""
+    G = LabeledGraph.build(
+        [("a", Z), ("b", Z3), ("c", Z), ("d", Z3)],
+        [("a", "b", 3), ("b", "c", 2), ("c", "d", 2), ("d", "a", 2)],
+    )
+    with pytest.raises(UnsupportedFlavorError):
+        list(slender_separators(G))
 
 
 # -- search counts ----------------------------------------------------------------

@@ -108,11 +108,12 @@ def test_no_table_has_more_than_256_entries(table_sizes, n):
 
 @pytest.mark.parametrize(
     "k, calls, separators",
-    [(0, 13, 243), (1, 23, 282), (2, 23, 282), (3, 16, 303), (4, 23, 299)],
+    [(0, 0, 243), (1, 3, 282), (2, 3, 282), (3, 4, 303), (4, 5, 299)],
 )
 def test_slenderness_checks_on_the_regular_graphs(monkeypatch, k, calls, separators):
-    """The walk decides slenderness once per separator that contains no
-    obstruction found earlier, in walk order."""
+    """The walk decides slenderness once per separator that contains
+    neither an obstruction found earlier nor an F2 certificate, in walk
+    order."""
     checked = []
     is_slender = decomposition.is_slender
 
