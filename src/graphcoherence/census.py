@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import string
 import sys
 import time
@@ -242,8 +243,10 @@ def _locked_records(path: str):
     return fh
 
 
-def _load_records(path: str, header: dict) -> dict[str, dict]:
-    """Records of an existing record file, by canonical key.
+def _load_records(path: str, header: dict) -> dict[str, bytes]:
+    """Records of an existing record file, by canonical key, each kept
+    as its raw line for :func:`_record_job` to parse when its class
+    comes: a parsed record takes several times the memory of its line.
 
     The first line is the file's header (see :func:`records_header`); it
     must equal ``header``, or the file is refused with a ``ValueError``.
@@ -255,9 +258,10 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
     stderr and cut from the file, so that appended records start on a
     line of their own.  Any other line that does not parse, and any
     record without a string key, a status and a verdict that parses, or
-    whose status is not its verdict's, is an error naming ``path:line``.
+    whose status is not its verdict's, is an error naming ``path:line``,
+    so every line is parsed and checked here, before any work starts.
     """
-    records: dict[str, dict] = {}
+    records: dict[str, bytes] = {}
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     # lines[-1] is what follows the last newline: empty unless cut off.
@@ -285,7 +289,7 @@ def _load_records(path: str, header: dict) -> dict[str, dict]:
                     )
             else:
                 try:
-                    records[_checked_key(rec)] = rec
+                    records[_checked_key(rec)] = line
                 except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as e:
                     raise ValueError(
                         f"corrupt census record at {path}:{line_no}: {type(e).__name__}: {e}"
@@ -535,14 +539,15 @@ def _classes(
 
 def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     """``(n, e, key, rec, weight)`` for a class from :func:`_classes`
-    paired with its stored record, or None: the stored record, or else a
-    new one classifying the canonical representative.  With ``verify``
-    set, the record's verdict, parsed back from its JSON form, is
-    re-verified on that representative; an UNKNOWN verdict has no
-    evidence to check, so a stored one must be the verdict that
-    classifying the representative again writes, or the record is
-    refused with a ``ValueError``."""
-    n, e, key, CG, weight, rec = job
+    paired with its stored record's line, or None: the stored record,
+    parsed from that line, or else a new one classifying the canonical
+    representative.  With ``verify`` set, the record's verdict, parsed
+    back from its JSON form, is re-verified on that representative; an
+    UNKNOWN verdict has no evidence to check, so a stored one must be
+    the verdict that classifying the representative again writes, or
+    the record is refused with a ``ValueError``."""
+    n, e, key, CG, weight, line = job
+    rec = None if line is None else json.loads(line)
     if rec is None:
         verdict_obj = classifier.classify_canonical_jsonable(CG, key)
         rec = {
@@ -571,7 +576,10 @@ _worker_job: Optional[partial] = None
 
 
 def _worker_init(engine_config: EngineConfig, verify: bool) -> None:
+    """Give the worker its job, and leave a Ctrl-C to the main process,
+    which ends the pool: the signal goes to the whole process group."""
     global _worker_job
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_job = partial(_record_job, Classifier(engine_config), verify)
 
 

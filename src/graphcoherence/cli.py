@@ -2,7 +2,8 @@
 
 Subcommands: classify, census, decompose, present, finiteness.  Exit
 codes: 0 when a result was computed (an Unknown verdict is a result),
-1 for input or usage errors, 2 when an internal self-check failed.
+1 for input or usage errors and for an interrupt (Ctrl-C), 2 when an
+internal self-check failed.
 Output on stdout is byte-identical across runs for the same input;
 timing goes to stderr.  The argument parser is built once per process;
 each ``main`` call parses into a fresh namespace.
@@ -369,6 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

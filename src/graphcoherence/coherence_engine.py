@@ -49,6 +49,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .decomposition import (
     Split,
     dirac_split,
+    is_split,
     separator_splits,
     slender_separators,
     verify_split,
@@ -69,6 +70,7 @@ from .group_model import (
 from .labeled_graph import (
     ChordalityResult,
     DEFAULT_VERTEX_CAP,
+    GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
     canonical_form,
@@ -78,10 +80,12 @@ from .labeled_graph import (
     is_induced_chordless_cycle,
     label_two_masks,
     mask_positions,
+    noncommuting_masks,
     positional_key,
     shape_classify,
     substructure,
     verify_peo,
+    vertex_mask,
 )
 
 COHERENT = "COHERENT"
@@ -153,20 +157,26 @@ class JoinEmbedding:
     kind = "join_embedding"
 
     def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
-        sa, sb = set(self.side_a), set(self.side_b)
-        if not sa or not sb or (sa & sb):
-            return _fail(path, "sides must be disjoint and nonempty")
+        """The sides split their union along the empty separator in the
+        non-commuting relation (:func:`is_split`): both are nonempty,
+        they are disjoint, and every pair across them is joined by a
+        label-2 edge.  Each certificate lies in its side, so it is
+        checked on G itself, where its vertices have the groups and
+        edges of the side's induced subgraph."""
+        sides = (("A", self.side_a, self.cert_a), ("B", self.side_b, self.cert_b))
+        if any(len(set(side)) != len(side) for _, side, _ in sides):
+            return _fail(path, "join side lists a vertex twice")
         try:
-            if not all(G.edge_label(x, y) == 2 for x in self.side_a for y in self.side_b):
-                return _fail(path, "sides are not fully joined by label-2 edges")
-            if set(self.cert_a.vertices) - sa or set(self.cert_b.vertices) - sb:
-                return _fail(path, "certificates leave their sides")
-            if not f2_certificate_valid(G.induced(self.side_a), self.cert_a):
-                return _fail(path, "side A certificate fails")
-            if not f2_certificate_valid(G.induced(self.side_b), self.cert_b):
-                return _fail(path, "side B certificate fails")
-        except Exception as e:
+            a, b = (vertex_mask(G, side) for _, side, _ in sides)
+        except GraphValidationError as e:
             return _fail(path, f"witness refers to unknown vertices: {e}")
+        if not is_split(noncommuting_masks(G), a | b, (a, b), 0):
+            return _fail(path, "sides are not disjoint nonempty sets joined by label-2 edges")
+        if any(not set(cert.vertices) <= set(side) for _, side, cert in sides):
+            return _fail(path, "certificates leave their sides")
+        for name, _, cert in sides:
+            if not f2_certificate_valid(G, cert):
+                return _fail(path, f"side {name} certificate fails")
         return _OK
 
     def text(self) -> str:
@@ -213,8 +223,7 @@ class WiseGordonViolation:
         if not detect_flavor(G).artin:
             return _fail(path, "violation witness requires an all-Z graph")
         try:
-            for v in self.vertices:
-                G.index(v)
+            vertex_mask(G, self.vertices)
         except Exception as e:
             return _fail(path, f"violation refers to unknown vertices: {e}")
         if len(set(self.vertices)) != len(self.vertices):
@@ -265,6 +274,8 @@ class IncoherentFactor:
     kind = "incoherent_factor"
 
     def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
+        if len(set(self.vertices)) != len(self.vertices):
+            return _fail(path, "factor lists a vertex twice")
         try:
             sub = G.induced(self.vertices)
         except Exception as e:
@@ -806,7 +817,9 @@ def _verify_node(
 def verify_witness(
     G: LabeledGraph, w: Witness, _path: tuple[str, ...] = ("witness",)
 ) -> VerificationOutcome:
-    """Recheck an incoherence witness against the graph from scratch."""
+    """Recheck an incoherence witness against the graph from scratch.  A
+    join side or an incoherent factor that lists a vertex twice is
+    refused."""
     if type(w) not in typing.get_args(Witness):
         return _fail(_path, f"unknown witness type {type(w).__name__}")
     return w.verify(G, _path)
@@ -1066,16 +1079,17 @@ def _verify_mccammond_wise(sub, node, flavor, clf, path) -> VerificationOutcome:
 
 
 def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
+    """The factors split the node along the empty separator
+    (:func:`is_split`); each child's own check refuses a factor that
+    lists a vertex twice."""
     if len(node.children) < 2:
         return _fail(path, "free_product needs at least two factors")
-    sets = [set(c.vertices) for c in node.children]
-    union: set[str] = set()
-    for s in sets:
-        if union & s:
-            return _fail(path, "free factors overlap")
-        union |= s
-    if union != set(node.vertices):
-        return _fail(path, "free factors do not cover the node")
+    try:
+        factors = [vertex_mask(sub, c.vertices) for c in node.children]
+    except GraphValidationError:
+        factors = None
+    if factors is None or not is_split(sub.adjacency_masks, (1 << sub.n) - 1, factors, 0):
+        return _fail(path, "free factors do not split the node")
     try:
         # Components must be arrays of ids; anything else matches no factor.
         comps = node.data.get("components")
@@ -1083,16 +1097,11 @@ def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
             if any(len(set(c)) != len(c) for c in comps):
                 return _fail(path, "stored components list a vertex twice")
             comps = [set(c) for c in comps]
-        same = comps is None or comps == sets
+        same = comps is None or comps == [set(c.vertices) for c in node.children]
     except TypeError:
         same = False
     if not same:
         return _fail(path, "stored components do not match the factors")
-    for a, b in itertools.combinations(range(len(sets)), 2):
-        for u in sets[a]:
-            for w in sub.neighbors(u):
-                if w in sets[b]:
-                    return _fail(path, "edge between free factors")
     parts = [(f"factor[{i}]", child.vertices) for i, child in enumerate(node.children)]
     return _verify_children(sub, node, parts, clf, path)
 
@@ -1108,8 +1117,6 @@ def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
         side = getattr(split, name)
         if len(set(side)) != len(side):
             return _fail(path, f"amalgam {name} lists a vertex twice")
-    if set(split.left) | set(split.right) != set(node.vertices):
-        return _fail(path, "amalgam sides do not cover the node")
     if not split.separator:
         return _fail(path, "amalgam separator is empty")
     if not verify_split(sub, split):
@@ -1119,10 +1126,6 @@ def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "separator subgroup is not slender")
     if len(node.children) != 2:
         return _fail(path, "amalgam needs exactly two children")
-    lefts = set(node.children[0].vertices)
-    rights = set(node.children[1].vertices)
-    if lefts != set(split.left) or rights != set(split.right):
-        return _fail(path, "children do not match the split sides")
     return _verify_children(sub, node, (("left", split.left), ("right", split.right)), clf, path)
 
 

@@ -4,8 +4,10 @@ A split cuts a connected graph along a vertex separator S into two
 proper sides that intersect exactly in S and have no edges across.  The
 group then decomposes as an amalgam of the two side subgroups over the
 separator subgroup, which is the shape the classification engine feeds
-on.  Chordal graphs get a direct construction whose separator is always
-a clique; everything else goes through ordered exhaustive enumeration.
+on.  :func:`is_split` is the one check of that shape, on bitmasks, for
+separator splits, free products (the empty separator) and joins alike.
+Chordal graphs get a direct construction whose separator is always a
+clique; everything else goes through ordered exhaustive enumeration.
 
 The enumeration works on int bitmasks over vertex positions.  The
 adjacency bitsets belong to the graph and the components walk for
@@ -79,25 +81,46 @@ def is_clique_separator(G: LabeledGraph, separator: Iterable[str]) -> bool:
     return bool(rest) and len(mask_components(adj, rest)) >= 2
 
 
+def is_split(adj: Sequence[int], within: int, sides: Sequence[int], sep: int) -> bool:
+    """True iff the vertex masks ``sides`` split the mask ``within``
+    along the mask ``sep``: they cover ``within``, each properly
+    contains ``sep``, any two meet in exactly ``sep``, and no edge of the
+    adjacency bitsets ``adj`` joins two of them outside ``sep``.
+
+    This is the one split check.  A free product splits along the empty
+    separator, an amalgam along a nonempty one, and a join is a split of
+    its two sides along the empty separator in the non-commuting
+    relation.  Once each side contains ``sep``, two sides meet in exactly
+    ``sep`` iff their open parts (outside ``sep``) are disjoint, so one
+    pass checks each open part against the open parts before it and
+    their neighbourhoods; ``adj`` is symmetric, so that covers every
+    pair.
+    """
+    covered = seen = reach = 0
+    for side in sides:
+        part = side & ~sep
+        if side & sep != sep or not part or part & (seen | reach):
+            return False
+        covered |= side
+        seen |= part
+        for i in mask_positions(part):
+            reach |= adj[i]
+    return covered == within
+
+
 def verify_split(G: LabeledGraph, split: Split) -> bool:
-    """Check the structural split invariants.
+    """Check the structural split invariants with :func:`is_split`.
 
     Union covers the graph, intersection is the separator, both sides
-    properly extend it, and no edge joins the two open sides.
+    properly extend it, and no edge joins the two open sides.  Ids
+    name vertices, so a repeated id counts once, and a split naming an
+    unknown vertex fails.
     """
-    left, right, sep = set(split.left), set(split.right), set(split.separator)
-    all_v = set(G.vertices)
-    if not (sep <= left and sep <= right):
+    try:
+        masks = [vertex_mask(G, ids) for ids in (split.left, split.right, split.separator)]
+    except GraphValidationError:
         return False
-    if left | right != all_v or left & right != sep:
-        return False
-    if not (left - sep) or not (right - sep):
-        return False
-    for u in left - sep:
-        for w in G.neighbors(u):
-            if w in right - sep:
-                return False
-    return True
+    return is_split(G.adjacency_masks, (1 << G.n) - 1, masks[:2], masks[2])
 
 
 def dirac_split(G: LabeledGraph) -> Split:
@@ -127,15 +150,15 @@ def dirac_split(G: LabeledGraph) -> Split:
     separator = mask_vertices(G, sep)
     if not is_clique_separator(G, separator):
         raise InternalInvariantError("minimal separator of a chordal graph must be a clique")
-    split = Split(
+    left, right = full & ~comp_b, sep | comp_b
+    if not is_split(adj, full, (left, right), sep):
+        raise InternalInvariantError("dirac construction produced an invalid split")
+    return Split(
         separator=separator,
-        left=mask_vertices(G, full & ~comp_b),
-        right=mask_vertices(G, sep | comp_b),
+        left=mask_vertices(G, left),
+        right=mask_vertices(G, right),
         method="dirac",
     )
-    if not verify_split(G, split):
-        raise InternalInvariantError("dirac construction produced an invalid split")
-    return split
 
 
 def _subset_masks(n: int, size: int) -> Iterator[int]:

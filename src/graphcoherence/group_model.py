@@ -40,6 +40,7 @@ from .labeled_graph import (
     join_factors,
     mask_positions,
     substructure,
+    vertex_mask,
 )
 
 SLENDER = "slender"
@@ -397,23 +398,19 @@ def f2_certificate(vertices: Sequence[str], positions: tuple[int, ...]) -> F2Cer
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
+    """Whether ``cert`` lists distinct vertices of G, pairwise
+    nonadjacent, that are two not both of order two (``free_pair``) or
+    three (``independent_triple``); checked on G's bitsets."""
     try:
-        for v in cert.vertices:
-            G.index(v)
+        mask = vertex_mask(G, cert.vertices)
     except Exception:
         return False
-    if len(set(cert.vertices)) != len(cert.vertices):
-        return False
-    if any(G.has_edge(a, b) for a, b in itertools.combinations(cert.vertices, 2)):
+    k = len(cert.vertices)
+    if mask.bit_count() != k or any(G.adjacency_masks[i] & mask for i in mask_positions(mask)):
         return False
     if cert.kind == "free_pair":
-        if len(cert.vertices) != 2:
-            return False
-        u, v = cert.vertices
-        return not (G.group(u).is_order_two and G.group(v).is_order_two)
-    if cert.kind == "independent_triple":
-        return len(cert.vertices) == 3
-    return False
+        return k == 2 and mask & ~order_two_mask(G) != 0
+    return cert.kind == "independent_triple" and k == 3
 
 
 # -- slenderness --------------------------------------------------------------

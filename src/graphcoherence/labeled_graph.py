@@ -944,8 +944,15 @@ def join_factors(G: LabeledGraph) -> tuple[tuple[str, ...], ...]:
     order, ordered by smallest vertex position.
     """
     full = (1 << G.n) - 1
-    noncomm = [full & ~(two | 1 << i) for i, two in enumerate(label_two_masks(G))]
-    return tuple(mask_vertices(G, c) for c in mask_components(noncomm, full))
+    return tuple(mask_vertices(G, c) for c in mask_components(noncommuting_masks(G), full))
+
+
+def noncommuting_masks(G: LabeledGraph) -> list[int]:
+    """Bitsets of the non-commuting relation: bit j of entry i is set iff
+    i != j and vertices i and j (by position) are not joined by a
+    label-2 edge.  Its components are G's join factors."""
+    full = (1 << G.n) - 1
+    return [full & ~(two | 1 << i) for i, two in enumerate(label_two_masks(G))]
 
 
 def label_two_masks(G: LabeledGraph) -> list[int]:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the package internals:
 brute-force chordality, the LexBFS chordality test on lists and dicts,
-brute-force isomorphism, brute-force F2 evidence, the Wise-Gordon scan
-tuple by tuple, the DOT reader with token objects, the kind of a Coxeter
+the split check on id sets, brute-force isomorphism, brute-force F2
+evidence, the Wise-Gordon scan tuple by tuple, the DOT reader with token objects, the kind of a Coxeter
 diagram by a float elimination of its cosine matrix, the canonical
 representative in two builds, concrete permutation models for
 reflection group orders, and random graph generators.
@@ -24,6 +24,7 @@ from graphcoherence import (
     Classifier,
     F2Certificate,
     LabeledGraph,
+    Split,
     Z,
     Z2,
     artin_graph,
@@ -124,6 +125,32 @@ def oracle_walk_separators(G: LabeledGraph):
             comps = mask_components(adj, full & ~sep)
             if len(comps) >= 2:
                 yield sep, comps
+
+
+# ---------------------------------------------------------------------------
+# the split check on id sets, as decomposition.verify_split made it before
+# the one bitmask predicate ``is_split`` took its place.
+
+
+def reference_verify_split(G: LabeledGraph, split: Split) -> bool:
+    """Check the structural split invariants.
+
+    Union covers the graph, intersection is the separator, both sides
+    properly extend it, and no edge joins the two open sides.
+    """
+    left, right, sep = set(split.left), set(split.right), set(split.separator)
+    all_v = set(G.vertices)
+    if not (sep <= left and sep <= right):
+        return False
+    if left | right != all_v or left & right != sep:
+        return False
+    if not (left - sep) or not (right - sep):
+        return False
+    for u in left - sep:
+        for w in G.neighbors(u):
+            if w in right - sep:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ class TestDecompose:
     def test_broken_split_invariant_exits_2(self, tmp_path, capsys, monkeypatch):
         from graphcoherence import decomposition
 
-        monkeypatch.setattr(decomposition, "verify_split", lambda G, split: False)
+        monkeypatch.setattr(decomposition, "is_split", lambda adj, within, sides, sep: False)
         assert main(["decompose", graph_file(tmp_path, diamond_racg())]) == 2
         assert "internal error:" in capsys.readouterr().err
 

@@ -41,12 +41,13 @@ from graphcoherence.coherence_engine import (
     ProofNode,
     Witness,
     WiseGordonViolation,
+    check_verdict,
     from_jsonable,
     to_jsonable,
     verdict_from_jsonable,
     verdict_to_jsonable,
 )
-from graphcoherence.labeled_graph import canonical_form, graph_from_key
+from graphcoherence.labeled_graph import InternalInvariantError, canonical_form, graph_from_key
 from helpers import (
     braid_like_artin_k4,
     complete_bipartite_racg,
@@ -931,6 +932,49 @@ class TestIdListsGivenAsStrings:
         assert proof.rule == "droms_chordal" and verify_proof(G, proof, classifier=clf)
         bad = dataclasses.replace(proof, data={"peo": "".join(proof.data["peo"])})
         self.assert_rejected(G, clf, bad, "stored elimination ordering does not verify")
+
+
+class TestWitnessIdListsRepeatNoVertex:
+    """A witness whose join side or factor lists a vertex twice is
+    refused, read back from its JSON form, by a fresh check and by one
+    through the classifier that wrote it: ids name vertices, and the
+    bitmasks the checks build would merge a repeat silently."""
+
+    @staticmethod
+    def assert_refused(G, clf, witness, path, reason):
+        verdict = verdict_from_jsonable(verdict_to_jsonable(clf.classify(G)))
+        bad = dataclasses.replace(verdict, witness=witness)
+        bad = verdict_from_jsonable(json.loads(json.dumps(verdict_to_jsonable(bad))))
+        out = verify_witness(G, bad.witness)
+        assert (out.ok, out.path, out.reason) == (False, path, reason)
+        for classifier in (None, clf):
+            with pytest.raises(InternalInvariantError, match=f"at {'/'.join(path)}: {reason}$"):
+                check_verdict(G, bad, classifier=classifier)
+
+    def test_a_join_side(self):
+        G = racg(list("abcxyz"), [(u, v) for u in "abc" for v in "xyz"])
+        clf = Classifier()
+        w = clf.classify(G).witness
+        assert w.side_b == ("x", "y", "z") and verify_witness(G, w)
+        bad = dataclasses.replace(w, side_b=("x", "y", "z", "x"))
+        self.assert_refused(G, clf, bad, ("witness",), "join side lists a vertex twice")
+
+    def test_an_incoherent_factor(self):
+        from test_evidence_references import NESTED_FACTORS
+
+        clf = Classifier()
+        w = clf.classify(NESTED_FACTORS).witness
+        assert isinstance(w, IncoherentFactor) and verify_witness(NESTED_FACTORS, w)
+        bad = dataclasses.replace(w, vertices=w.vertices + w.vertices[:1])
+        self.assert_refused(NESTED_FACTORS, clf, bad, ("witness",), "factor lists a vertex twice")
+        inner = dataclasses.replace(w.inner, vertices=w.inner.vertices[:1] + w.inner.vertices)
+        self.assert_refused(
+            NESTED_FACTORS,
+            clf,
+            dataclasses.replace(w, inner=inner),
+            ("witness", "inner"),
+            "factor lists a vertex twice",
+        )
 
 
 class TestWitnessVerification:

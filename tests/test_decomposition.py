@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcoherence import (
     GraphValidationError,
@@ -17,12 +19,15 @@ from graphcoherence import (
     racg,
     verify_split,
 )
+from graphcoherence.decomposition import separator_splits
+from graphcoherence.labeled_graph import mask_components
 from helpers import (
     cycle_racg,
     diamond_racg,
     path_racg,
     prism_racg,
     random_chordal_graph,
+    reference_verify_split,
 )
 
 
@@ -193,3 +198,47 @@ class TestEnumerateSeparatorSplits:
             assert verify_split(G, s)
             # prism is 3-connected
             assert len(s.separator) >= 3
+
+
+@st.composite
+def graphs_with_splits(draw):
+    """A graph on up to 7 vertices with a split to check: mostly a real
+    split of the graph (along a separator, or along the empty one when
+    it is disconnected), else each vertex placed on the left, the
+    right, the separator or nowhere.  Then up to three edits
+    each drop an id from one list or add one to it, known, repeated or
+    unknown, so sides overlap beyond the separator or miss vertices,
+    and separators come out empty."""
+    n = draw(st.integers(1, 7))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(ids, 2))
+    G = racg(ids, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    splits = list(enumerate_separator_splits(G))
+    comps = mask_components(G.adjacency_masks, (1 << n) - 1)
+    if len(comps) > 1:
+        splits += separator_splits(G, 0, comps)
+    if splits and draw(st.integers(0, 3)):
+        split = draw(st.sampled_from(splits))
+        lists = [list(split.left), list(split.right), list(split.separator)]
+    else:
+        place = draw(st.lists(st.sampled_from("lrsn"), min_size=n, max_size=n))
+        lists = [[v for v, p in zip(ids, place) if p in where] for where in ("ls", "rs", "s")]
+    for _ in range(draw(st.integers(0, 3))):
+        target = lists[draw(st.integers(0, 2))]
+        if target and draw(st.booleans()):
+            target.pop(draw(st.integers(0, len(target) - 1)))
+        else:
+            target.insert(
+                draw(st.integers(0, len(target))), draw(st.sampled_from(ids + ["zz", "v"]))
+            )
+    left, right, sep = lists
+    return G, Split(separator=tuple(sep), left=tuple(left), right=tuple(right))
+
+
+@settings(max_examples=600, deadline=None)
+@given(graphs_with_splits())
+def test_verify_split_agrees_with_the_id_set_oracle(case):
+    """The bitmask check accepts and refuses exactly the splits that the
+    check on id sets did."""
+    G, split = case
+    assert verify_split(G, split) == reference_verify_split(G, split)
