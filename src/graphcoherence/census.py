@@ -257,9 +257,11 @@ def _load_records(path: str, header: dict) -> dict[str, bytes]:
     interrupted mid-write leaves behind: it is dropped with a note on
     stderr and cut from the file, so that appended records start on a
     line of their own.  Any other line that does not parse, and any
-    record without a string key, a status and a verdict that parses, or
-    whose status is not its verdict's, is an error naming ``path:line``,
-    so every line is parsed and checked here, before any work starts.
+    record without a string key, a status and a verdict that parses,
+    whose status is not its verdict's, or whose key an earlier line
+    already has, is an error naming ``path:line``, so every line is
+    parsed and checked here, before any work starts: a later line would
+    otherwise replace an earlier one unverified.
     """
     records: dict[str, bytes] = {}
     with open(path, "rb") as fh:
@@ -289,7 +291,7 @@ def _load_records(path: str, header: dict) -> dict[str, bytes]:
                     )
             else:
                 try:
-                    records[_checked_key(rec)] = line
+                    records[_checked_key(rec, records)] = line
                 except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as e:
                     raise ValueError(
                         f"corrupt census record at {path}:{line_no}: {type(e).__name__}: {e}"
@@ -307,14 +309,17 @@ def _load_records(path: str, header: dict) -> dict[str, bytes]:
     return records
 
 
-def _checked_key(rec: dict) -> str:
+def _checked_key(rec: dict, earlier: dict) -> str:
     """The key of a stored record, once its verdict parses and has the
-    record's status: the census counts and re-verifies the verdict."""
+    record's status, and no ``earlier`` record has that key: the census
+    counts and re-verifies the verdict, and only one per key."""
     verdict = verdict_from_jsonable(rec["verdict"])
     if verdict.status != rec["status"]:
         raise ValueError(f"status {rec['status']!r} is not its verdict's {verdict.status!r}")
     if type(rec["key"]) is not str:
         raise TypeError("the key is not a string")
+    if rec["key"] in earlier:
+        raise ValueError("an earlier line has the same key")
     return rec["key"]
 
 

@@ -52,7 +52,6 @@ from .decomposition import (
     is_split,
     separator_splits,
     slender_separators,
-    verify_split,
 )
 from .group_model import (
     SLENDER,
@@ -73,15 +72,18 @@ from .labeled_graph import (
     GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
+    RepeatedVertexError,
     canonical_form,
     detect_flavor,
     induced_as_listed,
     is_chordal,
     is_induced_chordless_cycle,
     label_two_masks,
+    listed_positions,
     mask_positions,
     noncommuting_masks,
     positional_key,
+    positions_mask,
     shape_classify,
     substructure,
     verify_peo,
@@ -164,12 +166,10 @@ class JoinEmbedding:
         checked on G itself, where its vertices have the groups and
         edges of the side's induced subgraph."""
         sides = (("A", self.side_a, self.cert_a), ("B", self.side_b, self.cert_b))
-        if any(len(set(side)) != len(side) for _, side, _ in sides):
-            return _fail(path, "join side lists a vertex twice")
         try:
-            a, b = (vertex_mask(G, side) for _, side, _ in sides)
+            a, b = (positions_mask(listed_positions(G, side)) for _, side, _ in sides)
         except GraphValidationError as e:
-            return _fail(path, f"witness refers to unknown vertices: {e}")
+            return _fail(path, f"join side {e}")
         if not is_split(noncommuting_masks(G), a | b, (a, b), 0):
             return _fail(path, "sides are not disjoint nonempty sets joined by label-2 edges")
         if any(not set(cert.vertices) <= set(side) for _, side, cert in sides):
@@ -223,38 +223,31 @@ class WiseGordonViolation:
         if not detect_flavor(G).artin:
             return _fail(path, "violation witness requires an all-Z graph")
         try:
-            vertex_mask(G, self.vertices)
-        except Exception as e:
-            return _fail(path, f"violation refers to unknown vertices: {e}")
-        if len(set(self.vertices)) != len(self.vertices):
-            return _fail(path, "violation repeats vertices")
+            positions = listed_positions(G, self.vertices)
+        except GraphValidationError as e:
+            return _fail(path, f"violation {e}")
         if self.violation == "long_cycle":
             if not is_induced_chordless_cycle(G, self.vertices):
                 return _fail(path, "stored cycle is not induced and chordless")
             return _OK
         if self.violation == "clique_big_labels":
-            if len(self.vertices) not in (3, 4):
+            if len(positions) not in (3, 4):
                 return _fail(path, "clique violation needs 3 or 4 vertices")
-            big = 0
-            for a, b in itertools.combinations(self.vertices, 2):
-                m = G.edge_label(a, b)
-                if m is None:
-                    return _fail(path, "violation vertices are not a clique")
-                if m > 2:
-                    big += 1
-            if big < 2:
+            pairs = [G._adj[a].get(b) for a, b in itertools.combinations(positions, 2)]
+            if None in pairs:
+                return _fail(path, "violation vertices are not a clique")
+            if sum(m > 2 for m in pairs) < 2:
                 return _fail(path, "clique has fewer than two labels above 2")
             return _OK
         if self.violation == "forbidden_square":
-            if len(self.vertices) != 4:
+            if len(positions) != 4:
                 return _fail(path, "square violation needs 4 vertices")
-            a, b, c, d = self.vertices
-            m = G.edge_label(a, b)
-            if m is None or m <= 2:
+            a, b, c, d = positions
+            if G._adj[a].get(b, 0) <= 2:
                 return _fail(path, "first two vertices must carry a heavy edge")
-            if G.has_edge(c, d):
+            if d in G._adj[c]:
                 return _fail(path, "last two vertices must be nonadjacent")
-            if not all(G.edge_label(x, y) == 2 for x in (c, d) for y in (a, b)):
+            if not all(G._adj[x].get(y) == 2 for x in (c, d) for y in (a, b)):
                 return _fail(path, "square sides must be label-2 edges")
             return _OK
         return _fail(path, f"unknown violation kind {self.violation!r}")
@@ -274,12 +267,10 @@ class IncoherentFactor:
     kind = "incoherent_factor"
 
     def verify(self, G: LabeledGraph, path: tuple[str, ...]) -> VerificationOutcome:
-        if len(set(self.vertices)) != len(self.vertices):
-            return _fail(path, "factor lists a vertex twice")
         try:
-            sub = G.induced(self.vertices)
-        except Exception as e:
-            return _fail(path, f"factor vertices invalid: {e}")
+            sub = induced_as_listed(G, sorted(listed_positions(G, self.vertices)))
+        except GraphValidationError as e:
+            return _fail(path, f"factor {e}")
         return verify_witness(sub, self.inner, path + ("inner",))
 
     def text(self) -> str:
@@ -545,8 +536,9 @@ class Classifier:
     canonical representative's are.  The separator checks read only its
     verdict.  The slender-leaf prover writes its factors in G's ids
     through ``to_jsonable(cert.factors, _id_map(G.vertices))``, the one
-    renamer, and the slender-leaf verifier writes them the same way and
-    compares.  Lemma: ``to_jsonable(stored, _id_map(G.vertices))`` is
+    renamer, and the slender-leaf verifier reads the stored factors as
+    positions and compares them with the certificate's, whose "i" is
+    position i.  Lemma: ``to_jsonable(stored, _id_map(G.vertices))`` is
     ``to_jsonable(is_slender(G))``.  ``is_slender`` reads only G's
     groups, edges and vertex positions, as do ``detect_flavor``,
     ``first_f2_certificate``, ``join_factors`` and ``_match_component``,
@@ -769,40 +761,31 @@ def verify_proof(
     its vertices, which for the classifier's evidence is its part's
     canonical order, so on the classifier that wrote the proof every key
     check and slenderness premise is a memo hit; a node listed in
-    another order still verifies, by a search.  A node, a split's side
-    or separator, a free product's stored components, or a slender
-    leaf's stored factors, that lists a vertex twice is refused, and so
-    is a string in place of an array of ids there or in an elimination
-    ordering.
+    another order still verifies, by a search.  Every stored id list (a
+    node's vertices, a split's sides and separator, a free product's
+    components, a slender leaf's factors, an elimination ordering) is
+    read by :func:`listed_positions`, so one that is not an array,
+    names an unknown vertex or lists a vertex twice is refused.
     Failures name the offending node by its path from the root.
     """
     clf = classifier or Classifier(EngineConfig(max_search_vertices=cap))
-    return _verify_node(G, node, tuple(G.vertices), clf, path=("root",))
+    return _verify_node(G, node, (1 << G.n) - 1, clf, path=("root",))
 
 
 def _verify_node(
-    G: LabeledGraph,
-    node: ProofNode,
-    expected: tuple[str, ...],
-    clf: Classifier,
-    path: tuple[str, ...],
+    G: LabeledGraph, node: ProofNode, expected: int, clf: Classifier, path: tuple[str, ...]
 ) -> VerificationOutcome:
     """Verify ``node`` on G's subgraph induced in the node's listed
     order, or on G itself when the node lists G's vertices in G's
-    order.  The node must list each vertex once, and the set that
-    ``expected`` lists."""
-    vertices = tuple(node.vertices)
-    if len(set(vertices)) != len(vertices):
-        return _fail(path, "node lists a vertex twice")
-    if sorted(vertices) != sorted(expected):
-        return _fail(path, "node vertex set does not match its position in the proof")
+    order.  The node must list, by :func:`listed_positions`, the
+    vertices of the position mask ``expected``."""
     try:
-        if vertices == G.vertices:
-            sub = G
-        else:
-            sub = induced_as_listed(G, [G.index(v) for v in vertices], vertices)
-    except Exception as e:
-        return _fail(path, f"induced subgraph failed: {e}")
+        positions = listed_positions(G, node.vertices)
+    except GraphValidationError as e:
+        return _fail(path, f"node {e}")
+    if positions_mask(positions) != expected:
+        return _fail(path, "node vertex set does not match its position in the proof")
+    sub = G if tuple(node.vertices) == G.vertices else induced_as_listed(G, positions)
     if node.key != clf.node_key(sub)[0]:
         return _fail(path, "stored key does not match the induced subgraph")
     flavor = detect_flavor(sub)
@@ -817,9 +800,10 @@ def _verify_node(
 def verify_witness(
     G: LabeledGraph, w: Witness, _path: tuple[str, ...] = ("witness",)
 ) -> VerificationOutcome:
-    """Recheck an incoherence witness against the graph from scratch.  A
-    join side or an incoherent factor that lists a vertex twice is
-    refused."""
+    """Recheck an incoherence witness against the graph from scratch.
+    Its id lists are read by :func:`listed_positions`, so a join side,
+    a certificate, a cycle, a violation or an incoherent factor that
+    names an unknown vertex or lists one twice is refused."""
     if type(w) not in typing.get_args(Witness):
         return _fail(_path, f"unknown witness type {type(w).__name__}")
     return w.verify(G, _path)
@@ -997,13 +981,13 @@ def _verify_abelian(sub, node, flavor, clf, path) -> VerificationOutcome:
 
 def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     """A stored certificate must give the reason ``is_slender`` gives and
-    the same factors.  The classifier's certificate is written in
-    ``sub``'s ids, as the prover writes it, and the factors are compared
-    as a set of (vertex set, kind, type), since renaming can reorder
-    them; a factor whose vertices are not an array matches none.  The
-    certificate's factors partition the vertices, so once the sets
-    agree, stored factors that list more than ``sub.n`` vertices in all
-    list some vertex twice."""
+    the same factors.  The classifier's certificate names ``sub``'s
+    vertices by position ("0", "1", ...), and each stored factor's
+    vertices are read by :func:`listed_positions`; the factors are
+    compared as a set of (position mask, kind, type), since renaming can
+    reorder them.  The certificate's factors are distinct, so once the
+    sets agree, more stored factors than certificate factors list some
+    factor, and so some vertex, twice."""
     cert = clf._stored_slender(sub)
     if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
@@ -1012,16 +996,22 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _OK
     if not isinstance(stored, dict) or stored.get("reason") != cert.reason:
         return _fail(path, "stored slenderness reason does not match the subgraph")
+    written = {
+        (positions_mask(map(int, f.vertices)), f.kind, f.type and f.type.name) for f in cert.factors
+    }
     try:
-        listed = [(f["vertices"], f["kind"], f["type"]) for f in stored["factors"]]
-        arrays = all(isinstance(vs, list) for vs, _, _ in listed)
-        factors = arrays and {(frozenset(vs), kind, t) for vs, kind, t in listed}
-    except (KeyError, TypeError):
-        factors = None
-    written = to_jsonable(cert.factors, _id_map(sub.vertices))
-    if factors != {(frozenset(f["vertices"]), f["kind"], f["type"]) for f in written}:
+        listed = [
+            (positions_mask(listed_positions(sub, f["vertices"])), f["kind"], f["type"])
+            for f in stored["factors"]
+        ]
+        same = set(listed) == written
+    except RepeatedVertexError:
+        return _fail(path, "stored slender factors list a vertex twice")
+    except (GraphValidationError, KeyError, TypeError):
+        same = False
+    if not same:
         return _fail(path, "stored slender factors do not match the subgraph")
-    if sum(len(vs) for vs, _, _ in listed) != sub.n:
+    if len(listed) != len(written):
         return _fail(path, "stored slender factors list a vertex twice")
     return _OK
 
@@ -1033,14 +1023,7 @@ def _stored_chordality(sub, node) -> Optional[ChordalityResult]:
     peo = node.data.get("peo")
     if peo is None:
         return is_chordal(sub)
-    if not isinstance(peo, list):
-        return None
-    try:
-        if verify_peo(sub, peo):
-            return ChordalityResult(chordal=True, peo=tuple(peo))
-    except TypeError:
-        pass
-    return None
+    return ChordalityResult(chordal=True, peo=tuple(peo)) if verify_peo(sub, peo) else None
 
 
 def _verify_droms_chordal(sub, node, flavor, clf, path) -> VerificationOutcome:
@@ -1081,7 +1064,9 @@ def _verify_mccammond_wise(sub, node, flavor, clf, path) -> VerificationOutcome:
 def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
     """The factors split the node along the empty separator
     (:func:`is_split`); each child's own check refuses a factor that
-    lists a vertex twice."""
+    lists a vertex twice.  Stored components are read as JSON arrays of
+    id arrays, each by :func:`listed_positions`, and must list the
+    factors' vertex sets in order."""
     if len(node.children) < 2:
         return _fail(path, "free_product needs at least two factors")
     try:
@@ -1090,48 +1075,52 @@ def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
         factors = None
     if factors is None or not is_split(sub.adjacency_masks, (1 << sub.n) - 1, factors, 0):
         return _fail(path, "free factors do not split the node")
-    try:
-        # Components must be arrays of ids; anything else matches no factor.
-        comps = node.data.get("components")
-        if comps is not None and all(isinstance(c, list) for c in comps):
-            if any(len(set(c)) != len(c) for c in comps):
-                return _fail(path, "stored components list a vertex twice")
-            comps = [set(c) for c in comps]
-        same = comps is None or comps == [set(c.vertices) for c in node.children]
-    except TypeError:
-        same = False
-    if not same:
-        return _fail(path, "stored components do not match the factors")
-    parts = [(f"factor[{i}]", child.vertices) for i, child in enumerate(node.children)]
+    comps = node.data.get("components")
+    if comps is not None:
+        try:
+            arrays = from_jsonable(tuple[tuple[str, ...], ...], comps)
+            comps = [positions_mask(listed_positions(sub, c)) for c in arrays]
+        except RepeatedVertexError:
+            return _fail(path, "stored components list a vertex twice")
+        except ValueError:
+            comps = None
+        if comps != factors:
+            return _fail(path, "stored components do not match the factors")
+    parts = [(f"factor[{i}]", mask) for i, mask in enumerate(factors)]
     return _verify_children(sub, node, parts, clf, path)
 
 
 def _verify_amalgam(sub, node, flavor, clf, path) -> VerificationOutcome:
+    """The stored split, read by :func:`listed_positions`, splits the
+    node along a nonempty slender separator (:func:`is_split`)."""
     try:
         split = from_jsonable(Split, node.data)
     except KeyError as e:
         return _fail(path, f"amalgam node missing field {e}")
     except ValueError as e:
         return _fail(path, f"amalgam node has a malformed field: {e}")
+    masks = []
     for name in ("left", "right", "separator"):
-        side = getattr(split, name)
-        if len(set(side)) != len(side):
-            return _fail(path, f"amalgam {name} lists a vertex twice")
-    if not split.separator:
+        try:
+            masks.append(positions_mask(listed_positions(sub, getattr(split, name))))
+        except GraphValidationError as e:
+            return _fail(path, f"amalgam {name} {e}")
+    left, right, separator = masks
+    if not separator:
         return _fail(path, "amalgam separator is empty")
-    if not verify_split(sub, split):
+    if not is_split(sub.adjacency_masks, (1 << sub.n) - 1, (left, right), separator):
         return _fail(path, "split invariants fail")
-    separator = sorted(map(sub.index, split.separator))
-    if clf._stored_slender(sub, separator).verdict != SLENDER:
+    if clf._stored_slender(sub, list(mask_positions(separator))).verdict != SLENDER:
         return _fail(path, "separator subgroup is not slender")
     if len(node.children) != 2:
         return _fail(path, "amalgam needs exactly two children")
-    return _verify_children(sub, node, (("left", split.left), ("right", split.right)), clf, path)
+    return _verify_children(sub, node, (("left", left), ("right", right)), clf, path)
 
 
 def _verify_children(sub, node, parts, clf, path) -> VerificationOutcome:
     """Verify each child of ``node`` against its expected vertex set;
-    ``parts`` pairs each child's path step with that set."""
+    ``parts`` pairs each child's path step with that set's position
+    mask."""
     for (step, expected), child in zip(parts, node.children):
         r = _verify_node(sub, child, expected, clf, path + (step,))
         if not r:

@@ -32,15 +32,17 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .labeled_graph import (
     Flavor,
+    GraphValidationError,
     InternalInvariantError,
     LabeledGraph,
     Z2,
     canonical_key,
     detect_flavor,
     join_factors,
+    listed_positions,
     mask_positions,
+    positions_mask,
     substructure,
-    vertex_mask,
 )
 
 SLENDER = "slender"
@@ -398,15 +400,16 @@ def f2_certificate(vertices: Sequence[str], positions: tuple[int, ...]) -> F2Cer
 
 
 def f2_certificate_valid(G: LabeledGraph, cert: F2Certificate) -> bool:
-    """Whether ``cert`` lists distinct vertices of G, pairwise
-    nonadjacent, that are two not both of order two (``free_pair``) or
-    three (``independent_triple``); checked on G's bitsets."""
+    """Whether ``cert`` lists in an array distinct vertices of G (read
+    by :func:`listed_positions`), pairwise nonadjacent, that are two not
+    both of order two (``free_pair``) or three (``independent_triple``);
+    checked on G's bitsets."""
     try:
-        mask = vertex_mask(G, cert.vertices)
-    except Exception:
+        mask = positions_mask(listed_positions(G, cert.vertices))
+    except GraphValidationError:
         return False
     k = len(cert.vertices)
-    if mask.bit_count() != k or any(G.adjacency_masks[i] & mask for i in mask_positions(mask)):
+    if any(G.adjacency_masks[i] & mask for i in mask_positions(mask)):
         return False
     if cert.kind == "free_pair":
         return k == 2 and mask & ~order_two_mask(G) != 0
@@ -523,6 +526,11 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
 # The largest Artin label whose braid relation is written out letter by
 # letter; at 10^8 that relation is already 200 MB of text.
 LITERAL_BRAID_MAX = 10**8
+# The most relations a presentation may have.  Text and memory grow with
+# the count (4.5 M commutators of a rank-3,000 vertex take about 0.5 GB
+# to write), so a group of huge rank, whose commutators number about
+# rank^2 / 2, is refused before any generator is named.
+PRESENTATION_RELATIONS_MAX = 10**8
 
 
 def _generator_names(G: LabeledGraph) -> dict[str, list[str]]:
@@ -542,8 +550,19 @@ def emit_presentation(G: LabeledGraph) -> str:
     m = 2k + 1 once m exceeds ``LITERAL_BRAID_MAX``; other graph products
     list torsion powers and commutators.  Generators are juxtaposed when
     every name is a single character.
+
+    A vertex with k cyclic factors, t of them torsion, has t torsion
+    relations and k(k-1)/2 commutators, and an edge uv has k_u k_v
+    commutators; for Coxeter and Artin graphs (k = 1) that is one
+    relation per Z/2 vertex and one per edge.  Above
+    ``PRESENTATION_RELATIONS_MAX`` relations in all this raises
+    :class:`GraphValidationError` before building anything.
     """
     flavor = require_group(G)
+    k = [g.factor_count() for g in G.groups]
+    relations = sum(len(g.torsion) + c * (c - 1) // 2 for g, c in zip(G.groups, k))
+    if relations + sum(k[i] * k[j] for i, j, _ in G.edges) > PRESENTATION_RELATIONS_MAX:
+        raise GraphValidationError(f"presentation has over {PRESENTATION_RELATIONS_MAX} relations")
     names = _generator_names(G)
     gens = [g for v in G.vertices for g in names[v]]
     juxt = all(len(g) == 1 for g in gens)

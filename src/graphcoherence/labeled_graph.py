@@ -5,7 +5,8 @@ and an integer label >= 2 on every edge.  This module owns the data
 model, the two input formats (a JSON document and a small DOT subset,
 whose tokens are plain tuples), chordality testing with self-verifying
 evidence (one LexBFS pass on the adjacency bitsets gives the elimination
-ordering or the cycle; the verifiers read vertex ids), coarse shape
+ordering or the cycle; the verifiers read its vertex ids through
+:func:`listed_positions`), coarse shape
 classification, join-factor decomposition, and a canonical form that is
 invariant under label-preserving isomorphism, with the one key codec:
 the key writer :func:`positional_key` and its reader
@@ -19,7 +20,9 @@ use), :func:`label_two_masks` builds those of its label-2 edges, and
 :func:`mask_components` is the one components walk for one-off calls,
 used for graph components, join factors, clique-separator checks and
 the dirac split; the separator search grows its components from its
-own neighbourhood tables.
+own neighbourhood tables.  :func:`listed_positions` is the one reader
+of a stored id array: evidence checks take positions from it, and it
+refuses a non-array, an unknown id and a repeated one.
 :func:`substructure` reads the groups and edges a graph induces on
 vertex positions in a given order, with no graph built; canonical keys,
 diagram components and memo lookups read edges through it.
@@ -43,6 +46,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 class GraphValidationError(ValueError):
     """Raised when a graph document or construction is malformed."""
+
+
+class RepeatedVertexError(GraphValidationError):
+    """Raised by :func:`listed_positions` when an id array lists a vertex
+    twice."""
 
 
 class VertexCapError(ValueError):
@@ -784,39 +792,34 @@ def _lex_bfs_order(G: LabeledGraph) -> list[int]:
 
 
 def verify_peo(G: LabeledGraph, peo: Sequence[str]) -> bool:
-    """True iff ``peo`` is a perfect elimination ordering of G.
-
-    At each vertex the neighbors appearing later in the ordering must
-    form a clique.
+    """True iff ``peo`` is a perfect elimination ordering of G: an array
+    listing every vertex once (read by :func:`listed_positions`), where
+    at each vertex the neighbours later in the ordering form a clique.
     """
-    if sorted(peo) != sorted(G.vertices):
+    try:
+        order = listed_positions(G, peo)
+    except GraphValidationError:
         return False
-    pos = {v: p for p, v in enumerate(peo)}
-    for v in peo:
-        later = [w for w in G.neighbors(v) if pos[w] > pos[v]]
-        for a, b in itertools.combinations(later, 2):
-            if not G.has_edge(a, b):
-                return False
-    return True
+    rank = {p: r for r, p in enumerate(order)}
+    adj = G._adj
+    later = ([q for q in adj[p] if rank[q] > rank[p]] for p in order)
+    return len(order) == G.n and all(
+        b in adj[a] for ps in later for a, b in itertools.combinations(ps, 2)
+    )
 
 
 def is_induced_chordless_cycle(G: LabeledGraph, cycle: Sequence[str]) -> bool:
-    """True iff ``cycle`` lists an induced cycle of length >= 4."""
-    k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
-        return False
+    """True iff ``cycle`` is an array of distinct vertex ids (read by
+    :func:`listed_positions`) listing an induced cycle of length >= 4."""
     try:
-        cycset = set(cycle)
-        for v in cycle:
-            G.index(v)
-        for idx, v in enumerate(cycle):
-            expected = {cycle[(idx - 1) % k], cycle[(idx + 1) % k]}
-            actual = {w for w in G.neighbors(v) if w in cycset}
-            if actual != expected:
-                return False
+        order = listed_positions(G, cycle)
     except GraphValidationError:
         return False
-    return True
+    k, on = len(order), set(order)
+    return k >= 4 and all(
+        on.intersection(G._adj[p]) == {order[i - 1], order[(i + 1) % k]}
+        for i, p in enumerate(order)
+    )
 
 
 def _cycle_through(G: LabeledGraph, v: int, p: int, w: int) -> Optional[tuple[str, ...]]:
@@ -969,12 +972,38 @@ def label_two_masks(G: LabeledGraph) -> list[int]:
 # -- vertex bitmasks ------------------------------------------------------------
 
 
-def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
-    """Bitmask of a vertex set over vertex positions."""
+def positions_mask(positions: Iterable[int]) -> int:
+    """The bitmask of vertex positions; a repeated position counts
+    once."""
     mask = 0
-    for v in vertices:
-        mask |= 1 << G.index(v)
+    for p in positions:
+        mask |= 1 << p
     return mask
+
+
+def vertex_mask(G: LabeledGraph, vertices: Iterable[str]) -> int:
+    """Bitmask of a vertex set over vertex positions; a repeated id
+    counts once."""
+    return positions_mask(map(G.index, vertices))
+
+
+def listed_positions(G: LabeledGraph, ids) -> list[int]:
+    """The positions of the vertices that a stored id array lists, in
+    its order: the one reader of the id lists that evidence stores.
+
+    Raises :class:`GraphValidationError` if ``ids`` is not a list or a
+    tuple (so a string of one-character ids is refused), or lists an
+    item that is not an id of G, and :class:`RepeatedVertexError` if it
+    lists a vertex twice.  Each message completes a sentence whose
+    subject names the list, as in "node lists a vertex twice"."""
+    if not isinstance(ids, (list, tuple)):
+        raise GraphValidationError("does not list vertex ids in an array")
+    positions = [G._index.get(v, -1) if type(v) is str else -1 for v in ids]
+    if -1 in positions:
+        raise GraphValidationError(f"lists unknown vertex {ids[positions.index(-1)]!r}")
+    if len(set(positions)) != len(positions):
+        raise RepeatedVertexError("lists a vertex twice")
+    return positions
 
 
 def mask_vertices(G: LabeledGraph, mask: int) -> tuple[str, ...]:

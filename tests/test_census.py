@@ -500,6 +500,37 @@ class TestRecordsAndResume:
         ]
         assert out.read_text() == tampered
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_a_key_on_two_lines_is_a_corrupt_record(self, tmp_path, capsys, workers):
+        """Each class is counted and verified from one record.  A forged
+        INCOHERENT copy of a record, put before the genuine line, would
+        otherwise be replaced by it unchecked; the file is refused at the
+        later line, with one error line and exit 1, and kept as it is."""
+        out = tmp_path / "census.jsonl"
+        argv = ["census", "--flavor", "racg", "--max-vertices", "3"]
+        argv += ["--out", str(out), "--workers", str(workers)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        header, *lines = out.read_text().splitlines(keepends=True)
+        at, genuine = next(
+            (i, rec)
+            for i, rec in enumerate(map(json.loads, lines))
+            if (rec["n"], rec["e"]) == (3, 0)
+        )
+        witness = {"kind": "droms_cycle", "cycle": ["0", "1", "2", "0"]}
+        forged = dict(genuine, status=INCOHERENT, rule=None, notes=[])
+        forged["verdict"] = {"status": INCOHERENT, "proof": None, "witness": witness, "notes": []}
+        tampered = "".join([header, *lines[:at], json.dumps(forged) + "\n", *lines[at:]])
+        out.write_text(tampered)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # The header is line 1 and the forged copy line at + 2.
+        where = f"{out}:{at + 3}"
+        message = "ValueError: an earlier line has the same key"
+        assert captured.err == f"error: corrupt census record at {where}: {message}\n"
+        assert out.read_text() == tampered
+
     @pytest.mark.parametrize(
         "writer",
         [

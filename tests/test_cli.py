@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import hashlib
 import io
 import itertools
 import json
@@ -13,6 +14,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -441,6 +443,33 @@ class TestPresent:
         text = "< a, b | (ab)^500000000000 = (ba)^500000000000 >"
         expected = json.dumps({"presentation": text}) if fmt == "json" else text
         assert capsys.readouterr().out == expected + "\n"
+
+    def test_a_huge_rank_gives_one_short_error_line(self, tmp_path):
+        """A vertex group of rank 10^8 would need about 5 * 10^15
+        commutators; the count is refused before any generator is named."""
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices":[{"id":"a","group":{"rank":100000000}}]}')
+        started = time.monotonic()
+        proc = _assert_exits_1_without_traceback(
+            ["present", str(path)], "", "presentation has over 100000000 relations"
+        )
+        assert time.monotonic() - started < 2
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 300
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "eb4ceefe01007441ead0bdadcad70336a7bac2b997e2a20283d8ef13b04bd9ae"),
+            ("json", "e70a0abad4e20c5e808e57c2441a1fd079b905e066cfcca4dc963595ee1eef18"),
+        ],
+    )
+    def test_rank_1000_below_the_bound_is_written_in_full(self, tmp_path, capsys, fmt, digest):
+        """499,500 commutators, under the relation bound: the output is the
+        one written before the bound existed."""
+        path = tmp_path / "rank.json"
+        path.write_text('{"vertices":[{"id":"a","group":{"rank":1000}}]}')
+        assert main(["present", "--format", fmt, str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestFiniteness:

@@ -925,6 +925,14 @@ class TestIdListsGivenAsStrings:
             bad = dataclasses.replace(proof, data={"components": bad_components})
             self.assert_rejected(G, clf, bad, "stored components do not match the factors")
 
+    def test_node_vertices(self):
+        G = self.canonical(cycle_racg(4))
+        clf = Classifier()
+        proof = clf.classify(G).proof
+        assert tuple(proof.vertices) == G.vertices and verify_proof(G, proof, classifier=clf)
+        bad = dataclasses.replace(proof, vertices="".join(proof.vertices))
+        self.assert_rejected(G, clf, bad, "node does not list vertex ids in an array")
+
     def test_elimination_ordering(self):
         G = self.canonical(chordal_leaf_graph("droms_chordal"))
         clf = Classifier()

@@ -1,6 +1,6 @@
-"""Tampered evidence is refused: every id list in a stored verdict is
-mutated, and each mutant must fail to parse or be refused by
-``check_verdict``.
+"""Tampered evidence is refused: every id list and every piece of
+structure in a stored verdict is mutated, and each mutant must fail to
+parse or be refused by ``check_verdict``.
 
 The verdicts are the JSON records of two census sweeps (racg n <= 5,
 coxeter n <= 4 with labels 2,3,4,5), the classify-proofs gallery of
@@ -11,17 +11,23 @@ and certificates, cycles, violation vertices and factor vertices (the
 vertices of a note of an UNKNOWN verdict are not evidence, and no verdict
 that carries evidence has notes).  Each list gets four kinds of mutant:
 a vertex duplicated, a vertex dropped (at every position), an unknown id
-inserted, and a string where the array was.
+inserted, and a string where the array was.  The structure operators
+change each proof node's key, replace its rule by every other rule, drop
+or duplicate its last child, swap an amalgam's sides (in its data alone,
+and together with its children), reverse a stored elimination ordering,
+replace a Wise-Gordon violation by each other kind, and swap a join's
+sides together with their certificates.
 
 A mutant may stay valid evidence: a factor that drops a vertex its inner
-witness does not use still carries that witness.  Only the operators on
-the written allow-list ``STILL_VALID`` may be accepted, and each accepted
-mutant is checked again by a brute-force reading of its witness's
-definition on plain dicts.
+witness does not use still carries that witness, a mirrored split is a
+split, and a rule may be replaced by one whose premise also holds.  Only
+the operators on the written allow-lists ``STILL_VALID`` and
+``STILL_VALID_STRUCTURE`` may be accepted, and each accepted mutant is
+checked again by a brute-force reading of the definitions on plain dicts.
 
 Run as a script, ``python tests/test_evidence_tamper.py racg:6 raag:5``
 checks the records of more census sweeps (flavor:max-vertices) the same
-way.
+way, and prints the mutant count of each operator.
 """
 
 from __future__ import annotations
@@ -32,11 +38,19 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
-from graphcoherence import Classifier, Z, parse_graph
+import pytest
+
+from graphcoherence import Classifier, Z, Z2, parse_graph
 from graphcoherence.census import CensusConfig, run_census
-from graphcoherence.coherence_engine import check_verdict, to_jsonable, verdict_from_jsonable
+from graphcoherence.coherence_engine import (
+    PROOF_RULES,
+    check_verdict,
+    to_jsonable,
+    verdict_from_jsonable,
+)
 from graphcoherence.labeled_graph import InternalInvariantError, graph_from_key
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -94,36 +108,113 @@ def mutants(ids: list, rng: random.Random):
     yield "string", "".join(ids)
 
 
-def tamper(G, verdict_json: dict, clf: Classifier, name: str) -> tuple[int, list]:
-    """Check every mutant of the verdict: returns the count of mutants
-    and the accepted ones as ``(kind, key, operator, mutated verdict
-    JSON)``.  Each mutant is made in place and undone after its check;
-    any exception but a refusal propagates, as a crash."""
+def id_list_mutants(verdict_json: dict, name: str):
+    """``(operator, (kind, key))`` for each id-list mutant of the verdict,
+    made in place and undone when the next is asked for; the random
+    choices are seeded by the case ``name``."""
     rng = random.Random(name)
-    count = 0
-    accepted = []
     for path, kind, key in list(id_lists(verdict_json)):
         holder = verdict_json
         for step in path[:-1]:
             holder = holder[step]
         original = holder[path[-1]]
         for operator, value in mutants(original, rng):
-            count += 1
             holder[path[-1]] = value
             try:
-                verdict = verdict_from_jsonable(verdict_json)
-            except (ValueError, KeyError, TypeError):
-                holder[path[-1]] = original
-                continue
-            try:
-                check_verdict(G, verdict, subject=name, classifier=clf)
-            except InternalInvariantError:
-                pass
-            else:
-                accepted.append((kind, key, operator, json.loads(json.dumps(verdict_json))))
+                yield operator, (kind, key)
             finally:
                 holder[path[-1]] = original
-    return count, accepted
+
+
+VIOLATIONS = ("long_cycle", "clique_big_labels", "forbidden_square")
+
+
+def _edited(target: dict, operator: str, changes: dict):
+    """``target`` with ``changes`` made in place while the mutant is
+    checked, then restored."""
+    saved = {k: target[k] for k in changes}
+    target.update(changes)
+    try:
+        yield operator, target
+    finally:
+        target.update(saved)
+
+
+def _proof_nodes(node):
+    if node is not None:
+        yield node
+        for child in node["children"]:
+            yield from _proof_nodes(child)
+
+
+def _witnesses(w):
+    while w is not None:
+        yield w
+        w = w.get("inner")
+
+
+def structure_mutants(verdict_json: dict):
+    """``(operator, target)`` for each structure mutant of the verdict,
+    ``target`` being the proof node or witness dict changed; each is
+    made in place and undone when the next is asked for."""
+    for node in _proof_nodes(verdict_json.get("proof")):
+        yield from _edited(node, "key", {"key": node["key"] + "x"})
+        for rule in PROOF_RULES:
+            if rule != node["rule"]:
+                yield from _edited(node, f"rule {node['rule']}->{rule}", {"rule": rule})
+        children = node["children"]
+        if children:
+            yield from _edited(node, "drop last child", {"children": children[:-1]})
+            yield from _edited(node, "duplicate last child", {"children": children + children[-1:]})
+        data = node["data"]
+        if node["rule"] == "amalgam":
+            swapped = {**data, "left": data["right"], "right": data["left"]}
+            yield from _edited(node, "swap split sides", {"data": swapped})
+            mirrored = {"data": swapped, "children": children[::-1]}
+            yield from _edited(node, "mirror split", mirrored)
+        peo = data.get("peo")
+        if peo is not None and len(peo) > 1:
+            yield from _edited(node, "reverse peo", {"data": {**data, "peo": peo[::-1]}})
+    for w in _witnesses(verdict_json.get("witness")):
+        if w["kind"] == "wise_gordon":
+            for violation in VIOLATIONS:
+                if violation != w["violation"]:
+                    yield from _edited(w, "violation kind", {"violation": violation})
+        if w["kind"] == "join_embedding":
+            swap = {"side_a": w["side_b"], "side_b": w["side_a"]}
+            swap.update(cert_a=w["cert_b"], cert_b=w["cert_a"])
+            yield from _edited(w, "swap join", swap)
+
+
+# The two families of mutants, each made from a verdict's JSON and the
+# name of its case.
+FAMILIES = {
+    "id lists": id_list_mutants,
+    "structure": lambda verdict_json, name: structure_mutants(verdict_json),
+}
+
+
+def tamper(G, verdict_json: dict, clf: Classifier, name: str, family) -> tuple[Counter, list]:
+    """Check every mutant of the verdict in one of ``FAMILIES``: returns
+    the count of mutants of each operator and the accepted ones as
+    ``(operator, where, mutated verdict JSON)``, ``where`` being the
+    ``(kind, key)`` of an id list or the target of a structure operator.
+    Any exception but a refusal propagates, as a crash."""
+    counts = Counter()
+    accepted = []
+    for operator, where in family(verdict_json, name):
+        counts[operator] += 1
+        try:
+            verdict = verdict_from_jsonable(verdict_json)
+        except (ValueError, KeyError, TypeError):
+            continue
+        try:
+            check_verdict(G, verdict, subject=name, classifier=clf)
+        except InternalInvariantError:
+            continue
+        mutant = json.loads(json.dumps(verdict_json))
+        accepted.append((operator, json.loads(json.dumps(where)), mutant))
+    return counts, accepted
 
 
 # -- the brute-force witness check ------------------------------------------------
@@ -198,6 +289,79 @@ def brute_force_witness(groups: dict, labels: dict, w: dict) -> bool:
     return True
 
 
+def _within(labels: dict, vertices) -> list:
+    """The labels of the edges among ``vertices``."""
+    vs = set(vertices)
+    return [m for e, m in labels.items() if e <= vs]
+
+
+def _is_peo(labels: dict, vertices, peo) -> bool:
+    """``peo`` lists ``vertices`` once each, and the later neighbours of
+    each vertex are pairwise adjacent."""
+    if sorted(peo) != sorted(vertices):
+        return False
+    adjacent = lambda a, b: frozenset((a, b)) in labels  # noqa: E731
+    return all(
+        adjacent(a, b)
+        for i, v in enumerate(peo)
+        for a, b in itertools.combinations([w for w in peo[i + 1 :] if adjacent(v, w)], 2)
+    )
+
+
+def _complete_label_two(groups, labels, node, verdict) -> bool:
+    """A complete graph with every label 2: a direct product of f.g.
+    abelian groups, so abelian and slender."""
+    vs = node["vertices"]
+    return all(labels.get(frozenset(p)) == 2 for p in itertools.combinations(vs, 2))
+
+
+def _large_labels(groups, labels, node, verdict) -> bool:
+    """McCammond and Wise's premise: every vertex of order two and every
+    label at least the vertex count."""
+    vs = node["vertices"]
+    return all(groups[v] == Z2 for v in vs) and all(m >= len(vs) for m in _within(labels, vs))
+
+
+def _chordal_raag(groups, labels, node, verdict) -> bool:
+    """All-Z with every label 2, and the stored ordering a perfect
+    elimination ordering: chordal, so the Wise-Gordon conditions hold
+    (with no label above 2 they ask chordality alone)."""
+    vs = node["vertices"]
+    raag = all(groups[v] == Z for v in vs) and all(m == 2 for m in _within(labels, vs))
+    return raag and _is_peo(labels, vs, node["data"]["peo"])
+
+
+def _mirrored_split(groups, labels, node, verdict) -> bool:
+    """The sides cover the node, meet in the separator, and no edge
+    joins their parts outside it."""
+    left, right, sep = (set(node["data"][k]) for k in ("left", "right", "separator"))
+    crossing = any(frozenset((x, y)) in labels for x in left - sep for y in right - sep)
+    return left | right == set(node["vertices"]) and left & right == sep and not crossing
+
+
+def _reversed_peo(groups, labels, node, verdict) -> bool:
+    return _is_peo(labels, node["vertices"], node["data"]["peo"])
+
+
+def _swapped_join(groups, labels, node, verdict) -> bool:
+    return brute_force_witness(groups, labels, verdict["witness"])
+
+
+# Structure operators whose mutants may stay valid evidence, each with
+# its brute-force check of the mutated proof node or witness.
+STILL_VALID_STRUCTURE = {
+    "rule abelian->slender": _complete_label_two,
+    "rule droms_chordal->abelian": _complete_label_two,
+    "rule droms_chordal->slender": _complete_label_two,
+    "rule abelian->mccammond_wise": _large_labels,
+    "rule slender->mccammond_wise": _large_labels,
+    "rule droms_chordal->wise_gordon": _chordal_raag,
+    "mirror split": _mirrored_split,
+    "reverse peo": _reversed_peo,
+    "swap join": _swapped_join,
+}
+
+
 # -- inputs --------------------------------------------------------------------------
 
 
@@ -225,37 +389,66 @@ def gallery_cases():
         yield op.name, G, to_jsonable(clf.classify(G)), clf
 
 
-def check_cases(cases) -> tuple[int, int]:
-    """Tamper with every case; returns the mutant count and the count of
-    allow-listed mutants that stayed valid evidence."""
-    total = still_valid = 0
+def check_cases(cases, family) -> tuple[Counter, Counter]:
+    """Tamper with every case by one of ``FAMILIES``; returns the mutant
+    count of each operator and the count of allow-listed mutants of each
+    that stayed valid evidence."""
+    counts = Counter()
+    still_valid = Counter()
     for name, G, verdict_json, clf in cases:
-        count, accepted = tamper(G, verdict_json, clf, name)
-        total += count
+        case_counts, accepted = tamper(G, verdict_json, clf, name, family)
+        counts += case_counts
         groups, labels = _plain(G)
-        for kind, key, operator, mutant in accepted:
-            assert (kind, key, operator) in STILL_VALID, (name, kind, key, operator, mutant)
-            assert brute_force_witness(groups, labels, mutant["witness"]), (name, mutant)
-        still_valid += len(accepted)
-    return total, still_valid
+        for operator, where, mutant in accepted:
+            if isinstance(where, dict):
+                assert operator in STILL_VALID_STRUCTURE, (name, operator, mutant)
+                still = STILL_VALID_STRUCTURE[operator](groups, labels, where, mutant)
+                assert still, (name, operator, mutant)
+            else:
+                kind, key = where
+                assert (kind, key, operator) in STILL_VALID, (name, kind, key, operator, mutant)
+                assert brute_force_witness(groups, labels, mutant["witness"]), (name, mutant)
+            still_valid[operator] += 1
+    return counts, still_valid
 
 
-def test_every_id_list_mutant_is_refused_or_still_valid(tmp_path):
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    """The verdicts of both sweeps, the gallery and ``NESTED_FACTORS``;
+    every mutant is undone after its check, so both families share them."""
     from test_evidence_references import NESTED_FACTORS
 
+    tmp = tmp_path_factory.mktemp("tamper")
     clf = Classifier()
     nested = [("nested-factors", NESTED_FACTORS, to_jsonable(clf.classify(NESTED_FACTORS)), clf)]
-    cases = itertools.chain(
-        census_cases(tmp_path, "racg", 5),
-        census_cases(tmp_path, "coxeter", 4, (2, 3, 4, 5)),
-        gallery_cases(),
-        nested,
+    return list(
+        itertools.chain(
+            census_cases(tmp, "racg", 5),
+            census_cases(tmp, "coxeter", 4, (2, 3, 4, 5)),
+            gallery_cases(),
+            nested,
+        )
     )
-    total, still_valid = check_cases(cases)
-    assert total >= 20000
+
+
+def test_every_id_list_mutant_is_refused_or_still_valid(cases):
+    counts, still_valid = check_cases(cases, FAMILIES["id lists"])
+    assert sum(counts.values()) >= 20000
     # Dropping x from NESTED_FACTORS's outer factor, or w from the next
     # one, leaves the pentagon's cycle inside each: valid evidence.
-    assert still_valid >= 2
+    assert still_valid["drop"] >= 2
+
+
+def test_every_structure_mutant_is_refused_or_still_valid(cases):
+    counts, still_valid = check_cases(cases, FAMILIES["structure"])
+    assert sum(counts.values()) >= 10000
+    # Every operator ran, and every allow-listed one but the droms_chordal
+    # rule changes (no chordal RAAG here) met valid evidence.
+    operators = ["key", "drop last child", "duplicate last child", "swap split sides"]
+    operators += ["mirror split", "reverse peo", "violation kind", "swap join"]
+    assert all(counts[operator] for operator in operators), counts
+    met = [operator for operator in STILL_VALID_STRUCTURE if "droms" not in operator]
+    assert all(still_valid[operator] for operator in met), still_valid
 
 
 def test_the_brute_force_check_refuses_broken_witnesses():
@@ -276,8 +469,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for sweep in argv:
             flavor, n = sweep.split(":")
-            total, still_valid = check_cases(census_cases(Path(tmp), flavor, int(n)))
-            print(f"{sweep}: {total} mutants, {still_valid} still valid, none else accepted")
+            cases = list(census_cases(Path(tmp), flavor, int(n)))
+            for family, mutants_of in FAMILIES.items():
+                counts, still_valid = check_cases(cases, mutants_of)
+                total, valid = sum(counts.values()), sum(still_valid.values())
+                print(f"{sweep} {family}: {total} mutants, {valid} still valid, none else accepted")
+                for operator in sorted(counts):
+                    valid = still_valid[operator]
+                    print(f"  {operator}: {counts[operator]} mutants, {valid} still valid")
     return 0
 
 

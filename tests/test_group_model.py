@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from graphcoherence.cli import main
 from graphcoherence import (
     AbelianGroupLabel,
     F2Certificate,
+    GraphValidationError,
     IndefiniteComponent,
     LabeledGraph,
     UnsupportedFlavorError,
@@ -583,6 +585,38 @@ class TestPresentations:
     def test_large_artin_labels_use_powers(self, ids, m, relation):
         G = gc.artin_graph(ids, [(*ids, m)])
         assert emit_presentation(G) == f"< {', '.join(ids)} | {relation} >"
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            raag(["a", "b"], []),
+            racg(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+            coxeter_graph(["a", "b", "c"], [("a", "b", 5), ("b", "c", 3)]),
+            gc.artin_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 2)]),
+            graph_product_graph(
+                [
+                    ("a", AbelianGroupLabel(rank=2, torsion=(2, 4))),
+                    ("b", cyclic(3)),
+                    ("c", AbelianGroupLabel(rank=3)),
+                ],
+                [("a", "b"), ("a", "c")],
+            ),
+        ],
+        ids=["free-group", "racg", "coxeter", "artin", "graph-product"],
+    )
+    def test_the_relation_bound_counts_relations_exactly(self, monkeypatch, G):
+        """The bound is checked on the closed-form count, which is the
+        number of relations the presentation writes: at that many the
+        text is written unchanged, one fewer refuses it."""
+        text = emit_presentation(G)
+        body = text[text.index("|") + 1 : -1].strip()
+        # Relations are separated by commas outside the commutators' brackets.
+        count = re.sub(r"\[[^]]*\]", "C", body).count(",") + 1 if body else 0
+        monkeypatch.setattr(group_model, "PRESENTATION_RELATIONS_MAX", count)
+        assert emit_presentation(G) == text
+        monkeypatch.setattr(group_model, "PRESENTATION_RELATIONS_MAX", count - 1)
+        with pytest.raises(GraphValidationError, match=f"presentation has over {count - 1} "):
+            emit_presentation(G)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_power_form_starts_above_the_literal_limit(self, monkeypatch, m):

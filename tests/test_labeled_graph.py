@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import graphcoherence as gc
 from graphcoherence import (
     AbelianGroupLabel,
+    F2Certificate,
     GraphValidationError,
     LabeledGraph,
     VertexCapError,
@@ -25,6 +26,7 @@ from graphcoherence import (
     cyclic,
     cycle_edges,
     detect_flavor,
+    f2_certificate_valid,
     graph_to_jsonable,
     is_chordal,
     is_induced_chordless_cycle,
@@ -37,6 +39,7 @@ from graphcoherence import (
     verify_peo,
 )
 from graphcoherence.cli import main
+from graphcoherence.labeled_graph import RepeatedVertexError, listed_positions
 from helpers import (
     brute_force_chordless_cycle,
     brute_force_is_chordal,
@@ -571,6 +574,100 @@ class TestChordality:
         rng = random.Random(99)
         for _ in range(100):
             assert is_chordal(random_chordal_graph(rng, 10))
+
+
+def _peo_by_definition(G: LabeledGraph, peo) -> bool:
+    """An array listing every vertex once, whose later neighbours at each
+    vertex are pairwise adjacent, read on plain sets of id pairs."""
+    if not isinstance(peo, (list, tuple)) or sorted(peo) != sorted(G.vertices):
+        return False
+    edges = {frozenset((u, v)) for u, v, _ in G.edge_list()}
+    return all(
+        frozenset((a, b)) in edges
+        for i, v in enumerate(peo)
+        for a, b in itertools.combinations(
+            [w for w in peo[i + 1 :] if frozenset((v, w)) in edges], 2
+        )
+    )
+
+
+def _cycle_by_definition(G: LabeledGraph, cycle) -> bool:
+    """An array of at least four distinct vertices, each adjacent to
+    exactly its two neighbours in the listed cyclic order."""
+    if not isinstance(cycle, (list, tuple)) or not set(cycle) <= set(G.vertices):
+        return False
+    k = len(cycle)
+    edges = {frozenset((u, v)) for u, v, _ in G.edge_list()}
+    return (
+        k >= 4
+        and len(set(cycle)) == k
+        and all(
+            (frozenset((cycle[i], cycle[j])) in edges) == ((j - i) % k in (1, k - 1))
+            for i, j in itertools.combinations(range(k), 2)
+        )
+    )
+
+
+class TestListedPositions:
+    """``listed_positions`` is the one reader of a stored id array: an
+    array of distinct ids of the graph, read in its order."""
+
+    def test_positions_in_listed_order(self):
+        G = racg(["a", "b", "c"], [])
+        assert listed_positions(G, ["c", "a"]) == [2, 0]
+        assert listed_positions(G, ("b",)) == [1]
+        assert listed_positions(G, []) == []
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ("ab", "does not list vertex ids in an array"),
+            (None, "does not list vertex ids in an array"),
+            ({"a": 1}, "does not list vertex ids in an array"),
+            (["a", "zz"], "lists unknown vertex 'zz'"),
+            (["a", 1], "lists unknown vertex 1"),
+            (["a", ["b"]], "lists unknown vertex \\['b'\\]"),
+        ],
+    )
+    def test_refuses_what_is_not_an_array_of_ids(self, ids, message):
+        with pytest.raises(GraphValidationError, match=f"^{message}$") as caught:
+            listed_positions(racg(["a", "b", "c"], []), ids)
+        assert type(caught.value) is GraphValidationError
+
+    def test_refuses_a_repeated_id(self):
+        with pytest.raises(RepeatedVertexError, match="^lists a vertex twice$"):
+            listed_positions(racg(["a", "b", "c"], []), ["a", "b", "a"])
+        assert issubclass(RepeatedVertexError, GraphValidationError)
+
+    def test_the_public_checks_refuse_a_string_of_ids(self):
+        """One-character ids spelled as a string name the right vertices
+        one character at a time; the array is required."""
+        path = raag(list("abc"), path_edges(list("abc")))
+        assert verify_peo(path, list("abc")) and not verify_peo(path, "abc")
+        square = raag(list("abcd"), cycle_edges(list("abcd")))
+        assert is_induced_chordless_cycle(square, list("abcd"))
+        assert not is_induced_chordless_cycle(square, "abcd")
+        pair = F2Certificate(kind="free_pair", vertices=("a", "c"))
+        assert f2_certificate_valid(square, pair)
+        assert not f2_certificate_valid(square, F2Certificate(kind="free_pair", vertices="ac"))
+
+    def test_the_ordering_and_cycle_checks_agree_with_their_definitions(self):
+        """On random graphs and on orders that are shuffled, cut short,
+        given a repeat or an unknown id, or spelled as strings."""
+        rng = random.Random(20261022)
+        for _ in range(400):
+            G = random_labeled_graph(rng, max_n=7)
+            res = is_chordal(G)
+            found = list(res.peo if res else res.cycle)
+            shuffled = list(G.vertices)
+            rng.shuffle(shuffled)
+            for order in (found, found[::-1], found[1:] + found[:1], shuffled):
+                candidates = [order, tuple(order), order[1:], order + order[:1], order + ["zz"]]
+                candidates += [order[: rng.randint(0, len(order))], "".join(order)]
+                for ids in candidates:
+                    assert verify_peo(G, ids) == _peo_by_definition(G, ids), (G, ids)
+                    assert is_induced_chordless_cycle(G, ids) == _cycle_by_definition(G, ids)
+            assert (verify_peo if res else is_induced_chordless_cycle)(G, found)
 
 
 class TestShape:
