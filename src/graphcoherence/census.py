@@ -17,7 +17,8 @@ and keyed by canonical form, after a header line naming the engine and
 key format that wrote them; an existing record file from the same
 engine is resumed rather than recomputed: its stored verdicts are
 re-verified like new ones, on the same representatives and in the same
-processes.
+processes, and each stored record must be the one its class and its
+verdict give.
 """
 
 from __future__ import annotations
@@ -192,14 +193,6 @@ class CensusReport:
             ],
             "smallest_incoherent": list(hit) if (hit := self.smallest_incoherent()) else None,
         }
-
-
-def _root_rule(verdict_obj: dict) -> Optional[str]:
-    if verdict_obj["status"] == COHERENT:
-        return verdict_obj["proof"]["rule"]
-    if verdict_obj["status"] == INCOHERENT:
-        return verdict_obj["witness"]["kind"]
-    return None
 
 
 def records_header(engine_config: EngineConfig) -> dict:
@@ -542,37 +535,54 @@ def _classes(
             yield n, CG.m, key, CG, math.factorial(n) // size
 
 
+def _record(n: int, e: int, key: str, CG: LabeledGraph, verdict_obj: dict) -> dict:
+    """The record of the class ``key`` in cell (n, e), whose canonical
+    representative is ``CG``, with the verdict JSON ``verdict_obj``: its
+    summary fields are read off the class and the verdict, whose root
+    rule is its proof's rule or its witness's kind."""
+    proof, witness = verdict_obj["proof"], verdict_obj["witness"]
+    return {
+        "key": key,
+        "n": n,
+        "e": e,
+        "flavor": list(detect_flavor(CG).tags()),
+        "status": verdict_obj["status"],
+        "rule": proof["rule"] if proof else witness and witness["kind"],
+        "notes": [note["code"] for note in verdict_obj["notes"]],
+        "verdict": verdict_obj,
+    }
+
+
 def _record_job(classifier: Classifier, verify: bool, job: tuple) -> tuple:
     """``(n, e, key, rec, weight)`` for a class from :func:`_classes`
     paired with its stored record's line, or None: the stored record,
     parsed from that line, or else a new one classifying the canonical
     representative.  With ``verify`` set, the record's verdict, parsed
-    back from its JSON form, is re-verified on that representative; an
-    UNKNOWN verdict has no evidence to check, so a stored one must be
-    the verdict that classifying the representative again writes, or
-    the record is refused with a ``ValueError``."""
+    back from its JSON form, is re-verified on that representative, and
+    a stored record is then checked twice more, or refused with a
+    ``ValueError``: an UNKNOWN verdict has no evidence to check, so it
+    must be the verdict that classifying the representative again
+    writes; and the record must be the one :func:`_record` builds from
+    its class and its verdict, so its summary fields are those."""
     n, e, key, CG, weight, line = job
-    rec = None if line is None else json.loads(line)
-    if rec is None:
-        verdict_obj = classifier.classify_canonical_jsonable(CG, key)
-        rec = {
-            "key": key,
-            "n": n,
-            "e": e,
-            "flavor": list(detect_flavor(CG).tags()),
-            "status": verdict_obj["status"],
-            "rule": _root_rule(verdict_obj),
-            "notes": [note["code"] for note in verdict_obj["notes"]],
-            "verdict": verdict_obj,
-        }
-    elif verify and rec["status"] == UNKNOWN:
-        if classifier.classify_canonical_jsonable(CG, key) != rec["verdict"]:
+    if line is None:
+        rec = _record(n, e, key, CG, classifier.classify_canonical_jsonable(CG, key))
+    else:
+        rec = json.loads(line)
+    if verify:
+        check_verdict(CG, verdict_from_jsonable(rec["verdict"]), subject=key, classifier=classifier)
+    if verify and line is not None:
+        verdict_obj = rec["verdict"]
+        if rec["status"] == UNKNOWN and classifier.classify_canonical_jsonable(CG, key) != verdict_obj:
             raise ValueError(
                 f"corrupt census record for class {key}: its UNKNOWN verdict "
                 "is not the one this engine gives"
             )
-    if verify:
-        check_verdict(CG, verdict_from_jsonable(rec["verdict"]), subject=key, classifier=classifier)
+        if rec != _record(n, e, key, CG, verdict_obj):
+            raise ValueError(
+                f"corrupt census record for class {key}: its summary fields "
+                "are not the ones its class and verdict give"
+            )
     return n, e, key, rec, weight
 
 
@@ -608,7 +618,8 @@ def run_census(
     a new file; re-running with the same path skips keys that already
     have records (their stored verdicts are still counted and, when
     configured, re-verified as new ones are, an UNKNOWN one by
-    classifying its class again).  A file whose header
+    classifying its class again, and their summary fields checked
+    against their classes and verdicts).  A file whose header
     names another engine configuration or package version is refused
     with a ``ValueError``, and so is a file that another census holds:
     the run keeps an exclusive lock on it from before reading it to its

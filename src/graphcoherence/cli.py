@@ -36,9 +36,9 @@ from .decomposition import dirac_split, separator_splits, slender_separators
 from .group_model import (
     SLENDER,
     InternalInvariantError,
-    emit_presentation,
     finiteness,
     is_slender,
+    presentation_pieces,
     require_group,
 )
 from .labeled_graph import (
@@ -244,12 +244,21 @@ def _split_line(split) -> str:
 
 
 def _cmd_present(args) -> int:
+    """Write the presentation piece by piece.  JSON escapes a string one
+    code point at a time, so the escaped pieces join to the escaped
+    text, and the output is ``json.dumps({"presentation": text})``."""
     G = _read_graph(args.path)
-    text = emit_presentation(G)
+    pieces = presentation_pieces(G)
+    # The first piece comes after the relation bound is checked.
+    pieces = itertools.chain((next(pieces),), pieces)
     if args.format == "json":
-        print(json.dumps({"presentation": text}))
+        head, escape, tail = '{"presentation": "', lambda piece: json.dumps(piece)[1:-1], '"}\n'
     else:
-        print(text)
+        head, escape, tail = "", str, "\n"
+    sys.stdout.write(head)
+    for piece in pieces:
+        sys.stdout.write(escape(piece))
+    sys.stdout.write(tail)
     return 0
 
 

@@ -325,8 +325,16 @@ def wise_gordon_check(G: LabeledGraph) -> Optional[WiseGordonViolation]:
 
 
 def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[WiseGordonViolation]:
-    """``wise_gordon_check(G)`` given G's chordality ``ch`` (a chordal
-    G gets only the clique and square scan), on the adjacency bitsets.
+    """``wise_gordon_check(G)`` given G's chordality ``ch``: a chordal G
+    gets only the clique and square scan."""
+    if not ch:
+        return WiseGordonViolation(violation="long_cycle", vertices=ch.cycle)
+    return _clique_or_square_violation(G)
+
+
+def _clique_or_square_violation(G: LabeledGraph) -> Optional[WiseGordonViolation]:
+    """The first violation of the clique and square conditions of
+    :func:`wise_gordon_check`, on the adjacency bitsets.
 
     Cliques come from ``_cliques``, in the lexicographic order of their
     vertex positions: the order of ``itertools.combinations`` with the
@@ -337,8 +345,6 @@ def _wise_gordon_violation(G: LabeledGraph, ch: ChordalityResult) -> Optional[Wi
     the first pair in ``itertools.combinations`` order is the least c
     in S with a non-neighbour above it in S, and the least such d.
     """
-    if not ch:
-        return WiseGordonViolation(violation="long_cycle", vertices=ch.cycle)
     labels = G._adj
     adj = G.adjacency_masks
     ids = G.vertices
@@ -992,8 +998,6 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     if cert.verdict != SLENDER:
         return _fail(path, "slender leaf on a non-slender subgraph")
     stored = node.data.get("certificate")
-    if stored is None:
-        return _OK
     if not isinstance(stored, dict) or stored.get("reason") != cert.reason:
         return _fail(path, "stored slenderness reason does not match the subgraph")
     written = {
@@ -1016,34 +1020,24 @@ def _verify_slender(sub, node, flavor, clf, path) -> VerificationOutcome:
     return _OK
 
 
-def _stored_chordality(sub, node) -> Optional[ChordalityResult]:
-    """``sub``'s chordality by the node's stored elimination ordering,
-    which proves it once it verifies (Fulkerson & Gross 1965), or by
-    ``is_chordal`` if none is stored; None if it does not verify."""
-    peo = node.data.get("peo")
-    if peo is None:
-        return is_chordal(sub)
-    return ChordalityResult(chordal=True, peo=tuple(peo)) if verify_peo(sub, peo) else None
-
-
 def _verify_droms_chordal(sub, node, flavor, clf, path) -> VerificationOutcome:
+    """The stored elimination ordering proves ``sub`` chordal once
+    ``verify_peo`` accepts it (Fulkerson & Gross 1965)."""
     if not flavor.raag:
         return _fail(path, "droms_chordal leaf requires an all-Z label-2 graph")
-    ch = _stored_chordality(sub, node)
-    if ch is None:
+    if not verify_peo(sub, node.data.get("peo")):
         return _fail(path, "stored elimination ordering does not verify")
-    if not ch:
-        return _fail(path, "droms_chordal leaf on a non-chordal graph")
     return _OK
 
 
 def _verify_wise_gordon(sub, node, flavor, clf, path) -> VerificationOutcome:
+    """Chordality by the stored elimination ordering, as for
+    droms_chordal, then the clique and square scan."""
     if not flavor.artin:
         return _fail(path, "wise_gordon leaf requires an all-Z graph")
-    ch = _stored_chordality(sub, node)
-    if ch is None:
+    if not verify_peo(sub, node.data.get("peo")):
         return _fail(path, "stored elimination ordering does not verify")
-    if _wise_gordon_violation(sub, ch) is not None:
+    if _clique_or_square_violation(sub) is not None:
         return _fail(path, "decisive conditions fail on this subgraph")
     return _OK
 
@@ -1053,10 +1047,10 @@ def _verify_mccammond_wise(sub, node, flavor, clf, path) -> VerificationOutcome:
         return _fail(path, "mccammond_wise leaf requires an all-Z2 graph")
     if not all(m >= sub.n for _, _, m in sub.edges):
         return _fail(path, "some edge label is below the vertex count")
-    if node.data.get("vertex_count", sub.n) != sub.n:
+    if node.data.get("vertex_count") != sub.n:
         return _fail(path, "stored vertex count does not match the subgraph")
     smallest = min((m for _, _, m in sub.edges), default=None)
-    if "min_edge_label" in node.data and node.data["min_edge_label"] != smallest:
+    if "min_edge_label" not in node.data or node.data["min_edge_label"] != smallest:
         return _fail(path, "stored minimum edge label does not match the subgraph")
     return _OK
 
@@ -1075,17 +1069,15 @@ def _verify_free_product(sub, node, flavor, clf, path) -> VerificationOutcome:
         factors = None
     if factors is None or not is_split(sub.adjacency_masks, (1 << sub.n) - 1, factors, 0):
         return _fail(path, "free factors do not split the node")
-    comps = node.data.get("components")
-    if comps is not None:
-        try:
-            arrays = from_jsonable(tuple[tuple[str, ...], ...], comps)
-            comps = [positions_mask(listed_positions(sub, c)) for c in arrays]
-        except RepeatedVertexError:
-            return _fail(path, "stored components list a vertex twice")
-        except ValueError:
-            comps = None
-        if comps != factors:
-            return _fail(path, "stored components do not match the factors")
+    try:
+        arrays = from_jsonable(tuple[tuple[str, ...], ...], node.data.get("components"))
+        comps = [positions_mask(listed_positions(sub, c)) for c in arrays]
+    except RepeatedVertexError:
+        return _fail(path, "stored components list a vertex twice")
+    except ValueError:
+        comps = None
+    if comps != factors:
+        return _fail(path, "stored components do not match the factors")
     parts = [(f"factor[{i}]", mask) for i, mask in enumerate(factors)]
     return _verify_children(sub, node, parts, clf, path)
 
@@ -1129,14 +1121,11 @@ def _verify_children(sub, node, parts, clf, path) -> VerificationOutcome:
 
 
 def _amalgam_suffix(node: ProofNode) -> str:
-    return (
-        f" separator={format_vertex_set(node.data['separator'])}"
-        f" method={node.data.get('method', '?')}"
-    )
+    return f" separator={format_vertex_set(node.data['separator'])} method={node.data['method']}"
 
 
 def _mccammond_wise_suffix(node: ProofNode) -> str:
-    m = node.data.get("min_edge_label")
+    m = node.data["min_edge_label"]
     return f" min_label={m}" if m is not None else " (no edges)"
 
 
@@ -1207,9 +1196,10 @@ _PLANS: dict = {}
 def _plan(hint) -> tuple:
     """What the walkers need to know about a type or type hint:
     ("class", dataclass, its ``kind`` class attribute or None,
-    ((field, type hint, required), ...)), ("tuple", item type hint),
+    ((field, type hint), ...)), ("tuple", item type hint),
     ("optional", type hint), ("union", {kind class attribute:
-    dataclass}) or ("plain", the type its values must have, or None)."""
+    dataclass}) or ("plain", the type its values must have, or None).
+    A field's default plays no part: the JSON form holds every field."""
     plan = _PLANS.get(hint)
     if plan is not None:
         return plan
@@ -1225,15 +1215,7 @@ def _plan(hint) -> tuple:
             plan = ("union", {a.kind: a for a in options if hasattr(a, "kind")})
     elif dataclasses.is_dataclass(hint):
         types = typing.get_type_hints(hint)
-        fields = tuple(
-            (
-                f.name,
-                types[f.name],
-                f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING,
-            )
-            for f in dataclasses.fields(hint)
-        )
+        fields = tuple((f.name, types[f.name]) for f in dataclasses.fields(hint))
         kind = None if "kind" in types else getattr(hint, "kind", None)
         plan = ("class", hint, kind, fields)
     else:
@@ -1291,7 +1273,7 @@ def to_jsonable(obj, mapping: Optional[dict[str, str]] = None):
     if plan[0] != "class":
         return obj
     out = {} if plan[2] is None else {"kind": plan[2]}
-    for name, _, _ in plan[3]:
+    for name, _ in plan[3]:
         value = getattr(obj, name)
         if type(value) is str:
             out[name] = value
@@ -1308,10 +1290,11 @@ def from_jsonable(hint, obj):
 
     ``hint`` is a dataclass, ``tuple[X, ...]``, an Optional, a Union of
     dataclasses told apart by their ``kind``, or a plain type such as
-    ``str`` or ``dict``, whose values pass through.  Missing fields take
-    their defaults; a missing required field raises KeyError.  A value
-    of another JSON type than its hint's, including null where no
-    Optional allows it, raises ValueError naming the field.
+    ``str`` or ``dict``, whose values pass through.  The form must hold
+    every field that :func:`to_jsonable` writes, defaults included: a
+    missing field raises KeyError naming it.  A value of another JSON
+    type than its hint's, including null where no Optional allows it,
+    raises ValueError naming the field.
     """
     plan = _plan(hint)
     how = plan[0]
@@ -1337,16 +1320,15 @@ def from_jsonable(hint, obj):
             raise ValueError(f"unknown witness kind {kind!r}")
         return from_jsonable(cls, obj)
     values = {}
-    for name, t, required in plan[3]:
-        if required or name in obj:
-            value = obj[name]
-            # A value of exactly its plain hint type (str, dict) is ready.
-            if type(value) is not t:
-                try:
-                    value = from_jsonable(t, value)
-                except ValueError as e:
-                    raise ValueError(f"{name}: {e}") from None
-            values[name] = value
+    for name, t in plan[3]:
+        value = obj[name]
+        # A value of exactly its plain hint type (str, dict) is ready.
+        if type(value) is not t:
+            try:
+                value = from_jsonable(t, value)
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from None
+        values[name] = value
     return plan[1](**values)
 
 

@@ -526,10 +526,10 @@ def is_slender(G: LabeledGraph) -> SlenderCertificate:
 # The largest Artin label whose braid relation is written out letter by
 # letter; at 10^8 that relation is already 200 MB of text.
 LITERAL_BRAID_MAX = 10**8
-# The most relations a presentation may have.  Text and memory grow with
-# the count (4.5 M commutators of a rank-3,000 vertex take about 0.5 GB
-# to write), so a group of huge rank, whose commutators number about
-# rank^2 / 2, is refused before any generator is named.
+# The most relations a presentation may have.  Its text grows with the
+# count (4.5 M commutators of a rank-3,000 vertex are 78 MB), so a group
+# of huge rank, whose commutators number about rank^2 / 2, is refused
+# before any generator is named.
 PRESENTATION_RELATIONS_MAX = 10**8
 
 
@@ -542,7 +542,19 @@ def _generator_names(G: LabeledGraph) -> dict[str, list[str]]:
 
 
 def emit_presentation(G: LabeledGraph) -> str:
-    """Render a finite presentation of the group as ASCII text.
+    """Render a finite presentation of the group as ASCII text: the
+    pieces of :func:`presentation_pieces`, joined."""
+    return "".join(presentation_pieces(G))
+
+
+# Relations per piece of a presentation's text.
+_RELATIONS_PER_PIECE = 4096
+
+
+def presentation_pieces(G: LabeledGraph) -> Iterator[str]:
+    """The text of a finite presentation of the group, in pieces of at
+    most ``_RELATIONS_PER_PIECE`` relations each, so a writer never
+    holds the whole text.
 
     Coxeter graphs use reflection relations v^2 and (u v)^m; Artin
     graphs use braid relations (uvu... = vuv..., m letters each), written
@@ -555,8 +567,8 @@ def emit_presentation(G: LabeledGraph) -> str:
     relations and k(k-1)/2 commutators, and an edge uv has k_u k_v
     commutators; for Coxeter and Artin graphs (k = 1) that is one
     relation per Z/2 vertex and one per edge.  Above
-    ``PRESENTATION_RELATIONS_MAX`` relations in all this raises
-    :class:`GraphValidationError` before building anything.
+    ``PRESENTATION_RELATIONS_MAX`` relations in all the first ``next``
+    raises :class:`GraphValidationError`, before any piece is made.
     """
     flavor = require_group(G)
     k = [g.factor_count() for g in G.groups]
@@ -570,33 +582,40 @@ def emit_presentation(G: LabeledGraph) -> str:
     def word(letters: Sequence[str]) -> str:
         return "".join(letters) if juxt else " ".join(letters)
 
-    rels: list[str] = []
-    if flavor.coxeter:
-        for v in G.vertices:
-            rels.append(f"{v}^2")
-        for u, v, m in G.edge_list():
-            rels.append(f"({word([u, v])})^{m}")
-    elif flavor.artin:
-        for u, v, m in G.edge_list():
-            if m > LITERAL_BRAID_MAX:
-                k, odd = divmod(m, 2)
-                left = f"({word([u, v])})^{k}" + (f" {u}" if odd else "")
-                right = f"({word([v, u])})^{k}" + (f" {v}" if odd else "")
-            else:
-                left = word([u if i % 2 == 0 else v for i in range(m)])
-                right = word([v if i % 2 == 0 else u for i in range(m)])
-            rels.append(f"{left} = {right}")
-    else:
-        for v, g in zip(G.vertices, G.groups):
-            vnames = names[v]
-            torsion_names = vnames[g.rank :]
-            for gen, d in zip(torsion_names, g.torsion):
-                rels.append(f"{gen}^{d}")
-            for a, b in itertools.combinations(vnames, 2):
-                rels.append(f"[{a}, {b}]")
-        for u, v, _ in G.edge_list():
-            for a in names[u]:
-                for b in names[v]:
-                    rels.append(f"[{a}, {b}]")
-    body = f" {', '.join(rels)} " if rels else " "
-    return f"< {', '.join(gens)} |{body}>"
+    def rels() -> Iterator[str]:
+        if flavor.coxeter:
+            for v in G.vertices:
+                yield f"{v}^2"
+            for u, v, m in G.edge_list():
+                yield f"({word([u, v])})^{m}"
+        elif flavor.artin:
+            for u, v, m in G.edge_list():
+                if m > LITERAL_BRAID_MAX:
+                    k, odd = divmod(m, 2)
+                    left = f"({word([u, v])})^{k}" + (f" {u}" if odd else "")
+                    right = f"({word([v, u])})^{k}" + (f" {v}" if odd else "")
+                else:
+                    left = word([u if i % 2 == 0 else v for i in range(m)])
+                    right = word([v if i % 2 == 0 else u for i in range(m)])
+                yield f"{left} = {right}"
+        else:
+            for v, g in zip(G.vertices, G.groups):
+                vnames = names[v]
+                torsion_names = vnames[g.rank :]
+                for gen, d in zip(torsion_names, g.torsion):
+                    yield f"{gen}^{d}"
+                for a, b in itertools.combinations(vnames, 2):
+                    yield f"[{a}, {b}]"
+            for u, v, _ in G.edge_list():
+                for a in names[u]:
+                    for b in names[v]:
+                        yield f"[{a}, {b}]"
+
+    yield f"< {', '.join(gens)} |"
+    # Each relation is preceded by " " if it is the first, by ", " if not.
+    sep = " "
+    stream = rels()
+    while piece := list(itertools.islice(stream, _RELATIONS_PER_PIECE)):
+        yield sep + ", ".join(piece)
+        sep = ", "
+    yield " >"

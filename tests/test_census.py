@@ -3,6 +3,7 @@ dedup, resume, verification."""
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import itertools
 import json
@@ -631,7 +632,12 @@ class TestRecordsAndResume:
         ],
         ids=["raag-4-incoherent", "coxeter-3-unknown"],
     )
-    def test_resume_counts_the_verdict_not_the_stored_summary(self, tmp_path, config):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_forged_summary_refused(self, tmp_path, config, workers):
+        """A resumed record must be the one its class and its verdict
+        give, or it is refused and the file kept as it is.  With
+        verification off the stored verdict is tallied, not the
+        summary."""
         out = tmp_path / "census.jsonl"
         fresh = run_census(config, out_path=str(out))
         assert fresh.incoherent or fresh.unknown
@@ -639,8 +645,14 @@ class TestRecordsAndResume:
         for rec in records:
             rec.update(n=rec["n"] + 1, e=rec["e"] + 2, notes=["edited"], rule="edited")
         out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
-        resumed = run_census(config, out_path=str(out))
+        edited = out.read_bytes()
+        with pytest.raises(ValueError, match="corrupt census record for class .*: its summary"):
+            run_census(config, out_path=str(out), workers=workers)
+        assert out.read_bytes() == edited
+        off = dataclasses.replace(config, verify=False)
+        resumed = run_census(off, out_path=str(out), workers=workers)
         assert json.dumps(resumed.to_jsonable()) == json.dumps(fresh.to_jsonable())
+        assert out.read_bytes() == edited
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -660,9 +672,16 @@ class TestRecordsAndResume:
             (lambda rec: rec.pop("key"), "KeyError: 'key'"),
             (lambda rec: rec.pop("verdict"), "KeyError: 'verdict'"),
             (lambda rec: rec.update(key=7), "key is not a string"),
-            (lambda rec: rec["verdict"].pop("proof"), "carry exactly a proof tree"),
+            (lambda rec: rec["verdict"].pop("proof"), "KeyError: 'proof'"),
+            (
+                lambda rec: [rec["verdict"].pop(name) for name in ("witness", "notes")],
+                "KeyError: 'witness'",
+            ),
         ],
-        ids=["unverified-status", "no-status", "no-key", "no-verdict", "int-key", "no-proof"],
+        ids=[
+            "unverified-status", "no-status", "no-key", "no-verdict", "int-key", "no-proof",
+            "no-witness-or-notes",
+        ],
     )
     def test_record_that_its_verdict_does_not_back_rejected(self, tmp_path, edit, message):
         out = tmp_path / "census.jsonl"

@@ -1,6 +1,7 @@
 """A record file whose stored verdicts have fields of the wrong shape is
 refused cleanly on resume: exit 1 for a record that does not parse as a
-verdict, nested too deep to parse included, exit 2 for evidence that
+verdict, nested too deep to parse included, or whose summary fields are
+not the ones its class and verdict give, exit 2 for evidence that
 parses but does not verify, and never a traceback."""
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ def test_a_mistyped_field_fails_cleanly_on_resume(record_files, data, flavor):
         status, err = run(census_argv(flavor, out))
     assert status in (0, 1, 2)
     if status == 1:
-        assert err.startswith(f"error: corrupt census record at {out}:{line + 1}: "), err
+        # Refused on loading, by its line, or, when its class comes, by
+        # its key: summary fields its class and verdict do not give.
+        where = (f"at {out}:{line + 1}: ", f"for class {rec['key']}: ")
+        assert err.startswith(tuple(f"error: corrupt census record {w}" for w in where)), err
     elif status == 2:
         assert err.startswith("internal error: "), err
 

@@ -20,7 +20,14 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from graphcoherence import CensusConfig, EngineConfig, run_census
+from graphcoherence import (
+    CensusConfig,
+    EngineConfig,
+    emit_presentation,
+    graph_product_graph,
+    group_model,
+    run_census,
+)
 from graphcoherence.cli import main
 from graphcoherence.coherence_engine import STEP_NAMES
 from graphcoherence.labeled_graph import (
@@ -299,6 +306,41 @@ class TestCensus:
         assert message in err and "\n" not in err
         assert out.read_bytes() == written
 
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pool"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n": 9},
+            {"e": 7},
+            {"flavor": ["artin"]},
+            {"rule": "mccammond_wise"},
+            {"notes": ["bogus"]},
+            {"n": 9, "e": 7, "flavor": ["artin"], "rule": "mccammond_wise", "notes": ["bogus"]},
+        ],
+        ids=["n", "e", "flavor", "rule", "notes", "all"],
+    )
+    def test_resume_of_a_record_with_forged_summary_fields_exits_1(
+        self, tmp_path, capsys, edit, workers
+    ):
+        """A resumed record's summary fields must be the ones its class
+        and its verdict give, or the run ends with one error line."""
+        out = tmp_path / "rec.jsonl"
+        argv = ["census", "--flavor", "racg", "--max-vertices", "3", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+        victim = next(rec for rec in records if rec["n"] == 2)
+        victim.update(edit)
+        out.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+        written = out.read_bytes()
+        assert main(argv + ["--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith(f"error: corrupt census record for class {victim['key']}: ")
+        assert "summary fields" in err and "\n" not in err
+        assert out.read_bytes() == written
+
     def test_workers_stdout_matches_serial(self, capsys):
         argv = ["census", "--flavor", "racg", "--max-vertices", "4", "--format", "json"]
         assert main(argv) == 0
@@ -470,6 +512,55 @@ class TestPresent:
         path.write_text('{"vertices":[{"id":"a","group":{"rank":1000}}]}')
         assert main(["present", "--format", fmt, str(path)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_pieces_join_to_the_whole_presentation(self, tmp_path, capsys, monkeypatch, fmt):
+        """present writes the presentation in pieces, here of two
+        relations each; JSON escapes each piece on its own, which joins
+        to the escaped whole, also for ids of quotes, backslashes and
+        code points outside the BMP."""
+        monkeypatch.setattr(group_model, "_RELATIONS_PER_PIECE", 2)
+        ids = ['a"q', "b\\", "c\u00e9", "d\U0001F600", "e"]
+        G = graph_product_graph(
+            [(v, AbelianGroupLabel(rank=2, torsion=(3,))) for v in ids],
+            [(ids[0], ids[1]), (ids[1], ids[2]), (ids[3], ids[4])],
+        )
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_jsonable(G)))
+        assert main(["present", "--format", fmt, str(path)]) == 0
+        text = emit_presentation(G)
+        assert text.count("],") > 10
+        expected = json.dumps({"presentation": text}) if fmt == "json" else text
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_rank_3000_streams_in_bounded_memory(self, tmp_path):
+        """4.5 M commutators, 78 MB of text: the process's peak RSS stays
+        far below the text's size (it was 507 MB when the text was built
+        whole).  The peak is the kernel's VmHWM of the process's own
+        memory, which, unlike ``ru_maxrss``, does not count the forked
+        test process before ``exec``."""
+        path = tmp_path / "rank.json"
+        path.write_text('{"vertices":[{"id":"a","group":{"rank":3000}}]}')
+        script = (
+            "import re, sys\n"
+            "from graphcoherence.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1), file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "present", str(path)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env_with_src(),
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        peak_mb = int(proc.stderr) / 1024
+        assert peak_mb <= 60, peak_mb
 
 
 class TestFiniteness:

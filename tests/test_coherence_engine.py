@@ -569,7 +569,8 @@ class TestStoredEvidence:
     @pytest.mark.parametrize("rule", ["droms_chordal", "wise_gordon"])
     def test_a_stored_peo_spares_the_chordality_test(self, rule, monkeypatch):
         """A stored perfect elimination ordering proves the leaf chordal,
-        so only a leaf without one runs ``is_chordal``."""
+        so verification never runs ``is_chordal``, and a leaf without
+        one is refused, on a chordal graph and on a 4-cycle alike."""
         calls = []
 
         def counted(G):
@@ -583,14 +584,11 @@ class TestStoredEvidence:
         calls.clear()
         assert verify_proof(G, proof) and calls == []
         bare = dataclasses.replace(proof, data={})
-        assert verify_proof(G, bare) and len(calls) == 1
-        reason = {
-            "droms_chordal": "droms_chordal leaf on a non-chordal graph",
-            "wise_gordon": "decisive conditions fail on this subgraph",
-        }[rule]
+        reason = "stored elimination ordering does not verify"
+        self.assert_rejected(G, bare, reason)
         C = chordal_leaf_graph(rule, cycle=True)
         self.assert_rejected(C, dataclasses.replace(bare, key=Classifier().node_key(C)[0]), reason)
-        assert len(calls) == 2
+        assert calls == []
 
     def test_free_product_components_must_match_the_factors(self):
         G = graph_product_graph([(x, cyclic(3)) for x in "ab"], [])
@@ -620,11 +618,12 @@ class TestStoredEvidence:
 
     def test_mccammond_wise_without_edges_stores_no_label(self):
         G = gc.coxeter_graph(["a"])
-        node = ProofNode("mccammond_wise", ("a",), gc.canonical_key(G), {"min_edge_label": None})
+        data = {"vertex_count": 1, "min_edge_label": None}
+        node = ProofNode("mccammond_wise", ("a",), gc.canonical_key(G), data)
         assert verify_proof(G, node)
         self.assert_rejected(
             G,
-            dataclasses.replace(node, data={"min_edge_label": 2}),
+            dataclasses.replace(node, data={"vertex_count": 1, "min_edge_label": 2}),
             "stored minimum edge label does not match the subgraph",
         )
 
@@ -685,6 +684,56 @@ class TestStoredEvidence:
             proof, data={"certificate": {**proof.data["certificate"], "factors": []}}
         )
         self.assert_rejected(G, bad, "stored slender factors do not match the subgraph")
+
+
+    @pytest.mark.parametrize(
+        "G, rule, field, reason",
+        [
+            (
+                cycle_racg(4),
+                "slender",
+                "certificate",
+                "stored slenderness reason does not match the subgraph",
+            ),
+            (
+                graph_product_graph([(x, cyclic(3)) for x in "ab"], []),
+                "free_product",
+                "components",
+                "stored components do not match the factors",
+            ),
+            (
+                gc.coxeter_graph(list("abc"), [("a", "b", 5), ("b", "c", 6), ("a", "c", 5)]),
+                "mccammond_wise",
+                "vertex_count",
+                "stored vertex count does not match the subgraph",
+            ),
+            (
+                gc.coxeter_graph(list("abc"), [("a", "b", 5), ("b", "c", 6), ("a", "c", 5)]),
+                "mccammond_wise",
+                "min_edge_label",
+                "stored minimum edge label does not match the subgraph",
+            ),
+            (path_racg(6), "amalgam", "method", "amalgam node missing field 'method'"),
+        ],
+        ids=["slender", "free_product", "mccammond_wise-count", "mccammond_wise-label", "amalgam"],
+    )
+    def test_a_missing_data_key_is_refused(self, G, rule, field, reason):
+        """Stored evidence holds every data key its rule writes; a node
+        without one is refused, never completed by a default."""
+        proof = classify(G).proof
+        assert proof.rule == rule and field in proof.data and verify_proof(G, proof)
+        data = {k: v for k, v in proof.data.items() if k != field}
+        self.assert_rejected(G, dataclasses.replace(proof, data=data), reason)
+
+    def test_an_amalgam_child_without_a_method_is_refused(self):
+        G = path_racg(6)
+        proof = classify(G).proof
+        child = proof.children[1]
+        assert child.rule == "amalgam"
+        data = {k: v for k, v in child.data.items() if k != "method"}
+        children = (proof.children[0], dataclasses.replace(child, data=data))
+        out = verify_proof(G, dataclasses.replace(proof, children=children))
+        assert out.path == ("root", "right") and out.reason == "amalgam node missing field 'method'"
 
 
 class TestWarmSlenderMemo:

@@ -1,6 +1,8 @@
-"""Tampered evidence is refused: every id list and every piece of
-structure in a stored verdict is mutated, and each mutant must fail to
-parse or be refused by ``check_verdict``.
+"""Tampered evidence is refused: every id list, every piece of structure
+and every field in a stored verdict is mutated, and each mutant must fail
+to parse or be refused by ``check_verdict``; every summary field of a
+census record is edited, and each edited record must be refused on
+resume.
 
 The verdicts are the JSON records of two census sweeps (racg n <= 5,
 coxeter n <= 4 with labels 2,3,4,5), the classify-proofs gallery of
@@ -14,16 +16,23 @@ a vertex duplicated, a vertex dropped (at every position), an unknown id
 inserted, and a string where the array was.  The structure operators
 change each proof node's key, replace its rule by every other rule, drop
 or duplicate its last child, swap an amalgam's sides (in its data alone,
-and together with its children), reverse a stored elimination ordering,
-replace a Wise-Gordon violation by each other kind, and swap a join's
-sides together with their certificates.
+and together with its children), reverse a stored elimination ordering
+and shuffle it otherwise, replace a Wise-Gordon violation by each other
+kind, swap two neighbours in its vertex list and replace each of its
+vertices by each vertex of the graph it does not list, swap a
+join's sides together with their certificates, move the certificates to
+the other sides, and change a certificate's kind.  The field operators
+drop each key of every dict in the verdict: each field of the verdict,
+its notes, witnesses and proof nodes, and each data key.  The engine
+writes every field, so each of those mutants is refused.
 
 A mutant may stay valid evidence: a factor that drops a vertex its inner
 witness does not use still carries that witness, a mirrored split is a
-split, and a rule may be replaced by one whose premise also holds.  Only
-the operators on the written allow-lists ``STILL_VALID`` and
-``STILL_VALID_STRUCTURE`` may be accepted, and each accepted mutant is
-checked again by a brute-force reading of the definitions on plain dicts.
+split, and a rule may be replaced by one whose premise also holds and
+whose data it reads.  Only the operators on the written allow-lists
+``STILL_VALID`` and ``STILL_VALID_STRUCTURE`` may be accepted, and each
+accepted mutant is checked again by a brute-force reading of the
+definitions on plain dicts.
 
 Run as a script, ``python tests/test_evidence_tamper.py racg:6 raag:5``
 checks the records of more census sweeps (flavor:max-vertices) the same
@@ -44,9 +53,12 @@ from pathlib import Path
 import pytest
 
 from graphcoherence import Classifier, Z, Z2, parse_graph
-from graphcoherence.census import CensusConfig, run_census
+from graphcoherence.census import CensusConfig, _checked_key, _record_job, run_census
 from graphcoherence.coherence_engine import (
+    COHERENT,
+    INCOHERENT,
     PROOF_RULES,
+    UNKNOWN,
     check_verdict,
     to_jsonable,
     verdict_from_jsonable,
@@ -153,10 +165,12 @@ def _witnesses(w):
         w = w.get("inner")
 
 
-def structure_mutants(verdict_json: dict):
+def structure_mutants(G, verdict_json: dict, name: str):
     """``(operator, target)`` for each structure mutant of the verdict,
     ``target`` being the proof node or witness dict changed; each is
-    made in place and undone when the next is asked for."""
+    made in place and undone when the next is asked for.  The shuffles
+    are seeded by the case ``name``."""
+    rng = random.Random(name)
     for node in _proof_nodes(verdict_json.get("proof")):
         yield from _edited(node, "key", {"key": node["key"] + "x"})
         for rule in PROOF_RULES:
@@ -175,22 +189,67 @@ def structure_mutants(verdict_json: dict):
         peo = data.get("peo")
         if peo is not None and len(peo) > 1:
             yield from _edited(node, "reverse peo", {"data": {**data, "peo": peo[::-1]}})
+        if peo is not None and len(peo) > 2:
+            shuffled = peo
+            while shuffled in (peo, peo[::-1]):
+                shuffled = rng.sample(peo, len(peo))
+            yield from _edited(node, "shuffle peo", {"data": {**data, "peo": shuffled}})
     for w in _witnesses(verdict_json.get("witness")):
         if w["kind"] == "wise_gordon":
             for violation in VIOLATIONS:
                 if violation != w["violation"]:
                     yield from _edited(w, "violation kind", {"violation": violation})
+            vertices = w["vertices"]
+            for i in range(len(vertices) - 1):
+                swapped = vertices[:i] + [vertices[i + 1], vertices[i]] + vertices[i + 2 :]
+                yield from _edited(w, "violation vertices", {"vertices": swapped})
+            for i, v in itertools.product(range(len(vertices)), G.vertices):
+                if v not in vertices:
+                    replaced = vertices[:i] + [v] + vertices[i + 1 :]
+                    yield from _edited(w, "violation vertices", {"vertices": replaced})
         if w["kind"] == "join_embedding":
             swap = {"side_a": w["side_b"], "side_b": w["side_a"]}
             swap.update(cert_a=w["cert_b"], cert_b=w["cert_a"])
             yield from _edited(w, "swap join", swap)
+            certs = {"cert_a": w["cert_b"], "cert_b": w["cert_a"]}
+            yield from _edited(w, "certificates to other sides", certs)
+            for side in ("cert_a", "cert_b"):
+                cert = w[side]
+                kind = {"free_pair": "independent_triple"}.get(cert["kind"], "free_pair")
+                yield from _edited(w, "certificate kind", {side: {**cert, "kind": kind}})
 
 
-# The two families of mutants, each made from a verdict's JSON and the
-# name of its case.
+def _dicts(obj):
+    """Every dict in a JSON value, outermost first."""
+    if isinstance(obj, dict):
+        yield obj
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for value in obj:
+            yield from _dicts(value)
+
+
+def field_mutants(G, verdict_json: dict, name: str):
+    """``("drop KEY", holder)`` for each mutant that drops one key from
+    one dict of the verdict, made in place and undone, in the same key
+    order, when the next is asked for."""
+    for holder in list(_dicts(verdict_json)):
+        items = list(holder.items())
+        for key, _ in items:
+            del holder[key]
+            try:
+                yield f"drop {key}", holder
+            finally:
+                holder.clear()
+                holder.update(items)
+
+
+# The three families of mutants, each made from the graph, a verdict's
+# JSON and the name of its case.
 FAMILIES = {
-    "id lists": id_list_mutants,
-    "structure": lambda verdict_json, name: structure_mutants(verdict_json),
+    "id lists": lambda G, verdict_json, name: id_list_mutants(verdict_json, name),
+    "structure": structure_mutants,
+    "fields": field_mutants,
 }
 
 
@@ -202,7 +261,7 @@ def tamper(G, verdict_json: dict, clf: Classifier, name: str, family) -> tuple[C
     Any exception but a refusal propagates, as a crash."""
     counts = Counter()
     accepted = []
-    for operator, where in family(verdict_json, name):
+    for operator, where in family(G, verdict_json, name):
         counts[operator] += 1
         try:
             verdict = verdict_from_jsonable(verdict_json)
@@ -315,13 +374,6 @@ def _complete_label_two(groups, labels, node, verdict) -> bool:
     return all(labels.get(frozenset(p)) == 2 for p in itertools.combinations(vs, 2))
 
 
-def _large_labels(groups, labels, node, verdict) -> bool:
-    """McCammond and Wise's premise: every vertex of order two and every
-    label at least the vertex count."""
-    vs = node["vertices"]
-    return all(groups[v] == Z2 for v in vs) and all(m >= len(vs) for m in _within(labels, vs))
-
-
 def _chordal_raag(groups, labels, node, verdict) -> bool:
     """All-Z with every label 2, and the stored ordering a perfect
     elimination ordering: chordal, so the Wise-Gordon conditions hold
@@ -339,42 +391,45 @@ def _mirrored_split(groups, labels, node, verdict) -> bool:
     return left | right == set(node["vertices"]) and left & right == sep and not crossing
 
 
-def _reversed_peo(groups, labels, node, verdict) -> bool:
+def _stored_peo(groups, labels, node, verdict) -> bool:
     return _is_peo(labels, node["vertices"], node["data"]["peo"])
 
 
-def _swapped_join(groups, labels, node, verdict) -> bool:
+def _witness_holds(groups, labels, node, verdict) -> bool:
     return brute_force_witness(groups, labels, verdict["witness"])
 
 
 # Structure operators whose mutants may stay valid evidence, each with
-# its brute-force check of the mutated proof node or witness.
+# its brute-force check of the mutated proof node or witness.  A rule
+# change is valid only between rules that store the same data.
 STILL_VALID_STRUCTURE = {
     "rule abelian->slender": _complete_label_two,
-    "rule droms_chordal->abelian": _complete_label_two,
-    "rule droms_chordal->slender": _complete_label_two,
-    "rule abelian->mccammond_wise": _large_labels,
-    "rule slender->mccammond_wise": _large_labels,
     "rule droms_chordal->wise_gordon": _chordal_raag,
     "mirror split": _mirrored_split,
-    "reverse peo": _reversed_peo,
-    "swap join": _swapped_join,
+    "reverse peo": _stored_peo,
+    "shuffle peo": _stored_peo,
+    "swap join": _witness_holds,
+    "violation vertices": _witness_holds,
 }
 
 
 # -- inputs --------------------------------------------------------------------------
 
 
-def census_cases(tmp_dir: Path, flavor: str, max_vertices: int, labels=(2,)):
-    """``(name, G, verdict JSON, classifier)`` for each record of a census
-    sweep with an ``--out`` file, each on its class's representative; one
-    classifier checks the whole sweep, as a resumed census does."""
+def census_records(tmp_dir: Path, flavor: str, max_vertices: int, labels=(2,)) -> list[dict]:
+    """The records of a census sweep with an ``--out`` file."""
     config = CensusConfig(flavor=flavor, max_vertices=max_vertices, edge_labels=labels)
     out = tmp_dir / f"{flavor}-{max_vertices}-{'-'.join(map(str, labels))}.jsonl"
     run_census(config, out_path=str(out))
+    return [json.loads(line) for line in out.read_text().splitlines()[1:]]
+
+
+def census_cases(records: list[dict], flavor: str):
+    """``(name, G, verdict JSON, classifier)`` for each record of a census
+    sweep, each on its class's representative; one classifier checks the
+    whole sweep, as a resumed census does."""
     clf = Classifier()
-    for line in out.read_text().splitlines()[1:]:
-        rec = json.loads(line)
+    for rec in records:
         yield f"{flavor}:{rec['key']}", graph_from_key(rec["key"]), rec["verdict"], clf
 
 
@@ -412,23 +467,74 @@ def check_cases(cases, family) -> tuple[Counter, Counter]:
     return counts, still_valid
 
 
+# -- census record summaries -----------------------------------------------------------
+
+
+STATUSES = (COHERENT, INCOHERENT, UNKNOWN)
+
+
+def summary_mutants(rec: dict):
+    """``("edit FIELD", record)`` for one edit of each summary field of a
+    census record."""
+    edits = {
+        "n": rec["n"] + 1,
+        "e": rec["e"] + 1,
+        "flavor": rec["flavor"] + ["artin"],
+        "status": STATUSES[STATUSES.index(rec["status"]) - 1],
+        "rule": "bogus",
+        "notes": rec["notes"] + ["bogus"],
+    }
+    for field, value in edits.items():
+        yield f"edit {field}", {**rec, field: value}
+
+
+def resume_refuses(rec: dict, CG, clf: Classifier) -> bool:
+    """Whether resuming a census refuses the stored record ``rec`` of the
+    class of ``CG``, the class's representative: on loading it, or on
+    checking it against ``CG`` as ``_record_job`` does."""
+    try:
+        _checked_key(rec, {})
+        _record_job(clf, True, (CG.n, CG.m, rec["key"], CG, 1, json.dumps(rec).encode()))
+    except ValueError:
+        return True
+    return False
+
+
+def check_summaries(records: list[dict]) -> Counter:
+    """Edit every summary field of every record; returns the mutant
+    count of each operator.  Each unedited record is resumed, and each
+    edited one refused."""
+    clf = Classifier()
+    counts = Counter()
+    for rec in records:
+        CG = graph_from_key(rec["key"])
+        assert not resume_refuses(rec, CG, clf), rec["key"]
+        for operator, mutant in summary_mutants(rec):
+            counts[operator] += 1
+            assert resume_refuses(mutant, CG, clf), (operator, mutant)
+    return counts
+
+
 @pytest.fixture(scope="module")
-def cases(tmp_path_factory):
+def sweeps(tmp_path_factory):
+    """The records of both census sweeps, by flavor."""
+    tmp = tmp_path_factory.mktemp("tamper")
+    return {
+        "racg": census_records(tmp, "racg", 5),
+        "coxeter": census_records(tmp, "coxeter", 4, (2, 3, 4, 5)),
+    }
+
+
+@pytest.fixture(scope="module")
+def cases(sweeps):
     """The verdicts of both sweeps, the gallery and ``NESTED_FACTORS``;
-    every mutant is undone after its check, so both families share them."""
+    every mutant is undone after its check, so all families share them."""
     from test_evidence_references import NESTED_FACTORS
 
-    tmp = tmp_path_factory.mktemp("tamper")
     clf = Classifier()
     nested = [("nested-factors", NESTED_FACTORS, to_jsonable(clf.classify(NESTED_FACTORS)), clf)]
-    return list(
-        itertools.chain(
-            census_cases(tmp, "racg", 5),
-            census_cases(tmp, "coxeter", 4, (2, 3, 4, 5)),
-            gallery_cases(),
-            nested,
-        )
-    )
+    census = [census_cases(records, flavor) for flavor, records in sweeps.items()]
+    return list(itertools.chain(*census, gallery_cases(), nested))
 
 
 def test_every_id_list_mutant_is_refused_or_still_valid(cases):
@@ -442,13 +548,36 @@ def test_every_id_list_mutant_is_refused_or_still_valid(cases):
 def test_every_structure_mutant_is_refused_or_still_valid(cases):
     counts, still_valid = check_cases(cases, FAMILIES["structure"])
     assert sum(counts.values()) >= 10000
-    # Every operator ran, and every allow-listed one but the droms_chordal
-    # rule changes (no chordal RAAG here) met valid evidence.
+    # Every operator ran, and these allow-listed ones met valid evidence
+    # (there is no chordal RAAG here, and no clique violation).
     operators = ["key", "drop last child", "duplicate last child", "swap split sides"]
-    operators += ["mirror split", "reverse peo", "violation kind", "swap join"]
+    operators += ["mirror split", "reverse peo", "shuffle peo", "violation kind"]
+    operators += ["violation vertices", "swap join", "certificates to other sides"]
+    operators += ["certificate kind"]
     assert all(counts[operator] for operator in operators), counts
-    met = [operator for operator in STILL_VALID_STRUCTURE if "droms" not in operator]
+    met = ["rule abelian->slender", "mirror split", "reverse peo", "swap join"]
     assert all(still_valid[operator] for operator in met), still_valid
+
+
+def test_every_field_drop_is_refused(cases):
+    counts, still_valid = check_cases(cases, FAMILIES["fields"])
+    assert not still_valid
+    # Each field of a verdict, note, witness and proof node, and each
+    # data key the engine writes, was dropped.
+    fields = ["status", "proof", "witness", "notes", "code", "detail"]
+    fields += ["rule", "vertices", "key", "data", "children", "kind", "inner"]
+    fields += ["side_a", "side_b", "cert_a", "cert_b", "cycle", "violation"]
+    fields += ["peo", "certificate", "reason", "factors", "type", "components"]
+    fields += ["separator", "left", "right", "method", "vertex_count", "min_edge_label"]
+    assert all(counts[f"drop {field}"] for field in fields), counts
+
+
+def test_every_summary_field_edit_is_refused_on_resume(sweeps):
+    counts = Counter()
+    for records in sweeps.values():
+        counts += check_summaries(records)
+    fields = ["n", "e", "flavor", "status", "rule", "notes"]
+    assert all(counts[f"edit {field}"] for field in fields), counts
 
 
 def test_the_brute_force_check_refuses_broken_witnesses():
@@ -465,18 +594,22 @@ def test_the_brute_force_check_refuses_broken_witnesses():
     assert not brute_force_witness(groups, labels, {**w, "vertices": w["vertices"] * 2})
 
 
+def _print_counts(title: str, counts: Counter, still_valid: Counter) -> None:
+    total, valid = sum(counts.values()), sum(still_valid.values())
+    print(f"{title}: {total} mutants, {valid} still valid, none else accepted")
+    for operator in sorted(counts):
+        print(f"  {operator}: {counts[operator]} mutants, {still_valid[operator]} still valid")
+
+
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for sweep in argv:
             flavor, n = sweep.split(":")
-            cases = list(census_cases(Path(tmp), flavor, int(n)))
+            records = census_records(Path(tmp), flavor, int(n))
+            cases = list(census_cases(records, flavor))
             for family, mutants_of in FAMILIES.items():
-                counts, still_valid = check_cases(cases, mutants_of)
-                total, valid = sum(counts.values()), sum(still_valid.values())
-                print(f"{sweep} {family}: {total} mutants, {valid} still valid, none else accepted")
-                for operator in sorted(counts):
-                    valid = still_valid[operator]
-                    print(f"  {operator}: {counts[operator]} mutants, {valid} still valid")
+                _print_counts(f"{sweep} {family}", *check_cases(cases, mutants_of))
+            _print_counts(f"{sweep} summaries", check_summaries(records), Counter())
     return 0
 
 
